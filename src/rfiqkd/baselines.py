@@ -1,25 +1,20 @@
 """Reference pipelines for the six-four and six-state protocol variants.
 
 These exist only for side-by-side rate comparisons. They run on the same
-channel model as the main pipeline but work directly on event-class
-statistics (for example "X states measured in X"), so no extra state
-labels are needed anywhere else in the package.
+channel model, decoy chain and key-length formula as the main pipeline but
+work directly on event-class statistics (for example "X states measured in
+X"), so no extra state labels are needed anywhere else in the package.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import decoy, security
-from .channel import transmittance
-from .core import (
-    BasisLabel,
-    ChannelParams,
-    IntensityClass,
-    ProtocolConfig,
-    SecurityParams,
-)
-from .keyrate import KeyLength, binary_entropy, key_length
+from .channel import pulse_probabilities, quadrature_error, transmittance
+from .core import BasisLabel, ChannelParams, ProtocolConfig, SecurityParams
+from .keyrate import key_length
 
 FOUR_STATE = "rfi44"
 SIX_FOUR = "rfi64"
@@ -44,78 +39,74 @@ class BaselineReport:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class _ClassCounts:
-    detected: tuple[float, float, float]
-    errors: tuple[float, float, float]
+Counts = tuple[float, float, float]
+
+# (c_lower, i_e, clamped) from the correlator magnitudes and e_zz.
+LeakBound = Callable[[list[float], float, bool], tuple[float, float, bool]]
 
 
-def _expected_class(
+def _class_counts(
+    cfg: ProtocolConfig,
+    ch: ChannelParams,
+    eta: float,
     alice_prob: float,
     bob_prob: float,
     e_mis: float,
-    eta: float,
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    e_d: float,
-    n_total: int,
-) -> _ClassCounts:
+) -> tuple[Counts, Counts]:
+    """Expected (detections, errors) of one merged class per intensity."""
     detected = []
     errors = []
-    for k in intensities:
-        absorbed = math.exp(-eta * k.mean_photons)
-        gain = 1.0 - (1.0 - e_d) * absorbed
-        n = round(n_total * alice_prob * k.probability * bob_prob * gain)
-        m_rate = e_d / 2.0 + e_mis * (1.0 - absorbed)
-        m = min(round(n_total * alice_prob * k.probability * bob_prob * m_rate), n)
+    for k in cfg.intensities:
+        gain, error = pulse_probabilities(eta, k.mean_photons, e_mis, ch.e_d)
+        n = round(cfg.n_total * alice_prob * k.probability * bob_prob * gain)
+        m = min(round(cfg.n_total * alice_prob * k.probability * bob_prob * error), n)
         detected.append(float(n))
         errors.append(float(m))
-    return _ClassCounts(tuple(detected), tuple(errors))
+    return tuple(detected), tuple(errors)
 
 
-def _correlator_interval(
-    counts: _ClassCounts,
-    cfg: ProtocolConfig,
-    eps: float | None,
-    literal: bool,
-) -> tuple[float, float]:
-    """Interval on ``1 - 2e`` for one class's single-photon error rate."""
-    s0 = decoy.vacuum_bound(counts.detected, cfg.intensities, eps, literal_upper=literal)
-    s1 = decoy.single_photon_bound(
-        counts.detected, s0, cfg.intensities, eps, literal_upper=literal
-    )
-    t = decoy.error_count_bound(counts.errors, cfg.intensities, eps, literal_upper=literal)
-    e = decoy.single_photon_error_rate(t, s1)
-    return 1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower
-
-
-def _zz_totals(counts: _ClassCounts) -> tuple[float, float]:
-    n_zz = sum(counts.detected)
-    m_zz = sum(counts.errors)
-    return n_zz, m_zz / n_zz if n_zz > 0 else 0.0
-
-
-def _finalize(
+def _run(
     protocol: str,
-    c_lower: float,
-    i_e: float,
-    zz: _ClassCounts,
-    zz_bounds: tuple[decoy.BoundedCount, decoy.BoundedCount],
+    leak: LeakBound,
+    p_z_bob: float,
+    quadratures: tuple[tuple[float, float], ...],
+    cfg: ProtocolConfig,
+    ch: ChannelParams,
     sec: SecurityParams,
-    n_total: int,
+    distance_km: float,
+    fluctuations: bool,
     finite_key_terms: bool,
-    clamped: bool,
+    literal: bool,
 ) -> BaselineReport:
-    n_zz, e_zz = _zz_totals(zz)
-    s0, s1 = zz_bounds
-    if finite_key_terms:
-        kl = key_length(s0.lower, s1.lower, i_e, n_zz, e_zz, sec, n_total)
-    else:
-        raw = s0.lower + s1.lower * (1.0 - i_e) - n_zz * sec.f_ec * binary_entropy(e_zz)
-        kl = KeyLength(max(raw, 0.0), raw)
+    """Shared pipeline: Z-prepared states measured in Z give the key; each
+    ``(receiver probability, projection)`` pair in ``quadratures`` is one
+    X- or Y-prepared class whose correlator feeds ``leak``."""
+    eps = sec.eps_bar if fluctuations else None
+    eta_z = transmittance(distance_km, BasisLabel.Z, ch)
+    eta_x = transmittance(distance_km, BasisLabel.X, ch)
+    p_half = (1.0 - cfg.p_z_alice) / 2.0
+
+    zz_detected, zz_errors = _class_counts(cfg, ch, eta_z, cfg.p_z_alice, p_z_bob, ch.e0)
+    classes = [
+        _class_counts(cfg, ch, eta_x, p_half, bob_prob, quadrature_error(ch.e0, projection))
+        for bob_prob, projection in quadratures
+    ]
+    correlators = []
+    for detected, errors in classes:
+        e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
+        correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
+
+    n_zz = sum(zz_detected)
+    e_zz = sum(zz_errors) / n_zz if n_zz > 0 else 0.0
+    c_lower, i_e, clamped = leak(correlators, e_zz, literal)
+    s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
+    kl = key_length(
+        s0.lower, s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, finite_key_terms
+    )
     return BaselineReport(
         protocol=protocol,
         key_length=kl.length,
-        key_rate=kl.length / n_total,
+        key_rate=kl.length / cfg.n_total,
         c_lower=c_lower,
         i_e=i_e,
         e_zz=e_zz,
@@ -125,12 +116,20 @@ def _finalize(
     )
 
 
-def _zz_bounds(
-    zz: _ClassCounts, cfg: ProtocolConfig, eps: float | None, literal: bool
-) -> tuple[decoy.BoundedCount, decoy.BoundedCount]:
-    s0 = decoy.vacuum_bound(zz.detected, cfg.intensities, eps, literal_upper=literal)
-    s1 = decoy.single_photon_bound(zz.detected, s0, cfg.intensities, eps, literal_upper=literal)
-    return s0, s1
+def _leak_six_four(correlators, e_zz, literal):
+    raw = security.c_64(*correlators)
+    c_lower = min(raw, 1.0)
+    return c_lower, security.ie_4state(c_lower), raw > 1.0
+
+
+def _leak_six_state(correlators, e_zz, literal):
+    raw = security.c_6state(*correlators)
+    c_lower = min(raw, 2.0)
+    if e_zz < 0.5:
+        i_e = security.ie_6state(c_lower, e_zz, literal_radicand=literal)
+    else:
+        i_e = 1.0  # dark-count dominated; nothing is secret
+    return c_lower, i_e, raw > 2.0
 
 
 def run_six_four(
@@ -148,50 +147,11 @@ def run_six_four(
     probability ``(1 - p_z_alice) / 4`` per state; orthogonal partners share
     the same error statistics, so each basis is handled as one merged class.
     """
-    eps = sec.eps_bar if fluctuations else None
-    visibility = 1.0 - 2.0 * ch.e0
-    eta_z = transmittance(distance_km, BasisLabel.Z, ch)
-    eta_x = transmittance(distance_km, BasisLabel.X, ch)
-    p_rest = 1.0 - cfg.p_z_alice
     p_x_bob = 1.0 - cfg.p_z_bob
-
-    zz = _expected_class(
-        cfg.p_z_alice, cfg.p_z_bob, ch.e0, eta_z, cfg.intensities, ch.e_d, cfg.n_total
-    )
-    xx = _expected_class(
-        p_rest / 2.0,
-        p_x_bob,
-        (1.0 - visibility * math.cos(ch.beta)) / 2.0,
-        eta_x,
-        cfg.intensities,
-        ch.e_d,
-        cfg.n_total,
-    )
-    yx = _expected_class(
-        p_rest / 2.0,
-        p_x_bob,
-        (1.0 - visibility * math.sin(ch.beta)) / 2.0,
-        eta_x,
-        cfg.intensities,
-        ch.e_d,
-        cfg.n_total,
-    )
-
-    xx_iv = _correlator_interval(xx, cfg, eps, literal_paper_formulas)
-    yx_iv = _correlator_interval(yx, cfg, eps, literal_paper_formulas)
-    raw = security.c_64(security.abs_lower(*xx_iv), security.abs_lower(*yx_iv))
-    c_lower = min(raw, 1.0)
-    i_e = security.ie_4state(c_lower)
-    return _finalize(
-        SIX_FOUR,
-        c_lower,
-        i_e,
-        zz,
-        _zz_bounds(zz, cfg, eps, literal_paper_formulas),
-        sec,
-        cfg.n_total,
-        finite_key_terms,
-        clamped=raw > 1.0,
+    quadratures = ((p_x_bob, math.cos(ch.beta)), (p_x_bob, math.sin(ch.beta)))
+    return _run(
+        SIX_FOUR, _leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, sec,
+        distance_km, fluctuations, finite_key_terms, literal_paper_formulas,
     )
 
 
@@ -209,46 +169,11 @@ def run_six_state(
     The receiver picks Z, X and Y with fixed probabilities 0.5, 0.25 and
     0.25; the Y path shares the X path's receiver loss.
     """
-    eps = sec.eps_bar if fluctuations else None
-    visibility = 1.0 - 2.0 * ch.e0
-    eta_z = transmittance(distance_km, BasisLabel.Z, ch)
-    eta_xy = transmittance(distance_km, BasisLabel.X, ch)
-    p_rest = 1.0 - cfg.p_z_alice
     pb_z, pb_x, pb_y = SIX_STATE_BOB
     cos_b, sin_b = math.cos(ch.beta), math.sin(ch.beta)
-
-    zz = _expected_class(
-        cfg.p_z_alice, pb_z, ch.e0, eta_z, cfg.intensities, ch.e_d, cfg.n_total
-    )
-    # (preparation basis, receiver basis, misalignment error of the class)
-    quadrants = {
-        "xx": (pb_x, (1.0 - visibility * cos_b) / 2.0),
-        "xy": (pb_y, (1.0 + visibility * sin_b) / 2.0),
-        "yx": (pb_x, (1.0 - visibility * sin_b) / 2.0),
-        "yy": (pb_y, (1.0 - visibility * cos_b) / 2.0),
-    }
-    c_sum = 0.0
-    for bob_prob, e_mis in quadrants.values():
-        cls = _expected_class(
-            p_rest / 2.0, bob_prob, e_mis, eta_xy, cfg.intensities, ch.e_d, cfg.n_total
-        )
-        interval = _correlator_interval(cls, cfg, eps, literal_paper_formulas)
-        c_sum += security.abs_lower(*interval) ** 2
-    clamped = c_sum > 2.0
-    c_lower = min(c_sum, 2.0)
-    _, e_zz = _zz_totals(zz)
-    if e_zz < 0.5:
-        i_e = security.ie_6state(c_lower, e_zz, literal_radicand=literal_paper_formulas)
-    else:
-        i_e = 1.0  # dark-count dominated; nothing is secret
-    return _finalize(
-        SIX_STATE,
-        c_lower,
-        i_e,
-        zz,
-        _zz_bounds(zz, cfg, eps, literal_paper_formulas),
-        sec,
-        cfg.n_total,
-        finite_key_terms,
-        clamped=clamped,
+    # (preparation, receiver) basis: xx, xy, yx, yy
+    quadratures = ((pb_x, cos_b), (pb_y, -sin_b), (pb_x, sin_b), (pb_y, cos_b))
+    return _run(
+        SIX_STATE, _leak_six_state, pb_z, quadratures, cfg, ch, sec,
+        distance_km, fluctuations, finite_key_terms, literal_paper_formulas,
     )

@@ -41,6 +41,12 @@ def transmittance(distance_km: float, path: BasisLabel, ch: ChannelParams) -> fl
     return 10.0 ** (-total_db / 10.0) * ch.eta_det
 
 
+def quadrature_error(e0: float, projection: float) -> float:
+    """Misalignment error of a state whose ideal outcome projects onto the
+    measured axis with the given signed overlap (1 for a perfect match)."""
+    return (1.0 - (1.0 - 2.0 * e0) * projection) / 2.0
+
+
 def misalignment_error(
     state: StateLabel, basis: BasisLabel, beta: float, e0: float
 ) -> float:
@@ -50,16 +56,23 @@ def misalignment_error(
     ideal outcome is balanced in the chosen basis sits at 1/2. The X0 and
     Y0 states read out the two quadratures of the rotation angle.
     """
-    visibility = 1.0 - 2.0 * e0
     if basis is BasisLabel.Z:
         if state is StateLabel.Z0 or state is StateLabel.Z1:
             return e0
         return 0.5
     if state is StateLabel.X0:
-        return (1.0 - visibility * cos(beta)) / 2.0
+        return quadrature_error(e0, cos(beta))
     if state is StateLabel.Y0:
-        return (1.0 - visibility * sin(beta)) / 2.0
+        return quadrature_error(e0, sin(beta))
     return 0.5
+
+
+def pulse_probabilities(
+    eta: float, mean_photons: float, e_mis: float, e_d: float
+) -> tuple[float, float]:
+    """Per-pulse probabilities of a detection and of an erroneous detection."""
+    absorbed = exp(-eta * mean_photons)
+    return 1.0 - (1.0 - e_d) * absorbed, e_d / 2.0 + e_mis * (1.0 - absorbed)
 
 
 def cell_expectation(
@@ -78,12 +91,10 @@ def cell_expectation(
     eta = transmittance(distance_km, basis, ch)
     angle = ch.beta if beta is None else beta
     e_mis = misalignment_error(state, basis, angle, ch.e0)
-    absorbed = exp(-eta * k.mean_photons)
-    gain = 1.0 - (1.0 - ch.e_d) * absorbed
+    gain, error = pulse_probabilities(eta, k.mean_photons, e_mis, ch.e_d)
     if gain <= 0.0:
         return CellExpectation(0.0, 0.5)
-    qber = (ch.e_d / 2.0 + e_mis * (1.0 - absorbed)) / gain
-    return CellExpectation(gain, min(qber, 1.0))
+    return CellExpectation(gain, min(error / gain, 1.0))
 
 
 def expected_tallies(

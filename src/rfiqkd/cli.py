@@ -19,7 +19,7 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, TextIO
 
 from . import baselines
@@ -27,23 +27,20 @@ from .channel import expected_tallies
 from .core import (
     BASES,
     KINDS,
+    MAX_PULSES,
     STATES,
-    BasisLabel,
+    TWO_PI,
     CellCount,
     ChannelParams,
-    IntensityKind,
     ObservedTallies,
     ProtocolConfig,
     SecurityParams,
-    StateLabel,
     TallyError,
     intensity_triple,
     validate_config,
 )
 from .keyrate import DriftClassifier, ExtractionResult, analyze_tallies, group_and_extract
 from .simulate import DriftTrace, drift_beta, sample_drifting_tallies, sample_tallies
-
-TWO_PI = 2.0 * math.pi
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,31 +51,37 @@ _PROTO = "baseline protocol parameters"
 _ASSUMED = "assumption, not fixed by the baseline system"
 _DERIVED = "derived: (1 - p_z_alice) / 2"
 
+# The physical and protocol defaults are those of the dataclasses.
+_CH, _SEC, _PC = ChannelParams(), SecurityParams(), ProtocolConfig()
+_MU, _NU, _OMEGA = _PC.intensities
+# ChannelParams field -> config key, where the two names differ
+_CHANNEL_KEY = {"beta": "beta_rad"}
+
 # key -> (default, parser, provenance)
 _SCHEMA: dict[str, tuple[object, type | str, str]] = {
-    "e0": (0.01, float, _HW),
-    "alpha_db_per_km": (0.19, float, _HW),
-    "eta_z_db": (4.0, float, _HW),
-    "eta_xy_db": (9.0, float, _HW),
-    "e_d": (1.3e-7, float, _HW),
-    "eta_det": (0.6, float, _HW),
-    "beta_rad": (0.0, float, _ASSUMED),
-    "mu": (0.55, float, _PROTO),
-    "nu": (0.28, float, _PROTO),
-    "omega": (0.0, float, _PROTO),
-    "p_mu": (0.54, float, _PROTO),
-    "p_nu": (0.36, float, _PROTO),
-    "p_omega": (0.10, float, _PROTO),
-    "p_z_alice": (0.77, float, _PROTO),
+    "e0": (_CH.e0, float, _HW),
+    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW),
+    "eta_z_db": (_CH.eta_z_db, float, _HW),
+    "eta_xy_db": (_CH.eta_xy_db, float, _HW),
+    "e_d": (_CH.e_d, float, _HW),
+    "eta_det": (_CH.eta_det, float, _HW),
+    "beta_rad": (_CH.beta, float, _ASSUMED),
+    "mu": (_MU.mean_photons, float, _PROTO),
+    "nu": (_NU.mean_photons, float, _PROTO),
+    "omega": (_OMEGA.mean_photons, float, _PROTO),
+    "p_mu": (_MU.probability, float, _PROTO),
+    "p_nu": (_NU.probability, float, _PROTO),
+    "p_omega": (_OMEGA.probability, float, _PROTO),
+    "p_z_alice": (_PC.p_z_alice, float, _PROTO),
     "p_x0": (None, "optional_float", _DERIVED),
     "p_y0": (None, "optional_float", _DERIVED),
-    "p_z_bob": (0.5, float, _ASSUMED),
-    "n_total": (3_000_000_000_000, "count", _PROTO),
-    "m_groups": (1, int, _ASSUMED),
-    "eps_bar": (1e-10, float, _HW),
-    "eps_ec": (1e-10, float, _HW),
-    "eps_pa": (1e-10, float, _HW),
-    "f_ec": (1.1, float, _HW),
+    "p_z_bob": (_PC.p_z_bob, float, _ASSUMED),
+    "n_total": (_PC.n_total, "count", _PROTO),
+    "m_groups": (_PC.m_groups, int, _ASSUMED),
+    "eps_bar": (_SEC.eps_bar, float, _HW),
+    "eps_ec": (_SEC.eps_ec, float, _HW),
+    "eps_pa": (_SEC.eps_pa, float, _HW),
+    "f_ec": (_SEC.f_ec, float, _HW),
     "distance_km": (200.0, float, _ASSUMED),
     "mode": ("analytic", "mode", _ASSUMED),
     "seed": (0, int, _ASSUMED),
@@ -104,6 +107,10 @@ class ConfigError(ValueError):
 
 def _parse_value(key: str, raw: str, kind) -> object:
     raw = raw.strip()
+    if kind == "count":
+        return _as_count(key, raw)
+    if kind == "counts":
+        return tuple(_as_count(key, part) for part in raw.split(",")) if raw else ()
     try:
         if kind is float:
             return float(raw)
@@ -116,12 +123,6 @@ def _parse_value(key: str, raw: str, kind) -> object:
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind == "count":
-            return _as_count(raw)
-        if kind == "counts":
-            if not raw:
-                return ()
-            return tuple(_as_count(part) for part in raw.split(","))
         if kind == "optional_float":
             return None if raw.lower() in ("", "none", "derived") else float(raw)
         if kind == "mode":
@@ -137,12 +138,24 @@ def _parse_value(key: str, raw: str, kind) -> object:
     raise ConfigError(f"{key}: unhandled schema kind {kind!r}")
 
 
-def _as_count(raw: str) -> int:
-    value = float(raw)
-    count = int(round(value))
-    if abs(value - count) > 0.5:
-        raise ValueError(raw)
-    return count
+def _as_count(key: str, raw: str) -> int:
+    """Parse a pulse count exactly: ``1e13`` is accepted, ``2.7``, ``nan``,
+    ``inf`` and values outside [1, MAX_PULSES] are rejected."""
+    if raw.strip().isdecimal():
+        value = int(raw)
+    else:
+        # imported on demand: it adds about 0.3 MiB to every CLI process
+        from decimal import Decimal, InvalidOperation
+
+        try:
+            value = Decimal(raw)
+        except InvalidOperation:
+            raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
+        if not value.is_finite() or value != value.to_integral_value():
+            raise ConfigError(f"{key}: {raw!r} is not a whole number of pulses")
+    if not 1 <= value <= MAX_PULSES:
+        raise ConfigError(f"{key}: {raw!r} is outside [1, {MAX_PULSES}]")
+    return int(value)
 
 
 @dataclass
@@ -157,35 +170,22 @@ class RunConfig:
 
     def protocol_config(self) -> ProtocolConfig:
         v = self.values
+        scalars = [f.name for f in fields(ProtocolConfig) if f.name != "intensities"]
         return ProtocolConfig(
             intensities=intensity_triple(
                 v["mu"], v["nu"], v["omega"], v["p_mu"], v["p_nu"], v["p_omega"]
             ),
-            p_z_alice=v["p_z_alice"],
-            p_x0=v["p_x0"],
-            p_y0=v["p_y0"],
-            p_z_bob=v["p_z_bob"],
-            n_total=v["n_total"],
-            m_groups=v["m_groups"],
+            **{name: v[name] for name in scalars},
         )
 
     def channel_params(self) -> ChannelParams:
         v = self.values
         return ChannelParams(
-            e0=v["e0"],
-            alpha_db_per_km=v["alpha_db_per_km"],
-            eta_z_db=v["eta_z_db"],
-            eta_xy_db=v["eta_xy_db"],
-            e_d=v["e_d"],
-            eta_det=v["eta_det"],
-            beta=v["beta_rad"],
+            **{f.name: v[_CHANNEL_KEY.get(f.name, f.name)] for f in fields(ChannelParams)}
         )
 
     def security_params(self) -> SecurityParams:
-        v = self.values
-        return SecurityParams(
-            eps_bar=v["eps_bar"], eps_ec=v["eps_ec"], eps_pa=v["eps_pa"], f_ec=v["f_ec"]
-        )
+        return SecurityParams(**{f.name: self.values[f.name] for f in fields(SecurityParams)})
 
     def provenance_lines(self) -> list[str]:
         lines = []
@@ -344,13 +344,6 @@ def _validated(run: RunConfig, out_err: TextIO):
     return cfg, ch, sec
 
 
-def _analysis_options(run: RunConfig, literal: bool) -> dict:
-    return {
-        "n_zz_all_intensities": bool(run["n_zz_all_intensities"]),
-        "literal_paper_formulas": literal,
-    }
-
-
 def _make_slices(
     run: RunConfig,
     cfg: ProtocolConfig,
@@ -378,7 +371,6 @@ def _make_slices(
         str(run["drift"]),
         params,
         n_slices,
-        seed=seed,
         slice_duration_s=float(run["slice_duration_s"]),
         pulses_per_slice=cfg.n_total // n_slices,
     )
@@ -395,6 +387,28 @@ def _make_slices(
     return slices, trace
 
 
+def _analyze(
+    run: RunConfig,
+    cfg: ProtocolConfig,
+    ch: ChannelParams,
+    sec: SecurityParams,
+    slices: list[ObservedTallies],
+    distance: float,
+    literal: bool,
+):
+    """Either a single KeyRateReport or a grouped ExtractionResult."""
+    options = {
+        "n_zz_all_intensities": bool(run["n_zz_all_intensities"]),
+        "literal_paper_formulas": literal,
+    }
+    if len(slices) == 1 and cfg.m_groups == 1:
+        return analyze_tallies(slices[0], cfg, sec, **options)
+    classifier = DriftClassifier.from_channel(
+        ch, cfg, distance, negated_exponent=bool(run["rho_negated_exponent"])
+    )
+    return group_and_extract(slices, cfg.m_groups, cfg, sec, classifier, **options)
+
+
 def _run_pipeline(
     run: RunConfig,
     cfg: ProtocolConfig,
@@ -404,16 +418,9 @@ def _run_pipeline(
     seed: int,
     literal: bool,
 ):
-    """Either a single KeyRateReport or a grouped ExtractionResult."""
+    """The analysis of freshly made slices, plus the slices themselves."""
     slices, _ = _make_slices(run, cfg, ch, distance, seed)
-    options = _analysis_options(run, literal)
-    m_groups = cfg.m_groups
-    if len(slices) == 1 and m_groups == 1:
-        return analyze_tallies(slices[0], cfg, sec, **options), slices
-    classifier = DriftClassifier.from_channel(
-        ch, cfg, distance, negated_exponent=bool(run["rho_negated_exponent"])
-    )
-    return group_and_extract(slices, m_groups, cfg, sec, classifier, **options), slices
+    return _analyze(run, cfg, ch, sec, slices, distance, literal), slices
 
 
 def _flags_of(intermediate) -> str:
@@ -466,6 +473,12 @@ def _render_extraction(result: ExtractionResult, n_total: int) -> list[str]:
     return lines
 
 
+def _render(result, n_total: int) -> list[str]:
+    if isinstance(result, ExtractionResult):
+        return _render_extraction(result, n_total)
+    return _render_report(result, n_total)
+
+
 def _emit(text: str, path: str | None, default: TextIO) -> None:
     if path is None:
         default.write(text)
@@ -492,14 +505,9 @@ def cmd_point(args, out: TextIO, err: TextIO) -> int:
         with open(args.dump_tallies, "w", encoding="utf-8", newline="") as handle:
             write_tally_csv(slices, handle)
     lines = [f"distance_km = {_fmt(distance)}", f"mode = {run['mode']}"]
-    if isinstance(result, ExtractionResult):
-        lines += _render_extraction(result, cfg.n_total)
-        total = result.key_length
-    else:
-        lines += _render_report(result, cfg.n_total)
-        total = result.key_length
+    lines += _render(result, cfg.n_total)
     _emit("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK if total > 0.0 else EXIT_NO_KEY
+    return EXIT_OK if result.key_length > 0.0 else EXIT_NO_KEY
 
 
 def _scan_distances(run: RunConfig) -> list[float]:
@@ -631,23 +639,12 @@ def cmd_process(args, out: TextIO, err: TextIO) -> int:
     except (OSError, TallyError) as exc:
         print(f"tally file error: {exc}", file=err)
         return EXIT_ERROR
-    options = _analysis_options(run, args.literal_paper_formulas)
-    m_groups = cfg.m_groups
-    lines = [f"tally_file = {args.tally_file}"]
-    if len(slices) == 1 and m_groups == 1:
-        report = analyze_tallies(slices[0], cfg, sec, **options)
-        lines += _render_report(report, cfg.n_total)
-        total = report.key_length
-    else:
-        classifier = DriftClassifier.from_channel(
-            ch, cfg, float(run["distance_km"]),
-            negated_exponent=bool(run["rho_negated_exponent"]),
-        )
-        result = group_and_extract(slices, m_groups, cfg, sec, classifier, **options)
-        lines += _render_extraction(result, cfg.n_total)
-        total = result.key_length
+    result = _analyze(
+        run, cfg, ch, sec, slices, float(run["distance_km"]), args.literal_paper_formulas
+    )
+    lines = [f"tally_file = {args.tally_file}"] + _render(result, cfg.n_total)
     _emit("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK if total > 0.0 else EXIT_NO_KEY
+    return EXIT_OK if result.key_length > 0.0 else EXIT_NO_KEY
 
 
 def cmd_simulate(args, out: TextIO, err: TextIO) -> int:
@@ -687,7 +684,7 @@ def _overridden(args) -> RunConfig:
         value = getattr(args, arg_name, None)
         if value is not None:
             if key == "n_total":
-                value = _as_count(str(value))
+                value = _as_count(key, value)
             values[key] = value
             explicit.add(key)
     return RunConfig(values, frozenset(explicit))

@@ -15,6 +15,8 @@ MAX_PULSES = 2**62  # counts are held in 64-bit integers
 
 PROB_TOL = 1e-12
 
+TWO_PI = 2.0 * math.pi
+
 
 class StateLabel(enum.Enum):
     """States prepared at the transmitter. There is no X1 or Y1."""
@@ -103,7 +105,9 @@ class ProtocolConfig:
     ``p_x0`` and ``p_y0`` default to ``(1 - p_z_alice) / 2`` each.
     """
 
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass]
+    intensities: tuple[IntensityClass, IntensityClass, IntensityClass] = intensity_triple(
+        0.55, 0.28, 0.0, 0.54, 0.36, 0.10
+    )
     p_z_alice: float = 0.77
     p_x0: float | None = None
     p_y0: float | None = None
@@ -293,7 +297,7 @@ def validate_config(
         val = getattr(ch, name)
         if val < 0.0:
             bad.append(f"{name}: must be >= 0, got {val}")
-    if not 0.0 <= ch.beta < 2.0 * math.pi:
+    if not 0.0 <= ch.beta < TWO_PI:
         bad.append(f"beta: must be in [0, 2*pi), got {ch.beta}")
 
     for name in ("eps_bar", "eps_ec", "eps_pa"):

@@ -245,3 +245,38 @@ def single_photon_error_rate(t: BoundedCount, s1: BoundedCount) -> BoundedCount:
     upper, cu = _clamp(upper, 0.0, 1.0)
     point, _ = _clamp(point, 0.0, 1.0)
     return BoundedCount(lower, point, upper, clamped=cl or cu, degenerate=degenerate)
+
+
+@dataclass(frozen=True)
+class ClassBounds:
+    """Decoy chain of one event class, from vacuum count to error rate."""
+
+    s0: BoundedCount
+    s1: BoundedCount
+    t: BoundedCount
+    e: BoundedCount
+
+
+def yield_bounds(
+    detected: tuple[float, float, float],
+    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
+    eps: float | None,
+    literal_upper: bool = False,
+) -> tuple[BoundedCount, BoundedCount]:
+    """Vacuum and single-photon detection bounds of one event class."""
+    s0 = vacuum_bound(detected, intensities, eps, literal_upper=literal_upper)
+    s1 = single_photon_bound(detected, s0, intensities, eps, literal_upper=literal_upper)
+    return s0, s1
+
+
+def class_bounds(
+    detected: tuple[float, float, float],
+    errors: tuple[float, float, float],
+    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
+    eps: float | None,
+    literal_upper: bool = False,
+) -> ClassBounds:
+    """The full chain: vacuum, single-photon, error count, then error rate."""
+    s0, s1 = yield_bounds(detected, intensities, eps, literal_upper)
+    t = error_count_bound(errors, intensities, eps, literal_upper=literal_upper)
+    return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ._entropy import binary_entropy
 from .core import (
+    TWO_PI,
     BasisLabel,
     ChannelParams,
     IntensityKind,
@@ -23,9 +23,9 @@ from .core import (
     zero_tallies,
 )
 from . import channel, decoy, security
+from .security import binary_entropy
 
 __all__ = [
-    "binary_entropy",
     "KeyLength",
     "key_length",
     "RhoResult",
@@ -39,8 +39,6 @@ __all__ = [
     "group_and_extract",
     "analyze_tallies",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -63,22 +61,25 @@ def key_length(
     e_zz: float,
     sec: SecurityParams,
     n_total: int,
+    finite_key_terms: bool = True,
 ) -> KeyLength:
     """Secret-key length of one block, clamped at zero.
 
     ``s0`` and ``s1`` are the lower bounds on vacuum and single-photon
     detections in the key basis, ``i_e`` the leaked-information bound,
     ``n_zz``/``e_zz`` the sifted-key size and its error rate.
+    ``finite_key_terms=False`` drops the block-size penalty terms of
+    Lim et al. (PRA 89, 022307, 2014), leaving the asymptotic formula.
     """
-    raw = (
-        s0
-        + s1 * (1.0 - i_e)
-        - n_zz * sec.f_ec * binary_entropy(e_zz)
-        - math.log2(2.0 / sec.eps_ec)
-        - 2.0 * math.log2(2.0 / sec.eps_pa)
-        - 7.0 * math.sqrt(n_zz * math.log2(2.0 / sec.eps_bar))
-        - 30.0 * math.log2(n_total + 1.0)
-    )
+    raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * binary_entropy(e_zz)
+    if finite_key_terms:
+        raw = (
+            raw
+            - math.log2(2.0 / sec.eps_ec)
+            - 2.0 * math.log2(2.0 / sec.eps_pa)
+            - 7.0 * math.sqrt(n_zz * math.log2(2.0 / sec.eps_bar))
+            - 30.0 * math.log2(n_total + 1.0)
+        )
     return KeyLength(max(raw, 0.0), raw)
 
 
@@ -319,26 +320,6 @@ def group_and_extract(
     return ExtractionResult(total, tuple(outcomes), grouped)
 
 
-def _class_bounds(
-    tallies: ObservedTallies,
-    states: tuple[StateLabel, ...],
-    basis: BasisLabel,
-    cfg: ProtocolConfig,
-    eps: float | None,
-    literal: bool,
-) -> dict[str, decoy.BoundedCount]:
-    """Vacuum, single-photon and error-count bounds for one event class."""
-    detected = tallies.class_detected(states, basis)
-    errors = tallies.class_errors(states, basis)
-    s0 = decoy.vacuum_bound(detected, cfg.intensities, eps, literal_upper=literal)
-    s1 = decoy.single_photon_bound(
-        detected, s0, cfg.intensities, eps, literal_upper=literal
-    )
-    t = decoy.error_count_bound(errors, cfg.intensities, eps, literal_upper=literal)
-    e = decoy.single_photon_error_rate(t, s1)
-    return {"s0": s0, "s1": s1, "t": t, "e": e}
-
-
 def analyze_tallies(
     tallies: ObservedTallies,
     cfg: ProtocolConfig,
@@ -366,24 +347,30 @@ def analyze_tallies(
         if bound.degenerate:
             inter[f"{name}_degenerate"] = 1.0
 
-    zz = _class_bounds(
-        tallies, (StateLabel.Z0, StateLabel.Z1), BasisLabel.Z, cfg, eps,
-        literal_paper_formulas,
+    zz_states = (StateLabel.Z0, StateLabel.Z1)
+    zz_detected = tallies.class_detected(zz_states, BasisLabel.Z)
+    zz_errors = tallies.class_errors(zz_states, BasisLabel.Z)
+    # The key-basis class runs the whole chain too, so a non-physical error
+    # interval there is reported just as in the X classes.
+    zz = decoy.class_bounds(
+        zz_detected, zz_errors, cfg.intensities, eps, literal_paper_formulas
     )
-    record("s0_zz", zz["s0"])
-    record("s1_zz", zz["s1"])
+    record("s0_zz", zz.s0)
+    record("s1_zz", zz.s1)
 
     rates: dict[StateLabel, decoy.BoundedCount] = {}
     for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0):
-        cls = _class_bounds(
-            tallies, (state,), BasisLabel.X, cfg, eps, literal_paper_formulas
+        cls = decoy.class_bounds(
+            tallies.class_detected((state,), BasisLabel.X),
+            tallies.class_errors((state,), BasisLabel.X),
+            cfg.intensities,
+            eps,
+            literal_paper_formulas,
         )
         tag = state.value.lower() + "x"
-        record(f"s0_{tag}", cls["s0"])
-        record(f"s1_{tag}", cls["s1"])
-        record(f"t_{tag}", cls["t"])
-        record(f"e_{tag}", cls["e"])
-        rates[state] = cls["e"]
+        for name in ("s0", "s1", "t", "e"):
+            record(f"{name}_{tag}", getattr(cls, name))
+        rates[state] = cls.e
 
     cb = security.c_bounds(
         rates[StateLabel.Z0],
@@ -400,41 +387,22 @@ def analyze_tallies(
         inter["c44_clamped"] = 1.0
     i_e = security.ie_4state(cb.c44_lower)
 
-    kinds = (
-        (IntensityKind.MU, IntensityKind.NU, IntensityKind.OMEGA)
-        if n_zz_all_intensities
-        else (IntensityKind.MU,)
-    )
-    n_zz = sum(
-        tallies.cell(s, BasisLabel.Z, k).detected
-        for s in (StateLabel.Z0, StateLabel.Z1)
-        for k in kinds
-    )
-    m_zz = sum(
-        tallies.cell(s, BasisLabel.Z, k).errors
-        for s in (StateLabel.Z0, StateLabel.Z1)
-        for k in kinds
-    )
+    # the sifted key: every intensity, or the signal intensity only
+    kinds = 3 if n_zz_all_intensities else 1
+    n_zz = sum(zz_detected[:kinds])
+    m_zz = sum(zz_errors[:kinds])
     e_zz = m_zz / n_zz if n_zz > 0 else 0.0
 
-    if finite_key_terms:
-        kl = key_length(
-            zz["s0"].lower, zz["s1"].lower, i_e, n_zz, e_zz, sec, cfg.n_total
-        )
-    else:
-        raw = (
-            zz["s0"].lower
-            + zz["s1"].lower * (1.0 - i_e)
-            - n_zz * sec.f_ec * binary_entropy(e_zz)
-        )
-        kl = KeyLength(max(raw, 0.0), raw)
+    kl = key_length(
+        zz.s0.lower, zz.s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, finite_key_terms
+    )
     if kl.negative:
         inter["negative_length"] = 1.0
     inter["key_length_raw"] = kl.raw
 
     return KeyRateReport(
-        s0_zz_lower=zz["s0"].lower,
-        s1_zz_lower=zz["s1"].lower,
+        s0_zz_lower=zz.s0.lower,
+        s1_zz_lower=zz.s1.lower,
         c44_lower=cb.c44_lower,
         i_e=i_e,
         e_zz=e_zz,

@@ -4,16 +4,25 @@ The four-state protocol estimates the two X-quadrature correlators from
 single-photon error rates of the four states measured in the X basis,
 combines them into a rotation-invariant magnitude, and converts that into
 an upper bound on leaked information. Reference curves for the six-state
-and six-four variants live here as well.
+and six-four variants live here as well, and so does the binary entropy
+that both the leak bounds and the key-length formula use.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import hypot, sqrt
+from math import hypot, log2, sqrt
 
-from ._entropy import binary_entropy
 from .decoy import BoundedCount
+
+
+def binary_entropy(p: float) -> float:
+    """h(p) in bits, with h(0) = h(1) = 0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0,1], got {p}")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -48,15 +57,14 @@ def c_bounds(
     statistic into the first component's lower end; the default keeps each
     component built from its own quadrature.
     """
-    c1_upper = e_z0x.upper + e_z1x.upper - 2.0 * e_x0x.lower
+    c1_upper, c2_upper = c1_c2_point(e_z0x.upper, e_z1x.upper, e_x0x.lower, e_y0x.lower)
     x_for_lower = e_y0x if literal_c1_lower else e_x0x
-    c1_lower = e_z0x.lower + e_z1x.lower - 2.0 * x_for_lower.upper
-    c2_upper = e_z0x.upper + e_z1x.upper - 2.0 * e_y0x.lower
-    c2_lower = e_z0x.lower + e_z1x.lower - 2.0 * e_y0x.upper
+    c1_lower, c2_lower = c1_c2_point(
+        e_z0x.lower, e_z1x.lower, x_for_lower.upper, e_y0x.upper
+    )
     raw = hypot(abs_lower(c1_lower, c1_upper), abs_lower(c2_lower, c2_upper))
-    c44 = min(raw, 1.0)
     return CBounds(
-        c1_lower, c1_upper, c2_lower, c2_upper, c44, clamped=raw > 1.0
+        c1_lower, c1_upper, c2_lower, c2_upper, min(raw, 1.0), clamped=raw > 1.0
     )
 
 
@@ -69,14 +77,6 @@ def abs_lower(lower: float, upper: float) -> float:
     if upper < 0.0:
         return -upper
     return 0.0
-
-
-def c44_lower(cb: CBounds) -> float:
-    """Lower bound on the correlator magnitude, clamped to [0, 1]."""
-    raw = hypot(
-        abs_lower(cb.c1_lower, cb.c1_upper), abs_lower(cb.c2_lower, cb.c2_upper)
-    )
-    return min(raw, 1.0)
 
 
 def ie_4state(c44: float) -> float:

@@ -24,23 +24,21 @@ import numpy as np
 
 from .channel import misalignment_error, transmittance
 from .core import (
-    ALL_CELLS,
     BASES,
     KINDS,
     MAX_PULSES,
     STATES,
+    TWO_PI,
     BasisLabel,
     CellCount,
     CellKey,
     ChannelParams,
-    IntensityKind,
     ObservedTallies,
     ProtocolConfig,
     StateLabel,
 )
 
 POISSON_TAIL = 1e-12
-TWO_PI = 2.0 * math.pi
 
 _PAIRS = tuple((s, k) for s in STATES for k in KINDS)
 
@@ -210,7 +208,6 @@ def drift_beta(
     model: DriftModel,
     params: Mapping[str, float],
     n_slices: int,
-    seed: int = 0,
     slice_duration_s: float = 1.0,
     pulses_per_slice: int = 1,
 ) -> DriftTrace:
@@ -219,7 +216,7 @@ def drift_beta(
     ``params`` keys: ``beta0`` for all models; ``rate`` (total sweep in
     radians over the run) for ``linear``; ``amplitude`` and ``period``
     (as a fraction of the run) for ``sinusoidal``. The three models are
-    deterministic; ``seed`` is accepted for interface stability.
+    deterministic.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")

@@ -197,3 +197,44 @@ def test_csv_outputs_deterministic(tmp_path):
 def test_read_tally_csv_rejects_empty():
     with pytest.raises(TallyError, match="line 1"):
         cli.read_tally_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize(
+    "raw,expected",
+    [("1e13", 10**13), ("4611686018427387903", 4611686018427387903), ("12.0", 12)],
+)
+def test_n_total_parsed_exactly(raw, expected):
+    code, out, err = run_cli(["point", "--n-total", raw, "--show-defaults"])
+    assert code == cli.EXIT_OK, err
+    assert f"n_total = {expected}  (config file)" in out
+
+
+@pytest.mark.parametrize(
+    "raw", ["2.7", "inf", "-inf", "nan", "abc", "0", "-5", "4611686018427387905", "1e999999999"]
+)
+def test_n_total_flag_rejects_non_counts(raw):
+    code, out, err = run_cli(["point", f"--n-total={raw}"])
+    assert code == cli.EXIT_ERROR
+    assert err.startswith("error: n_total: ") and repr(raw) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["n_total = inf", "n_total = nan", "n_total = 2.7", "n_values = 1e10,2.5", "n_values = 1e10,0"],
+)
+def test_config_counts_reject_non_counts(tmp_path, line):
+    cfg = tmp_path / "counts.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(["scan", "--config", str(cfg)])
+    key, _, raw = line.partition(" = ")
+    assert code == cli.EXIT_ERROR
+    assert err.startswith(f"error: {key}: ") and repr(raw.split(",")[-1]) in err
+
+
+def test_n_values_parsed_exactly(tmp_path):
+    cfg = tmp_path / "counts.cfg"
+    cfg.write_text("n_values = 1e10, 4611686018427387903\n")
+    code, out, _ = run_cli(["scan", "--config", str(cfg), "--show-defaults"])
+    assert code == cli.EXIT_OK
+    assert "n_values = 10000000000,4611686018427387903  (config file)" in out

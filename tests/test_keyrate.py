@@ -9,13 +9,12 @@ from rfiqkd.core import BasisLabel, IntensityKind, StateLabel
 from rfiqkd.keyrate import (
     DriftClassifier,
     analyze_tallies,
-    binary_entropy,
     group_and_extract,
     group_slices,
     key_length,
     rho_classify,
 )
-from rfiqkd.security import ie_4state
+from rfiqkd.security import binary_entropy, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies
 
 from conftest import make_config

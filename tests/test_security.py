@@ -7,9 +7,9 @@ import pytest
 
 from rfiqkd.decoy import BoundedCount
 from rfiqkd.security import (
+    CBounds,
     abs_lower,
     c1_c2_point,
-    c44_lower,
     c_64,
     c_6state,
     c_bounds,
@@ -20,6 +20,15 @@ from rfiqkd.security import (
 
 def _iv(lo, hi):
     return BoundedCount(lo, (lo + hi) / 2, hi)
+
+
+def _box(lo1, hi1, lo2, hi2) -> CBounds:
+    # Z-in-X rates pinned at 1/2 make c1 = 1 - 2 e_x0x and c2 = 1 - 2 e_y0x,
+    # so these X0/Y0 intervals give component boxes [lo1, hi1] x [lo2, hi2].
+    half = _iv(0.5, 0.5)
+    return c_bounds(
+        half, half, _iv((1 - hi1) / 2, (1 - lo1) / 2), _iv((1 - hi2) / 2, (1 - lo2) / 2)
+    )
 
 
 def _h_mp(p):
@@ -94,21 +103,20 @@ def test_c44_lower_single_axis():
     # c1 in [0.6, 0.7], c2 = [0, 0]
     assert cb.c1_lower == pytest.approx(0.6)
     assert cb.c44_lower == pytest.approx(0.6)
-    assert c44_lower(cb) == pytest.approx(0.6)
 
 
 def test_c44_lower_two_axes():
-    from rfiqkd.security import CBounds
-
-    cb = CBounds(0.6, 0.7, 0.6, 0.7, 0.0)
-    assert c44_lower(cb) == pytest.approx(math.sqrt(0.72), abs=1e-12)
+    cb = _box(0.6, 0.7, 0.6, 0.7)
+    assert (cb.c1_lower, cb.c1_upper, cb.c2_lower, cb.c2_upper) == pytest.approx(
+        (0.6, 0.7, 0.6, 0.7), abs=1e-12
+    )
+    assert cb.c44_lower == pytest.approx(math.sqrt(0.72), abs=1e-12)
 
 
 def test_c44_lower_box_minimum_oracle():
     # The reported lower bound may never exceed the true minimum magnitude
     # sqrt(c1^2 + c2^2) over the box of admissible component values.
     grid = np.linspace(-1.0, 1.0, 21)
-    from rfiqkd.security import CBounds
 
     for lo1 in grid[::4]:
         for hi1 in grid[::4]:
@@ -118,8 +126,7 @@ def test_c44_lower_box_minimum_oracle():
                 for hi2 in grid[::4]:
                     if lo2 > hi2:
                         continue
-                    cb = CBounds(lo1, hi1, lo2, hi2, 0.0)
-                    got = c44_lower(cb)
+                    got = _box(lo1, hi1, lo2, hi2).c44_lower
                     exact = math.hypot(abs_lower(lo1, hi1), abs_lower(lo2, hi2))
                     assert got <= exact + 1e-12
 
