@@ -20,6 +20,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal, InvalidOperation
 from typing import Sequence, TextIO
 
 from . import baselines
@@ -141,18 +142,12 @@ def _parse_value(key: str, raw: str, kind) -> object:
 def _as_count(key: str, raw: str) -> int:
     """Parse a pulse count exactly: ``1e13`` is accepted, ``2.7``, ``nan``,
     ``inf`` and values outside [1, MAX_PULSES] are rejected."""
-    if raw.strip().isdecimal():
-        value = int(raw)
-    else:
-        # imported on demand: it adds about 0.3 MiB to every CLI process
-        from decimal import Decimal, InvalidOperation
-
-        try:
-            value = Decimal(raw)
-        except InvalidOperation:
-            raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
-        if not value.is_finite() or value != value.to_integral_value():
-            raise ConfigError(f"{key}: {raw!r} is not a whole number of pulses")
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ConfigError(f"{key}: {raw!r} is not a whole number of pulses")
     if not 1 <= value <= MAX_PULSES:
         raise ConfigError(f"{key}: {raw!r} is outside [1, {MAX_PULSES}]")
     return int(value)

@@ -210,7 +210,20 @@ def test_n_total_parsed_exactly(raw, expected):
 
 
 @pytest.mark.parametrize(
-    "raw", ["2.7", "inf", "-inf", "nan", "abc", "0", "-5", "4611686018427387905", "1e999999999"]
+    "raw",
+    [
+        "2.7",
+        "inf",
+        "-inf",
+        "nan",
+        "abc",
+        "0",
+        "-5",
+        "4611686018427387905",
+        "1e999999999",
+        "1e9999999999999999999",
+        pytest.param("9" * 5000, id="5000-digits"),
+    ],
 )
 def test_n_total_flag_rejects_non_counts(raw):
     code, out, err = run_cli(["point", f"--n-total={raw}"])
