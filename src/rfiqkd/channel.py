@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, exp, sin
 
+import numpy as np
+
 from .core import (
     ALL_CELLS,
     BasisLabel,
-    CellCount,
     ChannelParams,
     IntensityClass,
     ObservedTallies,
@@ -104,9 +105,8 @@ def expected_tallies(
     beta: float | None = None,
 ) -> ObservedTallies:
     """Expected counts for every cell, rounded to the nearest integer."""
-    cells = {}
-    for key in ALL_CELLS:
-        state, basis, kind = key
+    rows = []
+    for state, basis, kind in ALL_CELLS:
         k = cfg.intensity(kind)
         sent = cfg.n_total * cfg.state_probability(state) * k.probability
         exp_cell = cell_expectation(state, basis, k, distance_km, ch, beta=beta)
@@ -115,5 +115,5 @@ def expected_tallies(
         sent_i = round(sent)
         det_i = min(round(detected), sent_i)
         err_i = min(round(errors), det_i)
-        cells[key] = CellCount(sent_i, det_i, err_i)
-    return ObservedTallies(cells)
+        rows.append((sent_i, det_i, err_i))
+    return ObservedTallies(np.array(rows, dtype=np.int64))

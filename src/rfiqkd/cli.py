@@ -23,13 +23,14 @@ from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from . import baselines
 from .channel import expected_tallies
 from .core import (
-    BASES,
-    KINDS,
+    ALL_CELLS,
+    FIELDS,
     MAX_PULSES,
-    STATES,
     TWO_PI,
     CellCount,
     ChannelParams,
@@ -231,9 +232,11 @@ def _fmt(x: object) -> str:
 
 _TALLY_HEADER = ["state", "basis", "intensity", "sent", "detected", "errors"]
 
-_STATE_BY_NAME = {s.value: s for s in STATES}
-_BASIS_BY_NAME = {b.value: b for b in BASES}
-_KIND_BY_NAME = {k.value: k for k in KINDS}
+# "Z0,Z,mu"-style label of each cell, in count-array row order
+_CELL_LABELS = tuple(f"{s.value},{b.value},{k.value}" for s, b, k in ALL_CELLS)
+_ROW_BY_LABELS = {
+    (s.value, b.value, k.value): row for row, (s, b, k) in enumerate(ALL_CELLS)
+}
 
 
 def write_tally_csv(slices: Sequence[ObservedTallies], out: TextIO) -> None:
@@ -242,26 +245,22 @@ def write_tally_csv(slices: Sequence[ObservedTallies], out: TextIO) -> None:
     header = (["slice"] if sliced else []) + _TALLY_HEADER
     out.write(",".join(header) + "\n")
     for index, tallies in enumerate(slices):
-        for state in STATES:
-            for basis in BASES:
-                for kind in KINDS:
-                    cc = tallies.cell(state, basis, kind)
-                    row = ([str(index)] if sliced else []) + [
-                        state.value,
-                        basis.value,
-                        kind.value,
-                        str(cc.sent),
-                        str(cc.detected),
-                        str(cc.errors),
-                    ]
-                    out.write(",".join(row) + "\n")
+        prefix = f"{index}," if sliced else ""
+        out.write(
+            "".join(
+                f"{prefix}{label},{sent},{detected},{errors}\n"
+                for label, (sent, detected, errors) in zip(
+                    _CELL_LABELS, tallies.counts.tolist()
+                )
+            )
+        )
 
 
 def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
     """Parse a tally CSV into one tally table per slice.
 
     Parse and consistency errors carry the offending line number; cell
-    constraint violations name the cell.
+    constraint violations name the slice and the cell.
     """
     lines = handle.read().splitlines()
     if not lines:
@@ -274,45 +273,66 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
     else:
         raise TallyError(f"line 1: unexpected header {','.join(header)!r}")
 
-    per_slice: dict[int, dict] = {}
+    width = len(header)
+    offset = 1 if sliced else 0
+    slice_ids: list[int] = []
+    rows: list[int] = []
+    values: list[int] = []
+    seen: set[int] = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != len(header):
+        parts = line.split(",")
+        if len(parts) != width:
+            if not line.strip():
+                continue
             raise TallyError(
-                f"line {lineno}: expected {len(header)} columns, got {len(parts)}"
+                f"line {lineno}: expected {width} columns, got {len(parts)}"
             )
-        offset = 0
-        slice_index = 0
-        if sliced:
-            slice_index = _int_field(parts[0], lineno, "slice")
-            offset = 1
-        state = _STATE_BY_NAME.get(parts[offset])
-        basis = _BASIS_BY_NAME.get(parts[offset + 1])
-        kind = _KIND_BY_NAME.get(parts[offset + 2])
-        if state is None or basis is None or kind is None:
-            raise TallyError(
-                f"line {lineno}: bad cell label "
-                f"({parts[offset]},{parts[offset + 1]},{parts[offset + 2]})"
-            )
-        sent = _int_field(parts[offset + 3], lineno, "sent")
-        detected = _int_field(parts[offset + 4], lineno, "detected")
-        errors = _int_field(parts[offset + 5], lineno, "errors")
-        cells = per_slice.setdefault(slice_index, {})
-        key = (state, basis, kind)
-        if key in cells:
-            raise TallyError(f"line {lineno}: duplicate cell ({parts[offset]},...)")
-        cells[key] = CellCount(sent, detected, errors)
-
-    result = []
-    for slice_index in sorted(per_slice):
+        slice_index = _int_field(parts[0], lineno, "slice") if sliced else 0
+        labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
+        row = _ROW_BY_LABELS.get(labels)
+        if row is None:
+            raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
+        # one check for the whole row; a failing row is re-read to name the column
         try:
-            result.append(ObservedTallies(per_slice[slice_index]))
+            numbers = (int(parts[offset + 3]), int(parts[offset + 4]), int(parts[offset + 5]))
+        except ValueError:
+            numbers = (-1, -1, -1)
+        if not (
+            0 <= numbers[0] <= MAX_PULSES
+            and 0 <= numbers[1] <= MAX_PULSES
+            and 0 <= numbers[2] <= MAX_PULSES
+        ):
+            _raise_count_error(parts[offset + 3 :], lineno)
+        key = slice_index * len(ALL_CELLS) + row
+        if key in seen:
+            raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
+        seen.add(key)
+        slice_ids.append(slice_index)
+        rows.append(row)
+        values += numbers
+    if not rows:
+        raise TallyError("line 2: no tally rows")
+
+    order = sorted(set(slice_ids))
+    position = {slice_index: i for i, slice_index in enumerate(order)}
+    where = (np.fromiter(map(position.__getitem__, slice_ids), np.intp, len(slice_ids)), rows)
+    counts = np.zeros((len(order), len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
+    counts[where] = np.array(values, dtype=np.int64).reshape(-1, len(FIELDS))
+    present = np.zeros(counts.shape[:2], dtype=bool)
+    present[where] = True
+    result = []
+    for i, (slice_index, complete) in enumerate(zip(order, present.all(axis=1).tolist())):
+        try:
+            if complete:
+                result.append(ObservedTallies(counts[i]))
+            else:
+                # the mapping form reports the missing cells
+                ObservedTallies(
+                    {ALL_CELLS[row]: CellCount(*counts[i, row].tolist())
+                     for row in np.flatnonzero(present[i])}
+                )
         except TallyError as exc:
             raise TallyError(f"slice {slice_index}: {exc}") from exc
-    if not result:
-        raise TallyError("line 2: no tally rows")
     return result
 
 
@@ -320,7 +340,19 @@ def _int_field(raw: str, lineno: int, column: str) -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise TallyError(f"line {lineno}: column {column}: not an integer: {raw!r}") from exc
+        raise TallyError(
+            f"line {lineno}: column {column}: not an integer: {raw.strip()!r}"
+        ) from exc
+
+
+def _raise_count_error(raws: list[str], lineno: int) -> None:
+    """Name the first of sent, detected and errors that is not a count."""
+    for raw, column in zip(raws, FIELDS):
+        if not 0 <= _int_field(raw, lineno, column) <= MAX_PULSES:
+            raise TallyError(
+                f"line {lineno}: column {column}: {raw.strip()!r} is outside "
+                f"[0, {MAX_PULSES}]"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+import numpy as np
 
 MAX_PULSES = 2**62  # counts are held in 64-bit integers
 
@@ -152,67 +155,133 @@ class TallyError(ValueError):
     """A tally table violates a structural constraint."""
 
 
-@dataclass(frozen=True, eq=True)
+# Row of each cell in the count array; the three columns are FIELDS.
+CELL_INDEX: dict[CellKey, int] = {key: row for row, key in enumerate(ALL_CELLS)}
+FIELDS = ("sent", "detected", "errors")
+# (pair name, Z row, X row) of each (state, intensity) pair
+_PAIR_ROWS = tuple(
+    (
+        f"({state.value},{kind.value})",
+        CELL_INDEX[(state, BasisLabel.Z, kind)],
+        CELL_INDEX[(state, BasisLabel.X, kind)],
+    )
+    for state in STATES
+    for kind in KINDS
+)
+
+
+@dataclass(frozen=True)
 class ObservedTallies:
     """Detection and error counts for all 24 (state, basis, intensity) cells.
 
+    ``counts`` is a read-only int64 array of shape (24, 3): one row per cell
+    in ``ALL_CELLS`` order, columns ``FIELDS``. The constructor takes such
+    an array or a mapping of all 24 cells to ``CellCount``.
+
     ``sent`` is the number of pulses emitted with that (state, intensity)
     pair; the same value appears in both basis rows of a pair because the
-    receiver's passive basis choice happens after emission.
+    receiver's passive basis choice happens after emission. Every count lies
+    in [0, MAX_PULSES].
     """
 
-    cells: Mapping[CellKey, CellCount]
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = dict(self.cells)
-        missing = [key for key in ALL_CELLS if key not in cells]
-        if missing or len(cells) != len(ALL_CELLS):
+        counts = self.counts
+        shape = (len(ALL_CELLS), len(FIELDS))
+        is_array = isinstance(counts, np.ndarray)
+        if is_array and (counts.shape != shape or counts.dtype != np.int64):
             raise TallyError(
-                f"expected {len(ALL_CELLS)} cells, got {len(cells)}; missing {missing}"
+                f"expected an int64 array of shape {shape}, got {counts.dtype} {counts.shape}"
             )
-        for key, cc in cells.items():
-            if not (0 <= cc.errors <= cc.detected <= cc.sent):
+        rows = counts.tolist() if is_array else _rows_of(counts)
+        # Python ints: a count beyond int64 is reported, not wrapped
+        for key, (sent, detected, errors) in zip(ALL_CELLS, rows):
+            if not 0 <= errors <= detected <= sent:
                 raise TallyError(
                     f"cell {cell_name(key)}: need 0 <= errors <= detected <= sent, "
-                    f"got sent={cc.sent} detected={cc.detected} errors={cc.errors}"
+                    f"got sent={sent} detected={detected} errors={errors}"
                 )
-        object.__setattr__(self, "cells", MappingProxyType(cells))
+            if sent > MAX_PULSES:
+                raise TallyError(
+                    f"cell {cell_name(key)}: sent={sent} exceeds the 64-bit count "
+                    f"budget {MAX_PULSES}"
+                )
+        for pair, z_row, x_row in _PAIR_ROWS:
+            if rows[z_row][0] != rows[x_row][0]:
+                raise TallyError(
+                    f"pair {pair}: sent differs between the Z and X rows, "
+                    f"{rows[z_row][0]} != {rows[x_row][0]}"
+                )
+        array = counts.copy() if is_array else np.array(rows, dtype=np.int64)
+        array.flags.writeable = False
+        object.__setattr__(self, "counts", array)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObservedTallies):
             return NotImplemented
-        return dict(self.cells) == dict(other.cells)
+        return bool(np.array_equal(self.counts, other.counts))
+
+    @property
+    def cells(self) -> Mapping[CellKey, CellCount]:
+        """Read-only view of the counts keyed by cell."""
+        return MappingProxyType(
+            {key: CellCount(*row) for key, row in zip(ALL_CELLS, self.counts.tolist())}
+        )
 
     def cell(self, state: StateLabel, basis: BasisLabel, kind: IntensityKind) -> CellCount:
-        return self.cells[(state, basis, kind)]
+        return CellCount(*self.counts[CELL_INDEX[(state, basis, kind)]].tolist())
+
+    def _class_sums(
+        self, states: Iterable[StateLabel], basis: BasisLabel, field: int
+    ) -> tuple[int, int, int]:
+        states = tuple(states)
+        column = self.counts[:, field].tolist()  # Python ints: the sums cannot wrap
+        return tuple(  # type: ignore[return-value]
+            sum(column[CELL_INDEX[(s, basis, k)]] for s in states) for k in KINDS
+        )
 
     def class_detected(
         self, states: Iterable[StateLabel], basis: BasisLabel
     ) -> tuple[int, int, int]:
         """Detections per intensity (mu, nu, omega) summed over ``states``."""
-        states = tuple(states)
-        return tuple(
-            sum(self.cells[(s, basis, k)].detected for s in states) for k in KINDS
-        )  # type: ignore[return-value]
+        return self._class_sums(states, basis, 1)
 
     def class_errors(
         self, states: Iterable[StateLabel], basis: BasisLabel
     ) -> tuple[int, int, int]:
-        states = tuple(states)
-        return tuple(
-            sum(self.cells[(s, basis, k)].errors for s in states) for k in KINDS
-        )  # type: ignore[return-value]
+        return self._class_sums(states, basis, 2)
 
     def __add__(self, other: "ObservedTallies") -> "ObservedTallies":
-        merged = {}
-        for key in ALL_CELLS:
-            a, b = self.cells[key], other.cells[key]
-            merged[key] = CellCount(a.sent + b.sent, a.detected + b.detected, a.errors + b.errors)
-        return ObservedTallies(merged)
+        # sent bounds the other two fields; compared so that nothing wraps
+        over = self.counts[:, 0] > MAX_PULSES - other.counts[:, 0]
+        if over.any():
+            row = int(np.argmax(over))
+            raise TallyError(
+                f"cell {cell_name(ALL_CELLS[row])}: summed sent="
+                f"{int(self.counts[row, 0]) + int(other.counts[row, 0])} exceeds the "
+                f"64-bit count budget {MAX_PULSES}"
+            )
+        return ObservedTallies(self.counts + other.counts)
+
+
+def _rows_of(cells: Mapping[CellKey, CellCount]) -> list[list[int]]:
+    """Count rows in ``ALL_CELLS`` order from a mapping of all 24 cells."""
+    cells = dict(cells)
+    missing = [key for key in ALL_CELLS if key not in cells]
+    if missing or len(cells) != len(ALL_CELLS):
+        raise TallyError(
+            f"expected {len(ALL_CELLS)} cells, got {len(cells)}; missing {missing}"
+        )
+    # operator.index refuses a float count instead of truncating it
+    return [
+        [operator.index(cc.sent), operator.index(cc.detected), operator.index(cc.errors)]
+        for cc in map(cells.__getitem__, ALL_CELLS)
+    ]
 
 
 def zero_tallies() -> ObservedTallies:
-    return ObservedTallies({key: CellCount(0, 0, 0) for key in ALL_CELLS})
+    return ObservedTallies(np.zeros((len(ALL_CELLS), len(FIELDS)), dtype=np.int64))
 
 
 def cell_name(key: CellKey) -> str:

@@ -10,7 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import (
+    ALL_CELLS,
+    CELL_INDEX,
+    FIELDS,
+    MAX_PULSES,
     TWO_PI,
     BasisLabel,
     ChannelParams,
@@ -20,6 +26,8 @@ from .core import (
     ProtocolConfig,
     SecurityParams,
     StateLabel,
+    TallyError,
+    cell_name,
     zero_tallies,
 )
 from . import channel, decoy, security
@@ -163,19 +171,29 @@ class DriftClassifier:
         )
 
     def classify(self, tallies: ObservedTallies) -> RhoResult:
-        xx = tallies.cell(StateLabel.X0, BasisLabel.X, IntensityKind.MU)
-        yx = tallies.cell(StateLabel.Y0, BasisLabel.X, IntensityKind.MU)
-        if xx.detected == 0 or yx.detected == 0:
+        (_, xx_detected, xx_errors), (_, yx_detected, yx_errors) = tallies.counts[
+            _CLASSIFY_ROWS
+        ].tolist()
+        if xx_detected == 0 or yx_detected == 0:
             return RhoResult(0.0, degenerate=True)
         return rho_classify(
-            xx.errors / xx.detected,
-            yx.errors / yx.detected,
+            xx_errors / xx_detected,
+            yx_errors / yx_detected,
             self.eta,
             self.mu,
             self.e_d,
             self.e0,
             negated_exponent=self.negated_exponent,
         )
+
+
+# Count-array rows of the signal-intensity X0 and Y0 cells measured in X
+_CLASSIFY_ROWS = [
+    CELL_INDEX[(state, BasisLabel.X, IntensityKind.MU)]
+    for state in (StateLabel.X0, StateLabel.Y0)
+]
+# Count-array rows measured in Z: their sent column holds every pulse once
+_Z_ROWS = [row for row, (_, basis, _) in enumerate(ALL_CELLS) if basis is BasisLabel.Z]
 
 
 @dataclass(frozen=True)
@@ -210,45 +228,49 @@ def group_slices(
 
     With one group, classification is skipped and everything is pooled,
     which makes the grouped pipeline identical to the ungrouped one.
-    Degenerate slices land in a dedicated overflow group.
+    Degenerate slices land in a dedicated overflow group. A summed count
+    above ``MAX_PULSES`` raises ``TallyError`` naming the group.
     """
     if m_groups < 1:
         raise ValueError(f"m_groups must be >= 1, got {m_groups}")
     if m_groups > 1 and classifier is None:
         raise ValueError("a classifier is required when m_groups > 1")
-    acc = [zero_tallies() for _ in range(m_groups)]
-    counts = [0] * m_groups
-    overflow = zero_tallies()
-    overflow_count = 0
     width = TWO_PI / m_groups
+    overflow = m_groups  # row of the overflow group
 
-    for entry in slices:
+    def group_of(entry: ObservedTallies) -> int:
         if m_groups == 1:
-            idx = 0
-        else:
-            result = classifier.classify(entry)
-            if result.degenerate:
-                overflow = overflow + entry
-                overflow_count += 1
-                continue
-            idx = min(int(result.rho / width), m_groups - 1)
-        acc[idx] = acc[idx] + entry
-        counts[idx] += 1
+            return 0
+        result = classifier.classify(entry)
+        if result.degenerate:
+            return overflow
+        return min(int(result.rho / width), m_groups - 1)
 
-    def pulses(t: ObservedTallies) -> int:
-        seen = {}
-        for (state, basis, kind), cc in t.cells.items():
-            seen[(state, kind)] = cc.sent
-        return sum(seen.values())
-
-    buckets = [
-        GroupBucket(i, i * width, (i + 1) * width, acc[i], counts[i], pulses(acc[i]))
-        for i in range(m_groups)
-    ]
-    if overflow_count:
-        buckets.append(
-            GroupBucket(None, 0.0, TWO_PI, overflow, overflow_count, pulses(overflow))
+    group = np.fromiter(map(group_of, slices), np.intp, len(slices))
+    stack = np.array([entry.counts for entry in slices], dtype=np.int64).reshape(
+        len(slices), len(ALL_CELLS), len(FIELDS)
+    )
+    # sent bounds the other two fields; summed as Python ints it cannot wrap
+    sent = np.zeros((m_groups + 1, len(ALL_CELLS)), dtype=object)
+    np.add.at(sent, group, stack[:, :, 0].astype(object))
+    over = np.argwhere(sent > MAX_PULSES)
+    if len(over):
+        i, row = over[0]
+        raise TallyError(
+            f"group {'overflow' if i == overflow else i}: cell {cell_name(ALL_CELLS[row])}: "
+            f"summed sent={sent[i, row]} exceeds the 64-bit count budget {MAX_PULSES}"
         )
+    sums = np.zeros((m_groups + 1, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
+    np.add.at(sums, group, stack)
+    n_slices = np.bincount(group, minlength=m_groups + 1).tolist()
+
+    def bucket(i: int, index: int | None, rho_low: float, rho_high: float) -> GroupBucket:
+        tallies = ObservedTallies(sums[i])
+        return GroupBucket(index, rho_low, rho_high, tallies, n_slices[i], sum(sent[i, _Z_ROWS]))
+
+    buckets = [bucket(i, i, i * width, (i + 1) * width) for i in range(m_groups)]
+    if n_slices[overflow]:
+        buckets.append(bucket(overflow, None, 0.0, TWO_PI))
     return GroupedData(tuple(buckets))
 
 

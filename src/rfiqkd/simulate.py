@@ -24,13 +24,13 @@ import numpy as np
 
 from .channel import misalignment_error, transmittance
 from .core import (
+    ALL_CELLS,
     BASES,
     KINDS,
     MAX_PULSES,
     STATES,
     TWO_PI,
     BasisLabel,
-    CellCount,
     CellKey,
     ChannelParams,
     ObservedTallies,
@@ -70,11 +70,9 @@ class OracleTallies:
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
 
     def observed(self) -> ObservedTallies:
+        cells = map(self.cells.__getitem__, ALL_CELLS)
         return ObservedTallies(
-            {
-                key: CellCount(cell.sent, cell.detected, cell.errors)
-                for key, cell in self.cells.items()
-            }
+            np.array([(c.sent, c.detected, c.errors) for c in cells], dtype=np.int64)
         )
 
     def true_counts(

@@ -3,9 +3,14 @@ import dataclasses
 import pytest
 
 from rfiqkd import ChannelParams, SecurityParams, validate_config
+import numpy as np
+
 from rfiqkd.core import (
     ALL_CELLS,
+    MAX_PULSES,
+    BasisLabel,
     CellCount,
+    IntensityKind,
     ObservedTallies,
     StateLabel,
     TallyError,
@@ -86,6 +91,49 @@ def test_tallies_addition_is_cellwise():
     for key in ALL_CELLS:
         assert total.cells[key] == CellCount(10, 5, 1)
     assert zero_tallies() + a == a
+
+
+def test_tallies_are_a_read_only_int64_array():
+    tallies = ObservedTallies({key: CellCount(4, 2, 1) for key in ALL_CELLS})
+    assert tallies.counts.shape == (24, 3) and tallies.counts.dtype == np.int64
+    with pytest.raises(ValueError):
+        tallies.counts[0, 0] = 5
+    with pytest.raises(TypeError):
+        tallies.cells[ALL_CELLS[0]] = CellCount(0, 0, 0)
+    assert ObservedTallies(tallies.counts) == tallies
+    detected = tallies.class_detected([StateLabel.Z0, StateLabel.Z1], BasisLabel.Z)
+    assert detected == (4, 4, 4) and all(type(n) is int for n in detected)
+
+
+def test_tallies_reject_wrong_array():
+    with pytest.raises(TallyError, match="int64 array of shape"):
+        ObservedTallies(np.zeros((24, 3)))
+
+
+def test_tallies_reject_count_beyond_budget():
+    cells = {key: CellCount(MAX_PULSES + 1, 0, 0) for key in ALL_CELLS}
+    with pytest.raises(TallyError, match="exceeds the 64-bit count budget"):
+        ObservedTallies(cells)
+
+
+def test_tallies_reject_unequal_sent_between_bases():
+    cells = {key: CellCount(10, 5, 1) for key in ALL_CELLS}
+    cells[(StateLabel.Y0, BasisLabel.X, IntensityKind.OMEGA)] = CellCount(11, 5, 1)
+    with pytest.raises(TallyError) as info:
+        ObservedTallies(cells)
+    assert str(info.value) == "pair (Y0,omega): sent differs between the Z and X rows, 10 != 11"
+
+
+def test_tallies_refuse_fractional_counts():
+    with pytest.raises(TypeError):
+        ObservedTallies({key: CellCount(10.5, 5, 1) for key in ALL_CELLS})
+
+
+@pytest.mark.parametrize("count", [2**61 + 1, MAX_PULSES])
+def test_tallies_addition_never_wraps(count):
+    big = ObservedTallies({key: CellCount(count, count, count) for key in ALL_CELLS})
+    with pytest.raises(TallyError, match=r"cell \(Z0,Z,mu\): summed sent=.* exceeds"):
+        big + big
 
 
 def test_core_types_immutable(cfg, ch, sec):

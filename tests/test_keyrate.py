@@ -5,7 +5,15 @@ import pytest
 
 from rfiqkd import SecurityParams
 from rfiqkd.channel import expected_tallies, transmittance
-from rfiqkd.core import BasisLabel, IntensityKind, StateLabel
+from rfiqkd.core import (
+    ALL_CELLS,
+    BasisLabel,
+    CellCount,
+    IntensityKind,
+    ObservedTallies,
+    StateLabel,
+    TallyError,
+)
 from rfiqkd.keyrate import (
     DriftClassifier,
     analyze_tallies,
@@ -270,3 +278,35 @@ def test_literal_formula_mode_signals_nonphysical(cfg, ch, sec):
     with pytest.raises(NonPhysicalEstimateError):
         analyze_tallies(expected_tallies(cfg, ch, 100.0), cfg, sec,
                         literal_paper_formulas=True)
+
+
+def _uniform_tallies(count):
+    return ObservedTallies({key: CellCount(count, count, count) for key in ALL_CELLS})
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[2**61 + 1] * 3, [2**62] * 4, [2**61, 2**61 + 1]],  # 4 * 2**62 wraps to 0 in int64
+)
+def test_grouping_beyond_the_budget_names_the_group(counts):
+    with pytest.raises(TallyError) as info:
+        group_slices([_uniform_tallies(n) for n in counts], 1, None)
+    assert str(info.value) == (
+        f"group 0: cell (Z0,Z,mu): summed sent={sum(counts)} "
+        f"exceeds the 64-bit count budget {2**62}"
+    )
+
+
+def test_grouping_up_to_the_budget_is_exact():
+    (bucket,) = group_slices([_uniform_tallies(2**61)] * 2, 1, None).buckets
+    assert bucket.tallies == _uniform_tallies(2**62)
+    assert bucket.n_pulses == 12 * 2**62
+
+
+def test_overflow_group_beyond_the_budget(ch, cfg):
+    # no errors in any cell: every slice is degenerate and lands in overflow
+    big = ObservedTallies({key: CellCount(2**61 + 1, 1, 0) for key in ALL_CELLS})
+    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
+    assert classifier.classify(big).degenerate
+    with pytest.raises(TallyError, match=r"^group overflow: cell \(Z0,Z,mu\)"):
+        group_slices([big] * 3, 6, classifier)

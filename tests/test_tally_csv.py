@@ -84,3 +84,54 @@ def test_errors_above_detected_names_slice_and_cell():
 @pytest.mark.parametrize("body", ["", "\n  \n"])
 def test_no_rows(body):
     assert read_error(HEADER + "\n" + body) == "line 2: no tally rows"
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [("sent", 2**70), ("sent", 2**62 + 1), ("detected", -1), ("errors", 2**64)],
+)
+def test_counts_outside_the_budget(column, value):
+    fields = {"sent": 100, "detected": 10, "errors": 1, column: value}
+    row = f"Z0,Z,mu,{fields['sent']},{fields['detected']},{fields['errors']}"
+    assert read_error(tally_text([ROWS[0], row])) == (
+        f"line 3: column {column}: '{value}' is outside [0, {2**62}]"
+    )
+
+
+def test_budget_edge_is_accepted():
+    rows = [f"{s.value},{b.value},{k.value},{2**62},{2**62},{2**62}" for s, b, k in ALL_CELLS]
+    (tallies,) = cli.read_tally_csv(io.StringIO(tally_text(rows)))
+    assert tallies.cell(*ALL_CELLS[-1]).errors == 2**62
+
+
+def test_process_rejects_count_beyond_budget(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(tally_text(replaced(ROWS, 0, f"Z0,Z,mu,{2**70},10,1")))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["process", str(path)], out=out, err=err) == cli.EXIT_ERROR
+    assert err.getvalue() == (
+        f"tally file error: line 2: column sent: '{2**70}' is outside [0, {2**62}]\n"
+    )
+
+
+def test_sent_must_match_between_bases():
+    bad = replaced(ROWS, 4, "Z0,X,nu,99,10,1")
+    assert read_error(sliced_text([ROWS, bad])) == (
+        "slice 1: pair (Z0,nu): sent differs between the Z and X rows, 100 != 99"
+    )
+
+
+def test_merged_slices_beyond_the_budget_exit_one(tmp_path):
+    big = 2**61 + 1
+    rows = replaced(ROWS, 0, f"Z0,Z,mu,{big},10,1")
+    rows = replaced(rows, 3, f"Z0,X,mu,{big},10,1")
+    path = tmp_path / "big.csv"
+    path.write_text(sliced_text([rows, rows, rows]))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["process", str(path), "--groups", "1"], out=out, err=err)
+    assert code == cli.EXIT_ERROR
+    assert err.getvalue() == (
+        f"error: group 0: cell (Z0,Z,mu): summed sent={3 * big} exceeds the "
+        f"64-bit count budget {2**62}\n"
+    )
+    assert out.getvalue() == ""
