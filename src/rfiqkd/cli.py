@@ -275,10 +275,8 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
 
     width = len(header)
     offset = 1 if sliced else 0
-    slice_ids: list[int] = []
-    rows: list[int] = []
-    values: list[int] = []
-    seen: set[int] = set()
+    # slice index -> flat (sent, detected, errors) per cell; -1 marks a cell not read yet
+    per_slice: dict[int, list[int]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != width:
@@ -303,33 +301,31 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
             and 0 <= numbers[2] <= MAX_PULSES
         ):
             _raise_count_error(parts[offset + 3 :], lineno)
-        key = slice_index * len(ALL_CELLS) + row
-        if key in seen:
+        cells = per_slice.get(slice_index)
+        if cells is None:
+            cells = per_slice[slice_index] = [-1] * (len(ALL_CELLS) * len(FIELDS))
+        start = row * len(FIELDS)
+        if cells[start] >= 0:
             raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
-        seen.add(key)
-        slice_ids.append(slice_index)
-        rows.append(row)
-        values += numbers
-    if not rows:
+        cells[start : start + len(FIELDS)] = numbers
+    if not per_slice:
         raise TallyError("line 2: no tally rows")
 
-    order = sorted(set(slice_ids))
-    position = {slice_index: i for i, slice_index in enumerate(order)}
-    where = (np.fromiter(map(position.__getitem__, slice_ids), np.intp, len(slice_ids)), rows)
-    counts = np.zeros((len(order), len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
-    counts[where] = np.array(values, dtype=np.int64).reshape(-1, len(FIELDS))
-    present = np.zeros(counts.shape[:2], dtype=bool)
-    present[where] = True
+    order = sorted(per_slice)
+    counts = np.array([per_slice[i] for i in order], dtype=np.int64).reshape(
+        len(order), len(ALL_CELLS), len(FIELDS)
+    )
+    complete = (counts[:, :, 0] >= 0).all(axis=1).tolist()
     result = []
-    for i, (slice_index, complete) in enumerate(zip(order, present.all(axis=1).tolist())):
+    for table, slice_index, whole in zip(counts, order, complete):
         try:
-            if complete:
-                result.append(ObservedTallies(counts[i]))
+            if whole:
+                result.append(ObservedTallies(table))
             else:
                 # the mapping form reports the missing cells
                 ObservedTallies(
-                    {ALL_CELLS[row]: CellCount(*counts[i, row].tolist())
-                     for row in np.flatnonzero(present[i])}
+                    {ALL_CELLS[row]: CellCount(*table[row].tolist())
+                     for row in np.flatnonzero(table[:, 0] >= 0)}
                 )
         except TallyError as exc:
             raise TallyError(f"slice {slice_index}: {exc}") from exc
