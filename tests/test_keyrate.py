@@ -5,15 +5,7 @@ import pytest
 
 from rfiqkd import SecurityParams
 from rfiqkd.channel import expected_tallies, transmittance
-from rfiqkd.core import (
-    ALL_CELLS,
-    BasisLabel,
-    CellCount,
-    IntensityKind,
-    ObservedTallies,
-    StateLabel,
-    TallyError,
-)
+from rfiqkd.core import ALL_CELLS, CellCount, ObservedTallies, TallyError
 from rfiqkd.keyrate import (
     DriftClassifier,
     analyze_tallies,
