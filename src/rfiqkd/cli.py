@@ -19,9 +19,10 @@ import argparse
 import io
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -237,6 +238,8 @@ _CELL_LABELS = tuple(f"{s.value},{b.value},{k.value}" for s, b, k in ALL_CELLS)
 _ROW_BY_LABELS = {
     (s.value, b.value, k.value): row for row, (s, b, k) in enumerate(ALL_CELLS)
 }
+# buffer entries of a slice none of whose cells has been read
+_UNREAD_SLICE = array("q", [-1] * (len(ALL_CELLS) * len(FIELDS)))
 
 
 def write_tally_csv(slices: Sequence[ObservedTallies], out: TextIO) -> None:
@@ -260,12 +263,15 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
     """Parse a tally CSV into one tally table per slice.
 
     Parse and consistency errors carry the offending line number; cell
-    constraint violations name the slice and the cell.
+    constraint violations name the slice and the cell. The file is read
+    in blocks and every count goes straight into an int64 buffer, so the
+    whole text and its lines are never held at once.
     """
-    lines = handle.read().splitlines()
-    if not lines:
+    lines = _lines(handle)
+    first = next(lines, None)
+    if first is None:
         raise TallyError("line 1: empty tally file")
-    header = [col.strip() for col in lines[0].split(",")]
+    header = [col.strip() for col in first.split(",")]
     if header == _TALLY_HEADER:
         sliced = False
     elif header == ["slice"] + _TALLY_HEADER:
@@ -275,9 +281,11 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
 
     width = len(header)
     offset = 1 if sliced else 0
-    # slice index -> flat (sent, detected, errors) per cell; -1 marks a cell not read yet
-    per_slice: dict[int, list[int]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    # (sent, detected, errors) per cell of every slice in order of first
+    # appearance, 72 entries a slice; -1 marks a cell not read yet
+    flat = array("q")
+    start_of: dict[int, int] = {}  # slice index -> its first entry in flat
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split(",")
         if len(parts) != width:
             if not line.strip():
@@ -292,29 +300,36 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
             raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
         # one check for the whole row; a failing row is re-read to name the column
         try:
-            numbers = (int(parts[offset + 3]), int(parts[offset + 4]), int(parts[offset + 5]))
+            sent, detected, errors = (
+                int(parts[offset + 3]), int(parts[offset + 4]), int(parts[offset + 5])
+            )
         except ValueError:
-            numbers = (-1, -1, -1)
+            sent = detected = errors = -1
         if not (
-            0 <= numbers[0] <= MAX_PULSES
-            and 0 <= numbers[1] <= MAX_PULSES
-            and 0 <= numbers[2] <= MAX_PULSES
+            0 <= sent <= MAX_PULSES
+            and 0 <= detected <= MAX_PULSES
+            and 0 <= errors <= MAX_PULSES
         ):
             _raise_count_error(parts[offset + 3 :], lineno)
-        cells = per_slice.get(slice_index)
-        if cells is None:
-            cells = per_slice[slice_index] = [-1] * (len(ALL_CELLS) * len(FIELDS))
-        start = row * len(FIELDS)
-        if cells[start] >= 0:
+        base = start_of.get(slice_index)
+        if base is None:
+            base = start_of[slice_index] = len(flat)
+            flat.extend(_UNREAD_SLICE)
+        at = base + row * len(FIELDS)
+        if flat[at] >= 0:
             raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
-        cells[start : start + len(FIELDS)] = numbers
-    if not per_slice:
+        flat[at] = sent
+        flat[at + 1] = detected
+        flat[at + 2] = errors
+    if not start_of:
         raise TallyError("line 2: no tally rows")
 
-    order = sorted(per_slice)
-    counts = np.array([per_slice[i] for i in order], dtype=np.int64).reshape(
+    order = sorted(start_of)
+    by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(
         len(order), len(ALL_CELLS), len(FIELDS)
     )
+    # fancy indexing copies, so no table shares memory with flat
+    counts = by_first_line[[start_of[i] // len(_UNREAD_SLICE) for i in order]]
     complete = (counts[:, :, 0] >= 0).all(axis=1).tolist()
     result = []
     for table, slice_index, whole in zip(counts, order, complete):
@@ -330,6 +345,23 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
         except TallyError as exc:
             raise TallyError(f"slice {slice_index}: {exc}") from exc
     return result
+
+
+def _lines(handle: TextIO, block: int = 1 << 16) -> Iterator[str]:
+    """The lines of ``handle`` as ``str.splitlines`` cuts them, line ends kept.
+
+    Reads ``block`` characters at a time. The last piece of each block is
+    carried into the next one, so a line, or a ``\\r\\n``, cut by a block
+    boundary comes out whole. A block is never shorter than the carried
+    piece, which keeps a very long line linear in its length.
+    """
+    tail = ""
+    while chunk := handle.read(max(block, len(tail))):
+        pieces = (tail + chunk).splitlines(keepends=True)
+        tail = pieces.pop()
+        yield from pieces
+    if tail:
+        yield tail
 
 
 def _int_field(raw: str, lineno: int, column: str) -> int:

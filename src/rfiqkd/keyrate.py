@@ -250,9 +250,14 @@ def group_slices(
     stack = np.array([entry.counts for entry in slices], dtype=np.int64).reshape(
         len(slices), len(ALL_CELLS), len(FIELDS)
     )
-    # sent bounds the other two fields; summed as Python ints it cannot wrap
-    sent = np.zeros((m_groups + 1, len(ALL_CELLS)), dtype=object)
-    np.add.at(sent, group, stack[:, :, 0].astype(object))
+    # sent bounds the other two fields. Its high and low 31 bits are summed
+    # apart, which cannot wrap in int64 for fewer than 2**32 slices, and
+    # joined as Python ints, so the budget check below is exact.
+    high = np.zeros((m_groups + 1, len(ALL_CELLS)), dtype=np.int64)
+    low = np.zeros_like(high)
+    np.add.at(high, group, stack[:, :, 0] >> 31)
+    np.add.at(low, group, stack[:, :, 0] & (2**31 - 1))
+    sent = high.astype(object) * 2**31 + low.astype(object)
     over = np.argwhere(sent > MAX_PULSES)
     if len(over):
         i, row = over[0]

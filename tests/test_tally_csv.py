@@ -36,6 +36,30 @@ def test_valid_file_is_read():
     assert tallies.cell(*ALL_CELLS[0]).sent == 100
 
 
+def test_interleaved_slices_crlf_and_blank_lines(tmp_path):
+    tables = [
+        [f"{s.value},{b.value},{k.value},{100 * n},{10 * n},{n}" for s, b, k in ALL_CELLS]
+        for n in (1, 2, 3)
+    ]
+    # slice 7 first, the other two interleaved row by row
+    rows = [f"7,{row}" for row in tables[2]]
+    for zero, two in zip(tables[0], tables[1]):
+        rows += [f"2,{two}", "", f"0,{zero}"]
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(tally_text(rows, "slice," + HEADER).replace("\n", "\r\n").encode())
+    with path.open() as handle:
+        slices = cli.read_tally_csv(handle)
+    assert slices == [cli.read_tally_csv(io.StringIO(tally_text(t)))[0] for t in tables]
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n", "a", "ab\r\ncd\rx\n\nlong line\x0cz ", "x\r\n\r\n", "a" * 9 + "\n"]
+)
+def test_block_reads_cut_lines_as_splitlines(text):
+    for block in range(1, len(text) + 2):
+        assert list(cli._lines(io.StringIO(text), block)) == text.splitlines(keepends=True)
+
+
 def test_bad_header():
     assert read_error("state,basis,kind,sent,detected,errors\n") == (
         "line 1: unexpected header 'state,basis,kind,sent,detected,errors'"
