@@ -74,14 +74,13 @@ def _run(
     ch: ChannelParams,
     sec: SecurityParams,
     distance_km: float,
-    fluctuations: bool,
-    finite_key_terms: bool,
+    asymptotic: bool,
     literal: bool,
 ) -> BaselineReport:
     """Shared pipeline: Z-prepared states measured in Z give the key; each
     ``(receiver probability, projection)`` pair in ``quadratures`` is one
     X- or Y-prepared class whose correlator feeds ``leak``."""
-    eps = sec.eps_bar if fluctuations else None
+    eps = None if asymptotic else sec.eps_bar
     eta_z = transmittance(distance_km, BasisLabel.Z, ch)
     eta_x = transmittance(distance_km, BasisLabel.X, ch)
     p_half = (1.0 - cfg.p_z_alice) / 2.0
@@ -101,7 +100,7 @@ def _run(
     c_lower, i_e, clamped = leak(correlators, e_zz, literal)
     s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
     kl = key_length(
-        s0.lower, s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, finite_key_terms
+        s0.lower, s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
     )
     return BaselineReport(
         protocol=protocol,
@@ -137,8 +136,7 @@ def run_six_four(
     ch: ChannelParams,
     sec: SecurityParams,
     distance_km: float,
-    fluctuations: bool = True,
-    finite_key_terms: bool = True,
+    asymptotic: bool = False,
     literal_paper_formulas: bool = False,
 ) -> BaselineReport:
     """Six states at the source, Z and X measurements at the receiver.
@@ -151,7 +149,7 @@ def run_six_four(
     quadratures = ((p_x_bob, math.cos(ch.beta)), (p_x_bob, math.sin(ch.beta)))
     return _run(
         SIX_FOUR, _leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, sec,
-        distance_km, fluctuations, finite_key_terms, literal_paper_formulas,
+        distance_km, asymptotic, literal_paper_formulas,
     )
 
 
@@ -160,8 +158,7 @@ def run_six_state(
     ch: ChannelParams,
     sec: SecurityParams,
     distance_km: float,
-    fluctuations: bool = True,
-    finite_key_terms: bool = True,
+    asymptotic: bool = False,
     literal_paper_formulas: bool = False,
 ) -> BaselineReport:
     """Six states at the source and three measurement bases at the receiver.
@@ -175,5 +172,5 @@ def run_six_state(
     quadratures = ((pb_x, cos_b), (pb_y, -sin_b), (pb_x, sin_b), (pb_y, cos_b))
     return _run(
         SIX_STATE, _leak_six_state, pb_z, quadratures, cfg, ch, sec,
-        distance_km, fluctuations, finite_key_terms, literal_paper_formulas,
+        distance_km, asymptotic, literal_paper_formulas,
     )

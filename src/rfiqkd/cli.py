@@ -22,7 +22,7 @@ import sys
 from array import array
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -42,8 +42,14 @@ from .core import (
     intensity_triple,
     validate_config,
 )
-from .keyrate import DriftClassifier, ExtractionResult, analyze_tallies, group_and_extract
-from .simulate import DriftTrace, drift_beta, sample_drifting_tallies, sample_tallies
+from .keyrate import (
+    DriftClassifier,
+    ExtractionResult,
+    analyze_tallies,
+    group_and_extract,
+    total_pulses,
+)
+from .simulate import drift_beta, sample_drifting_tallies, sample_tallies
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,6 +65,11 @@ _CH, _SEC, _PC = ChannelParams(), SecurityParams(), ProtocolConfig()
 _MU, _NU, _OMEGA = _PC.intensities
 # ChannelParams field -> config key, where the two names differ
 _CHANNEL_KEY = {"beta": "beta_rad"}
+# schema kind -> its allowed values, shared by the config file and the flags
+_CHOICES = {
+    "mode": ("analytic", "montecarlo"),
+    "drift": ("fixed", "linear", "sinusoidal"),
+}
 
 # key -> (default, parser, provenance)
 _SCHEMA: dict[str, tuple[object, type | str, str]] = {
@@ -108,6 +119,10 @@ class ConfigError(ValueError):
     pass
 
 
+class TallyFileError(ValueError):
+    """A tally file that cannot be read, or whose slices cannot be merged."""
+
+
 def _parse_value(key: str, raw: str, kind) -> object:
     raw = raw.strip()
     if kind == "count":
@@ -128,12 +143,8 @@ def _parse_value(key: str, raw: str, kind) -> object:
             raise ValueError(raw)
         if kind == "optional_float":
             return None if raw.lower() in ("", "none", "derived") else float(raw)
-        if kind == "mode":
-            if raw not in ("analytic", "montecarlo"):
-                raise ValueError(raw)
-            return raw
-        if kind == "drift":
-            if raw not in ("fixed", "linear", "sinusoidal"):
+        if kind in _CHOICES:
+            if raw not in _CHOICES[kind]:
                 raise ValueError(raw)
             return raw
     except ValueError as exc:
@@ -387,31 +398,19 @@ def _raise_count_error(raws: list[str], lineno: int) -> None:
 # shared runner pieces
 
 
-def _validated(run: RunConfig, out_err: TextIO):
-    cfg = run.protocol_config()
-    ch = run.channel_params()
-    sec = run.security_params()
-    problems = validate_config(cfg, ch, sec)
-    if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=out_err)
-        return None
-    return cfg, ch, sec
-
-
 def _make_slices(
     run: RunConfig,
     cfg: ProtocolConfig,
     ch: ChannelParams,
     distance: float,
     seed: int,
-) -> tuple[list[ObservedTallies], DriftTrace | None]:
+) -> list[ObservedTallies]:
     """Produce per-slice tallies per the configured mode and drift model."""
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
         if run["mode"] == "analytic":
-            return [expected_tallies(cfg, ch, distance)], None
-        return [sample_tallies(cfg, ch, distance, seed).observed()], None
+            return [expected_tallies(cfg, ch, distance)]
+        return [sample_tallies(cfg, ch, distance, seed).observed()]
     if cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
@@ -431,15 +430,13 @@ def _make_slices(
     )
     if run["mode"] == "analytic":
         slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-        slices = [
+        return [
             expected_tallies(slice_cfg, ch, distance, beta=beta) for beta in trace.betas
         ]
-    else:
-        slices = [
-            oracle.observed()
-            for oracle in sample_drifting_tallies(cfg, ch, distance, trace, seed)
-        ]
-    return slices, trace
+    return [
+        oracle.observed()
+        for oracle in sample_drifting_tallies(cfg, ch, distance, trace, seed)
+    ]
 
 
 def _analyze(
@@ -464,27 +461,29 @@ def _analyze(
     return group_and_extract(slices, cfg.m_groups, cfg, sec, classifier, **options)
 
 
-def _run_pipeline(
-    run: RunConfig,
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    sec: SecurityParams,
-    distance: float,
-    seed: int,
-    literal: bool,
-):
-    """The analysis of freshly made slices, plus the slices themselves."""
-    slices, _ = _make_slices(run, cfg, ch, distance, seed)
-    return _analyze(run, cfg, ch, sec, slices, distance, literal), slices
+def _grid(run: RunConfig, cfg: ProtocolConfig) -> Iterator[tuple[ProtocolConfig, int, float]]:
+    """Every (block size, distance) point of a scan, with the distance's index.
+
+    The block sizes are ``n_values``, or ``n_total`` when that is empty. In
+    Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``.
+    """
+    start = float(run["scan_min_km"])
+    stop = float(run["scan_max_km"])
+    step = float(run["scan_step_km"])
+    if step <= 0:
+        raise ConfigError(f"scan_step_km must be > 0, got {step}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    distances = [start + i * step for i in range(max(count, 0))]
+    distances = [value for value in distances if value <= stop + 1e-9]
+    for n_total in run["n_values"] or (cfg.n_total,):
+        cfg_n = replace(cfg, n_total=n_total)
+        for index, distance in enumerate(distances):
+            yield cfg_n, index, distance
 
 
-def _flags_of(intermediate) -> str:
-    tokens = set()
-    if intermediate.get("negative_length"):
-        tokens.add("negative_length")
-    if intermediate.get("c44_clamped"):
-        tokens.add("c44_clamped")
-    if any(key.endswith("_degenerate") for key in intermediate):
+def _flags_of(flags: Mapping[str, float]) -> str:
+    tokens = {key for key in ("negative_length", "c44_clamped", "c_clamped") if flags.get(key)}
+    if any(key.endswith("_degenerate") for key in flags):
         tokens.add("degenerate")
     return ";".join(sorted(tokens))
 
@@ -534,189 +533,95 @@ def _render(result, n_total: int) -> list[str]:
     return _render_report(result, n_total)
 
 
-def _emit(text: str, path: str | None, default: TextIO) -> None:
-    if path is None:
-        default.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments, the run configuration and the
+# validated protocol, channel and security parameters, and returns its output
+# lines and whether a key was produced
 
 
-def cmd_point(args, out: TextIO, err: TextIO) -> int:
-    run = _overridden(args)
-    built = _validated(run, err)
-    if built is None:
-        return EXIT_ERROR
-    cfg, ch, sec = built
+def cmd_point(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     distance = float(run["distance_km"])
-    result, slices = _run_pipeline(
-        run, cfg, ch, sec, distance, int(run["seed"]), args.literal_paper_formulas
-    )
+    slices = _make_slices(run, cfg, ch, distance, int(run["seed"]))
+    result = _analyze(run, cfg, ch, sec, slices, distance, args.literal_paper_formulas)
     if args.dump_tallies:
         with open(args.dump_tallies, "w", encoding="utf-8", newline="") as handle:
             write_tally_csv(slices, handle)
     lines = [f"distance_km = {_fmt(distance)}", f"mode = {run['mode']}"]
-    lines += _render(result, cfg.n_total)
-    _emit("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK if result.key_length > 0.0 else EXIT_NO_KEY
+    return lines + _render(result, cfg.n_total), result.key_length > 0.0
 
 
-def _scan_distances(run: RunConfig) -> list[float]:
-    start = float(run["scan_min_km"])
-    stop = float(run["scan_max_km"])
-    step = float(run["scan_step_km"])
-    if step <= 0:
-        raise ConfigError(f"scan_step_km must be > 0, got {step}")
-    distances = []
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    for i in range(max(count, 0)):
-        value = start + i * step
-        if value <= stop + 1e-9:
-            distances.append(value)
-    return distances
-
-
-def _scan_n_values(run: RunConfig, cfg: ProtocolConfig) -> list[int]:
-    n_values = tuple(run["n_values"])  # type: ignore[arg-type]
-    return [int(n) for n in n_values] if n_values else [cfg.n_total]
-
-
-def cmd_scan(args, out: TextIO, err: TextIO) -> int:
-    run = _overridden(args)
-    built = _validated(run, err)
-    if built is None:
-        return EXIT_ERROR
-    cfg, ch, sec = built
+def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
-    for n_total in _scan_n_values(run, cfg):
-        cfg_n = replace(cfg, n_total=n_total)
-        for index, distance in enumerate(_scan_distances(run)):
-            run_n = RunConfig(dict(run.values, n_total=n_total), run.explicit)
-            result, _ = _run_pipeline(
-                run_n, cfg_n, ch, sec, distance, int(run["seed"]) + index,
-                args.literal_paper_formulas,
+    for cfg_n, index, distance in _grid(run, cfg):
+        slices = _make_slices(run, cfg_n, ch, distance, int(run["seed"]) + index)
+        result = _analyze(
+            run, cfg_n, ch, sec, slices, distance, args.literal_paper_formulas
+        )
+        if isinstance(result, ExtractionResult):
+            # per-group bounds do not aggregate; emit zeros plus a flag
+            rate = result.key_length / cfg_n.n_total
+            rows.append(f"{_fmt(distance)},{cfg_n.n_total},{_fmt(rate)},0,0,0,grouped")
+        else:
+            rate = result.key_rate
+            rows.append(
+                f"{_fmt(distance)},{cfg_n.n_total},{_fmt(rate)},"
+                f"{_fmt(result.c44_lower)},{_fmt(result.e_zz)},"
+                f"{_fmt(result.s1_zz_lower)},{_flags_of(result.intermediate)}"
             )
-            if isinstance(result, ExtractionResult):
-                # per-group bounds do not aggregate; emit zeros plus a flag
-                rate = result.key_length / cfg_n.n_total
-                rows.append(
-                    f"{_fmt(distance)},{n_total},{_fmt(rate)},0,0,0,grouped"
-                )
-            else:
-                rate = result.key_rate
-                rows.append(
-                    f"{_fmt(distance)},{n_total},{_fmt(rate)},"
-                    f"{_fmt(result.c44_lower)},{_fmt(result.e_zz)},"
-                    f"{_fmt(result.s1_zz_lower)},{_flags_of(result.intermediate)}"
-                )
-            any_key = any_key or rate > 0.0
-    _emit("\n".join(rows) + "\n", args.out, out)
-    return EXIT_OK if any_key else EXIT_NO_KEY
+        any_key = any_key or rate > 0.0
+    return rows, any_key
 
 
-def cmd_compare(args, out: TextIO, err: TextIO) -> int:
-    run = _overridden(args)
-    built = _validated(run, err)
-    if built is None:
-        return EXIT_ERROR
-    cfg, ch, sec = built
-    literal = args.literal_paper_formulas
-    asym = args.asymptotic
+def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
+    options = {
+        "asymptotic": args.asymptotic,
+        "literal_paper_formulas": args.literal_paper_formulas,
+    }
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
-    for n_total in _scan_n_values(run, cfg):
-        cfg_n = replace(cfg, n_total=n_total)
-        for distance in _scan_distances(run):
-            tallies = expected_tallies(cfg_n, ch, distance)
-            report = analyze_tallies(
-                tallies,
-                cfg_n,
-                sec,
-                fluctuations=not asym,
-                finite_key_terms=not asym,
-                n_zz_all_intensities=bool(run["n_zz_all_intensities"]),
-                literal_paper_formulas=literal,
+    for cfg_n, _, distance in _grid(run, cfg):
+        four = analyze_tallies(
+            expected_tallies(cfg_n, ch, distance), cfg_n, sec,
+            n_zz_all_intensities=bool(run["n_zz_all_intensities"]), **options,
+        )
+        results = [(baselines.FOUR_STATE, four, four.c44_lower, four.intermediate)]
+        for runner in (baselines.run_six_four, baselines.run_six_state):
+            base = runner(cfg_n, ch, sec, distance, **options)
+            flags = {"c_clamped": base.clamped, "negative_length": base.negative_length}
+            results.append((base.protocol, base, base.c_lower, flags))
+        for protocol, result, c_lower, flags in results:
+            rows.append(
+                f"{_fmt(distance)},{cfg_n.n_total},{protocol},{_fmt(result.key_rate)},"
+                f"{_fmt(c_lower)},{_fmt(result.e_zz)},{_flags_of(flags)}"
             )
-            entries = [
-                (
-                    baselines.FOUR_STATE,
-                    report.key_rate,
-                    report.c44_lower,
-                    report.e_zz,
-                    _flags_of(report.intermediate),
-                )
-            ]
-            for runner in (baselines.run_six_four, baselines.run_six_state):
-                base = runner(
-                    cfg_n,
-                    ch,
-                    sec,
-                    distance,
-                    fluctuations=not asym,
-                    finite_key_terms=not asym,
-                    literal_paper_formulas=literal,
-                )
-                flags = ";".join(
-                    token
-                    for token, flag in (
-                        ("c_clamped", base.clamped),
-                        ("negative_length", base.negative_length),
-                    )
-                    if flag
-                )
-                entries.append(
-                    (base.protocol, base.key_rate, base.c_lower, base.e_zz, flags)
-                )
-            for name, rate, c_low, e_zz, flags in entries:
-                rows.append(
-                    f"{_fmt(distance)},{n_total},{name},{_fmt(rate)},"
-                    f"{_fmt(c_low)},{_fmt(e_zz)},{flags}"
-                )
-                any_key = any_key or rate > 0.0
-    _emit("\n".join(rows) + "\n", args.out, out)
-    return EXIT_OK if any_key else EXIT_NO_KEY
+            any_key = any_key or result.key_rate > 0.0
+    return rows, any_key
 
 
-def cmd_process(args, out: TextIO, err: TextIO) -> int:
-    run = _overridden(args)
-    built = _validated(run, err)
-    if built is None:
-        return EXIT_ERROR
-    cfg, ch, sec = built
+def cmd_process(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     try:
         with open(args.tally_file, "r", encoding="utf-8") as handle:
             slices = read_tally_csv(handle)
+        # the file's own block size, not the configured one
+        cfg = replace(cfg, n_total=total_pulses(slices))
+        if cfg.n_total == 0:
+            raise TallyError("no pulses sent: the Z rows' sent counts sum to 0")
+        result = _analyze(
+            run, cfg, ch, sec, slices, float(run["distance_km"]), args.literal_paper_formulas
+        )
     except (OSError, TallyError) as exc:
-        print(f"tally file error: {exc}", file=err)
-        return EXIT_ERROR
-    result = _analyze(
-        run, cfg, ch, sec, slices, float(run["distance_km"]), args.literal_paper_formulas
-    )
+        raise TallyFileError(exc) from exc
     lines = [f"tally_file = {args.tally_file}"] + _render(result, cfg.n_total)
-    _emit("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK if result.key_length > 0.0 else EXIT_NO_KEY
+    return lines, result.key_length > 0.0
 
 
-def cmd_simulate(args, out: TextIO, err: TextIO) -> int:
-    run = _overridden(args)
-    built = _validated(run, err)
-    if built is None:
-        return EXIT_ERROR
-    cfg, ch, sec = built
-    values = dict(run.values, mode="montecarlo")
-    slices, _ = _make_slices(
-        RunConfig(values, run.explicit), cfg, ch, float(run["distance_km"]),
-        int(run["seed"]),
-    )
+def cmd_simulate(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
+    montecarlo = RunConfig(dict(run.values, mode="montecarlo"), run.explicit)
+    slices = _make_slices(montecarlo, cfg, ch, float(run["distance_km"]), int(run["seed"]))
     buffer = io.StringIO()
     write_tally_csv(slices, buffer)
-    _emit(buffer.getvalue(), args.out, out)
-    return EXIT_OK
+    return buffer.getvalue().splitlines(), True
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +655,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--distance", type=float, default=None, help="fiber length in km")
     parser.add_argument("--n-total", dest="n_total", default=None, help="total pulses")
     parser.add_argument(
-        "--mode", choices=("analytic", "montecarlo"), default=None, help="statistics source"
+        "--mode", choices=_CHOICES["mode"], default=None, help="statistics source"
     )
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--groups", type=int, default=None, help="drift group count")
     parser.add_argument(
-        "--drift", choices=("fixed", "linear", "sinusoidal"), default=None,
+        "--drift", choices=_CHOICES["drift"], default=None,
         help="drift model for sliced runs",
     )
     parser.add_argument("--out", default=None, help="write output to this path")
@@ -810,16 +715,34 @@ def main(
     out: TextIO | None = None,
     err: TextIO | None = None,
 ) -> int:
+    """Load and override the configuration, validate it, run the subcommand
+    and write its output; the exit code says whether a key was produced."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        run = _overridden(args)
         if args.show_defaults:
-            run = _overridden(args)
             out.write("\n".join(run.provenance_lines()) + "\n")
             return EXIT_OK
-        return args.func(args, out, err)
+        cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
+        problems = validate_config(cfg, ch, sec)
+        for problem in problems:
+            print(f"config error: {problem}", file=err)
+        if problems:
+            return EXIT_ERROR
+        lines, key = args.func(args, run, cfg, ch, sec)
+        text = "\n".join(lines) + "\n"
+        if args.out is None:
+            out.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        return EXIT_OK if key else EXIT_NO_KEY
+    except TallyFileError as exc:
+        print(f"tally file error: {exc}", file=err)
+        return EXIT_ERROR
     except (ConfigError, TallyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_ERROR

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, factorial, log, sqrt
+from typing import Callable
 
 from .core import IntensityClass
 
@@ -84,19 +85,40 @@ def fluctuation_interval(
     return BoundedCount(lower, x, upper, clamped=clamped)
 
 
-def _ordered(name: str, lower: float, upper: float) -> None:
-    if lower > upper:
-        raise NonPhysicalEstimateError(
-            f"{name}: estimated lower bound {lower!r} exceeds upper bound {upper!r}"
-        )
-
-
 def _clamp(value: float, lo: float, hi: float) -> tuple[float, bool]:
     if value < lo:
         return lo, True
     if value > hi:
         return hi, True
     return value, False
+
+
+def _worst_case(
+    name: str,
+    estimate: Callable[..., float],
+    rising: tuple[BoundedCount, ...],
+    falling: tuple[BoundedCount, ...],
+    cap: float,
+) -> BoundedCount:
+    """Evaluate a closed form at the worst-case ends of its inputs.
+
+    ``estimate`` takes the ``rising`` inputs (those it increases with) and
+    then the ``falling`` ones. Its lower bound takes the rising inputs at
+    their lower ends and the falling ones at their upper ends, and the
+    upper bound the reverse. Both ends are clamped to [0, cap].
+    """
+    lower, cl = _clamp(
+        estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling)), 0.0, cap
+    )
+    upper, cu = _clamp(
+        estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling)), 0.0, cap
+    )
+    if lower > upper:
+        raise NonPhysicalEstimateError(
+            f"{name}: estimated lower bound {lower!r} exceeds upper bound {upper!r}"
+        )
+    point = estimate(*(iv.point for iv in rising + falling))
+    return BoundedCount(lower, point, upper, clamped=cl or cu)
 
 
 def vacuum_bound(
@@ -130,13 +152,7 @@ def vacuum_bound(
             - om * exp(nu) * n_nu_star / nu_s.probability
         )
 
-    raw_lower = estimate(iv_om.lower, iv_nu.upper)
-    raw_point = estimate(n_om, n_nu)
-    raw_upper = estimate(iv_om.upper, iv_nu.lower)
-    lower, cl = _clamp(raw_lower, 0.0, total)
-    upper, cu = _clamp(raw_upper, 0.0, total)
-    _ordered("vacuum count", lower, upper)
-    return BoundedCount(lower, raw_point, upper, clamped=cl or cu)
+    return _worst_case("vacuum count", estimate, (iv_om,), (iv_nu,), total)
 
 
 def single_photon_bound(
@@ -167,20 +183,16 @@ def single_photon_bound(
     coef = mu * t1 / denom
     ratio = (nu * nu - om * om) / (mu * mu)
 
-    def estimate(n_nu_star: float, n_om_star: float, s0_star: float, n_mu_star: float) -> float:
+    def estimate(n_nu_star: float, s0_star: float, n_om_star: float, n_mu_star: float) -> float:
         return coef * (
             exp(nu) * n_nu_star / nu_s.probability
             - exp(om) * n_om_star / om_s.probability
             + ratio * (s0_star / t0 - exp(mu) * n_mu_star / mu_s.probability)
         )
 
-    raw_lower = estimate(iv_nu.lower, iv_om.upper, s0.lower, iv_mu.upper)
-    raw_point = estimate(n_nu, n_om, s0.point, n_mu)
-    raw_upper = estimate(iv_nu.upper, iv_om.lower, s0.upper, iv_mu.lower)
-    lower, cl = _clamp(raw_lower, 0.0, total)
-    upper, cu = _clamp(raw_upper, 0.0, total)
-    _ordered("single-photon count", lower, upper)
-    return BoundedCount(lower, raw_point, upper, clamped=cl or cu)
+    return _worst_case(
+        "single-photon count", estimate, (iv_nu, s0), (iv_om, iv_mu), total
+    )
 
 
 def error_count_bound(
@@ -214,13 +226,7 @@ def error_count_bound(
             - exp(om) * m_om_star / om_s.probability
         )
 
-    raw_lower = estimate(iv_nu.lower, iv_om.upper)
-    raw_point = estimate(m_nu, m_om)
-    raw_upper = estimate(iv_nu.upper, iv_om.lower)
-    lower, cl = _clamp(raw_lower, 0.0, cap)
-    upper, cu = _clamp(raw_upper, 0.0, cap)
-    _ordered("single-photon error count", lower, upper)
-    return BoundedCount(lower, raw_point, upper, clamped=cl or cu)
+    return _worst_case("single-photon error count", estimate, (iv_nu,), (iv_om,), cap)
 
 
 def single_photon_error_rate(t: BoundedCount, s1: BoundedCount) -> BoundedCount:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "GroupBucket",
     "GroupedData",
     "group_slices",
+    "total_pulses",
     "BucketOutcome",
     "ExtractionResult",
     "group_and_extract",
@@ -69,18 +71,18 @@ def key_length(
     e_zz: float,
     sec: SecurityParams,
     n_total: int,
-    finite_key_terms: bool = True,
+    asymptotic: bool = False,
 ) -> KeyLength:
     """Secret-key length of one block, clamped at zero.
 
     ``s0`` and ``s1`` are the lower bounds on vacuum and single-photon
     detections in the key basis, ``i_e`` the leaked-information bound,
     ``n_zz``/``e_zz`` the sifted-key size and its error rate.
-    ``finite_key_terms=False`` drops the block-size penalty terms of
+    ``asymptotic=True`` drops the block-size penalty terms of
     Lim et al. (PRA 89, 022307, 2014), leaving the asymptotic formula.
     """
     raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * binary_entropy(e_zz)
-    if finite_key_terms:
+    if not asymptotic:
         raw = (
             raw
             - math.log2(2.0 / sec.eps_ec)
@@ -194,6 +196,7 @@ _CLASSIFY_ROWS = [
 ]
 # Count-array rows measured in Z: their sent column holds every pulse once
 _Z_ROWS = [row for row, (_, basis, _) in enumerate(ALL_CELLS) if basis is BasisLabel.Z]
+_pick_z = itemgetter(*_Z_ROWS)
 
 
 @dataclass(frozen=True)
@@ -279,6 +282,12 @@ def group_slices(
     return GroupedData(tuple(buckets))
 
 
+def total_pulses(slices: list[ObservedTallies]) -> int:
+    """Pulses sent over all slices, summed exactly from the Z rows' sent column."""
+    # Python ints, so the sum cannot wrap; no stacked copy of the slices
+    return sum(sum(_pick_z(entry.counts[:, 0].tolist())) for entry in slices)
+
+
 @dataclass(frozen=True)
 class BucketOutcome:
     bucket: GroupBucket
@@ -351,18 +360,17 @@ def analyze_tallies(
     tallies: ObservedTallies,
     cfg: ProtocolConfig,
     sec: SecurityParams,
-    fluctuations: bool = True,
-    finite_key_terms: bool = True,
+    asymptotic: bool = False,
     n_zz_all_intensities: bool = True,
     literal_paper_formulas: bool = False,
 ) -> KeyRateReport:
     """Run decoy estimation, channel-quality bounds and the key-length formula.
 
-    ``fluctuations=False`` collapses every interval onto its point estimate
-    and ``finite_key_terms=False`` drops the block-size penalty terms; the
-    combination yields the asymptotic rate used as an upper reference.
+    ``asymptotic=True`` collapses every interval onto its point estimate
+    and drops the block-size penalty terms, which yields the asymptotic
+    rate used as an upper reference.
     """
-    eps = sec.eps_bar if fluctuations else None
+    eps = None if asymptotic else sec.eps_bar
     inter: dict[str, float] = {}
 
     def record(name: str, bound: decoy.BoundedCount) -> None:
@@ -377,13 +385,11 @@ def analyze_tallies(
     zz_states = (StateLabel.Z0, StateLabel.Z1)
     zz_detected = tallies.class_detected(zz_states, BasisLabel.Z)
     zz_errors = tallies.class_errors(zz_states, BasisLabel.Z)
-    # The key-basis class runs the whole chain too, so a non-physical error
-    # interval there is reported just as in the X classes.
-    zz = decoy.class_bounds(
-        zz_detected, zz_errors, cfg.intensities, eps, literal_paper_formulas
+    s0_zz, s1_zz = decoy.yield_bounds(
+        zz_detected, cfg.intensities, eps, literal_paper_formulas
     )
-    record("s0_zz", zz.s0)
-    record("s1_zz", zz.s1)
+    record("s0_zz", s0_zz)
+    record("s1_zz", s1_zz)
 
     rates: dict[StateLabel, decoy.BoundedCount] = {}
     for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0):
@@ -421,15 +427,15 @@ def analyze_tallies(
     e_zz = m_zz / n_zz if n_zz > 0 else 0.0
 
     kl = key_length(
-        zz.s0.lower, zz.s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, finite_key_terms
+        s0_zz.lower, s1_zz.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
     )
     if kl.negative:
         inter["negative_length"] = 1.0
     inter["key_length_raw"] = kl.raw
 
     return KeyRateReport(
-        s0_zz_lower=zz.s0.lower,
-        s1_zz_lower=zz.s1.lower,
+        s0_zz_lower=s0_zz.lower,
+        s1_zz_lower=s1_zz.lower,
         c44_lower=cb.c44_lower,
         i_e=i_e,
         e_zz=e_zz,

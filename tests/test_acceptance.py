@@ -297,13 +297,13 @@ def test_criterion_08_finite_key_dominance(compare_rows):
         tallies = expected_tallies(cfg, ch, dist)
         asym = {
             "rfi44": analyze_tallies(
-                tallies, cfg, sec, fluctuations=False, finite_key_terms=False
+                tallies, cfg, sec, asymptotic=True
             ).key_rate,
             "rfi64": run_six_four(
-                cfg, ch, sec, dist, fluctuations=False, finite_key_terms=False
+                cfg, ch, sec, dist, asymptotic=True
             ).key_rate,
             "rfi66": run_six_state(
-                cfg, ch, sec, dist, fluctuations=False, finite_key_terms=False
+                cfg, ch, sec, dist, asymptotic=True
             ).key_rate,
         }
         for protocol in ("rfi44", "rfi64", "rfi66"):

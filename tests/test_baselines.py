@@ -41,14 +41,14 @@ def test_lossless_noiseless_sifting_limits(sec):
     tau1 = tau(1, cfg.intensities)
     main = analyze_tallies(
         expected_tallies(cfg, ideal, 0.0), cfg, sec,
-        fluctuations=False, finite_key_terms=False,
+        asymptotic=True,
     )
     sifting = cfg.p_z_alice * cfg.p_z_bob
     # everything that is single-photon in the key basis survives (i_e = 0)
     assert main.key_rate == pytest.approx(sifting * tau1, rel=0.15)
-    b64 = run_six_four(cfg, ideal, sec, 0.0, fluctuations=False, finite_key_terms=False)
+    b64 = run_six_four(cfg, ideal, sec, 0.0, asymptotic=True)
     assert b64.key_rate == pytest.approx(sifting * tau1, rel=0.15)
-    b66 = run_six_state(cfg, ideal, sec, 0.0, fluctuations=False, finite_key_terms=False)
+    b66 = run_six_state(cfg, ideal, sec, 0.0, asymptotic=True)
     assert b66.key_rate == pytest.approx(sifting * tau1, rel=0.15)
 
 

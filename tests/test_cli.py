@@ -131,6 +131,30 @@ def test_tally_round_trip(tmp_path):
     assert text_a[2:]  # non-empty
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "distance_km = 50\n",
+        "distance_km = 50\nmode = montecarlo\nn_slices = 4\ndrift = linear\nm_groups = 2\n",
+    ],
+    ids=["single", "grouped"],
+)
+def test_process_takes_n_total_from_the_file(tmp_path, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    dump = tmp_path / "tallies.csv"
+    code, point_out, err = run_cli([
+        "point", "--config", str(cfg), "--n-total", "1e10", "--dump-tallies", str(dump)
+    ])
+    assert code == cli.EXIT_OK, err
+    # without --n-total, so the configured default of 3e12 pulses is wrong
+    code, process_out, err = run_cli(["process", str(dump), "--config", str(cfg)])
+    assert code == cli.EXIT_OK, err
+    # the report, from "n_total =" (or the first group) on, after one context
+    # line in process and two in point
+    assert process_out.splitlines()[1:] == point_out.splitlines()[2:]
+
+
 def test_process_rejects_inconsistent_cell(tmp_path):
     dump = tmp_path / "tallies.csv"
     run_cli(["point", "--distance", "120", "--dump-tallies", str(dump)])

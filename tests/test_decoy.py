@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfiqkd import intensity_triple
 from rfiqkd.decoy import (
@@ -206,3 +209,89 @@ def test_disabled_fluctuations_give_point_estimates():
     assert s1.lower == s1.point == s1.upper
     t = error_count_bound((500.0, 180.0, 4.0), TABLE, None, cap=1e9)
     assert t.lower == t.point == t.upper
+
+
+@st.composite
+def decoy_inputs(draw):
+    """Valid (mu, nu, omega) intensities with selection probabilities, and
+    detection and error counts at each intensity."""
+    om = draw(st.floats(0.0, 0.2))
+    nu = om + draw(st.floats(0.01, 0.5))
+    mu = nu + om + draw(st.floats(0.01, 0.8))
+    weights = [draw(st.floats(0.05, 1.0)) for _ in range(3)]
+    p_mu, p_nu, p_om = (w / sum(weights) for w in weights)
+    counts = tuple(float(draw(st.integers(0, 10**10))) for _ in range(3))
+    errors = tuple(float(draw(st.integers(0, 10**8))) for _ in range(3))
+    return intensity_triple(mu, nu, om, p_mu, p_nu, p_om), counts, errors
+
+
+def clamped_extremes(values, cap):
+    return min(max(min(values), 0.0), cap), min(max(max(values), 0.0), cap)
+
+
+def assert_extremes(bound, terms_at_corners, cap):
+    """``bound``'s ends are the clamped extremes of the closed form over the
+    corners. Each corner gives the closed form's terms, whose sum is the
+    value; the tolerance is 1e-12 of the largest term, because the value
+    itself can be a small difference of large terms."""
+    values = [sum(terms) for terms in terms_at_corners]
+    scale = max(abs(term) for terms in terms_at_corners for term in terms)
+    lower, upper = clamped_extremes(values, cap)
+    assert bound.lower == pytest.approx(lower, rel=1e-12, abs=1e-12 * scale)
+    assert bound.upper == pytest.approx(upper, rel=1e-12, abs=1e-12 * scale)
+
+
+def ends(interval):
+    return interval.lower, interval.upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoy_inputs())
+def test_worst_case_ends_are_the_corner_extremes(inputs):
+    table, counts, errors = inputs
+    (mu, p_mu), (nu, p_nu), (om, p_om) = ((k.mean_photons, k.probability) for k in table)
+    t0, t1 = tau(0, table), tau(1, table)
+    iv_mu, iv_nu, iv_om = (fluctuation_interval(c, EPS) for c in counts)
+    total = sum(counts)
+
+    # S0 = tau0 / (nu - om) * (nu e^om N_om / p_om - om e^nu N_nu / p_nu)
+    s0 = vacuum_bound(counts, table, EPS)
+    assert_extremes(
+        s0,
+        [
+            (t0 * nu * math.exp(om) * n_om / (p_om * (nu - om)),
+             -t0 * om * math.exp(nu) * n_nu / (p_nu * (nu - om)))
+            for n_om, n_nu in itertools.product(ends(iv_om), ends(iv_nu))
+        ],
+        total,
+    )
+
+    # S1 = mu tau1 / (mu (nu - om) - (nu^2 - om^2)) * (e^nu N_nu / p_nu
+    #      - e^om N_om / p_om + (nu^2 - om^2) / mu^2 * (S0 / tau0 - e^mu N_mu / p_mu))
+    s1 = single_photon_bound(counts, s0, table, EPS)
+    a = mu * t1 / (mu * (nu - om) - (nu**2 - om**2))
+    b = (nu**2 - om**2) / mu**2
+    assert_extremes(
+        s1,
+        [
+            (a * math.exp(nu) * n_nu / p_nu, -a * math.exp(om) * n_om / p_om,
+             a * b * y0 / t0, -a * b * math.exp(mu) * n_mu / p_mu)
+            for n_nu, n_om, y0, n_mu in itertools.product(
+                ends(iv_nu), ends(iv_om), ends(s0), ends(iv_mu)
+            )
+        ],
+        total,
+    )
+
+    # T1 = tau1 / (nu - om) * (e^nu M_nu / p_nu - e^om M_om / p_om)
+    t = error_count_bound(errors, table, EPS)
+    er_nu, er_om = fluctuation_interval(errors[1], EPS), fluctuation_interval(errors[2], EPS)
+    assert_extremes(
+        t,
+        [
+            (t1 * math.exp(nu) * m_nu / (p_nu * (nu - om)),
+             -t1 * math.exp(om) * m_om / (p_om * (nu - om)))
+            for m_nu, m_om in itertools.product(ends(er_nu), ends(er_om))
+        ],
+        sum(errors),
+    )

@@ -85,7 +85,7 @@ def test_key_length_monotonicity(sec):
 def test_key_length_penalty_free_variant_dominates(cfg, ch, sec):
     tallies = expected_tallies(cfg, ch, 150.0)
     finite = analyze_tallies(tallies, cfg, sec)
-    asym = analyze_tallies(tallies, cfg, sec, fluctuations=False, finite_key_terms=False)
+    asym = analyze_tallies(tallies, cfg, sec, asymptotic=True)
     assert finite.key_length < asym.key_length
 
 

@@ -155,7 +155,16 @@ def test_merged_slices_beyond_the_budget_exit_one(tmp_path):
     code = cli.main(["process", str(path), "--groups", "1"], out=out, err=err)
     assert code == cli.EXIT_ERROR
     assert err.getvalue() == (
-        f"error: group 0: cell (Z0,Z,mu): summed sent={3 * big} exceeds the "
+        f"tally file error: group 0: cell (Z0,Z,mu): summed sent={3 * big} exceeds the "
         f"64-bit count budget {2**62}\n"
     )
+    assert out.getvalue() == ""
+
+
+def test_process_rejects_a_file_without_pulses(tmp_path):
+    path = tmp_path / "silent.csv"
+    path.write_text(tally_text([row.replace(",100,10,1", ",0,0,0") for row in ROWS]))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["process", str(path)], out=out, err=err) == cli.EXIT_ERROR
+    assert err.getvalue() == "tally file error: no pulses sent: the Z rows' sent counts sum to 0\n"
     assert out.getvalue() == ""

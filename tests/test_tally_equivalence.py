@@ -27,7 +27,13 @@ from rfiqkd.core import (
     StateLabel,
     TallyError,
 )
-from rfiqkd.keyrate import DriftClassifier, RhoResult, group_slices, rho_classify
+from rfiqkd.keyrate import (
+    DriftClassifier,
+    RhoResult,
+    group_slices,
+    rho_classify,
+    total_pulses,
+)
 
 CLASSIFIER = DriftClassifier.from_channel(ChannelParams(), ProtocolConfig(), 50.0)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -164,6 +170,8 @@ def test_grouping_matches_reference(slices, m_groups):
 @given(slice_lists(MAX_PULSES), st.integers(1, 3))
 def test_grouping_near_the_budget_matches_reference(slices, m_groups):
     tallies = [ObservedTallies(cells) for cells in slices]
+    # the pulses of all slices together, which process takes as n_total
+    assert total_pulses(tallies) == sum(ref_pulses(cells) for cells in slices)
     expected = ref_group_slices(slices, m_groups)
     event(f"beyond the budget: {exceeds_budget(expected)}")
     if exceeds_budget(expected):
