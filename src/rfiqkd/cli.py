@@ -9,9 +9,12 @@ process    re-analyze a tally file (optionally per-slice with grouping)
 simulate   write Monte Carlo tally files
 
 Configuration is a flat ``key = value`` text file; every key missing from
-the file falls back to a built-in default. ``--show-defaults`` prints the
-effective configuration with the provenance of each value. Exit codes:
-0 success with a positive key, 2 success with zero key, 1 error.
+the file falls back to a built-in default. ``COMMANDS`` lists the keys each
+subcommand reads. A subcommand offers flags only for those keys, and keeps
+the default of any other key in the file, with a notice on stderr.
+``--show-defaults`` prints the keys the subcommand reads with the provenance
+of each value. Exit codes: 0 success with a positive key, 2 success with
+zero key, 1 error, usage errors included.
 """
 from __future__ import annotations
 
@@ -20,9 +23,10 @@ import io
 import math
 import sys
 from array import array
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Collection, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -71,48 +75,86 @@ _CHOICES = {
     "drift": ("fixed", "linear", "sinusoidal"),
 }
 
-# key -> (default, parser, provenance)
-_SCHEMA: dict[str, tuple[object, type | str, str]] = {
-    "e0": (_CH.e0, float, _HW),
-    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW),
-    "eta_z_db": (_CH.eta_z_db, float, _HW),
-    "eta_xy_db": (_CH.eta_xy_db, float, _HW),
-    "e_d": (_CH.e_d, float, _HW),
-    "eta_det": (_CH.eta_det, float, _HW),
-    "beta_rad": (_CH.beta, float, _ASSUMED),
-    "mu": (_MU.mean_photons, float, _PROTO),
-    "nu": (_NU.mean_photons, float, _PROTO),
-    "omega": (_OMEGA.mean_photons, float, _PROTO),
-    "p_mu": (_MU.probability, float, _PROTO),
-    "p_nu": (_NU.probability, float, _PROTO),
-    "p_omega": (_OMEGA.probability, float, _PROTO),
-    "p_z_alice": (_PC.p_z_alice, float, _PROTO),
-    "p_x0": (None, "optional_float", _DERIVED),
-    "p_y0": (None, "optional_float", _DERIVED),
-    "p_z_bob": (_PC.p_z_bob, float, _ASSUMED),
-    "n_total": (_PC.n_total, "count", _PROTO),
-    "m_groups": (_PC.m_groups, int, _ASSUMED),
-    "eps_bar": (_SEC.eps_bar, float, _HW),
-    "eps_ec": (_SEC.eps_ec, float, _HW),
-    "eps_pa": (_SEC.eps_pa, float, _HW),
-    "f_ec": (_SEC.f_ec, float, _HW),
-    "distance_km": (200.0, float, _ASSUMED),
-    "mode": ("analytic", "mode", _ASSUMED),
-    "seed": (0, int, _ASSUMED),
-    "scan_min_km": (0.0, float, _ASSUMED),
-    "scan_max_km": (200.0, float, _ASSUMED),
-    "scan_step_km": (10.0, float, _ASSUMED),
-    "n_values": ((), "counts", _ASSUMED),
-    "drift": ("fixed", "drift", _ASSUMED),
-    "n_slices": (1, int, _ASSUMED),
-    "drift_beta0_rad": (0.0, float, _ASSUMED),
-    "drift_rate_rad": (TWO_PI, float, _ASSUMED),
-    "drift_amplitude_rad": (math.pi / 4.0, float, _ASSUMED),
-    "drift_period": (1.0, float, _ASSUMED),
-    "slice_duration_s": (1.0, float, _ASSUMED),
-    "n_zz_all_intensities": (True, bool, _ASSUMED),
-    "rho_negated_exponent": (False, bool, _ASSUMED),
+# The subcommands that read a key, from the code each one runs. The tallies
+# read the channel, intensities, basis choice and block size; analyze_tallies
+# the intensities, security parameters and ZZ-count option; grouping the group
+# count and, through DriftClassifier.from_channel, the X-path channel.
+_TALLIES = ("point", "scan", "compare", "simulate")
+_ANALYZERS = ("point", "scan", "compare", "process")
+_EVERY = ("point", "scan", "compare", "process", "simulate")
+_GRID = ("scan", "compare")
+_DRIFTING = ("point", "simulate")
+
+# key -> (default, parser, provenance, the subcommands that read it)
+_SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
+    "e0": (_CH.e0, float, _HW, _EVERY),
+    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW, _EVERY),
+    "eta_z_db": (_CH.eta_z_db, float, _HW, _TALLIES),
+    "eta_xy_db": (_CH.eta_xy_db, float, _HW, _EVERY),
+    "e_d": (_CH.e_d, float, _HW, _EVERY),
+    "eta_det": (_CH.eta_det, float, _HW, _EVERY),
+    "beta_rad": (_CH.beta, float, _ASSUMED, _TALLIES),
+    "mu": (_MU.mean_photons, float, _PROTO, _EVERY),
+    "nu": (_NU.mean_photons, float, _PROTO, _EVERY),
+    "omega": (_OMEGA.mean_photons, float, _PROTO, _EVERY),
+    "p_mu": (_MU.probability, float, _PROTO, _EVERY),
+    "p_nu": (_NU.probability, float, _PROTO, _EVERY),
+    "p_omega": (_OMEGA.probability, float, _PROTO, _EVERY),
+    "p_z_alice": (_PC.p_z_alice, float, _PROTO, _TALLIES),
+    "p_x0": (None, "optional_float", _DERIVED, _TALLIES),
+    "p_y0": (None, "optional_float", _DERIVED, _TALLIES),
+    "p_z_bob": (_PC.p_z_bob, float, _ASSUMED, _TALLIES),
+    "n_total": (_PC.n_total, "count", _PROTO, _TALLIES),
+    "m_groups": (_PC.m_groups, int, _ASSUMED, ("point", "process")),
+    "eps_bar": (_SEC.eps_bar, float, _HW, _ANALYZERS),
+    "eps_ec": (_SEC.eps_ec, float, _HW, _ANALYZERS),
+    "eps_pa": (_SEC.eps_pa, float, _HW, _ANALYZERS),
+    "f_ec": (_SEC.f_ec, float, _HW, _ANALYZERS),
+    "distance_km": (200.0, float, _ASSUMED, ("point", "process", "simulate")),
+    "mode": ("analytic", "mode", _ASSUMED, ("point", "scan")),
+    "seed": (0, int, _ASSUMED, ("point", "scan", "simulate")),
+    "scan_min_km": (0.0, float, _ASSUMED, _GRID),
+    "scan_max_km": (200.0, float, _ASSUMED, _GRID),
+    "scan_step_km": (10.0, float, _ASSUMED, _GRID),
+    "n_values": ((), "counts", _ASSUMED, _GRID),
+    "drift": ("fixed", "drift", _ASSUMED, _DRIFTING),
+    "n_slices": (1, int, _ASSUMED, _DRIFTING),
+    "drift_beta0_rad": (0.0, float, _ASSUMED, _DRIFTING),
+    "drift_rate_rad": (TWO_PI, float, _ASSUMED, _DRIFTING),
+    "drift_amplitude_rad": (math.pi / 4.0, float, _ASSUMED, _DRIFTING),
+    "drift_period": (1.0, float, _ASSUMED, _DRIFTING),
+    "n_zz_all_intensities": (True, bool, _ASSUMED, _ANALYZERS),
 }
+# subcommand -> the config keys it reads
+COMMANDS: dict[str, frozenset[str]] = {
+    command: frozenset(key for key, spec in _SCHEMA.items() if command in spec[3])
+    for command in _EVERY
+}
+
+# flag -> (the config key it sets, or else the subcommands that take it; help)
+_FLAGS: dict[str, tuple[str | tuple[str, ...], str]] = {
+    "--config": (_EVERY, "flat key=value configuration file"),
+    "--distance": ("distance_km", "fiber length in km"),
+    "--n-total": ("n_total", "total pulses"),
+    "--mode": ("mode", "statistics source"),
+    "--seed": ("seed", "random seed"),
+    "--groups": ("m_groups", "drift group count"),
+    "--drift": ("drift", "drift model for sliced runs"),
+    "--out": (_EVERY, "write output to this path"),
+    "--dump-tallies": (("point",), "also write the tallies as CSV"),
+    "--literal-paper-formulas": (_ANALYZERS, "restore the printed formula variants"),
+    "--asymptotic": (("compare",), "drop fluctuation and block-size penalty terms"),
+    "--show-defaults": (_EVERY, "print the configuration read, with provenance, and exit"),
+}
+_SWITCHES = ("--literal-paper-formulas", "--asymptotic", "--show-defaults")
+
+
+def command_flags(command: str) -> list[str]:
+    """The flags ``command`` takes, in the order of its help."""
+    return [
+        flag for flag, (key, _) in _FLAGS.items()
+        if (key in COMMANDS[command] if isinstance(key, str) else command in key)
+    ]
 
 
 class ConfigError(ValueError):
@@ -171,7 +213,9 @@ class RunConfig:
     """Typed view of the flat configuration document."""
 
     values: dict[str, object]
-    explicit: frozenset[str]
+    origin: dict[str, str]  # key -> "config file" or "flag"
+    reads: frozenset[str]  # the others keep their defaults
+    ignored: tuple[str, ...]  # keys of the file outside ``reads``
 
     def __getitem__(self, key: str) -> object:
         return self.values[key]
@@ -196,18 +240,19 @@ class RunConfig:
         return SecurityParams(**{f.name: self.values[f.name] for f in fields(SecurityParams)})
 
     def provenance_lines(self) -> list[str]:
-        lines = []
-        for key in sorted(_SCHEMA):
-            default, _, origin = _SCHEMA[key]
-            source = "config file" if key in self.explicit else f"default: {origin}"
-            lines.append(f"{key} = {_fmt(self.values[key])}  ({source})")
-        return lines
+        return [
+            f"{key} = {_fmt(self.values[key])}  "
+            f"({self.origin.get(key, 'default: ' + _SCHEMA[key][2])})"
+            for key in sorted(self.reads)
+        ]
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Read a ``key = value`` file; unknown keys are rejected as a group."""
-    values = {key: default for key, (default, _, _) in _SCHEMA.items()}
-    explicit: set[str] = set()
+def load_config(path: str | None, reads: Collection[str] = _SCHEMA) -> RunConfig:
+    """Read a ``key = value`` file; unknown keys are rejected as a group.
+    Keys outside ``reads`` keep their defaults and are listed in ``ignored``."""
+    values = {key: spec[0] for key, spec in _SCHEMA.items()}
+    origin: dict[str, str] = {}
+    ignored: set[str] = set()
     if path is not None:
         unknown = []
         with open(path, "r", encoding="utf-8") as handle:
@@ -221,12 +266,14 @@ def load_config(path: str | None) -> RunConfig:
                 key = key.strip()
                 if key not in _SCHEMA:
                     unknown.append(f"line {lineno}: unknown key {key!r}")
-                    continue
-                values[key] = _parse_value(key, raw, _SCHEMA[key][1])
-                explicit.add(key)
+                elif key not in reads:
+                    ignored.add(key)
+                else:
+                    values[key] = _parse_value(key, raw, _SCHEMA[key][1])
+                    origin[key] = "config file"
         if unknown:
             raise ConfigError("; ".join(unknown))
-    return RunConfig(values, frozenset(explicit))
+    return RunConfig(values, origin, frozenset(reads), tuple(sorted(ignored)))
 
 
 def _fmt(x: object) -> str:
@@ -398,19 +445,21 @@ def _raise_count_error(raws: list[str], lineno: int) -> None:
 # shared runner pieces
 
 
+def _block(mode, cfg, ch, distance: float, seed: int) -> ObservedTallies:
+    """One block of tallies: the analytic expectation or a Monte Carlo draw."""
+    if mode == "analytic":
+        return expected_tallies(cfg, ch, distance)
+    return sample_tallies(cfg, ch, distance, seed).observed()
+
+
 def _make_slices(
-    run: RunConfig,
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    distance: float,
-    seed: int,
+    run: RunConfig, cfg: ProtocolConfig, ch: ChannelParams, mode: object
 ) -> list[ObservedTallies]:
-    """Produce per-slice tallies per the configured mode and drift model."""
+    """Produce per-slice tallies per ``mode`` and the configured drift model."""
+    distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
-        if run["mode"] == "analytic":
-            return [expected_tallies(cfg, ch, distance)]
-        return [sample_tallies(cfg, ch, distance, seed).observed()]
+        return [_block(mode, cfg, ch, distance, seed)]
     if cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
@@ -422,13 +471,9 @@ def _make_slices(
         "period": float(run["drift_period"]),
     }
     trace = drift_beta(
-        str(run["drift"]),
-        params,
-        n_slices,
-        slice_duration_s=float(run["slice_duration_s"]),
-        pulses_per_slice=cfg.n_total // n_slices,
+        str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
     )
-    if run["mode"] == "analytic":
+    if mode == "analytic":
         slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
         return [
             expected_tallies(slice_cfg, ch, distance, beta=beta) for beta in trace.betas
@@ -439,26 +484,19 @@ def _make_slices(
     ]
 
 
-def _analyze(
-    run: RunConfig,
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    sec: SecurityParams,
-    slices: list[ObservedTallies],
-    distance: float,
-    literal: bool,
-):
-    """Either a single KeyRateReport or a grouped ExtractionResult."""
+def _analyze(run, cfg, ch, sec, slices, literal: bool) -> tuple[list[str], bool]:
+    """The report of ``slices``, as one block or by drift group, and whether
+    it yields a key."""
     options = {
         "n_zz_all_intensities": bool(run["n_zz_all_intensities"]),
         "literal_paper_formulas": literal,
     }
     if len(slices) == 1 and cfg.m_groups == 1:
-        return analyze_tallies(slices[0], cfg, sec, **options)
-    classifier = DriftClassifier.from_channel(
-        ch, cfg, distance, negated_exponent=bool(run["rho_negated_exponent"])
-    )
-    return group_and_extract(slices, cfg.m_groups, cfg, sec, classifier, **options)
+        report = analyze_tallies(slices[0], cfg, sec, **options)
+        return _render_report(report, cfg.n_total), report.key_length > 0.0
+    classifier = DriftClassifier.from_channel(ch, cfg, float(run["distance_km"]))
+    result = group_and_extract(slices, cfg.m_groups, cfg, sec, classifier, **options)
+    return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
 def _grid(run: RunConfig, cfg: ProtocolConfig) -> Iterator[tuple[ProtocolConfig, int, float]]:
@@ -527,12 +565,6 @@ def _render_extraction(result: ExtractionResult, n_total: int) -> list[str]:
     return lines
 
 
-def _render(result, n_total: int) -> list[str]:
-    if isinstance(result, ExtractionResult):
-        return _render_extraction(result, n_total)
-    return _render_report(result, n_total)
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed arguments, the run configuration and the
 # validated protocol, channel and security parameters, and returns its output
@@ -540,40 +572,38 @@ def _render(result, n_total: int) -> list[str]:
 
 
 def cmd_point(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
-    distance = float(run["distance_km"])
-    slices = _make_slices(run, cfg, ch, distance, int(run["seed"]))
-    result = _analyze(run, cfg, ch, sec, slices, distance, args.literal_paper_formulas)
+    """Full pipeline at one distance."""
+    slices = _make_slices(run, cfg, ch, run["mode"])
+    lines, key = _analyze(run, cfg, ch, sec, slices, args.literal_paper_formulas)
     if args.dump_tallies:
         with open(args.dump_tallies, "w", encoding="utf-8", newline="") as handle:
             write_tally_csv(slices, handle)
-    lines = [f"distance_km = {_fmt(distance)}", f"mode = {run['mode']}"]
-    return lines + _render(result, cfg.n_total), result.key_length > 0.0
+    head = [f"distance_km = {_fmt(run['distance_km'])}", f"mode = {run['mode']}"]
+    return head + lines, key
 
 
 def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
+    """Key rate versus distance as CSV."""
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
     for cfg_n, index, distance in _grid(run, cfg):
-        slices = _make_slices(run, cfg_n, ch, distance, int(run["seed"]) + index)
-        result = _analyze(
-            run, cfg_n, ch, sec, slices, distance, args.literal_paper_formulas
+        block = _block(run["mode"], cfg_n, ch, distance, int(run["seed"]) + index)
+        result = analyze_tallies(
+            block, cfg_n, sec,
+            n_zz_all_intensities=bool(run["n_zz_all_intensities"]),
+            literal_paper_formulas=args.literal_paper_formulas,
         )
-        if isinstance(result, ExtractionResult):
-            # per-group bounds do not aggregate; emit zeros plus a flag
-            rate = result.key_length / cfg_n.n_total
-            rows.append(f"{_fmt(distance)},{cfg_n.n_total},{_fmt(rate)},0,0,0,grouped")
-        else:
-            rate = result.key_rate
-            rows.append(
-                f"{_fmt(distance)},{cfg_n.n_total},{_fmt(rate)},"
-                f"{_fmt(result.c44_lower)},{_fmt(result.e_zz)},"
-                f"{_fmt(result.s1_zz_lower)},{_flags_of(result.intermediate)}"
-            )
-        any_key = any_key or rate > 0.0
+        rows.append(
+            f"{_fmt(distance)},{cfg_n.n_total},{_fmt(result.key_rate)},"
+            f"{_fmt(result.c44_lower)},{_fmt(result.e_zz)},"
+            f"{_fmt(result.s1_zz_lower)},{_flags_of(result.intermediate)}"
+        )
+        any_key = any_key or result.key_rate > 0.0
     return rows, any_key
 
 
 def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
+    """Protocol comparison as CSV."""
     options = {
         "asymptotic": args.asymptotic,
         "literal_paper_formulas": args.literal_paper_formulas,
@@ -600,6 +630,7 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
 
 
 def cmd_process(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
+    """Re-analyze a tally file."""
     try:
         with open(args.tally_file, "r", encoding="utf-8") as handle:
             slices = read_tally_csv(handle)
@@ -607,18 +638,15 @@ def cmd_process(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
         cfg = replace(cfg, n_total=total_pulses(slices))
         if cfg.n_total == 0:
             raise TallyError("no pulses sent: the Z rows' sent counts sum to 0")
-        result = _analyze(
-            run, cfg, ch, sec, slices, float(run["distance_km"]), args.literal_paper_formulas
-        )
+        lines, key = _analyze(run, cfg, ch, sec, slices, args.literal_paper_formulas)
     except (OSError, TallyError) as exc:
         raise TallyFileError(exc) from exc
-    lines = [f"tally_file = {args.tally_file}"] + _render(result, cfg.n_total)
-    return lines, result.key_length > 0.0
+    return [f"tally_file = {args.tally_file}"] + lines, key
 
 
 def cmd_simulate(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
-    montecarlo = RunConfig(dict(run.values, mode="montecarlo"), run.explicit)
-    slices = _make_slices(montecarlo, cfg, ch, float(run["distance_km"]), int(run["seed"]))
+    """Write Monte Carlo tally files."""
+    slices = _make_slices(run, cfg, ch, "montecarlo")
     buffer = io.StringIO()
     write_tally_csv(slices, buffer)
     return buffer.getvalue().splitlines(), True
@@ -628,52 +656,12 @@ def cmd_simulate(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
 # argument plumbing
 
 
-def _overridden(args) -> RunConfig:
-    run = load_config(args.config)
-    values = dict(run.values)
-    explicit = set(run.explicit)
-    overrides = {
-        "distance": "distance_km",
-        "n_total": "n_total",
-        "mode": "mode",
-        "seed": "seed",
-        "groups": "m_groups",
-        "drift": "drift",
-    }
-    for arg_name, key in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            if key == "n_total":
-                value = _as_count(key, value)
-            values[key] = value
-            explicit.add(key)
-    return RunConfig(values, frozenset(explicit))
+class _NotRead(argparse.Action):
+    """A flag of another subcommand: naming it is a usage error."""
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat key=value configuration file")
-    parser.add_argument("--distance", type=float, default=None, help="fiber length in km")
-    parser.add_argument("--n-total", dest="n_total", default=None, help="total pulses")
-    parser.add_argument(
-        "--mode", choices=_CHOICES["mode"], default=None, help="statistics source"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--groups", type=int, default=None, help="drift group count")
-    parser.add_argument(
-        "--drift", choices=_CHOICES["drift"], default=None,
-        help="drift model for sliced runs",
-    )
-    parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument(
-        "--literal-paper-formulas",
-        action="store_true",
-        help="restore the printed variants of the corrected formulas",
-    )
-    parser.add_argument(
-        "--show-defaults",
-        action="store_true",
-        help="print the effective configuration with provenance and exit",
-    )
+    def __call__(self, parser, namespace, values, option_string=None):
+        command = parser.prog.rsplit(" ", 1)[-1]
+        parser.exit(EXIT_ERROR, f"error: {command} does not read {option_string}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -683,31 +671,33 @@ def build_parser() -> argparse.ArgumentParser:
         "reference-frame-independent QKD protocol",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_point = sub.add_parser("point", help="full pipeline at one distance")
-    p_point.add_argument("--dump-tallies", default=None, help="also write the tallies as CSV")
-    p_point.set_defaults(func=cmd_point)
-
-    p_scan = sub.add_parser("scan", help="key rate versus distance as CSV")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_cmp = sub.add_parser("compare", help="protocol comparison as CSV")
-    p_cmp.add_argument(
-        "--asymptotic", action="store_true",
-        help="drop fluctuation and block-size penalty terms",
-    )
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_proc = sub.add_parser("process", help="re-analyze a tally file")
-    p_proc.add_argument("tally_file")
-    p_proc.set_defaults(func=cmd_process)
-
-    p_sim = sub.add_parser("simulate", help="write Monte Carlo tally files")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    for sub_parser in (p_point, p_scan, p_cmp, p_proc, p_sim):
-        _add_common(sub_parser)
+    runners = (cmd_point, cmd_scan, cmd_compare, cmd_process, cmd_simulate)
+    for command, func in zip(_EVERY, runners):
+        sub_parser = sub.add_parser(command, help=func.__doc__)
+        sub_parser.set_defaults(func=func)
+        if command == "process":
+            sub_parser.add_argument("tally_file")
+        offered = command_flags(command)
+        for flag, (key, help_text) in _FLAGS.items():
+            if flag not in offered:
+                sub_parser.add_argument(flag, nargs="?", action=_NotRead, help=argparse.SUPPRESS)
+            elif flag in _SWITCHES:
+                sub_parser.add_argument(flag, action="store_true", help=help_text)
+            else:
+                dest = key if isinstance(key, str) else None
+                sub_parser.add_argument(flag, dest=dest, choices=_CHOICES.get(dest), help=help_text)
     return parser
+
+
+def _run_config(args) -> RunConfig:
+    """The subcommand's configuration: the file's values, then its flags'."""
+    run = load_config(args.config, COMMANDS[args.command])
+    for key in (key for key, _ in _FLAGS.values() if key in run.reads):
+        raw = getattr(args, key)
+        if raw is not None:
+            run.values[key] = _parse_value(key, raw, _SCHEMA[key][1])
+            run.origin[key] = "flag"
+    return run
 
 
 def main(
@@ -719,10 +709,16 @@ def main(
     and write its output; the exit code says whether a key was produced."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        run = _overridden(args)
+        # argparse prints help and usage errors to sys.stdout and sys.stderr
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code == EXIT_OK else EXIT_ERROR
+    try:
+        run = _run_config(args)
+        if run.ignored:
+            print(f"note: {args.command} ignores config keys {', '.join(run.ignored)}", file=err)
         if args.show_defaults:
             out.write("\n".join(run.provenance_lines()) + "\n")
             return EXIT_OK

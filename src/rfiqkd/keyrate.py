@@ -109,7 +109,6 @@ def rho_classify(
     mu: float,
     e_d: float,
     e0: float,
-    negated_exponent: bool = False,
 ) -> RhoResult:
     """Map one slice's X-basis error statistics to an angle in [0, 2*pi].
 
@@ -122,9 +121,8 @@ def rho_classify(
     e_hat = (e_xx - e0) / (1.0 - e0)
     if e_hat <= 0.0:
         return RhoResult(0.0, degenerate=True)
-    exponent = -eta * mu if negated_exponent else eta * mu
     radicand = (
-        4.0 * math.exp(exponent) * e_xy * (1.0 - e_hat)
+        4.0 * math.exp(eta * mu) * e_xy * (1.0 - e_hat)
         + (1.0 - e_d) ** 2 * (1.0 - 2.0 * e_hat) ** 2
     )
     clamped = False
@@ -154,22 +152,16 @@ class DriftClassifier:
     mu: float  # signal intensity
     e_d: float
     e0: float
-    negated_exponent: bool = False
 
     @classmethod
     def from_channel(
-        cls,
-        ch: ChannelParams,
-        cfg: ProtocolConfig,
-        distance_km: float,
-        negated_exponent: bool = False,
+        cls, ch: ChannelParams, cfg: ProtocolConfig, distance_km: float
     ) -> "DriftClassifier":
         return cls(
             eta=channel.transmittance(distance_km, BasisLabel.X, ch),
             mu=cfg.intensity(IntensityKind.MU).mean_photons,
             e_d=ch.e_d,
             e0=ch.e0,
-            negated_exponent=negated_exponent,
         )
 
     def classify(self, tallies: ObservedTallies) -> RhoResult:
@@ -185,7 +177,6 @@ class DriftClassifier:
             self.mu,
             self.e_d,
             self.e0,
-            negated_exponent=self.negated_exponent,
         )
 
 

@@ -187,7 +187,6 @@ class DriftTrace:
     """Rotation angle per time slice, all angles wrapped into [0, 2*pi)."""
 
     betas: tuple[float, ...]
-    slice_duration_s: float
     pulses_per_slice: int
 
     @property
@@ -206,7 +205,6 @@ def drift_beta(
     model: DriftModel,
     params: Mapping[str, float],
     n_slices: int,
-    slice_duration_s: float = 1.0,
     pulses_per_slice: int = 1,
 ) -> DriftTrace:
     """Synthesize a rotation-angle trace.
@@ -234,7 +232,7 @@ def drift_beta(
         else:
             raise ValueError(f"unknown drift model {model!r}")
         betas.append(value % TWO_PI)
-    return DriftTrace(tuple(betas), slice_duration_s, pulses_per_slice)
+    return DriftTrace(tuple(betas), pulses_per_slice)
 
 
 def sample_drifting_tallies(

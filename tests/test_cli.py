@@ -1,5 +1,7 @@
 import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -230,7 +232,7 @@ def test_read_tally_csv_rejects_empty():
 def test_n_total_parsed_exactly(raw, expected):
     code, out, err = run_cli(["point", "--n-total", raw, "--show-defaults"])
     assert code == cli.EXIT_OK, err
-    assert f"n_total = {expected}  (config file)" in out
+    assert f"n_total = {expected}  (flag)" in out
 
 
 @pytest.mark.parametrize(
@@ -275,3 +277,129 @@ def test_n_values_parsed_exactly(tmp_path):
     code, out, _ = run_cli(["scan", "--config", str(cfg), "--show-defaults"])
     assert code == cli.EXIT_OK
     assert "n_values = 10000000000,4611686018427387903  (config file)" in out
+
+
+# ---------------------------------------------------------------------------
+# what each subcommand reads
+
+
+def _argv(command, tally_file="tallies.csv"):
+    return [command, tally_file] if command == "process" else [command]
+
+
+@pytest.fixture(scope="module")
+def tally_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tallies") / "tallies.csv"
+    code, _, err = run_cli(
+        ["point", "--distance", "50", "--n-total", "1e10", "--dump-tallies", str(path)]
+    )
+    assert code == cli.EXIT_OK, err
+    return str(path)
+
+
+def test_read_sets_follow_the_code():
+    sizes = {command: len(keys) for command, keys in cli.COMMANDS.items()}
+    assert sizes == {"point": 33, "scan": 29, "compare": 27, "process": 18, "simulate": 26}
+    assert cli.COMMANDS["process"] == {
+        "mu", "nu", "omega", "p_mu", "p_nu", "p_omega", "m_groups",
+        "eps_bar", "eps_ec", "eps_pa", "f_ec", "n_zz_all_intensities",
+        "distance_km", "e0", "e_d", "eta_det", "alpha_db_per_km", "eta_xy_db",
+    }
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (command, flag)
+        for command in cli.COMMANDS
+        for flag in cli._FLAGS
+        if flag not in cli.command_flags(command)
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_rejected(command, flag):
+    code, out, err = run_cli(_argv(command) + [flag, "1"])
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == f"error: {command} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_lists_exactly_the_table_flags(command):
+    code, out, err = run_cli([command, "--help"])
+    assert code == cli.EXIT_OK and err == ""
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"} == set(
+        cli.command_flags(command)
+    )
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        (command, key)
+        for command, keys in cli.COMMANDS.items()
+        for key in sorted(set(cli._SCHEMA) - keys)
+    ],
+)
+def test_config_key_the_subcommand_does_not_read_is_ignored(
+    command, key, tally_file, tmp_path
+):
+    # most keys reject -1, when they are parsed, or fail validation with it
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(f"{key} = -1\n")
+    argv = _argv(command, tally_file)
+    code, out, err = run_cli(argv)
+    code_k, out_k, err_k = run_cli(argv + ["--config", str(cfg)])
+    assert (code_k, out_k) == (code, out)
+    assert err_k == err + f"note: {command} ignores config keys {key}\n"
+
+
+def test_show_defaults_lists_only_the_keys_read():
+    code, out, _ = run_cli(["process", "t.csv", "--show-defaults", "--groups", "3"])
+    assert code == cli.EXIT_OK
+    keys = [line.split(" = ")[0] for line in out.splitlines()]
+    assert keys == sorted(cli.COMMANDS["process"])
+    assert "m_groups = 3  (flag)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["point", "--bogus"], ["point", "--mode", "bogus"], ["process"], []],
+    ids=["unknown-flag", "bad-choice", "no-tally-file", "no-subcommand"],
+)
+def test_usage_errors_exit_one(argv):
+    code, out, err = run_cli(argv)
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert "error: " in err
+
+
+def test_help_exits_zero():
+    code, out, err = run_cli(["--help"])
+    assert code == cli.EXIT_OK and err == ""
+    assert out.startswith("usage: rfiqkd")
+
+
+def test_readme_table_is_the_code_table():
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| key | flag | point | scan | compare | process | simulate |")
+    commands = ["point", "scan", "compare", "process", "simulate"]
+    reads = {command: set() for command in commands}
+    flags = {command: set() for command in commands}
+    key_flags = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, flag, *marks = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if key and flag:
+            key_flags[key] = flag
+        for command, mark in zip(commands, marks):
+            if mark:
+                if key:
+                    reads[command].add(key)
+                if flag:
+                    flags[command].add(flag)
+    assert reads == {command: set(keys) for command, keys in cli.COMMANDS.items()}
+    assert flags == {command: set(cli.command_flags(command)) for command in commands}
+    assert key_flags == {
+        key: flag for flag, (key, _) in cli._FLAGS.items() if isinstance(key, str)
+    }

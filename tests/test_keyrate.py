@@ -120,16 +120,6 @@ def test_rho_branch_rule():
     assert second.rho == pytest.approx(TWO_PI - math.acos(arg_of(0.6, 0.3, **params)))
 
 
-def test_rho_negated_exponent_variant():
-    # At this loss-intensity product the printed exponent leaves the arccos
-    # argument interior while the negated variant saturates it.
-    params = dict(eta=0.9, mu=1.8, e_d=1e-6, e0=0.01)
-    printed = rho_classify(0.3, 0.2, **params)
-    negated = rho_classify(0.3, 0.2, negated_exponent=True, **params)
-    assert not printed.clamped
-    assert printed.rho != negated.rho
-
-
 def test_rho_monotone_over_half_turns(ch):
     # Deterministic sweep of the analytic channel: the classifier must be
     # nondecreasing on (0, pi), and nondecreasing on (pi, 2*pi) once the

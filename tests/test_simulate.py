@@ -121,7 +121,7 @@ def test_drift_unknown_model_rejected():
 
 def test_single_slice_trace_equals_plain_sampling(ch):
     cfg = SMALL
-    trace = DriftTrace((ch.beta,), 1.0, cfg.n_total)
+    trace = DriftTrace((ch.beta,), cfg.n_total)
     sliced = sample_drifting_tallies(cfg, ch, 50.0, trace, seed=9)
     plain = sample_tallies(cfg, ch, 50.0, seed=9)
     assert len(sliced) == 1
@@ -129,7 +129,7 @@ def test_single_slice_trace_equals_plain_sampling(ch):
 
 
 def test_trace_must_cover_the_block(ch):
-    trace = DriftTrace((0.0, 0.1), 1.0, 10)
+    trace = DriftTrace((0.0, 0.1), 10)
     with pytest.raises(ValueError, match="covers"):
         sample_drifting_tallies(SMALL, ch, 50.0, trace, seed=0)
 
