@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rfiqkd.channel import cell_expectation, expected_tallies
+from rfiqkd.channel import (
+    cell_expectation,
+    expected_tallies,
+    misalignment_error,
+    transmittance,
+)
 from rfiqkd.core import ALL_CELLS, BasisLabel, IntensityKind, StateLabel
 from rfiqkd.simulate import (
     DriftTrace,
@@ -86,6 +91,48 @@ def test_sample_mean_matches_expectation(ch):
         mean_m = cfg.n_total * p_err
         se_m = math.sqrt(cfg.n_total * p_err * (1 - p_err) / n_seeds)
         assert abs(esums[key] / n_seeds - mean_m) <= 5 * se_m + 1.0
+
+
+def _by_photons(oracle):
+    """(detected, errors) per cell and emitted photon number, zero-padded."""
+    cells = [oracle.cells[key] for key in ALL_CELLS]
+    width = max(len(c.detected_by_photons) for c in cells)
+    pad = lambda row: list(row) + [0] * (width - len(row))
+    return (
+        np.array([pad(c.detected_by_photons) for c in cells], dtype=np.int64),
+        np.array([pad(c.errors_by_photons) for c in cells], dtype=np.int64),
+    )
+
+
+def test_photon_number_means_match_expectation(ch):
+    # 100 seeds at 1e9 pulses; for n <= 3 photons, the mean of each cell's
+    # detections and errors must sit within five standard errors of
+    # N * p_pair * p_basis * pmf[n] * Y_n (errors: the erroneous part of Y_n).
+    cfg = make_config(n_total=1_000_000_000)
+    n_seeds, distance = 100, 50.0
+    det_sum = np.zeros((len(ALL_CELLS), 4))
+    err_sum = np.zeros((len(ALL_CELLS), 4))
+    for seed in range(n_seeds):
+        detected, errors = _by_photons(sample_tallies(cfg, ch, distance, seed))
+        det_sum += detected[:, :4]
+        err_sum += errors[:, :4]
+    for row, (state, basis, kind) in enumerate(ALL_CELLS):
+        k = cfg.intensity(kind)
+        eta = transmittance(distance, basis, ch)
+        e_mis = misalignment_error(state, basis, ch.beta, ch.e0)
+        p_routed = (
+            cfg.state_probability(state) * k.probability * cfg.basis_probability(basis)
+        )
+        for n in range(4):
+            pmf = math.exp(-k.mean_photons) * k.mean_photons**n / math.factorial(n)
+            survive = 1.0 - (1.0 - eta) ** n
+            y_n = survive + ch.e_d * (1.0 - survive)
+            e_n = e_mis * survive + 0.5 * ch.e_d * (1.0 - survive)
+            for total, per_photon in ((det_sum[row, n], y_n), (err_sum[row, n], e_n)):
+                prob = p_routed * pmf * per_photon
+                mean = cfg.n_total * prob
+                se = math.sqrt(cfg.n_total * prob * (1.0 - prob) / n_seeds)
+                assert abs(total / n_seeds - mean) <= 5.0 * se, (row, n)
 
 
 def test_block_size_overflow_rejected(ch):
