@@ -1,23 +1,27 @@
 """Monte Carlo tally generation with photon-number ground truth.
 
-Sampling is hierarchical and entirely count-based so block sizes of 1e12
-pulses stay cheap: a multinomial split of the block over (state, intensity)
-pairs, a binomial split over the receiver's passive basis choice, a
-multinomial photon-number split per routed group, then binomial detection
-and error draws per photon-number class.
+Sampling is hierarchical and entirely count-based, so block sizes of 1e12
+pulses stay cheap. Each slice takes five array draws from one generator,
+in this order:
 
-Random streams are derived deterministically from ``(seed, slice_index,
-stream)`` where stream 0 drives the (state, intensity) split and stream
-``1 + pair_index`` drives everything inside one pair (pairs ordered as
-states Z0, Z1, X0, Y0 times intensities mu, nu, omega). Slices and pairs
-can therefore be sampled in any order, or in parallel, with bit-identical
-results.
+1. a multinomial split of the slice's pulses over the 12 (state, intensity)
+   pairs, states Z0, Z1, X0, Y0 times intensities mu, nu, omega;
+2. a binomial split of each pair over the receiver's passive basis choice
+   (the Z share), which gives the 24 routed groups in ``ALL_CELLS`` order;
+3. a multinomial split of each routed group over emitted photon numbers,
+   every Poisson pmf zero-padded to the widest photon-number cap;
+4. a binomial draw of the detections per group and photon number;
+5. a binomial draw of the errors among those detections.
+
+The generator of slice ``i`` is seeded with ``(seed mod 2**64, i,
+STREAM_VERSION)``, so slices can be sampled in any order, or in parallel,
+with bit-identical results. ``STREAM_VERSION`` changes whenever the draws
+do; version 1 used 13 streams per slice and one scalar draw per count.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -26,12 +30,12 @@ from .channel import misalignment_error, transmittance
 from .core import (
     ALL_CELLS,
     BASES,
+    CELL_INDEX,
     KINDS,
     MAX_PULSES,
     STATES,
     TWO_PI,
     BasisLabel,
-    CellKey,
     ChannelParams,
     ObservedTallies,
     ProtocolConfig,
@@ -40,54 +44,44 @@ from .core import (
 
 POISSON_TAIL = 1e-12
 
+STREAM_VERSION = 2
+
 _PAIRS = tuple((s, k) for s in STATES for k in KINDS)
 
 
 @dataclass(frozen=True)
-class OracleCell:
-    """One cell's counts partitioned by emitted photon number."""
-
-    sent: int
-    detected_by_photons: tuple[int, ...]
-    errors_by_photons: tuple[int, ...]
-
-    @property
-    def detected(self) -> int:
-        return int(sum(self.detected_by_photons))
-
-    @property
-    def errors(self) -> int:
-        return int(sum(self.errors_by_photons))
-
-
-@dataclass(frozen=True)
 class OracleTallies:
-    """Observable tallies plus the photon-number side information."""
+    """Observable tallies plus the photon-number side information.
 
-    cells: Mapping[CellKey, OracleCell]
+    Read-only int64 arrays in ``ALL_CELLS`` order: ``sent`` has shape (24,),
+    ``detected`` and ``errors`` have shape (24, P), where column n counts the
+    pulses that carried n photons.
+    """
+
+    sent: np.ndarray
+    detected: np.ndarray
+    errors: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+        for counts in (self.sent, self.detected, self.errors):
+            counts.flags.writeable = False
 
     def observed(self) -> ObservedTallies:
-        cells = map(self.cells.__getitem__, ALL_CELLS)
         return ObservedTallies(
-            np.array([(c.sent, c.detected, c.errors) for c in cells], dtype=np.int64)
+            np.stack((self.sent, self.detected.sum(axis=1), self.errors.sum(axis=1)), axis=1)
         )
 
     def true_counts(
         self, states: Iterable[StateLabel], basis: BasisLabel, photons: int
     ) -> tuple[int, int]:
         """True (detections, errors) from pulses that carried ``photons``."""
-        det = 0
-        err = 0
-        for state in states:
-            for kind in KINDS:
-                cell = self.cells[(state, basis, kind)]
-                if photons < len(cell.detected_by_photons):
-                    det += cell.detected_by_photons[photons]
-                    err += cell.errors_by_photons[photons]
-        return det, err
+        if photons >= self.detected.shape[1]:
+            return 0, 0
+        rows = [CELL_INDEX[(state, basis, kind)] for state in states for kind in KINDS]
+        return (
+            sum(self.detected[rows, photons].tolist()),
+            sum(self.errors[rows, photons].tolist()),
+        )
 
 
 def poisson_pmf_capped(mean: float, tail: float = POISSON_TAIL) -> np.ndarray:
@@ -97,8 +91,6 @@ def poisson_pmf_capped(mean: float, tail: float = POISSON_TAIL) -> np.ndarray:
     """
     if mean < 0:
         raise ValueError(f"mean must be >= 0, got {mean}")
-    if mean == 0.0:
-        return np.array([1.0])
     probs = [math.exp(-mean)]
     cumulative = probs[0]
     n = 0
@@ -110,9 +102,51 @@ def poisson_pmf_capped(mean: float, tail: float = POISSON_TAIL) -> np.ndarray:
     return np.asarray(probs)
 
 
-def _stream(seed: int, slice_index: int, stream: int) -> np.random.Generator:
-    entropy = (int(seed) % 2**64, int(slice_index), int(stream))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+class _Sampler:
+    """The draws of one trace: its constants once, then one call per slice."""
+
+    def __init__(self, cfg: ProtocolConfig, ch: ChannelParams, distance_km: float) -> None:
+        self.pair_probs = np.array(
+            [cfg.state_probability(s) * cfg.intensity(k).probability for s, k in _PAIRS]
+        )
+        self.p_z_bob = cfg.p_z_bob
+        self.e0 = ch.e0
+        pmfs = [poisson_pmf_capped(cfg.intensity(k).mean_photons) for _, _, k in ALL_CELLS]
+        width = max(map(len, pmfs))
+        self.pmf = np.array([np.pad(pmf, (0, width - len(pmf))) for pmf in pmfs])
+        self.cap = np.array([len(pmf) - 1 for pmf in pmfs])
+        self.short = self.cap < width - 1
+        eta = np.array([transmittance(distance_km, b, ch) for _, b, _ in ALL_CELLS])
+        self.survive = 1.0 - (1.0 - eta[:, None]) ** np.arange(width)
+        dark = ch.e_d * (1.0 - self.survive)
+        self.yields = self.survive + dark
+        self.dark_errors = 0.5 * dark
+
+    def slice(self, beta: float, n_pulses: int, seed: int, slice_index: int) -> OracleTallies:
+        if not 0 <= n_pulses <= MAX_PULSES:
+            raise ValueError(f"n_pulses {n_pulses} is outside the 64-bit count budget [0, 2**62]")
+        rng = np.random.default_rng((int(seed) % 2**64, int(slice_index), STREAM_VERSION))
+        # (state, 1, intensity), so that the basis axis slots in as in ALL_CELLS
+        sent = rng.multinomial(n_pulses, self.pair_probs).reshape(len(STATES), 1, len(KINDS))
+        routed_z = rng.binomial(sent, self.p_z_bob)
+        routed = np.concatenate((routed_z, sent - routed_z), axis=1).reshape(-1)
+        photons = rng.multinomial(routed, self.pmf)
+        # Rounding in a pmf's tail can leave photons in the last, padded
+        # column; they belong on the row's own cap, as in an unpadded draw.
+        spill = np.where(self.short, photons[:, -1], 0)
+        photons[:, -1] -= spill
+        photons[np.arange(len(ALL_CELLS)), self.cap] += spill
+        detected = rng.binomial(photons, self.yields)
+        e_mis = np.repeat(
+            [misalignment_error(s, b, beta, self.e0) for s in STATES for b in BASES], len(KINDS)
+        )
+        # zero where the yield is zero: no photon and no dark count, no detection
+        error_prob = np.divide(
+            e_mis[:, None] * self.survive + self.dark_errors, self.yields,
+            out=np.zeros_like(self.yields), where=self.yields > 0.0,
+        )
+        errors = rng.binomial(detected, error_prob)
+        return OracleTallies(np.concatenate((sent, sent), axis=1).reshape(-1), detected, errors)
 
 
 def _sample_block(
@@ -124,53 +158,8 @@ def _sample_block(
     seed: int,
     slice_index: int,
 ) -> OracleTallies:
-    if n_pulses < 0:
-        raise ValueError(f"n_pulses must be >= 0, got {n_pulses}")
-    if n_pulses > MAX_PULSES:
-        raise ValueError(f"n_pulses {n_pulses} exceeds the 64-bit count budget")
-
-    pair_probs = np.array(
-        [cfg.state_probability(s) * cfg.intensity(k).probability for s, k in _PAIRS]
-    )
-    split_rng = _stream(seed, slice_index, 0)
-    sent_per_pair = split_rng.multinomial(n_pulses, pair_probs)
-
-    eta_by_basis = {b: transmittance(distance_km, b, ch) for b in BASES}
-    pmf_by_kind = {
-        k: poisson_pmf_capped(cfg.intensity(k).mean_photons) for k in KINDS
-    }
-
-    cells: dict[CellKey, OracleCell] = {}
-    for pair_index, (state, kind) in enumerate(_PAIRS):
-        rng = _stream(seed, slice_index, 1 + pair_index)
-        sent = int(sent_per_pair[pair_index])
-        routed_z = int(rng.binomial(sent, cfg.p_z_bob)) if sent > 0 else 0
-        routed = {BasisLabel.Z: routed_z, BasisLabel.X: sent - routed_z}
-        pmf = pmf_by_kind[kind]
-        for basis in BASES:
-            eta = eta_by_basis[basis]
-            e_mis = misalignment_error(state, basis, beta, ch.e0)
-            group = routed[basis]
-            photon_counts = (
-                rng.multinomial(group, pmf) if group > 0 else np.zeros(len(pmf), dtype=np.int64)
-            )
-            detected = []
-            errors = []
-            for n_photons, count in enumerate(photon_counts):
-                survive = 1.0 - (1.0 - eta) ** n_photons
-                yield_n = survive + ch.e_d * (1.0 - survive)
-                det = int(rng.binomial(int(count), yield_n)) if count > 0 else 0
-                if det > 0 and yield_n > 0.0:
-                    err_prob = (e_mis * survive + 0.5 * ch.e_d * (1.0 - survive)) / yield_n
-                    err = int(rng.binomial(det, err_prob))
-                else:
-                    err = 0
-                detected.append(det)
-                errors.append(err)
-            cells[(state, basis, kind)] = OracleCell(
-                sent, tuple(detected), tuple(errors)
-            )
-    return OracleTallies(cells)
+    """Draw slice ``slice_index`` of a trace on its own."""
+    return _Sampler(cfg, ch, distance_km).slice(beta, n_pulses, seed, slice_index)
 
 
 def sample_tallies(
@@ -248,9 +237,8 @@ def sample_drifting_tallies(
             f"trace covers {trace.n_total} pulses but the configuration "
             f"expects {cfg.n_total}"
         )
+    sampler = _Sampler(cfg, ch, distance_km)
     return [
-        _sample_block(
-            cfg, ch, distance_km, beta, trace.pulses_per_slice, seed, slice_index=i
-        )
+        sampler.slice(beta, trace.pulses_per_slice, seed, i)
         for i, beta in enumerate(trace.betas)
     ]

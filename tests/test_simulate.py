@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +11,20 @@ from rfiqkd.channel import (
     misalignment_error,
     transmittance,
 )
-from rfiqkd.core import ALL_CELLS, BasisLabel, IntensityKind, StateLabel
+from rfiqkd.core import (
+    ALL_CELLS,
+    BASES,
+    KINDS,
+    MAX_PULSES,
+    STATES,
+    BasisLabel,
+    IntensityKind,
+    StateLabel,
+    intensity_triple,
+)
 from rfiqkd.simulate import (
     DriftTrace,
+    _sample_block,
     drift_beta,
     poisson_pmf_capped,
     sample_drifting_tallies,
@@ -27,7 +40,8 @@ def test_sampling_deterministic(ch):
     a = sample_tallies(SMALL, ch, 50.0, seed=11)
     b = sample_tallies(SMALL, ch, 50.0, seed=11)
     assert a.observed() == b.observed()
-    assert dict(a.cells) == dict(b.cells)
+    assert np.array_equal(a.detected, b.detected)
+    assert np.array_equal(a.errors, b.errors)
     c = sample_tallies(SMALL, ch, 50.0, seed=12)
     assert a.observed() != c.observed()
 
@@ -41,17 +55,78 @@ def test_cell_inequalities_hold_for_every_seed(ch):
 
 def test_photon_partitions_sum_to_cell_totals(ch):
     oracle = sample_tallies(SMALL, ch, 50.0, seed=3)
-    obs = oracle.observed()
-    for key, cell in oracle.cells.items():
-        assert sum(cell.detected_by_photons) == obs.cells[key].detected
-        assert sum(cell.errors_by_photons) == obs.cells[key].errors
+    counts = oracle.observed().counts
+    assert counts[:, 0].tolist() == oracle.sent.tolist()
+    assert counts[:, 1].tolist() == oracle.detected.sum(axis=1).tolist()
+    assert counts[:, 2].tolist() == oracle.errors.sum(axis=1).tolist()
+    for states, basis in (((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z), ((StateLabel.Y0,), BasisLabel.X)):
+        by_photons = [oracle.true_counts(states, basis, n) for n in range(oracle.detected.shape[1])]
+        assert sum(det for det, _ in by_photons) == sum(oracle.observed().class_detected(states, basis))
+        assert sum(err for _, err in by_photons) == sum(oracle.observed().class_errors(states, basis))
+    assert oracle.true_counts(states, basis, oracle.detected.shape[1]) == (0, 0)
 
 
 def test_vacuum_intensity_emits_no_photons(ch):
+    # the omega pmf is [1.0], zero-padded to the widest cap
     oracle = sample_tallies(SMALL, ch, 50.0, seed=4)
-    for (state, basis, kind), cell in oracle.cells.items():
-        if kind is IntensityKind.OMEGA:
-            assert all(v == 0 for v in cell.detected_by_photons[1:])
+    omega = [row for row, (_, _, kind) in enumerate(ALL_CELLS) if kind is IntensityKind.OMEGA]
+    assert oracle.detected.shape[1] > 1
+    assert not oracle.detected[omega, 1:].any()
+    assert not oracle.errors[omega, 1:].any()
+
+
+def test_empty_block_draws_nothing(ch):
+    oracle = _sample_block(SMALL, ch, 50.0, 0.0, 0, seed=1, slice_index=0)
+    assert not oracle.observed().counts.any()
+    with pytest.raises(ValueError, match="count budget"):
+        _sample_block(SMALL, ch, 50.0, 0.0, -1, seed=1, slice_index=0)
+
+
+def _pair_totals(oracle):
+    """``sent`` of each (state, intensity) pair, read from its Z row."""
+    return oracle.sent.reshape(len(STATES), len(BASES), len(KINDS))[:, 0].ravel().tolist()
+
+
+def test_block_at_the_count_budget(ch):
+    # Summed as Python ints: the 24 rows in int64 hold every pair twice and
+    # would wrap at 2**63.
+    oracle = sample_tallies(make_config(n_total=MAX_PULSES), ch, 50.0, seed=5)
+    assert sum(_pair_totals(oracle)) == MAX_PULSES
+    assert oracle.observed().counts.dtype == np.int64
+
+
+def test_photon_counts_stop_at_each_class_cap(ch):
+    # At the count budget and 0 km the pmf tails are sampled and detected;
+    # nu = 0.2 has a shorter cap than mu, and nothing may land past it.
+    cfg = make_config(
+        n_total=MAX_PULSES, intensities=intensity_triple(0.55, 0.2, 0.0, 0.54, 0.36, 0.10)
+    )
+    oracle = sample_tallies(cfg, ch, 0.0, seed=8)
+    caps = {k: len(poisson_pmf_capped(cfg.intensity(k).mean_photons)) - 1 for k in KINDS}
+    assert caps[IntensityKind.NU] < caps[IntensityKind.MU] == oracle.detected.shape[1] - 1
+    for row, (_, _, kind) in enumerate(ALL_CELLS):
+        assert oracle.detected[row, caps[kind]] > 0
+        assert not oracle.detected[row, caps[kind] + 1 :].any()
+
+
+def test_zero_dark_counts_give_no_vacuum_detections(ch):
+    # zero yield at n = 0: error probability 0, not 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = sample_tallies(SMALL, replace(ch, e_d=0.0), 50.0, seed=2)
+    lit = [row for row, (_, _, kind) in enumerate(ALL_CELLS) if kind is not IntensityKind.OMEGA]
+    assert not oracle.detected[:, 0].any()
+    assert oracle.detected[lit, 1].all()
+
+
+def test_counts_nest_per_photon_number(ch):
+    for seed in range(5):
+        oracle = sample_tallies(SMALL, ch, 30.0, seed)
+        assert (0 <= oracle.errors).all()
+        assert (oracle.errors <= oracle.detected).all()
+        sent = oracle.sent.reshape(len(STATES), len(BASES), len(KINDS))
+        assert (sent[:, 0] == sent[:, 1]).all()
+        assert sum(_pair_totals(oracle)) == SMALL.n_total
 
 
 def test_poisson_cap_tail():
@@ -93,17 +168,6 @@ def test_sample_mean_matches_expectation(ch):
         assert abs(esums[key] / n_seeds - mean_m) <= 5 * se_m + 1.0
 
 
-def _by_photons(oracle):
-    """(detected, errors) per cell and emitted photon number, zero-padded."""
-    cells = [oracle.cells[key] for key in ALL_CELLS]
-    width = max(len(c.detected_by_photons) for c in cells)
-    pad = lambda row: list(row) + [0] * (width - len(row))
-    return (
-        np.array([pad(c.detected_by_photons) for c in cells], dtype=np.int64),
-        np.array([pad(c.errors_by_photons) for c in cells], dtype=np.int64),
-    )
-
-
 def test_photon_number_means_match_expectation(ch):
     # 100 seeds at 1e9 pulses; for n <= 3 photons, the mean of each cell's
     # detections and errors must sit within five standard errors of
@@ -113,9 +177,9 @@ def test_photon_number_means_match_expectation(ch):
     det_sum = np.zeros((len(ALL_CELLS), 4))
     err_sum = np.zeros((len(ALL_CELLS), 4))
     for seed in range(n_seeds):
-        detected, errors = _by_photons(sample_tallies(cfg, ch, distance, seed))
-        det_sum += detected[:, :4]
-        err_sum += errors[:, :4]
+        oracle = sample_tallies(cfg, ch, distance, seed)
+        det_sum += oracle.detected[:, :4]
+        err_sum += oracle.errors[:, :4]
     for row, (state, basis, kind) in enumerate(ALL_CELLS):
         k = cfg.intensity(kind)
         eta = transmittance(distance, basis, ch)
