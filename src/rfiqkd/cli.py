@@ -125,6 +125,12 @@ _SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
     "drift_period": (1.0, float, _ASSUMED, _DRIFTING),
     "n_zz_all_intensities": (True, bool, _ASSUMED, _ANALYZERS),
 }
+# keys whose parser admits values the run cannot use -> (test, requirement)
+_RANGES = {
+    "distance_km": (lambda km: 0.0 <= km < math.inf, "must be finite and >= 0"),
+    "n_slices": (lambda n: n >= 1, "must be >= 1"),
+    "drift_period": (lambda period: period > 0.0, "must be > 0"),
+}
 # subcommand -> the config keys it reads
 COMMANDS: dict[str, frozenset[str]] = {
     command: frozenset(key for key, spec in _SCHEMA.items() if command in spec[3])
@@ -723,7 +729,10 @@ def main(
             out.write("\n".join(run.provenance_lines()) + "\n")
             return EXIT_OK
         cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
-        problems = validate_config(cfg, ch, sec)
+        problems = sorted(validate_config(cfg, ch, sec) + [
+            f"{key}: {need}, got {run[key]}"
+            for key, (ok, need) in _RANGES.items() if not ok(run[key])
+        ])
         for problem in problems:
             print(f"config error: {problem}", file=err)
         if problems:

@@ -55,6 +55,43 @@ def test_unknown_config_keys_rejected(tmp_path):
     assert "banana" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--distance", "-1"],
+        ["point", "--distance", "nan"],
+        ["simulate", "--distance", "inf"],
+        ["process", "tallies.csv", "--distance", "-0.5"],
+    ],
+)
+def test_distance_must_be_finite_and_non_negative(argv):
+    code, out, err = run_cli(argv)
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err.startswith("config error: distance_km: must be finite and >= 0, got ")
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("n_slices = 0\n", "n_slices: must be >= 1, got 0"),
+        ("n_slices = -1\n", "n_slices: must be >= 1, got -1"),
+        (
+            "drift = sinusoidal\nn_slices = 4\ndrift_period = 0\n",
+            "drift_period: must be > 0, got 0.0",
+        ),
+    ],
+)
+def test_slice_count_and_drift_period_must_be_positive(tmp_path, lines, message):
+    config = tmp_path / "drift.cfg"
+    config.write_text(lines)
+    for command in ("point", "simulate"):
+        code, out, err = run_cli([command, "--config", str(config)])
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
+
 def test_show_defaults_provenance():
     code, out, _ = run_cli(["point", "--show-defaults"])
     assert code == cli.EXIT_OK
