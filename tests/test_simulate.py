@@ -36,6 +36,11 @@ from conftest import make_config
 SMALL = make_config(n_total=100_000_000)
 
 
+def _pair_totals(oracle):
+    """``sent`` of each (state, intensity) pair, read from its Z row."""
+    return oracle.sent.reshape(len(STATES), len(BASES), len(KINDS))[:, 0].ravel().tolist()
+
+
 def test_sampling_deterministic(ch):
     a = sample_tallies(SMALL, ch, 50.0, seed=11)
     b = sample_tallies(SMALL, ch, 50.0, seed=11)
@@ -48,22 +53,32 @@ def test_sampling_deterministic(ch):
 
 def test_cell_inequalities_hold_for_every_seed(ch):
     for seed in range(5):
-        tallies = sample_tallies(SMALL, ch, 30.0, seed).observed()
-        for cc in tallies.cells.values():
+        oracle = sample_tallies(SMALL, ch, 30.0, seed)
+        for cc in oracle.observed().cells.values():
             assert 0 <= cc.errors <= cc.detected <= cc.sent
+        # per photon number too, and Z and X rows of a pair share their sent
+        assert (0 <= oracle.errors).all()
+        assert (oracle.errors <= oracle.detected).all()
+        sent = oracle.sent.reshape(len(STATES), len(BASES), len(KINDS))
+        assert (sent[:, 0] == sent[:, 1]).all()
+        assert sum(_pair_totals(oracle)) == SMALL.n_total
 
 
 def test_photon_partitions_sum_to_cell_totals(ch):
     oracle = sample_tallies(SMALL, ch, 50.0, seed=3)
-    counts = oracle.observed().counts
-    assert counts[:, 0].tolist() == oracle.sent.tolist()
-    assert counts[:, 1].tolist() == oracle.detected.sum(axis=1).tolist()
-    assert counts[:, 2].tolist() == oracle.errors.sum(axis=1).tolist()
-    for states, basis in (((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z), ((StateLabel.Y0,), BasisLabel.X)):
-        by_photons = [oracle.true_counts(states, basis, n) for n in range(oracle.detected.shape[1])]
-        assert sum(det for det, _ in by_photons) == sum(oracle.observed().class_detected(states, basis))
-        assert sum(err for _, err in by_photons) == sum(oracle.observed().class_errors(states, basis))
-    assert oracle.true_counts(states, basis, oracle.detected.shape[1]) == (0, 0)
+    obs = oracle.observed()
+    assert obs.counts[:, 0].tolist() == oracle.sent.tolist()
+    assert obs.counts[:, 1].tolist() == oracle.detected.sum(axis=1).tolist()
+    assert obs.counts[:, 2].tolist() == oracle.errors.sum(axis=1).tolist()
+    width = oracle.detected.shape[1]
+    for states, basis in (
+        ((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z),
+        ((StateLabel.Y0,), BasisLabel.X),
+    ):
+        by_photons = [oracle.true_counts(states, basis, n) for n in range(width + 1)]
+        assert by_photons[width] == (0, 0)
+        assert sum(det for det, _ in by_photons) == sum(obs.class_detected(states, basis))
+        assert sum(err for _, err in by_photons) == sum(obs.class_errors(states, basis))
 
 
 def test_vacuum_intensity_emits_no_photons(ch):
@@ -80,11 +95,6 @@ def test_empty_block_draws_nothing(ch):
     assert not oracle.observed().counts.any()
     with pytest.raises(ValueError, match="count budget"):
         _sample_block(SMALL, ch, 50.0, 0.0, -1, seed=1, slice_index=0)
-
-
-def _pair_totals(oracle):
-    """``sent`` of each (state, intensity) pair, read from its Z row."""
-    return oracle.sent.reshape(len(STATES), len(BASES), len(KINDS))[:, 0].ravel().tolist()
 
 
 def test_block_at_the_count_budget(ch):
@@ -117,16 +127,6 @@ def test_zero_dark_counts_give_no_vacuum_detections(ch):
     lit = [row for row, (_, _, kind) in enumerate(ALL_CELLS) if kind is not IntensityKind.OMEGA]
     assert not oracle.detected[:, 0].any()
     assert oracle.detected[lit, 1].all()
-
-
-def test_counts_nest_per_photon_number(ch):
-    for seed in range(5):
-        oracle = sample_tallies(SMALL, ch, 30.0, seed)
-        assert (0 <= oracle.errors).all()
-        assert (oracle.errors <= oracle.detected).all()
-        sent = oracle.sent.reshape(len(STATES), len(BASES), len(KINDS))
-        assert (sent[:, 0] == sent[:, 1]).all()
-        assert sum(_pair_totals(oracle)) == SMALL.n_total
 
 
 def test_poisson_cap_tail():
