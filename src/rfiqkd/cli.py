@@ -47,7 +47,6 @@ from .core import (
     validate_config,
 )
 from .keyrate import (
-    DriftClassifier,
     ExtractionResult,
     analyze_tallies,
     group_and_extract,
@@ -77,8 +76,8 @@ _CHOICES = {
 
 # The subcommands that read a key, from the code each one runs. The tallies
 # read the channel, intensities, basis choice and block size; analyze_tallies
-# the intensities, security parameters and ZZ-count option; grouping the group
-# count and, through DriftClassifier.from_channel, the X-path channel.
+# the intensities, security parameters and ZZ-count option; grouping only the
+# group count, since the drift classifier reads the slices' counts alone.
 _TALLIES = ("point", "scan", "compare", "simulate")
 _ANALYZERS = ("point", "scan", "compare", "process")
 _EVERY = ("point", "scan", "compare", "process", "simulate")
@@ -87,12 +86,12 @@ _DRIFTING = ("point", "simulate")
 
 # key -> (default, parser, provenance, the subcommands that read it)
 _SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
-    "e0": (_CH.e0, float, _HW, _EVERY),
-    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW, _EVERY),
+    "e0": (_CH.e0, float, _HW, _TALLIES),
+    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW, _TALLIES),
     "eta_z_db": (_CH.eta_z_db, float, _HW, _TALLIES),
-    "eta_xy_db": (_CH.eta_xy_db, float, _HW, _EVERY),
-    "e_d": (_CH.e_d, float, _HW, _EVERY),
-    "eta_det": (_CH.eta_det, float, _HW, _EVERY),
+    "eta_xy_db": (_CH.eta_xy_db, float, _HW, _TALLIES),
+    "e_d": (_CH.e_d, float, _HW, _TALLIES),
+    "eta_det": (_CH.eta_det, float, _HW, _TALLIES),
     "beta_rad": (_CH.beta, float, _ASSUMED, _TALLIES),
     "mu": (_MU.mean_photons, float, _PROTO, _EVERY),
     "nu": (_NU.mean_photons, float, _PROTO, _EVERY),
@@ -110,7 +109,7 @@ _SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
     "eps_ec": (_SEC.eps_ec, float, _HW, _ANALYZERS),
     "eps_pa": (_SEC.eps_pa, float, _HW, _ANALYZERS),
     "f_ec": (_SEC.f_ec, float, _HW, _ANALYZERS),
-    "distance_km": (200.0, float, _ASSUMED, ("point", "process", "simulate")),
+    "distance_km": (200.0, float, _ASSUMED, _DRIFTING),
     "mode": ("analytic", "mode", _ASSUMED, ("point", "scan")),
     "seed": (0, int, _ASSUMED, ("point", "scan", "simulate")),
     "scan_min_km": (0.0, float, _ASSUMED, _GRID),
@@ -126,9 +125,17 @@ _SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
     "n_zz_all_intensities": (True, bool, _ASSUMED, _ANALYZERS),
 }
 # keys whose parser admits values the run cannot use -> (test, requirement)
+_NON_NEGATIVE = (lambda km: 0.0 <= km < math.inf, "must be finite and >= 0")
+_FINITE = (math.isfinite, "must be finite")
 _RANGES = {
-    "distance_km": (lambda km: 0.0 <= km < math.inf, "must be finite and >= 0"),
+    "distance_km": _NON_NEGATIVE,
+    "scan_min_km": _NON_NEGATIVE,
+    "scan_max_km": _FINITE,
+    "scan_step_km": (lambda step: 0.0 < step < math.inf, "must be finite and > 0"),
     "n_slices": (lambda n: n >= 1, "must be >= 1"),
+    "drift_beta0_rad": _FINITE,
+    "drift_rate_rad": _FINITE,
+    "drift_amplitude_rad": _FINITE,
     "drift_period": (lambda period: period > 0.0, "must be > 0"),
 }
 # subcommand -> the config keys it reads
@@ -490,7 +497,7 @@ def _make_slices(
     ]
 
 
-def _analyze(run, cfg, ch, sec, slices, literal: bool) -> tuple[list[str], bool]:
+def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
     """The report of ``slices``, as one block or by drift group, and whether
     it yields a key."""
     options = {
@@ -500,8 +507,7 @@ def _analyze(run, cfg, ch, sec, slices, literal: bool) -> tuple[list[str], bool]
     if len(slices) == 1 and cfg.m_groups == 1:
         report = analyze_tallies(slices[0], cfg, sec, **options)
         return _render_report(report, cfg.n_total), report.key_length > 0.0
-    classifier = DriftClassifier.from_channel(ch, cfg, float(run["distance_km"]))
-    result = group_and_extract(slices, cfg.m_groups, cfg, sec, classifier, **options)
+    result = group_and_extract(slices, cfg.m_groups, cfg, sec, **options)
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
@@ -514,8 +520,6 @@ def _grid(run: RunConfig, cfg: ProtocolConfig) -> Iterator[tuple[ProtocolConfig,
     start = float(run["scan_min_km"])
     stop = float(run["scan_max_km"])
     step = float(run["scan_step_km"])
-    if step <= 0:
-        raise ConfigError(f"scan_step_km must be > 0, got {step}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     distances = [start + i * step for i in range(max(count, 0))]
     distances = [value for value in distances if value <= stop + 1e-9]
@@ -580,7 +584,7 @@ def _render_extraction(result: ExtractionResult, n_total: int) -> list[str]:
 def cmd_point(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Full pipeline at one distance."""
     slices = _make_slices(run, cfg, ch, run["mode"])
-    lines, key = _analyze(run, cfg, ch, sec, slices, args.literal_paper_formulas)
+    lines, key = _analyze(run, cfg, sec, slices, args.literal_paper_formulas)
     if args.dump_tallies:
         with open(args.dump_tallies, "w", encoding="utf-8", newline="") as handle:
             write_tally_csv(slices, handle)
@@ -644,7 +648,7 @@ def cmd_process(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
         cfg = replace(cfg, n_total=total_pulses(slices))
         if cfg.n_total == 0:
             raise TallyError("no pulses sent: the Z rows' sent counts sum to 0")
-        lines, key = _analyze(run, cfg, ch, sec, slices, args.literal_paper_formulas)
+        lines, key = _analyze(run, cfg, sec, slices, args.literal_paper_formulas)
     except (OSError, TallyError) as exc:
         raise TallyFileError(exc) from exc
     return [f"tally_file = {args.tally_file}"] + lines, key

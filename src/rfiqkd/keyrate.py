@@ -20,7 +20,6 @@ from .core import (
     MAX_PULSES,
     TWO_PI,
     BasisLabel,
-    ChannelParams,
     IntensityKind,
     KeyRateReport,
     ObservedTallies,
@@ -31,14 +30,13 @@ from .core import (
     cell_name,
     zero_tallies,
 )
-from . import channel, decoy, security
+from . import decoy, security
 from .security import binary_entropy
 
 __all__ = [
     "KeyLength",
     "key_length",
     "RhoResult",
-    "rho_classify",
     "DriftClassifier",
     "GroupBucket",
     "GroupedData",
@@ -95,89 +93,32 @@ def key_length(
 
 @dataclass(frozen=True)
 class RhoResult:
-    """Drift-classification angle with clamp/degeneracy diagnostics."""
+    """Drift-classification angle; a degenerate slice has no usable angle."""
 
     rho: float
-    clamped: bool = False
     degenerate: bool = False
 
 
-def rho_classify(
-    e_xx: float,
-    e_xy: float,
-    eta: float,
-    mu: float,
-    e_d: float,
-    e0: float,
-) -> RhoResult:
-    """Map one slice's X-basis error statistics to an angle in [0, 2*pi].
-
-    ``e_xx`` is the observed signal-intensity error rate of the in-phase
-    X cell, ``e_xy`` the quadrature statistic (Y0 prepared, X measured).
-    ``eta`` is the X-path transmittance and ``mu`` the signal intensity.
-    A degenerate result means the slice carries no usable phase
-    information and belongs in the overflow group.
-    """
-    e_hat = (e_xx - e0) / (1.0 - e0)
-    if e_hat <= 0.0:
-        return RhoResult(0.0, degenerate=True)
-    radicand = (
-        4.0 * math.exp(eta * mu) * e_xy * (1.0 - e_hat)
-        + (1.0 - e_d) ** 2 * (1.0 - 2.0 * e_hat) ** 2
-    )
-    clamped = False
-    if radicand < 0.0:
-        radicand = 0.0
-        clamped = True
-    h_val = (1.0 - e_d) * (2.0 * e_hat - 1.0) + math.sqrt(radicand)
-    if h_val <= 0.0:
-        return RhoResult(0.0, clamped=clamped, degenerate=True)
-    arg = (2.0 / (eta * mu)) * math.log(h_val / (2.0 * e_hat)) - 1.0
-    if arg > 1.0:
-        arg = 1.0
-        clamped = True
-    elif arg < -1.0:
-        arg = -1.0
-        clamped = True
-    angle = math.acos(arg)
-    rho = angle if e_xx < 0.5 else TWO_PI - angle
-    return RhoResult(rho, clamped=clamped)
-
-
-@dataclass(frozen=True)
 class DriftClassifier:
-    """Per-slice classifier bound to fixed receiver parameters."""
-
-    eta: float  # X-path transmittance, detector efficiency included
-    mu: float  # signal intensity
-    e_d: float
-    e0: float
-
-    @classmethod
-    def from_channel(
-        cls, ch: ChannelParams, cfg: ProtocolConfig, distance_km: float
-    ) -> "DriftClassifier":
-        return cls(
-            eta=channel.transmittance(distance_km, BasisLabel.X, ch),
-            mu=cfg.intensity(IntensityKind.MU).mean_photons,
-            e_d=ch.e_d,
-            e0=ch.e0,
-        )
+    """Per-slice frame-angle estimate from the slice's own counts."""
 
     def classify(self, tallies: ObservedTallies) -> RhoResult:
+        """The angle ``atan2(1 - 2 e_Y0X, 1 - 2 e_X0X) mod 2*pi``.
+
+        ``e_X0X`` and ``e_Y0X`` are the observed error rates of the
+        signal-intensity X0 and Y0 cells measured in X, the correlator pair
+        of Laing et al. (PRA 82, 012304, 2010). Each ``1 - 2e`` is the cosine
+        or the sine of the angle times the same visibility, so no channel,
+        intensity or distance input is needed. A slice without detections in
+        either cell is degenerate and belongs in the overflow group.
+        """
         (_, xx_detected, xx_errors), (_, yx_detected, yx_errors) = tallies.counts[
             _CLASSIFY_ROWS
         ].tolist()
         if xx_detected == 0 or yx_detected == 0:
             return RhoResult(0.0, degenerate=True)
-        return rho_classify(
-            xx_errors / xx_detected,
-            yx_errors / yx_detected,
-            self.eta,
-            self.mu,
-            self.e_d,
-            self.e0,
-        )
+        rho = math.atan2(1 - 2 * yx_errors / yx_detected, 1 - 2 * xx_errors / xx_detected)
+        return RhoResult(rho % TWO_PI)
 
 
 # Count-array rows of the signal-intensity X0 and Y0 cells measured in X
@@ -216,7 +157,6 @@ class GroupedData:
 def group_slices(
     slices: list[ObservedTallies],
     m_groups: int,
-    classifier: DriftClassifier | None,
 ) -> GroupedData:
     """Assign per-slice tallies to uniform angle groups.
 
@@ -227,15 +167,14 @@ def group_slices(
     """
     if m_groups < 1:
         raise ValueError(f"m_groups must be >= 1, got {m_groups}")
-    if m_groups > 1 and classifier is None:
-        raise ValueError("a classifier is required when m_groups > 1")
     width = TWO_PI / m_groups
     overflow = m_groups  # row of the overflow group
+    classify = DriftClassifier().classify
 
     def group_of(entry: ObservedTallies) -> int:
         if m_groups == 1:
             return 0
-        result = classifier.classify(entry)
+        result = classify(entry)
         if result.degenerate:
             return overflow
         return min(int(result.rho / width), m_groups - 1)
@@ -320,7 +259,6 @@ def group_and_extract(
     m_groups: int,
     cfg: ProtocolConfig,
     sec: SecurityParams,
-    classifier: DriftClassifier | None = None,
     **analysis_options,
 ) -> ExtractionResult:
     """Classify slices, run the full pipeline per group, sum the key lengths.
@@ -329,7 +267,7 @@ def group_and_extract(
     diagnostic instead of a report. Summation order is fixed by group
     index, so results do not depend on evaluation order.
     """
-    grouped = group_slices(slices, m_groups, classifier)
+    grouped = group_slices(slices, m_groups)
     outcomes = []
     total = 0.0
     for bucket in grouped.buckets:

@@ -93,8 +93,9 @@ GROUPING_DISTANCE = 50.0
 GROUPING_SEED = 42
 
 
-def run_grouping_study() -> tuple[str, float, float, float]:
-    """Full-turn drift recovery study; returns (csv, l_m6, l_m1, l_fixed)."""
+def run_grouping_study() -> tuple[str, float, float, float, list[int]]:
+    """Full-turn drift recovery study; returns (csv, l_m6, l_m1, l_fixed,
+    the slice count of each of the 6 groups)."""
     cfg = make_config(n_total=GROUPING_N)
     ch = __import__("rfiqkd").ChannelParams()
     sec = SecurityParams()
@@ -108,8 +109,7 @@ def run_grouping_study() -> tuple[str, float, float, float]:
         o.observed()
         for o in sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, trace, GROUPING_SEED)
     ]
-    classifier = DriftClassifier.from_channel(ch, cfg, GROUPING_DISTANCE)
-    grouped = group_and_extract(slices, 6, cfg, sec, classifier)
+    grouped = group_and_extract(slices, 6, cfg, sec)
     pooled = group_and_extract(slices, 1, cfg, sec)
 
     fixed_trace = drift_beta(
@@ -127,11 +127,12 @@ def run_grouping_study() -> tuple[str, float, float, float]:
     rows.append(f"l_m6,{grouped.key_length:.6f}")
     rows.append(f"l_m1,{pooled.key_length:.6f}")
     rows.append(f"l_fixed,{fixed.key_length:.6f}")
-    for i, beta in enumerate(trace.betas):
-        result = classifier.classify(slices[i])
-        rows.append(f"slice_rho_{i},{result.rho:.9f}")
+    classify = DriftClassifier().classify
+    for i, tallies in enumerate(slices):
+        rows.append(f"slice_rho_{i},{classify(tallies).rho:.9f}")
     csv_text = "\n".join(rows) + "\n"
-    return csv_text, grouped.key_length, pooled.key_length, fixed.key_length
+    group_sizes = [o.bucket.n_slices for o in grouped.outcomes if o.bucket.index is not None]
+    return csv_text, grouped.key_length, pooled.key_length, fixed.key_length, group_sizes
 
 
 @pytest.fixture(scope="session")
@@ -318,7 +319,7 @@ def test_criterion_08_finite_key_dominance(compare_rows):
 
 
 def test_criterion_09_grouping_recovery(grouping_run):
-    _, l_m6, l_m1, l_fixed = grouping_run
+    _, l_m6, l_m1, l_fixed, _ = grouping_run
     ok = l_m6 > l_m1 and l_m1 <= 0.1 * l_fixed
     _verdict(
         9, ok,
@@ -326,6 +327,14 @@ def test_criterion_09_grouping_recovery(grouping_run):
     )
     assert l_m6 > l_m1
     assert l_m1 <= 0.1 * l_fixed
+
+
+def test_grouping_study_fills_every_group(grouping_run):
+    # a full turn spreads the slices evenly over the 6 angle groups
+    *_, group_sizes = grouping_run
+    even = GROUPING_SLICES / 6
+    assert len(group_sizes) == 6
+    assert all(0.8 * even <= n <= 1.2 * even for n in group_sizes), group_sizes
 
 
 def test_criterion_10_determinism(sandwich_run, grouping_run):

@@ -61,7 +61,7 @@ def test_unknown_config_keys_rejected(tmp_path):
         ["point", "--distance", "-1"],
         ["point", "--distance", "nan"],
         ["simulate", "--distance", "inf"],
-        ["process", "tallies.csv", "--distance", "-0.5"],
+        ["point", "--distance=-inf"],
     ],
 )
 def test_distance_must_be_finite_and_non_negative(argv):
@@ -80,12 +80,36 @@ def test_distance_must_be_finite_and_non_negative(argv):
             "drift = sinusoidal\nn_slices = 4\ndrift_period = 0\n",
             "drift_period: must be > 0, got 0.0",
         ),
+        (
+            "drift = linear\nn_slices = 4\ndrift_rate_rad = nan\n",
+            "drift_rate_rad: must be finite, got nan",
+        ),
+        (
+            "drift = linear\nn_slices = 4\ndrift_beta0_rad = inf\n",
+            "drift_beta0_rad: must be finite, got inf",
+        ),
+        (
+            "drift = sinusoidal\nn_slices = 4\ndrift_amplitude_rad = -inf\n",
+            "drift_amplitude_rad: must be finite, got -inf",
+        ),
+        (
+            "scan_min_km = -20\nscan_max_km = 0\nscan_step_km = 10\n",
+            "scan_min_km: must be finite and >= 0, got -20.0",
+        ),
+        ("scan_min_km = nan\n", "scan_min_km: must be finite and >= 0, got nan"),
+        ("scan_max_km = inf\n", "scan_max_km: must be finite, got inf"),
+        ("scan_step_km = nan\n", "scan_step_km: must be finite and > 0, got nan"),
+        ("scan_step_km = 0\n", "scan_step_km: must be finite and > 0, got 0.0"),
+        ("scan_step_km = inf\n", "scan_step_km: must be finite and > 0, got inf"),
     ],
 )
 def test_slice_count_and_drift_period_must_be_positive(tmp_path, lines, message):
     config = tmp_path / "drift.cfg"
     config.write_text(lines)
-    for command in ("point", "simulate"):
+    key = message.partition(":")[0]
+    readers = sorted(command for command, keys in cli.COMMANDS.items() if key in keys)
+    assert readers in (["point", "simulate"], ["compare", "scan"])
+    for command in readers:
         code, out, err = run_cli([command, "--config", str(config)])
         assert code == cli.EXIT_ERROR
         assert out == ""
@@ -160,7 +184,7 @@ def test_tally_round_trip(tmp_path):
     assert code == cli.EXIT_OK
     out_b = tmp_path / "process.txt"
     code, _, _ = run_cli([
-        "process", str(dump), "--distance", "120", "--out", str(out_b)
+        "process", str(dump), "--out", str(out_b)
     ])
     assert code == cli.EXIT_OK
     text_a = out_a.read_text().splitlines()
@@ -239,14 +263,13 @@ def test_simulate_then_process_sliced(tmp_path):
     import dataclasses
 
     from rfiqkd.cli import load_config, read_tally_csv
-    from rfiqkd.keyrate import DriftClassifier, group_and_extract
+    from rfiqkd.keyrate import group_and_extract
 
     run = load_config(str(cfg))
-    pc, chp, sp = run.protocol_config(), run.channel_params(), run.security_params()
+    pc, sp = run.protocol_config(), run.security_params()
     with open(tallies, "r", encoding="utf-8") as handle:
         slices = read_tally_csv(handle)
-    classifier = DriftClassifier.from_channel(chp, pc, 50.0)
-    result = group_and_extract(slices, 6, pc, sp, classifier)
+    result = group_and_extract(slices, 6, pc, sp)
     assert f"key_length = {result.key_length:.12g}" in text
 
 
@@ -336,11 +359,10 @@ def tally_file(tmp_path_factory):
 
 def test_read_sets_follow_the_code():
     sizes = {command: len(keys) for command, keys in cli.COMMANDS.items()}
-    assert sizes == {"point": 33, "scan": 29, "compare": 27, "process": 18, "simulate": 26}
+    assert sizes == {"point": 33, "scan": 29, "compare": 27, "process": 12, "simulate": 26}
     assert cli.COMMANDS["process"] == {
         "mu", "nu", "omega", "p_mu", "p_nu", "p_omega", "m_groups",
         "eps_bar", "eps_ec", "eps_pa", "f_ec", "n_zz_all_intensities",
-        "distance_km", "e0", "e_d", "eta_det", "alpha_db_per_km", "eta_xy_db",
     }
 
 

@@ -3,9 +3,11 @@
 Each case runs ``rfiqkd.cli.main`` in an empty working directory and
 compares its exit code and stdout (stderr too, where a case records it)
 with the files under ``tests/golden``. The README lists the shell commands
-that regenerate them.
+that regenerate them, and the last tests check that those commands are the
+cases' own.
 """
 import io
+import shlex
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from rfiqkd import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 GRID = str(GOLDEN / "grid.cfg")
 GRID_BETA = str(GOLDEN / "grid_beta.cfg")
 DRIFT = str(GOLDEN / "drift.cfg")
@@ -66,3 +69,36 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     assert out == _golden(name)
     if stderr_name is not None:
         assert err == _golden(stderr_name)
+
+
+def _readme_commands():
+    """(argv, stdout file, stderr file) of every README line that runs
+    ``rfiqkd``, continuation lines joined and redirections split off."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", "")
+    commands = []
+    for line in text.splitlines():
+        if not line.startswith("rfiqkd "):
+            continue
+        words = shlex.split(line, comments=True)[1:]
+        redirects = {}
+        while len(words) >= 2 and words[-2] in (">", "2>"):
+            redirects[words[-2]] = words[-1]
+            del words[-2:]
+        commands.append((words, redirects.get(">"), redirects.get("2>")))
+    return commands
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_readme_command_is_the_case(name):
+    argv, _, stderr_name = CASES[name]
+    matches = [command for command in _readme_commands() if command[1] == f"{name}.txt"]
+    assert len(matches) == 1, f"{len(matches)} README commands write {name}.txt"
+    words, _, stderr_file = matches[0]
+    # the cases read the .cfg files in tests/golden, the README copies of them
+    assert words == [Path(w).name if w.endswith(".cfg") else w for w in argv]
+    assert stderr_file == (None if stderr_name is None else f"{stderr_name}.txt")
+
+
+def test_readme_writes_only_golden_files():
+    written = {out for _, out, _ in _readme_commands() if out is not None}
+    assert written == {f"{name}.txt" for name in CASES}

@@ -4,15 +4,22 @@ import mpmath
 import pytest
 
 from rfiqkd import SecurityParams
-from rfiqkd.channel import expected_tallies, transmittance
-from rfiqkd.core import ALL_CELLS, CellCount, ObservedTallies, TallyError
+from rfiqkd.channel import expected_tallies
+from rfiqkd.core import (
+    ALL_CELLS,
+    BasisLabel,
+    CellCount,
+    IntensityKind,
+    ObservedTallies,
+    StateLabel,
+    TallyError,
+)
 from rfiqkd.keyrate import (
     DriftClassifier,
     analyze_tallies,
     group_and_extract,
     group_slices,
     key_length,
-    rho_classify,
 )
 from rfiqkd.security import binary_entropy, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies
@@ -89,80 +96,40 @@ def test_key_length_penalty_free_variant_dominates(cfg, ch, sec):
     assert finite.key_length < asym.key_length
 
 
-def test_rho_clamp_flagged():
-    # A near-zero normalized error drives the arccos argument far above one.
-    res = rho_classify(0.0101, 0.5, eta=0.0085, mu=0.55, e_d=1.3e-7, e0=0.01)
-    assert res.rho == 0.0
-    assert res.clamped
-    assert not res.degenerate
+def _angle_error(rho, beta):
+    """Distance between two angles on the circle."""
+    return abs((rho - beta + math.pi) % TWO_PI - math.pi)
 
 
-def test_rho_degenerate_when_error_at_floor():
-    res = rho_classify(0.01, 0.5, eta=0.0085, mu=0.55, e_d=1.3e-7, e0=0.01)
-    assert res.degenerate
-
-
-def test_rho_branch_rule():
-    # Recompute the arccos argument independently and check both branches.
-    def arg_of(e_xx, e_xy, eta, mu, e_d, e0):
-        e_hat = (e_xx - e0) / (1 - e0)
-        h_val = (1 - e_d) * (2 * e_hat - 1) + math.sqrt(
-            4 * math.exp(eta * mu) * e_xy * (1 - e_hat)
-            + (1 - e_d) ** 2 * (1 - 2 * e_hat) ** 2
-        )
-        raw = (2 / (eta * mu)) * math.log(h_val / (2 * e_hat)) - 1
-        return max(-1.0, min(1.0, raw))
-
-    params = dict(eta=0.4, mu=0.55, e_d=1e-6, e0=0.01)
-    first = rho_classify(0.4, 0.3, **params)
-    assert first.rho == pytest.approx(math.acos(arg_of(0.4, 0.3, **params)))
-    second = rho_classify(0.6, 0.3, **params)
-    assert second.rho == pytest.approx(TWO_PI - math.acos(arg_of(0.6, 0.3, **params)))
-
-
-def test_rho_monotone_over_half_turns(ch):
-    # Deterministic sweep of the analytic channel: the classifier must be
-    # nondecreasing on (0, pi), and nondecreasing on (pi, 2*pi) once the
-    # wrap value 0 is read as a full turn.
-    cfg = make_config(n_total=10**10)
-    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
-    first, second = [], []
-    n = 64
-    for i in range(1, n):
-        beta = TWO_PI * i / n
-        if abs(beta - math.pi) < 1e-9:
-            continue
-        res = classifier.classify(expected_tallies(cfg, ch, 50.0, beta=beta))
-        assert not res.degenerate
-        if beta < math.pi:
-            first.append(res.rho)
-        else:
-            second.append(res.rho if res.rho > 0.0 else TWO_PI)
-    assert all(a <= b + 1e-12 for a, b in zip(first, first[1:]))
-    assert all(a <= b + 1e-12 for a, b in zip(second, second[1:]))
+def test_rho_recovers_beta_over_a_sweep(ch):
+    # Analytic slices of 3e9 pulses over a 64-point sweep: the count-only
+    # estimate recovers every true angle at 50 and at 200 km, although it
+    # never sees the distance or the channel.
+    cfg = make_config(n_total=3 * 10**9)
+    classify = DriftClassifier().classify
+    for distance in (50.0, 200.0):
+        for i in range(64):
+            beta = TWO_PI * i / 64
+            res = classify(expected_tallies(cfg, ch, distance, beta=beta))
+            assert not res.degenerate
+            assert 0.0 <= res.rho < TWO_PI
+            assert _angle_error(res.rho, beta) <= 0.05, (distance, beta, res.rho)
 
 
 def test_rho_tracks_drift_trace_ground_truth(ch):
-    # Monte Carlo slices of a linear sweep: each slice's classifier output
-    # must match the analytic value for that slice's true angle, except for
-    # a few slices whose angle sits within noise of a decision boundary.
+    # Monte Carlo slices of a linear sweep, 2e8 pulses each: every slice's
+    # angle lies within 0.05 rad of the trace's true angle.
     cfg = make_config(n_total=48 * 2 * 10**8)
     trace = drift_beta(
         "linear", {"beta0": 0.0, "rate": TWO_PI}, 48,
         pulses_per_slice=cfg.n_total // 48,
     )
-    slices = sample_drifting_tallies(cfg, ch, 50.0, trace, seed=17)
-    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
-    mismatches = 0
-    for oracle, beta in zip(slices, trace.betas):
-        noisy = classifier.classify(oracle.observed())
-        from dataclasses import replace
-
-        per_slice = replace(cfg, n_total=trace.pulses_per_slice)
-        exact = classifier.classify(expected_tallies(per_slice, ch, 50.0, beta=beta))
-        if noisy.degenerate or abs(noisy.rho - exact.rho) > 1e-6:
-            mismatches += 1
-    assert mismatches <= 3, f"{mismatches} slices disagree with ground truth"
+    classify = DriftClassifier().classify
+    for seed in (17, 18, 19):
+        for oracle, beta in zip(sample_drifting_tallies(cfg, ch, 50.0, trace, seed), trace.betas):
+            res = classify(oracle.observed())
+            assert not res.degenerate
+            assert _angle_error(res.rho, beta) <= 0.05, (seed, beta, res.rho)
 
 
 def _analytic_slices(cfg, ch, distance, betas):
@@ -188,8 +155,7 @@ def test_grouping_conserves_counts(ch, sec):
     cfg = make_config(n_total=12 * 10**8)
     betas = [TWO_PI * i / 12 for i in range(12)]
     slices = _analytic_slices(cfg, ch, 50.0, betas)
-    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
-    grouped = group_slices(slices, 6, classifier)
+    grouped = group_slices(slices, 6)
     total = grouped.total_tallies()
     merged = slices[0]
     for extra in slices[1:]:
@@ -200,8 +166,7 @@ def test_grouping_conserves_counts(ch, sec):
 def test_constant_angle_splitting_never_gains(ch, sec):
     cfg = make_config(n_total=10**10)
     slices = _analytic_slices(cfg, ch, 50.0, [0.0] * 6)
-    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
-    grouped = group_and_extract(slices, 6, cfg, sec, classifier)
+    grouped = group_and_extract(slices, 6, cfg, sec)
     ungrouped = group_and_extract(slices, 1, cfg, sec)
     assert grouped.key_length <= ungrouped.key_length + 1e-9
 
@@ -209,8 +174,7 @@ def test_constant_angle_splitting_never_gains(ch, sec):
 def test_empty_groups_are_diagnosed(ch, sec):
     cfg = make_config(n_total=10**10)
     slices = _analytic_slices(cfg, ch, 50.0, [0.0] * 4)
-    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
-    result = group_and_extract(slices, 6, cfg, sec, classifier)
+    result = group_and_extract(slices, 6, cfg, sec)
     diags = [o.diagnostic for o in result.outcomes if o.diagnostic]
     assert "empty group" in diags
 
@@ -223,11 +187,6 @@ def test_insufficient_counts_diagnosed(sec, ch):
     result = group_and_extract([zero_tallies()], 1, cfg, sec)
     assert result.key_length == 0.0
     assert result.outcomes[0].diagnostic is not None
-
-
-def test_grouping_required_for_multi_group():
-    with pytest.raises(ValueError, match="classifier"):
-        group_slices([], 3, None)
 
 
 def test_analyze_report_identities(cfg, ch, sec):
@@ -272,7 +231,7 @@ def _uniform_tallies(count):
 )
 def test_grouping_beyond_the_budget_names_the_group(counts):
     with pytest.raises(TallyError) as info:
-        group_slices([_uniform_tallies(n) for n in counts], 1, None)
+        group_slices([_uniform_tallies(n) for n in counts], 1)
     assert str(info.value) == (
         f"group 0: cell (Z0,Z,mu): summed sent={sum(counts)} "
         f"exceeds the 64-bit count budget {2**62}"
@@ -280,15 +239,18 @@ def test_grouping_beyond_the_budget_names_the_group(counts):
 
 
 def test_grouping_up_to_the_budget_is_exact():
-    (bucket,) = group_slices([_uniform_tallies(2**61)] * 2, 1, None).buckets
+    (bucket,) = group_slices([_uniform_tallies(2**61)] * 2, 1).buckets
     assert bucket.tallies == _uniform_tallies(2**62)
     assert bucket.n_pulses == 12 * 2**62
 
 
-def test_overflow_group_beyond_the_budget(ch, cfg):
-    # no errors in any cell: every slice is degenerate and lands in overflow
-    big = ObservedTallies({key: CellCount(2**61 + 1, 1, 0) for key in ALL_CELLS})
-    classifier = DriftClassifier.from_channel(ch, cfg, 50.0)
-    assert classifier.classify(big).degenerate
+def test_overflow_group_beyond_the_budget():
+    # no X0 or Y0 signal detections in X: every slice is degenerate and
+    # lands in overflow
+    cells = {key: CellCount(2**61 + 1, 1, 0) for key in ALL_CELLS}
+    for state in (StateLabel.X0, StateLabel.Y0):
+        cells[(state, BasisLabel.X, IntensityKind.MU)] = CellCount(2**61 + 1, 0, 0)
+    big = ObservedTallies(cells)
+    assert DriftClassifier().classify(big).degenerate
     with pytest.raises(TallyError, match=r"^group overflow: cell \(Z0,Z,mu\)"):
-        group_slices([big] * 3, 6, classifier)
+        group_slices([big] * 3, 6)

@@ -6,12 +6,12 @@ each slice from its X0 and Y0 signal cells and takes a group's pulse count
 from the sent column of each (state, intensity) pair.
 """
 import io
+import math
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import ChannelParams, ProtocolConfig
 from rfiqkd.cli import read_tally_csv, write_tally_csv
 from rfiqkd.core import (
     ALL_CELLS,
@@ -27,15 +27,8 @@ from rfiqkd.core import (
     StateLabel,
     TallyError,
 )
-from rfiqkd.keyrate import (
-    DriftClassifier,
-    RhoResult,
-    group_slices,
-    rho_classify,
-    total_pulses,
-)
+from rfiqkd.keyrate import group_slices, total_pulses
 
-CLASSIFIER = DriftClassifier.from_channel(ChannelParams(), ProtocolConfig(), 50.0)
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -79,15 +72,14 @@ def ref_class_sums(cells, states, basis, field):
     return tuple(sum(getattr(cells[(s, basis, k)], field) for s in states) for k in KINDS)
 
 
-def ref_classify(cells):
+def ref_angle(cells):
+    """atan2(1 - 2 e_Y0X, 1 - 2 e_X0X) in [0, 2*pi), or None without detections."""
     xx = cells[(StateLabel.X0, BasisLabel.X, IntensityKind.MU)]
     yx = cells[(StateLabel.Y0, BasisLabel.X, IntensityKind.MU)]
     if xx.detected == 0 or yx.detected == 0:
-        return RhoResult(0.0, degenerate=True)
-    c = CLASSIFIER
-    return rho_classify(
-        xx.errors / xx.detected, yx.errors / yx.detected, c.eta, c.mu, c.e_d, c.e0
-    )
+        return None
+    angle = math.atan2(1 - 2 * yx.errors / yx.detected, 1 - 2 * xx.errors / xx.detected)
+    return angle % TWO_PI
 
 
 def ref_pulses(cells):
@@ -106,11 +98,11 @@ def ref_group_slices(slices, m_groups):
         if m_groups == 1:
             idx = 0
         else:
-            result = ref_classify(cells)
-            if result.degenerate:
+            angle = ref_angle(cells)
+            if angle is None:
                 overflow, overflow_count = ref_add(overflow, cells), overflow_count + 1
                 continue
-            idx = min(int(result.rho / width), m_groups - 1)
+            idx = min(int(angle / width), m_groups - 1)
         acc[idx] = ref_add(acc[idx], cells)
         counts[idx] += 1
     buckets = [
@@ -156,7 +148,7 @@ def test_addition_and_equality_match_reference(a, b):
 @SETTINGS
 @given(slice_lists(), st.integers(1, 6))
 def test_grouping_matches_reference(slices, m_groups):
-    grouped = group_slices([ObservedTallies(cells) for cells in slices], m_groups, CLASSIFIER)
+    grouped = group_slices([ObservedTallies(cells) for cells in slices], m_groups)
     got = [
         (b.index, b.rho_low, b.rho_high, dict(b.tallies.cells), b.n_slices, b.n_pulses)
         for b in grouped.buckets
@@ -176,9 +168,9 @@ def test_grouping_near_the_budget_matches_reference(slices, m_groups):
     event(f"beyond the budget: {exceeds_budget(expected)}")
     if exceeds_budget(expected):
         with pytest.raises(TallyError):
-            group_slices(tallies, m_groups, CLASSIFIER)
+            group_slices(tallies, m_groups)
         return
-    got = group_slices(tallies, m_groups, CLASSIFIER)
+    got = group_slices(tallies, m_groups)
     assert [(dict(b.tallies.cells), b.n_pulses) for b in got.buckets] == [
         (b[3], b[5]) for b in expected
     ]
