@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfiqkd.channel import (
     cell_expectation,
@@ -8,7 +11,14 @@ from rfiqkd.channel import (
     misalignment_error,
     transmittance,
 )
-from rfiqkd.core import BasisLabel, ChannelParams, IntensityKind, StateLabel
+from rfiqkd.core import (
+    ALL_CELLS,
+    TWO_PI,
+    BasisLabel,
+    ChannelParams,
+    IntensityKind,
+    StateLabel,
+)
 from rfiqkd.security import c1_c2_point
 
 from conftest import make_config
@@ -130,3 +140,86 @@ def test_rotation_invariance_of_ideal_statistic(e0):
         assert c1 == pytest.approx((1 - 2 * e0) * math.cos(beta), abs=1e-12)
         assert c2 == pytest.approx((1 - 2 * e0) * math.sin(beta), abs=1e-12)
         assert math.hypot(c1, c2) == pytest.approx(1 - 2 * e0, abs=1e-12)
+
+
+# -- the channel against the per-cell formula, bit for bit ------------------
+
+
+def reference_cell(state, basis, k, distance, ch, beta):
+    """Gain and error rate of one cell by the per-cell formula, in ``math``."""
+    path_db = ch.eta_z_db if basis is BasisLabel.Z else ch.eta_xy_db
+    eta = 10.0 ** (-(ch.alpha_db_per_km * distance + path_db) / 10.0) * ch.eta_det
+    if basis is BasisLabel.Z:
+        e_mis = ch.e0 if state in (StateLabel.Z0, StateLabel.Z1) else 0.5
+    elif state is StateLabel.X0:
+        e_mis = (1.0 - (1.0 - 2.0 * ch.e0) * math.cos(beta)) / 2.0
+    elif state is StateLabel.Y0:
+        e_mis = (1.0 - (1.0 - 2.0 * ch.e0) * math.sin(beta)) / 2.0
+    else:
+        e_mis = 0.5
+    absorbed = math.exp(-eta * k.mean_photons)
+    gain = 1.0 - (1.0 - ch.e_d) * absorbed
+    error = ch.e_d / 2.0 + e_mis * (1.0 - absorbed)
+    if gain <= 0.0:
+        return 0.0, 0.5
+    return gain, min(error / gain, 1.0)
+
+
+def reference_counts(cfg, ch, distance, beta):
+    """The (24, 3) expected counts of one point, cell by cell."""
+    rows = []
+    for state, basis, kind in ALL_CELLS:
+        k = cfg.intensity(kind)
+        gain, qber = reference_cell(state, basis, k, distance, ch, beta)
+        sent = cfg.n_total * cfg.state_probability(state) * k.probability
+        detected = sent * cfg.basis_probability(basis) * gain
+        errors = detected * qber
+        sent_i = round(sent)
+        det_i = min(round(detected), sent_i)
+        rows.append((sent_i, det_i, min(round(errors), det_i)))
+    return np.array(rows, dtype=np.int64)
+
+
+@st.composite
+def channel_points(draw):
+    """A block size, a channel and a few (distance, angle) points."""
+    ch = ChannelParams(
+        e0=draw(st.sampled_from([0.0, 0.5])),
+        e_d=draw(st.sampled_from([0.0, 1.3e-7]) | st.floats(0.0, 1e-3)),
+    )
+    cfg = make_config(n_total=draw(st.integers(1, 2**62)))
+    points = draw(
+        st.lists(
+            st.tuples(st.floats(0.0, 1e4), st.floats(0.0, TWO_PI, exclude_max=True)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return cfg, ch, points
+
+
+def channel_tables(cfg, ch, points):
+    return [expected_tallies(cfg, ch, distance, beta=beta) for distance, beta in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_points())
+def test_expected_tallies_match_the_per_cell_formula(inputs):
+    cfg, ch, points = inputs
+    tables = channel_tables(cfg, ch, points)
+    assert len(tables) == len(points)
+    for table, (distance, beta) in zip(tables, points):
+        assert np.array_equal(table.counts, reference_counts(cfg, ch, distance, beta))
+        for state, basis, kind in ALL_CELLS:
+            k = cfg.intensity(kind)
+            cell = cell_expectation(state, basis, k, distance, ch, beta=beta)
+            assert (cell.gain, cell.qber) == reference_cell(state, basis, k, distance, ch, beta)
+
+
+def test_zero_gain_vacuum_cell_takes_the_half_error_rate():
+    cfg, ch = make_config(n_total=10**12), ChannelParams(e_d=0.0)
+    vacuum = cfg.intensity(IntensityKind.OMEGA)
+    cell = cell_expectation(StateLabel.X0, BasisLabel.X, vacuum, 10.0, ch)
+    assert (cell.gain, cell.qber) == (0.0, 0.5)
+    (table,) = channel_tables(cfg, ch, [(10.0, 0.3)])
+    assert np.array_equal(table.counts, reference_counts(cfg, ch, 10.0, 0.3))
