@@ -57,7 +57,7 @@ def _class_counts(
     detected = []
     errors = []
     for k in cfg.intensities:
-        gain, error = pulse_probabilities(eta, k.mean_photons, e_mis, ch.e_d)
+        gain, error = pulse_probabilities(math.exp(-eta * k.mean_photons), e_mis, ch.e_d)
         n = round(cfg.n_total * alice_prob * k.probability * bob_prob * gain)
         m = min(round(cfg.n_total * alice_prob * k.probability * bob_prob * error), n)
         detected.append(float(n))

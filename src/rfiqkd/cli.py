@@ -458,11 +458,14 @@ def _raise_count_error(raws: list[str], lineno: int) -> None:
 # shared runner pieces
 
 
-def _block(mode, cfg, ch, distance: float, seed: int) -> ObservedTallies:
-    """One block of tallies: the analytic expectation or a Monte Carlo draw."""
+_CHUNK = 512  # scan points whose tallies are held at once
+
+
+def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int) -> list[ObservedTallies]:
+    """Tallies per distance: analytic, or drawn from stream ``seed + i`` at distance ``i``."""
     if mode == "analytic":
-        return expected_tallies(cfg, ch, distance)
-    return sample_tallies(cfg, ch, distance, seed).observed()
+        return expected_tallies(cfg, ch, distances)
+    return [sample_tallies(cfg, ch, d, seed + i).observed() for i, d in enumerate(distances)]
 
 
 def _make_slices(
@@ -472,7 +475,7 @@ def _make_slices(
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
-        return [_block(mode, cfg, ch, distance, seed)]
+        return _blocks(mode, cfg, ch, [distance], seed)
     if cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
@@ -488,9 +491,7 @@ def _make_slices(
     )
     if mode == "analytic":
         slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-        return [
-            expected_tallies(slice_cfg, ch, distance, beta=beta) for beta in trace.betas
-        ]
+        return expected_tallies(slice_cfg, ch, [distance] * n_slices, trace.betas)
     return [
         oracle.observed()
         for oracle in sample_drifting_tallies(cfg, ch, distance, trace, seed)
@@ -511,22 +512,24 @@ def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
-def _grid(run: RunConfig, cfg: ProtocolConfig) -> Iterator[tuple[ProtocolConfig, int, float]]:
-    """Every (block size, distance) point of a scan, with the distance's index.
+def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, float, ObservedTallies]]:
+    """Every (block size, distance) point of a scan with its block of tallies,
+    made ``_CHUNK`` points at a time.
 
     The block sizes are ``n_values``, or ``n_total`` when that is empty. In
     Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``.
     """
-    start = float(run["scan_min_km"])
-    stop = float(run["scan_max_km"])
-    step = float(run["scan_step_km"])
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    distances = [start + i * step for i in range(max(count, 0))]
-    distances = [value for value in distances if value <= stop + 1e-9]
+    start, stop, step = (float(run[key]) for key in ("scan_min_km", "scan_max_km", "scan_step_km"))
+    steps = (stop - start) / step  # main rejects an infinite count
+    count = int(math.floor(steps + 1e-9)) + 1 if steps > -1.0 else 0
     for n_total in run["n_values"] or (cfg.n_total,):
         cfg_n = replace(cfg, n_total=n_total)
-        for index, distance in enumerate(distances):
-            yield cfg_n, index, distance
+        for first in range(0, count, _CHUNK):
+            distances = [start + i * step for i in range(first, min(first + _CHUNK, count))]
+            distances = [value for value in distances if value <= stop + 1e-9]
+            blocks = _blocks(mode, cfg_n, ch, distances, int(run["seed"]) + first)
+            for distance, block in zip(distances, blocks):
+                yield cfg_n, distance, block
 
 
 def _flags_of(flags: Mapping[str, float]) -> str:
@@ -596,8 +599,7 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Key rate versus distance as CSV."""
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
-    for cfg_n, index, distance in _grid(run, cfg):
-        block = _block(run["mode"], cfg_n, ch, distance, int(run["seed"]) + index)
+    for cfg_n, distance, block in _grid(run, cfg, ch, run["mode"]):
         result = analyze_tallies(
             block, cfg_n, sec,
             n_zz_all_intensities=bool(run["n_zz_all_intensities"]),
@@ -620,9 +622,9 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     }
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
-    for cfg_n, _, distance in _grid(run, cfg):
+    for cfg_n, distance, block in _grid(run, cfg, ch, "analytic"):
         four = analyze_tallies(
-            expected_tallies(cfg_n, ch, distance), cfg_n, sec,
+            block, cfg_n, sec,
             n_zz_all_intensities=bool(run["n_zz_all_intensities"]), **options,
         )
         results = [(baselines.FOUR_STATE, four, four.c44_lower, four.intermediate)]
@@ -737,6 +739,9 @@ def main(
             f"{key}: {need}, got {run[key]}"
             for key, (ok, need) in _RANGES.items() if not ok(run[key])
         ])
+        lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
+        if not problems and (hi - lo) / step == math.inf:  # the scan grid's point count
+            problems = [f"scan_step_km: {step} km steps over [{lo}, {hi}] km are too many to count"]
         for problem in problems:
             print(f"config error: {problem}", file=err)
         if problems:

@@ -168,6 +168,9 @@ _PAIR_ROWS = tuple(
     for state in STATES
     for kind in KINDS
 )
+# [basis][state], by position in BASES and STATES: the rows of its (mu, nu, omega)
+# cells. tuple.index finds a member by identity, so class sums hash no enum.
+_STATE_ROWS = tuple(tuple(tuple(CELL_INDEX[s, b, k] for k in KINDS) for s in STATES) for b in BASES)
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,11 @@ class ObservedTallies:
     def _class_sums(
         self, states: Iterable[StateLabel], basis: BasisLabel, field: int
     ) -> tuple[int, int, int]:
-        states = tuple(states)
         column = self.counts[:, field].tolist()  # Python ints: the sums cannot wrap
+        by_state = _STATE_ROWS[BASES.index(basis)]
+        rows = [by_state[STATES.index(s)] for s in states]
         return tuple(  # type: ignore[return-value]
-            sum(column[CELL_INDEX[(s, basis, k)]] for s in states) for k in KINDS
+            sum(column[cells[i]] for cells in rows) for i in range(len(KINDS))
         )
 
     def class_detected(

@@ -2,9 +2,9 @@
 
 All estimators work on the counts of one event class (for example "Z states
 detected in the Z basis") split by source intensity. Statistical
-fluctuations of each observed count are absorbed first, then the
-closed-form vacuum / single-photon expressions are evaluated with the
-worst-case ends of those intervals.
+fluctuations of each observed count are absorbed first, into one interval
+per count, then the closed-form vacuum / single-photon expressions are
+evaluated with the worst-case ends of those intervals.
 """
 from __future__ import annotations
 
@@ -122,27 +122,19 @@ def _worst_case(
 
 
 def vacuum_bound(
-    counts: tuple[float, float, float],
+    detected: tuple[BoundedCount, BoundedCount, BoundedCount],
     intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    eps: float | None,
-    total: float | None = None,
-    literal_upper: bool = False,
 ) -> BoundedCount:
     """Bounds on the number of detections caused by vacuum pulses.
 
-    ``counts`` are the detections of one event class at (signal, decoy,
-    vacuum) intensity. The result is clamped to [0, total detections].
+    ``detected`` holds the intervals of one event class's detections at (signal,
+    decoy, vacuum) intensity. The result is clamped to [0, total detections].
     """
     mu_s, nu_s, om_s = intensities
     nu, om = nu_s.mean_photons, om_s.mean_photons
     if not nu > om:
         raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
-    n_mu, n_nu, n_om = counts
-    if total is None:
-        total = n_mu + n_nu + n_om
-
-    iv_nu = fluctuation_interval(n_nu, eps, literal_upper)
-    iv_om = fluctuation_interval(n_om, eps, literal_upper)
+    iv_mu, iv_nu, iv_om = detected
     t0 = tau(0, intensities)
     coef = t0 / (nu - om)
 
@@ -152,16 +144,14 @@ def vacuum_bound(
             - om * exp(nu) * n_nu_star / nu_s.probability
         )
 
+    total = iv_mu.point + iv_nu.point + iv_om.point
     return _worst_case("vacuum count", estimate, (iv_om,), (iv_nu,), total)
 
 
 def single_photon_bound(
-    counts: tuple[float, float, float],
+    detected: tuple[BoundedCount, BoundedCount, BoundedCount],
     s0: BoundedCount,
     intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    eps: float | None,
-    total: float | None = None,
-    literal_upper: bool = False,
 ) -> BoundedCount:
     """Bounds on the number of detections caused by single-photon pulses."""
     mu_s, nu_s, om_s = intensities
@@ -171,13 +161,7 @@ def single_photon_bound(
         raise DecoyPreconditionError(
             f"need mu*(nu-omega) > nu^2-omega^2, got mu={mu} nu={nu} omega={om}"
         )
-    n_mu, n_nu, n_om = counts
-    if total is None:
-        total = n_mu + n_nu + n_om
-
-    iv_mu = fluctuation_interval(n_mu, eps, literal_upper)
-    iv_nu = fluctuation_interval(n_nu, eps, literal_upper)
-    iv_om = fluctuation_interval(n_om, eps, literal_upper)
+    iv_mu, iv_nu, iv_om = detected
     t0 = tau(0, intensities)
     t1 = tau(1, intensities)
     coef = mu * t1 / denom
@@ -190,33 +174,27 @@ def single_photon_bound(
             + ratio * (s0_star / t0 - exp(mu) * n_mu_star / mu_s.probability)
         )
 
+    total = iv_mu.point + iv_nu.point + iv_om.point
     return _worst_case(
         "single-photon count", estimate, (iv_nu, s0), (iv_om, iv_mu), total
     )
 
 
 def error_count_bound(
-    error_counts: tuple[float, float, float],
+    errors: tuple[BoundedCount, BoundedCount],
     intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    eps: float | None,
-    cap: float | None = None,
-    literal_upper: bool = False,
+    cap: float,
 ) -> BoundedCount:
     """Bounds on the number of single-photon errors of one event class.
 
-    ``cap`` is the physical ceiling (total observed errors of the class by
-    default; single-photon errors cannot exceed it).
+    ``errors`` holds the intervals of its errors at decoy and vacuum intensity;
+    ``cap``, its total observed errors, is the physical ceiling.
     """
     mu_s, nu_s, om_s = intensities
     nu, om = nu_s.mean_photons, om_s.mean_photons
     if not nu > om:
         raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
-    m_mu, m_nu, m_om = error_counts
-    if cap is None:
-        cap = m_mu + m_nu + m_om
-
-    iv_nu = fluctuation_interval(m_nu, eps, literal_upper)
-    iv_om = fluctuation_interval(m_om, eps, literal_upper)
+    iv_nu, iv_om = errors
     t1 = tau(1, intensities)
     coef = t1 / (nu - om)
 
@@ -270,9 +248,9 @@ def yield_bounds(
     literal_upper: bool = False,
 ) -> tuple[BoundedCount, BoundedCount]:
     """Vacuum and single-photon detection bounds of one event class."""
-    s0 = vacuum_bound(detected, intensities, eps, literal_upper=literal_upper)
-    s1 = single_photon_bound(detected, s0, intensities, eps, literal_upper=literal_upper)
-    return s0, s1
+    intervals = tuple(fluctuation_interval(n, eps, literal_upper) for n in detected)
+    s0 = vacuum_bound(intervals, intensities)
+    return s0, single_photon_bound(intervals, s0, intensities)
 
 
 def class_bounds(
@@ -282,7 +260,10 @@ def class_bounds(
     eps: float | None,
     literal_upper: bool = False,
 ) -> ClassBounds:
-    """The full chain: vacuum, single-photon, error count, then error rate."""
+    """The full chain: vacuum, single-photon, error count, then error rate.
+    The error count at signal intensity enters only the cap: it gets no interval."""
     s0, s1 = yield_bounds(detected, intensities, eps, literal_upper)
-    t = error_count_bound(errors, intensities, eps, literal_upper=literal_upper)
+    m_mu, m_nu, m_om = errors
+    intervals = tuple(fluctuation_interval(m, eps, literal_upper) for m in (m_nu, m_om))
+    t = error_count_bound(intervals, intensities, m_mu + m_nu + m_om)
     return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))

@@ -12,14 +12,14 @@ from conftest import make_config
 def test_six_four_tracks_four_state(ch, sec):
     cfg = make_config(n_total=10**13)
     for distance in (50.0, 120.0, 200.0):
-        main = analyze_tallies(expected_tallies(cfg, ch, distance), cfg, sec)
+        main = analyze_tallies(expected_tallies(cfg, ch, [distance])[0], cfg, sec)
         base = run_six_four(cfg, ch, sec, distance)
         assert base.key_rate == pytest.approx(main.key_rate, rel=0.05)
 
 
 def test_six_state_same_order_of_magnitude(cfg, ch, sec):
     for distance in (50.0, 150.0):
-        main = analyze_tallies(expected_tallies(cfg, ch, distance), cfg, sec)
+        main = analyze_tallies(expected_tallies(cfg, ch, [distance])[0], cfg, sec)
         base = run_six_state(cfg, ch, sec, distance)
         assert main.key_rate > 0 and base.key_rate > 0
         assert 0.5 <= base.key_rate / main.key_rate <= 2.0
@@ -40,7 +40,7 @@ def test_lossless_noiseless_sifting_limits(sec):
 
     tau1 = tau(1, cfg.intensities)
     main = analyze_tallies(
-        expected_tallies(cfg, ideal, 0.0), cfg, sec,
+        expected_tallies(cfg, ideal, [0.0])[0], cfg, sec,
         asymptotic=True,
     )
     sifting = cfg.p_z_alice * cfg.p_z_bob
@@ -61,7 +61,7 @@ def test_baselines_survive_fixed_rotation(cfg, ch, sec):
     rotated = replace(ch, beta=math.pi / 3)
     assert run_six_four(cfg, rotated, sec, 100.0).key_rate > 0.0
     assert run_six_state(cfg, rotated, sec, 100.0).key_rate > 0.0
-    main = analyze_tallies(expected_tallies(cfg, rotated, 100.0), cfg, sec)
+    main = analyze_tallies(expected_tallies(cfg, rotated, [100.0])[0], cfg, sec)
     assert main.key_rate > 0.0
 
 
@@ -69,5 +69,5 @@ def test_six_state_receiver_split_reduces_key_data(cfg, ch, sec):
     # The six-state receiver keeps the same Z fraction (0.5), so its sifted
     # size matches; its X data is a quarter per preparation basis.
     base = run_six_state(cfg, ch, sec, 80.0)
-    main = analyze_tallies(expected_tallies(cfg, ch, 80.0), cfg, sec)
+    main = analyze_tallies(expected_tallies(cfg, ch, [80.0])[0], cfg, sec)
     assert base.n_zz == pytest.approx(main.n_zz, rel=0.01)

@@ -79,13 +79,13 @@ def test_x_basis_qber_at_200km(cfg, ch):
 
 def test_expected_tallies_zero_block(ch):
     cfg = make_config(n_total=0)
-    tallies = expected_tallies(cfg, ch, 50.0)
+    tallies = expected_tallies(cfg, ch, [50.0])[0]
     assert all(c.sent == c.detected == c.errors == 0 for c in tallies.cells.values())
 
 
 def test_expected_tallies_linear_in_block_size(ch):
-    small = expected_tallies(make_config(n_total=10**9), ch, 50.0)
-    big = expected_tallies(make_config(n_total=2 * 10**9), ch, 50.0)
+    small = expected_tallies(make_config(n_total=10**9), ch, [50.0])[0]
+    big = expected_tallies(make_config(n_total=2 * 10**9), ch, [50.0])[0]
     for key, cell in small.cells.items():
         assert big.cells[key].detected == pytest.approx(2 * cell.detected, abs=1.0)
         assert big.cells[key].errors == pytest.approx(2 * cell.errors, abs=1.0)
@@ -199,7 +199,7 @@ def channel_points(draw):
 
 
 def channel_tables(cfg, ch, points):
-    return [expected_tallies(cfg, ch, distance, beta=beta) for distance, beta in points]
+    return expected_tallies(cfg, ch, [d for d, _ in points], [b for _, b in points])
 
 
 @settings(max_examples=300, deadline=None)

@@ -116,6 +116,19 @@ def test_slice_count_and_drift_period_must_be_positive(tmp_path, lines, message)
         assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["scan", "compare"])
+def test_grid_with_an_infinite_point_count_is_rejected(tmp_path, command):
+    config = tmp_path / "grid.cfg"
+    config.write_text("scan_max_km = 1e308\nscan_step_km = 1e-300\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == (
+        "config error: scan_step_km: 1e-300 km steps over [0.0, 1e+308] km "
+        "are too many to count\n"
+    )
+
+
 def test_show_defaults_provenance():
     code, out, _ = run_cli(["point", "--show-defaults"])
     assert code == cli.EXIT_OK

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import intensity_triple
+from rfiqkd import decoy, intensity_triple
+from rfiqkd.baselines import run_six_four, run_six_state
+from rfiqkd.channel import expected_tallies
+from rfiqkd.core import BasisLabel, StateLabel
 from rfiqkd.decoy import (
     BoundedCount,
     DecoyPreconditionError,
@@ -18,9 +21,15 @@ from rfiqkd.decoy import (
     tau,
     vacuum_bound,
 )
+from rfiqkd.keyrate import analyze_tallies
 
 TABLE = intensity_triple(0.55, 0.28, 0.0, 0.54, 0.36, 0.10)
 EPS = 1e-10
+
+
+def intervals(counts, eps=EPS):
+    """One fluctuation interval per observed count."""
+    return tuple(fluctuation_interval(count, eps) for count in counts)
 
 
 def test_tau0_baseline_intensities():
@@ -94,7 +103,7 @@ def test_fluctuation_coverage_binomial():
 def test_vacuum_bound_omega_zero_collapse():
     # With a true vacuum setting the bound reduces to tau0 * n_omega / p_omega.
     counts = (5000.0, 2000.0, 100.0)
-    res = vacuum_bound(counts, TABLE, EPS)
+    res = vacuum_bound(intervals(counts), TABLE)
     t0 = tau(0, TABLE)
     lo_expected = t0 * fluctuation_interval(100.0, EPS).lower / 0.10
     up_expected = t0 * fluctuation_interval(100.0, EPS).upper / 0.10
@@ -104,19 +113,19 @@ def test_vacuum_bound_omega_zero_collapse():
 
 
 def test_vacuum_bound_no_dark_counts():
-    res = vacuum_bound((5000.0, 2000.0, 0.0), TABLE, EPS)
+    res = vacuum_bound(intervals((5000.0, 2000.0, 0.0)), TABLE)
     assert res.lower == 0.0
 
 
 def test_vacuum_bound_requires_nu_above_omega():
     flat = intensity_triple(0.55, 0.2, 0.2, 0.54, 0.36, 0.10)
     with pytest.raises(DecoyPreconditionError):
-        vacuum_bound((1.0, 1.0, 1.0), flat, EPS)
+        vacuum_bound(intervals((1.0, 1.0, 1.0)), flat)
 
 
 def test_single_photon_bound_zero_counts():
-    s0 = vacuum_bound((0.0, 0.0, 0.0), TABLE, EPS)
-    res = single_photon_bound((0.0, 0.0, 0.0), s0, TABLE, EPS)
+    s0 = vacuum_bound(intervals((0.0, 0.0, 0.0)), TABLE)
+    res = single_photon_bound(intervals((0.0, 0.0, 0.0)), s0, TABLE)
     assert res.lower == 0.0
 
 
@@ -125,7 +134,7 @@ def test_single_photon_bound_precondition():
     tight = intensity_triple(0.3, 0.28, 0.05, 0.54, 0.36, 0.10)
     s0 = BoundedCount(0.0, 0.0, 0.0)
     with pytest.raises(DecoyPreconditionError):
-        single_photon_bound((1.0, 1.0, 1.0), s0, tight, EPS)
+        single_photon_bound(intervals((1.0, 1.0, 1.0)), s0, tight)
 
 
 def test_single_photon_scale_at_operating_point(ch):
@@ -141,20 +150,20 @@ def test_single_photon_scale_at_operating_point(ch):
     for k in TABLE:
         gain = 1 - (1 - ch.e_d) * math.exp(-eta * k.mean_photons)
         counts.append(n_total * 0.77 * k.probability * gain)
-    s0 = vacuum_bound(tuple(counts), TABLE, EPS)
-    s1 = single_photon_bound(tuple(counts), s0, TABLE, EPS)
+    s0 = vacuum_bound(intervals(counts), TABLE)
+    s1 = single_photon_bound(intervals(counts), s0, TABLE)
     assert 3.3e7 / 2 <= s1.lower <= 3.3e7 * 2
 
 
 def test_error_count_bound_zero_errors():
-    res = error_count_bound((0.0, 0.0, 0.0), TABLE, EPS, cap=1e9)
+    res = error_count_bound(intervals((0.0, 0.0)), TABLE, cap=1e9)
     assert res.lower == 0.0
     assert 0.0 < res.upper < 1e4  # only fluctuation terms remain
 
 
 def test_error_count_bound_bar_swap_symmetry():
     counts = (4000.0, 900.0, 40.0)
-    res = error_count_bound(counts, TABLE, EPS, cap=1e9)
+    res = error_count_bound(intervals(counts[1:]), TABLE, cap=1e9)
     t1 = tau(1, TABLE)
     iv_nu = fluctuation_interval(900.0, EPS)
     iv_om = fluctuation_interval(40.0, EPS)
@@ -193,21 +202,21 @@ def test_bounds_scale_consistency():
     # Ten times the data shrinks the per-pulse interval width.
     counts = (50_000.0, 18_000.0, 900.0)
     scaled = tuple(10 * c for c in counts)
-    s0_a = vacuum_bound(counts, TABLE, EPS)
-    s0_b = vacuum_bound(scaled, TABLE, EPS)
-    s1_a = single_photon_bound(counts, s0_a, TABLE, EPS)
-    s1_b = single_photon_bound(scaled, s0_b, TABLE, EPS)
+    s0_a = vacuum_bound(intervals(counts), TABLE)
+    s0_b = vacuum_bound(intervals(scaled), TABLE)
+    s1_a = single_photon_bound(intervals(counts), s0_a, TABLE)
+    s1_b = single_photon_bound(intervals(scaled), s0_b, TABLE)
     assert s1_b.width / 10 < s1_a.width
     assert s0_b.width / 10 < s0_a.width
 
 
 def test_disabled_fluctuations_give_point_estimates():
     counts = (50_000.0, 18_000.0, 900.0)
-    s0 = vacuum_bound(counts, TABLE, None)
+    s0 = vacuum_bound(intervals(counts, None), TABLE)
     assert s0.lower == s0.point == s0.upper
-    s1 = single_photon_bound(counts, s0, TABLE, None)
+    s1 = single_photon_bound(intervals(counts, None), s0, TABLE)
     assert s1.lower == s1.point == s1.upper
-    t = error_count_bound((500.0, 180.0, 4.0), TABLE, None, cap=1e9)
+    t = error_count_bound(intervals((180.0, 4.0), None), TABLE, cap=1e9)
     assert t.lower == t.point == t.upper
 
 
@@ -255,7 +264,7 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
     total = sum(counts)
 
     # S0 = tau0 / (nu - om) * (nu e^om N_om / p_om - om e^nu N_nu / p_nu)
-    s0 = vacuum_bound(counts, table, EPS)
+    s0 = vacuum_bound((iv_mu, iv_nu, iv_om), table)
     assert_extremes(
         s0,
         [
@@ -268,7 +277,7 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
 
     # S1 = mu tau1 / (mu (nu - om) - (nu^2 - om^2)) * (e^nu N_nu / p_nu
     #      - e^om N_om / p_om + (nu^2 - om^2) / mu^2 * (S0 / tau0 - e^mu N_mu / p_mu))
-    s1 = single_photon_bound(counts, s0, table, EPS)
+    s1 = single_photon_bound((iv_mu, iv_nu, iv_om), s0, table)
     a = mu * t1 / (mu * (nu - om) - (nu**2 - om**2))
     b = (nu**2 - om**2) / mu**2
     assert_extremes(
@@ -284,8 +293,8 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
     )
 
     # T1 = tau1 / (nu - om) * (e^nu M_nu / p_nu - e^om M_om / p_om)
-    t = error_count_bound(errors, table, EPS)
     er_nu, er_om = fluctuation_interval(errors[1], EPS), fluctuation_interval(errors[2], EPS)
+    t = error_count_bound((er_nu, er_om), table, sum(errors))
     assert_extremes(
         t,
         [
@@ -295,3 +304,62 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
         ],
         sum(errors),
     )
+
+
+# -- one fluctuation interval per observed count -----------------------------
+
+
+def spy_on_intervals(monkeypatch):
+    """Record the count of every interval built, and the intervals that the
+    vacuum and single-photon bounds of each class read."""
+    made, read = [], []
+
+    def wrap(name, log, entry):
+        original = getattr(decoy, name)
+
+        def spy(*args, **kwargs):
+            log.append(entry(args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decoy, name, spy)
+
+    wrap("fluctuation_interval", made, lambda args: args[0])
+    wrap("vacuum_bound", read, lambda args: ("s0", args[0]))
+    wrap("single_photon_bound", read, lambda args: ("s1", args[0]))
+    return made, read
+
+
+def at_200km(cfg, ch):
+    return expected_tallies(cfg, ch, [200.0])[0]
+
+
+RUNNERS = {
+    "analyze_tallies": (lambda cfg, ch, sec: analyze_tallies(at_200km(cfg, ch), cfg, sec), 23),
+    "run_six_four": (lambda cfg, ch, sec: run_six_four(cfg, ch, sec, 200.0), 13),
+    "run_six_state": (lambda cfg, ch, sec: run_six_state(cfg, ch, sec, 200.0), 23),
+}
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_each_observed_count_gets_one_interval(monkeypatch, cfg, ch, sec, runner):
+    run, count = RUNNERS[runner]
+    made, read = spy_on_intervals(monkeypatch)
+    run(cfg, ch, sec)
+    # three detection counts and two error counts per class, the key class
+    # without its errors
+    assert len(made) == count
+    # a class's single-photon bound reads the very intervals of its vacuum bound
+    assert [tag for tag, _ in read] == ["s0", "s1"] * (len(read) // 2)
+    for (_, vacuum), (_, single) in zip(read[::2], read[1::2]):
+        assert all(a is b for a, b in zip(vacuum, single))
+
+
+def test_intervals_follow_the_observed_counts(monkeypatch, cfg, ch, sec):
+    tallies = at_200km(cfg, ch)
+    made, _ = spy_on_intervals(monkeypatch)
+    analyze_tallies(tallies, cfg, sec)
+    observed = list(tallies.class_detected((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z))
+    for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0):
+        observed += tallies.class_detected((state,), BasisLabel.X)
+        observed += tallies.class_errors((state,), BasisLabel.X)[1:]
+    assert made == observed

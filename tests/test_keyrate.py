@@ -67,7 +67,7 @@ def test_key_length_reported_operating_point(cfg, ch, sec):
     # error 0.77 percent, 3e12 pulses; vacuum bound and sifted-key size come
     # from the analytic channel model at 200 km. The reported rate is
     # 3.04e-6; the model reproduces it within a factor of three.
-    report = analyze_tallies(expected_tallies(cfg, ch, 200.0), cfg, sec)
+    report = analyze_tallies(expected_tallies(cfg, ch, [200.0])[0], cfg, sec)
     kl = key_length(
         report.s0_zz_lower,
         3.3e7,
@@ -90,7 +90,7 @@ def test_key_length_monotonicity(sec):
 
 
 def test_key_length_penalty_free_variant_dominates(cfg, ch, sec):
-    tallies = expected_tallies(cfg, ch, 150.0)
+    tallies = expected_tallies(cfg, ch, [150.0])[0]
     finite = analyze_tallies(tallies, cfg, sec)
     asym = analyze_tallies(tallies, cfg, sec, asymptotic=True)
     assert finite.key_length < asym.key_length
@@ -110,7 +110,7 @@ def test_rho_recovers_beta_over_a_sweep(ch):
     for distance in (50.0, 200.0):
         for i in range(64):
             beta = TWO_PI * i / 64
-            res = classify(expected_tallies(cfg, ch, distance, beta=beta))
+            res = classify(expected_tallies(cfg, ch, [distance], [beta])[0])
             assert not res.degenerate
             assert 0.0 <= res.rho < TWO_PI
             assert _angle_error(res.rho, beta) <= 0.05, (distance, beta, res.rho)
@@ -136,7 +136,7 @@ def _analytic_slices(cfg, ch, distance, betas):
     from dataclasses import replace
 
     per_slice = replace(cfg, n_total=cfg.n_total // len(betas))
-    return [expected_tallies(per_slice, ch, distance, beta=b) for b in betas]
+    return expected_tallies(per_slice, ch, [distance] * len(betas), betas)
 
 
 def test_group_single_group_matches_ungrouped(ch, sec):
@@ -190,7 +190,7 @@ def test_insufficient_counts_diagnosed(sec, ch):
 
 
 def test_analyze_report_identities(cfg, ch, sec):
-    report = analyze_tallies(expected_tallies(cfg, ch, 120.0), cfg, sec)
+    report = analyze_tallies(expected_tallies(cfg, ch, [120.0])[0], cfg, sec)
     assert report.key_rate == report.key_length / cfg.n_total
     assert report.key_length >= 0.0
     assert 0.0 <= report.c44_lower <= 1.0
@@ -199,7 +199,7 @@ def test_analyze_report_identities(cfg, ch, sec):
 
 def test_analyze_rate_strictly_decreasing_until_zero(cfg, ch, sec):
     rates = [
-        analyze_tallies(expected_tallies(cfg, ch, d), cfg, sec).key_rate
+        analyze_tallies(expected_tallies(cfg, ch, [d])[0], cfg, sec).key_rate
         for d in range(0, 260, 20)
     ]
     positive = [r for r in rates if r > 0.0]
@@ -207,7 +207,7 @@ def test_analyze_rate_strictly_decreasing_until_zero(cfg, ch, sec):
 
 
 def test_n_zz_intensity_switch(cfg, ch, sec):
-    tallies = expected_tallies(cfg, ch, 100.0)
+    tallies = expected_tallies(cfg, ch, [100.0])[0]
     every = analyze_tallies(tallies, cfg, sec, n_zz_all_intensities=True)
     signal_only = analyze_tallies(tallies, cfg, sec, n_zz_all_intensities=False)
     assert signal_only.n_zz < every.n_zz
@@ -217,7 +217,7 @@ def test_literal_formula_mode_signals_nonphysical(cfg, ch, sec):
     from rfiqkd.decoy import NonPhysicalEstimateError
 
     with pytest.raises(NonPhysicalEstimateError):
-        analyze_tallies(expected_tallies(cfg, ch, 100.0), cfg, sec,
+        analyze_tallies(expected_tallies(cfg, ch, [100.0])[0], cfg, sec,
                         literal_paper_formulas=True)
 
 

@@ -257,7 +257,7 @@ def test_constant_trace_sums_match_one_shot_statistics(ch):
     summed = slices[0].observed()
     for extra in slices[1:]:
         summed = summed + extra.observed()
-    expected = expected_tallies(cfg, ch, 50.0)
+    expected = expected_tallies(cfg, ch, [50.0])[0]
     for key in ALL_CELLS:
         state, basis, kind = key
         mean = expected.cells[key].detected
@@ -287,9 +287,8 @@ def test_conservative_decoy_directions_cover_truth(ch, sec):
         for states, basis in classes:
             det = obs.class_detected(states, basis)
             err = obs.class_errors(states, basis)
-            s0 = decoy.vacuum_bound(det, cfg.intensities, sec.eps_bar)
-            s1 = decoy.single_photon_bound(det, s0, cfg.intensities, sec.eps_bar)
-            t = decoy.error_count_bound(err, cfg.intensities, sec.eps_bar)
+            chain = decoy.class_bounds(det, err, cfg.intensities, sec.eps_bar)
+            s0, s1, t = chain.s0, chain.s1, chain.t
             true_s0, _ = oracle.true_counts(states, basis, 0)
             true_s1, true_t = oracle.true_counts(states, basis, 1)
             checks = (
