@@ -128,7 +128,7 @@ def expected_tallies(
     replaying a drift trace), by default the channel's."""
     betas = [ch.beta] * len(distances) if betas is None else betas
     kinds = [cfg.intensity(kind) for kind in KINDS]
-    # ALL_CELLS runs over states, then the (basis, intensity) pairs of each point
+    # one exp per point and (path, intensity); ALL_CELLS repeats those six per state
     absorbed = np.tile(np.array([
         [exp(-transmittance(d, b, ch) * k.mean_photons) for b in BASES for k in kinds]
         for d in distances

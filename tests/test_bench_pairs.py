@@ -1,0 +1,61 @@
+"""The summary arithmetic of ``tools/bench_pairs.py`` on synthetic runs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BETTER = {"throughput": "higher", "peak_rss_mb": "lower"}
+
+
+def run(side, seed, throughput, rss, failed=0, trace=0, workload="curves"):
+    metrics = {"throughput": {"value": throughput, "unit": "units/s"},
+               "peak_rss_mb": {"value": rss, "unit": "MiB"}}
+    return {"side": side, "workload": workload, "seed": seed, "trace": trace,
+            "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
+                       "metrics": metrics}}
+
+
+RUNS = [
+    run("parent", 1, 100.0, 40.0), run("change", 1, 150.0, 40.5),
+    run("change", 2, 160.0, 39.0), run("parent", 2, 110.0, 40.0),
+    run("parent", 3, 120.0, 41.0), run("change", 3, 120.0, 41.0, failed=1),
+    run("parent", 4, 130.0, 40.0), run("change", 4, 170.0, 40.0),
+    run("parent", 5, 1.0, 1.0, trace=1), run("change", 5, 9.0, 9.0, trace=1),
+    run("parent", 6, 500.0, 60.0, workload="replay"),
+]
+
+
+def test_quartiles_interpolate_linearly():
+    assert bench_pairs.quartiles([130.0, 100.0, 120.0, 110.0]) == {
+        "median": 115.0, "q1": 107.5, "q3": 122.5, "n": 4
+    }
+    assert bench_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "n": 1}
+
+
+def test_summary_of_synthetic_pairs():
+    curves = bench_pairs.summarize(RUNS, BETTER)["curves"]
+    throughput = curves["throughput"]
+    assert throughput["parent"] == {"median": 115.0, "q1": 107.5, "q3": 122.5, "n": 4}
+    assert throughput["change"] == {"median": 155.0, "q1": 142.5, "q3": 162.5, "n": 4}
+    assert throughput["change_over_parent"] == pytest.approx(155.0 / 115.0)
+    # seed 3 is a tie and counts for neither side; the traced seed 5 is no pair
+    assert throughput["pairs_won_by_change"] == "3/4"
+    # lower is better: only seed 2 is won, seeds 3 and 4 tie
+    assert curves["peak_rss_mb"]["pairs_won_by_change"] == "1/4"
+    assert curves["peak_rss_mb"]["change"]["median"] == 40.25
+    assert curves["failed"] == {"parent": 0, "change": 1}
+
+
+def test_a_workload_without_both_sides_has_no_metrics():
+    replay = bench_pairs.summarize(RUNS, BETTER)["replay"]
+    assert replay == {"failed": {"parent": 0, "change": 0}}
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("61-63,70") == [61, 62, 63, 70]
+    assert bench_pairs.parse_seeds("5") == [5]
