@@ -5,13 +5,11 @@ pulse of intensity k is detected with probability ``1 - (1-e_d) * exp(-eta*k)``
 and the misalignment error is sinusoidal in the reference-frame rotation
 angle, scaled so that a rotation of zero reproduces the intrinsic error.
 
-``expected_tallies`` evaluates many (distance, angle) points in one numpy
-pass and matches the per-cell formula bit for bit. Transcendentals stay in
-``math``, per point: the two path transmittances ``10 ** x``, the six
-``exp(-eta * k)`` and the angle's ``cos`` and ``sin``. numpy's ``exp``,
-``power`` and ``log2`` differ from ``math``'s on about 4.7 %, 5.3 % and
-0.19 % of 10^6 uniform inputs, enough to flip a rounded count. The rest is
-numpy arithmetic in the scalar order of operations, rounded as Python does.
+``expected_tallies`` evaluates many (distance, angle) points in one numpy pass,
+bit for bit equal to the per-cell formula. Transcendentals stay in ``math``, per
+point (two ``10 ** x``, six ``exp(-eta * k)``, ``cos``, ``sin``): numpy's ``exp``,
+``power`` and ``log2`` differ from ``math``'s on 4.7 %, 5.3 % and 0.19 % of 10^6
+uniform inputs, enough to flip a count. Arrays get only arithmetic, in scalar order.
 """
 from __future__ import annotations
 

@@ -458,7 +458,7 @@ def _raise_count_error(raws: list[str], lineno: int) -> None:
 # shared runner pieces
 
 
-_CHUNK = 512  # scan points whose tallies are held at once
+_CHUNK = 512  # points per channel call: bounds the memory of a scan or drift trace
 
 
 def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int) -> list[ObservedTallies]:
@@ -491,7 +491,11 @@ def _make_slices(
     )
     if mode == "analytic":
         slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-        return expected_tallies(slice_cfg, ch, [distance] * n_slices, trace.betas)
+        chunks = (trace.betas[i : i + _CHUNK] for i in range(0, n_slices, _CHUNK))
+        return [
+            tallies for betas in chunks
+            for tallies in expected_tallies(slice_cfg, ch, [distance] * len(betas), betas)
+        ]
     return [
         oracle.observed()
         for oracle in sample_drifting_tallies(cfg, ch, distance, trace, seed)

@@ -168,8 +168,7 @@ _PAIR_ROWS = tuple(
     for state in STATES
     for kind in KINDS
 )
-# [basis][state], by position in BASES and STATES: the rows of its (mu, nu, omega)
-# cells. tuple.index finds a member by identity, so class sums hash no enum.
+# [basis][state] -> (mu, nu, omega) rows; found by tuple.index, so no enum is hashed
 _STATE_ROWS = tuple(tuple(tuple(CELL_INDEX[s, b, k] for k in KINDS) for s in STATES) for b in BASES)
 
 

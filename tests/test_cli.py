@@ -1,12 +1,15 @@
 import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from rfiqkd import cli
+from rfiqkd import analyze_tallies, cli
+from rfiqkd.channel import expected_tallies
 from rfiqkd.core import TallyError
+from rfiqkd.simulate import drift_beta, sample_tallies
 
 
 def run_cli(argv):
@@ -475,3 +478,45 @@ def test_readme_table_is_the_code_table():
     assert key_flags == {
         key: flag for flag, (key, _) in cli._FLAGS.items() if isinstance(key, str)
     }
+
+
+def test_scan_chunks_keep_each_point_and_its_stream(tmp_path):
+    # 521 points cross the 512-point chunk of the channel calls; Monte Carlo
+    # point i still draws from stream seed + i
+    config = tmp_path / "scan.cfg"
+    config.write_text(
+        "mode = montecarlo\nseed = 5\nn_total = 1e12\n"
+        "scan_min_km = 0\nscan_max_km = 52\nscan_step_km = 0.1\n"
+    )
+    code, out, _ = run_cli(["scan", "--config", str(config)])
+    assert code == cli.EXIT_OK
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 521
+    run = cli.load_config(str(config))
+    cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
+    for index in (0, 511, 512, 520):
+        distance = 0.0 + index * 0.1
+        block = sample_tallies(cfg, ch, distance, 5 + index).observed()
+        report = analyze_tallies(block, cfg, sec)
+        assert rows[index] == (
+            f"{cli._fmt(distance)},{cfg.n_total},{cli._fmt(report.key_rate)},"
+            f"{cli._fmt(report.c44_lower)},{cli._fmt(report.e_zz)},"
+            f"{cli._fmt(report.s1_zz_lower)},{cli._flags_of(report.intermediate)}"
+        )
+
+
+def test_analytic_drift_chunks_match_one_slice_at_a_time(tmp_path):
+    config = tmp_path / "drift.cfg"
+    config.write_text("drift = linear\nn_slices = 1030\nn_total = 1030000000000\n")
+    dump = tmp_path / "dump.csv"
+    code, _, err = run_cli(["point", "--config", str(config), "--dump-tallies", str(dump)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_KEY), err
+    with open(dump, encoding="utf-8") as handle:
+        slices = cli.read_tally_csv(handle)
+    run = cli.load_config(str(config))
+    cfg, ch = run.protocol_config(), run.channel_params()
+    trace = drift_beta("linear", {"beta0": 0.0, "rate": 2 * math.pi}, 1030, 10**9)
+    per_slice = replace(cfg, n_total=10**9)
+    assert len(slices) == 1030
+    for tallies, beta in zip(slices, trace.betas):
+        assert tallies == expected_tallies(per_slice, ch, [200.0], [beta])[0]
