@@ -5,11 +5,10 @@ pulse of intensity k is detected with probability ``1 - (1-e_d) * exp(-eta*k)``
 and the misalignment error is sinusoidal in the reference-frame rotation
 angle, scaled so that a rotation of zero reproduces the intrinsic error.
 
-``expected_tallies`` evaluates many (distance, angle) points in one numpy pass,
-bit for bit equal to the per-cell formula. Transcendentals stay in ``math``, per
-point (two ``10 ** x``, six ``exp(-eta * k)``, ``cos``, ``sin``): numpy's ``exp``,
-``power`` and ``log2`` differ from ``math``'s on 4.7 %, 5.3 % and 0.19 % of 10^6
-uniform inputs, enough to flip a count. Arrays get only arithmetic, in scalar order.
+``expected_tallies`` evaluates many (distance, angle) points in one numpy pass, bit
+for bit equal to the per-cell formula: transcendentals stay in ``math`` per point
+(two ``10 ** x``, six ``exp(-eta * k)``, ``cos``, ``sin``), as numpy's ``exp``, ``power``
+and ``log2`` differ from ``math``'s on 4.7 %, 5.3 % and 0.19 % of 10^6 uniform inputs.
 """
 from __future__ import annotations
 
@@ -125,6 +124,8 @@ def expected_tallies(
     per distance. Point ``i`` takes the rotation angle ``betas[i]`` (used when
     replaying a drift trace), by default the channel's."""
     betas = [ch.beta] * len(distances) if betas is None else betas
+    if len(betas) != len(distances):
+        raise ValueError(f"{len(betas)} rotation angles for {len(distances)} distances")
     kinds = [cfg.intensity(kind) for kind in KINDS]
     # one exp per point and (path, intensity); ALL_CELLS repeats those six per state
     absorbed = np.tile(np.array([

@@ -223,3 +223,9 @@ def test_zero_gain_vacuum_cell_takes_the_half_error_rate():
     assert (cell.gain, cell.qber) == (0.0, 0.5)
     (table,) = channel_tables(cfg, ch, [(10.0, 0.3)])
     assert np.array_equal(table.counts, reference_counts(cfg, ch, 10.0, 0.3))
+
+
+@pytest.mark.parametrize("betas", [[0.3], [0.3, 0.4], [0.3, 0.4, 0.5, 0.6]])
+def test_expected_tallies_need_one_angle_per_distance(cfg, ch, betas):
+    with pytest.raises(ValueError, match=f"^{len(betas)} rotation angles for 3 distances$"):
+        expected_tallies(cfg, ch, [10.0, 20.0, 30.0], betas)
