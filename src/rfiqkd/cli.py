@@ -457,15 +457,26 @@ def _raise_count_error(raws: list[str], lineno: int) -> None:
 # ---------------------------------------------------------------------------
 # shared runner pieces
 
-
 _CHUNK = 512  # points per channel call: bounds the memory of a scan or drift trace
 
 
-def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int) -> list[ObservedTallies]:
-    """Tallies per distance: analytic, or drawn from stream ``seed + i`` at distance ``i``."""
-    if mode == "analytic":
-        return expected_tallies(cfg, ch, distances)
-    return [sample_tallies(cfg, ch, d, seed + i).observed() for i, d in enumerate(distances)]
+def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int, betas=None) -> Iterator:
+    """Tallies per distance ``i``: analytic at angle ``betas[i]`` (by default the
+    channel's), one channel call per ``_CHUNK`` points, or drawn from stream ``seed + i``."""
+    if mode != "analytic":
+        for i, distance in enumerate(distances):
+            yield sample_tallies(cfg, ch, distance, seed + i).observed()
+        return
+    for first in range(0, len(distances), _CHUNK):
+        chunk = slice(first, first + _CHUNK)
+        angles = None if betas is None else betas[chunk]
+        yield from expected_tallies(cfg, ch, distances[chunk], angles)
+
+
+def _grid_count(start: float, stop: float, step: float) -> float:
+    """Points of a scan grid, at most 0 when it is empty; ``inf`` when too many to count."""
+    steps = (stop - start) / step
+    return max(steps, 0) if math.isinf(steps) else int(math.floor(steps + 1e-9)) + 1
 
 
 def _make_slices(
@@ -475,7 +486,7 @@ def _make_slices(
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
-        return _blocks(mode, cfg, ch, [distance], seed)
+        return list(_blocks(mode, cfg, ch, [distance], seed))
     if cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
@@ -491,11 +502,7 @@ def _make_slices(
     )
     if mode == "analytic":
         slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-        chunks = (trace.betas[i : i + _CHUNK] for i in range(0, n_slices, _CHUNK))
-        return [
-            tallies for betas in chunks
-            for tallies in expected_tallies(slice_cfg, ch, [distance] * len(betas), betas)
-        ]
+        return list(_blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas))
     return [
         oracle.observed()
         for oracle in sample_drifting_tallies(cfg, ch, distance, trace, seed)
@@ -517,23 +524,19 @@ def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
 
 
 def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, float, ObservedTallies]]:
-    """Every (block size, distance) point of a scan with its block of tallies,
-    made ``_CHUNK`` points at a time.
+    """Every (block size, distance) point of a scan with its block of tallies.
 
     The block sizes are ``n_values``, or ``n_total`` when that is empty. In
     Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``.
     """
     start, stop, step = (float(run[key]) for key in ("scan_min_km", "scan_max_km", "scan_step_km"))
-    steps = (stop - start) / step  # main rejects an infinite count
-    count = int(math.floor(steps + 1e-9)) + 1 if steps > -1.0 else 0
+    distances = [start + i * step for i in range(_grid_count(start, stop, step))]  # finite, see main
+    distances = [value for value in distances if value <= stop + 1e-9]
     for n_total in run["n_values"] or (cfg.n_total,):
         cfg_n = replace(cfg, n_total=n_total)
-        for first in range(0, count, _CHUNK):
-            distances = [start + i * step for i in range(first, min(first + _CHUNK, count))]
-            distances = [value for value in distances if value <= stop + 1e-9]
-            blocks = _blocks(mode, cfg_n, ch, distances, int(run["seed"]) + first)
-            for distance, block in zip(distances, blocks):
-                yield cfg_n, distance, block
+        blocks = _blocks(mode, cfg_n, ch, distances, int(run["seed"]))
+        for distance, block in zip(distances, blocks):
+            yield cfg_n, distance, block
 
 
 def _flags_of(flags: Mapping[str, float]) -> str:
@@ -744,7 +747,7 @@ def main(
             for key, (ok, need) in _RANGES.items() if not ok(run[key])
         ])
         lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
-        if not problems and (hi - lo) / step == math.inf:  # the scan grid's point count
+        if not problems and _grid_count(lo, hi, step) == math.inf:
             problems = [f"scan_step_km: {step} km steps over [{lo}, {hi}] km are too many to count"]
         for problem in problems:
             print(f"config error: {problem}", file=err)

@@ -263,7 +263,6 @@ def class_bounds(
     """The full chain: vacuum, single-photon, error count, then error rate.
     The error count at signal intensity enters only the cap: it gets no interval."""
     s0, s1 = yield_bounds(detected, intensities, eps, literal_upper)
-    m_mu, m_nu, m_om = errors
-    intervals = tuple(fluctuation_interval(m, eps, literal_upper) for m in (m_nu, m_om))
-    t = error_count_bound(intervals, intensities, m_mu + m_nu + m_om)
+    intervals = tuple(fluctuation_interval(m, eps, literal_upper) for m in errors[1:])
+    t = error_count_bound(intervals, intensities, sum(errors))
     return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))
