@@ -168,8 +168,6 @@ _PAIR_ROWS = tuple(
     for state in STATES
     for kind in KINDS
 )
-# [basis][state] -> (mu, nu, omega) rows; found by tuple.index, so no enum is hashed
-_STATE_ROWS = tuple(tuple(tuple(CELL_INDEX[s, b, k] for k in KINDS) for s in STATES) for b in BASES)
 
 
 @dataclass(frozen=True)
@@ -237,11 +235,10 @@ class ObservedTallies:
     def _class_sums(
         self, states: Iterable[StateLabel], basis: BasisLabel, field: int
     ) -> tuple[int, int, int]:
+        states = tuple(states)
         column = self.counts[:, field].tolist()  # Python ints: the sums cannot wrap
-        by_state = _STATE_ROWS[BASES.index(basis)]
-        rows = [by_state[STATES.index(s)] for s in states]
         return tuple(  # type: ignore[return-value]
-            sum(column[cells[i]] for cells in rows) for i in range(len(KINDS))
+            sum(column[CELL_INDEX[(s, basis, k)]] for s in states) for k in KINDS
         )
 
     def class_detected(
