@@ -1,12 +1,12 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --parent 842e75b --workload curves \\
-        --seeds 61-70 --seconds 30 --out BENCH_9.json
+        --seeds 61-70 --out BENCH_9.json
 
 Run from anywhere inside the repository. The parent's committed files are
 unpacked with ``git archive`` into a fresh temporary directory (under
 ``$TMPDIR``), removed afterwards, so the repository gets no worktree or
-branch. ``--seconds`` defaults to ``run_seconds`` of ``BENCHMARK.json``.
+branch. Every run lasts ``run_seconds`` of ``BENCHMARK.json``, on both sides.
 For each seed, ``perfbench/run.py`` runs once in that directory and once
 in the working tree; even-numbered pairs run the parent first, odd ones
 the change. Every run's result line is kept. ``--append`` adds the new
@@ -126,13 +126,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 61-70 or 1,5,9")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--append", action="store_true", help="keep the runs already in --out")
     parser.add_argument("--claim", help="the claim these runs test, recorded as given")
     args = parser.parse_args(argv)
 
+    seconds = spec["run_seconds"]
     record = json.loads(args.out.read_text()) if args.append else {"runs": [], "order": []}
     checkout = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
@@ -140,10 +140,10 @@ def main(argv: list[str] | None = None) -> int:
         sides = {"parent": checkout, "change": ROOT}
         for index, seed in enumerate(args.seeds):
             for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
-                result = run_once(sides[side], args.workload, seed, args.seconds, args.trace)
+                result = run_once(sides[side], args.workload, seed, seconds, args.trace)
                 record["runs"].append({
                     "side": side, "workload": args.workload, "seed": seed,
-                    "seconds": args.seconds, "trace": args.trace, "result": result,
+                    "seconds": seconds, "trace": args.trace, "result": result,
                 })
                 print(f"{args.workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr)
     finally:
@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     record.update(
         claim=args.claim if args.claim is not None else record.get("claim"),
-        command="python3 perfbench/run.py --workload W --seed S --seconds T --trace X",
+        command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace X",
         host={"nproc": os.cpu_count(), "python": platform.python_version(),
               "numpy": numpy.__version__},
         parent=_git("rev-parse", "--short", args.parent),
