@@ -132,6 +132,16 @@ def test_grid_with_an_infinite_point_count_is_rejected(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["scan", "compare"])
+def test_grid_whose_span_overflows_below_is_empty(tmp_path, command):
+    # scan_max_km - scan_min_km is -inf: no point, not an OverflowError
+    config = tmp_path / "grid.cfg"
+    config.write_text("scan_min_km = 1.7e308\nscan_max_km = -1.7e308\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert (code, err) == (cli.EXIT_NO_KEY, "")
+    assert len(out.splitlines()) == 1
+
+
 def test_show_defaults_provenance():
     code, out, _ = run_cli(["point", "--show-defaults"])
     assert code == cli.EXIT_OK
