@@ -1,10 +1,13 @@
 """Error messages of the tally CSV reader, pinned byte for byte."""
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfiqkd import cli
-from rfiqkd.core import ALL_CELLS, TallyError
+from rfiqkd.core import ALL_CELLS, CellCount, ObservedTallies, TallyError
 
 HEADER = "state,basis,intensity,sent,detected,errors"
 ROWS = [f"{s.value},{b.value},{k.value},100,10,1" for s, b, k in ALL_CELLS]
@@ -168,3 +171,183 @@ def test_process_rejects_a_file_without_pulses(tmp_path):
     assert cli.main(["process", str(path)], out=out, err=err) == cli.EXIT_ERROR
     assert err.getvalue() == "tally file error: no pulses sent: the Z rows' sent counts sum to 0\n"
     assert out.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# the reader against a per-line reference
+
+FIELD_NAMES = ("sent", "detected", "errors")
+ROW_OF = {(s.value, b.value, k.value): row for row, (s, b, k) in enumerate(ALL_CELLS)}
+
+
+def reference_int(raw):
+    return int(raw)
+
+
+def reference_read(text):
+    """Read ``text`` one line at a time: the count tables, or the error message."""
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return "line 1: empty tally file"
+    header = [col.strip() for col in lines[0].split(",")]
+    if header not in (HEADER.split(","), ["slice"] + HEADER.split(",")):
+        return f"line 1: unexpected header {','.join(header)!r}"
+    sliced = len(header) == 7
+    offset = 1 if sliced else 0
+    tables = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            if not line.strip():
+                continue
+            return f"line {lineno}: expected {len(header)} columns, got {len(parts)}"
+        slice_index = 0
+        if sliced:
+            try:
+                slice_index = reference_int(parts[0])
+            except ValueError:
+                return f"line {lineno}: column slice: not an integer: {parts[0].strip()!r}"
+        labels = tuple(part.strip() for part in parts[offset : offset + 3])
+        if labels not in ROW_OF:
+            return f"line {lineno}: bad cell label ({','.join(labels)})"
+        counts = []
+        for raw, column in zip(parts[offset + 3 :], FIELD_NAMES):
+            try:
+                value = reference_int(raw)
+            except ValueError:
+                return f"line {lineno}: column {column}: not an integer: {raw.strip()!r}"
+            if not 0 <= value <= 2**62:
+                return f"line {lineno}: column {column}: {raw.strip()!r} is outside [0, {2**62}]"
+            counts.append(value)
+        cells = tables.setdefault(slice_index, {})
+        if ROW_OF[labels] in cells:
+            return f"line {lineno}: duplicate cell ({labels[0]},...)"
+        cells[ROW_OF[labels]] = counts
+    if not tables:
+        return "line 2: no tally rows"
+    result = []
+    for slice_index in sorted(tables):
+        try:
+            table = ObservedTallies(
+                {ALL_CELLS[row]: CellCount(*counts) for row, counts in tables[slice_index].items()}
+            )
+        except TallyError as exc:
+            return f"slice {slice_index}: {exc}"
+        result.append(table.counts.tolist())
+    return result
+
+
+class ShortReads:
+    """A handle with only ``read(n)``, which hands out at most ``size`` characters."""
+
+    def __init__(self, text, size):
+        self.text, self.size, self.at = text, size, 0
+
+    def read(self, n):
+        n = min(n, self.size)
+        piece = self.text[self.at : self.at + n]
+        self.at += len(piece)
+        return piece
+
+
+def block_read(text, size=1 << 16):
+    try:
+        return [table.counts.tolist() for table in cli.read_tally_csv(ShortReads(text, size))]
+    except TallyError as exc:
+        return str(exc)
+
+
+def valid_rows(rng, slice_indices):
+    """Rows of one valid table per slice index, ``slice`` column first."""
+    rows = []
+    for index in slice_indices:
+        for state in ("Z0", "Z1", "X0", "Y0"):
+            for kind in ("mu", "nu", "omega"):
+                sent = rng.randrange(0, 10**rng.randrange(1, 19))
+                for basis in ("Z", "X"):
+                    detected = rng.randrange(0, sent + 1)
+                    errors = rng.randrange(0, detected + 1)
+                    rows.append([str(index), state, basis, kind, str(sent), str(detected), str(errors)])
+    return rows
+
+
+FIELD_VALUES = [
+    "", " ", "x", "1.5", "1e3", "-1", "+7", " 7 ", "\t7\t", "0", "-0", "007", "٣", "1_000",
+    "#1", "1#", '"1"', "\x007", "7\x00", "\xa07", "7\x1c", "7 ", "\x85",
+    str(2**62), str(2**62 + 1), str(2**63 - 1), str(2**63), str(2**64), str(-(2**63) - 1),
+    "Z0", "Z1", "X0", "Y0", "Z", "X", "mu", "nu", "omega", " omega ", "\tmu", "mu\x00", "Q0",
+    "omega   X", "omegaomega", "Z0" + " " * 20, '"Z0"', "#Z0", "a,b", "7\n", "7\r",
+]
+BLANK_LINES = ["", " ", "\t", "  \t ", "\x0c", "\xa0"]
+
+
+@st.composite
+def tally_texts(draw):
+    """A valid sliced or unsliced file, mutated a few times."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sliced = draw(st.booleans())
+    if sliced:
+        n_slices = draw(st.integers(1, 5))
+        indices = draw(
+            st.lists(
+                st.integers(0, 40) | st.sampled_from([2**62, 2**63 - 1, 2**63, 10**30]),
+                min_size=n_slices, max_size=n_slices, unique=True,
+            )
+        )
+    else:
+        indices = [0]
+    rows = valid_rows(rng, indices)
+    if draw(st.booleans()):
+        rng.shuffle(rows)
+    lines = [",".join(row if sliced else row[1:]) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["field"] * 3 + ["blank", "duplicate", "drop", "columns"]))
+        at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if kind == "field" and lines:
+            parts = lines[at].split(",")
+            column = draw(st.integers(0, len(parts) - 1))
+            parts[column] = draw(st.sampled_from(FIELD_VALUES) | st.integers(0, 2**62).map(str))
+            lines[at] = ",".join(parts)
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(BLANK_LINES)))
+        elif kind == "duplicate" and lines:
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        elif kind == "drop" and lines:
+            del lines[at]
+        elif kind == "columns" and lines:
+            parts = lines[at].split(",")
+            lines[at] = ",".join(parts[:-1] if draw(st.booleans()) else parts + ["1"])
+    header = ("slice," if sliced else "") + HEADER
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([header] + lines)
+    return text + end if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(tally_texts(), st.integers(1, 200) | st.just(1 << 16))
+def test_reader_matches_the_per_line_reference(text, size):
+    assert block_read(text, size) == reference_read(text)
+
+
+def long_file(n_slices):
+    rows = valid_rows(random.Random(n_slices), range(n_slices))
+    return tally_text([",".join(row) for row in rows], "slice," + HEADER)
+
+
+def test_a_slice_across_a_block_boundary_is_read_whole():
+    text = long_file(120)
+    before, after = text[: 1 << 16].splitlines(), text[1 << 16 :].splitlines()
+    # the first 64k-character read ends inside a row of slice 64, between two others
+    assert before[-2].startswith("64,") and (before[-1] + after[0]).startswith("64,")
+    assert after[1].startswith("64,")
+    tables = block_read(text)
+    assert tables == reference_read(text)
+    assert len(tables) == 120
+
+
+def test_a_duplicate_cell_in_a_later_block_is_named():
+    lines = long_file(120).splitlines(keepends=True)
+    # a copy of slice 0's first row, about 106k characters in: in the second read
+    lines.insert(2500, lines[1])
+    text = "".join(lines)
+    assert block_read(text) == reference_read(text) == "line 2501: duplicate cell (Z0,...)"
