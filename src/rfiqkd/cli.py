@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
+import warnings
 from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
@@ -334,73 +336,9 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
     """Parse a tally CSV into one tally table per slice.
 
     Parse and consistency errors carry the offending line number; cell
-    constraint violations name the slice and the cell. The file is read
-    in blocks and every count goes straight into an int64 buffer, so the
-    whole text and its lines are never held at once.
+    constraint violations name the slice and the cell.
     """
-    lines = _lines(handle)
-    first = next(lines, None)
-    if first is None:
-        raise TallyError("line 1: empty tally file")
-    header = [col.strip() for col in first.split(",")]
-    if header == _TALLY_HEADER:
-        sliced = False
-    elif header == ["slice"] + _TALLY_HEADER:
-        sliced = True
-    else:
-        raise TallyError(f"line 1: unexpected header {','.join(header)!r}")
-
-    width = len(header)
-    offset = 1 if sliced else 0
-    # (sent, detected, errors) per cell of every slice in order of first
-    # appearance, 72 entries a slice; -1 marks a cell not read yet
-    flat = array("q")
-    start_of: dict[int, int] = {}  # slice index -> its first entry in flat
-    for lineno, line in enumerate(lines, start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            if not line.strip():
-                continue
-            raise TallyError(
-                f"line {lineno}: expected {width} columns, got {len(parts)}"
-            )
-        slice_index = _int_field(parts[0], lineno, "slice") if sliced else 0
-        labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
-        row = _ROW_BY_LABELS.get(labels)
-        if row is None:
-            raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
-        # one check for the whole row; a failing row is re-read to name the column
-        try:
-            sent, detected, errors = (
-                int(parts[offset + 3]), int(parts[offset + 4]), int(parts[offset + 5])
-            )
-        except ValueError:
-            sent = detected = errors = -1
-        if not (
-            0 <= sent <= MAX_PULSES
-            and 0 <= detected <= MAX_PULSES
-            and 0 <= errors <= MAX_PULSES
-        ):
-            _raise_count_error(parts[offset + 3 :], lineno)
-        base = start_of.get(slice_index)
-        if base is None:
-            base = start_of[slice_index] = len(flat)
-            flat.extend(_UNREAD_SLICE)
-        at = base + row * len(FIELDS)
-        if flat[at] >= 0:
-            raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
-        flat[at] = sent
-        flat[at + 1] = detected
-        flat[at + 2] = errors
-    if not start_of:
-        raise TallyError("line 2: no tally rows")
-
-    order = sorted(start_of)
-    by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(
-        len(order), len(ALL_CELLS), len(FIELDS)
-    )
-    # fancy indexing copies, so no table shares memory with flat
-    counts = by_first_line[[start_of[i] // len(_UNREAD_SLICE) for i in order]]
+    order, counts = _read_counts(handle)
     complete = (counts[:, :, 0] >= 0).all(axis=1).tolist()
     result = []
     for table, slice_index, whole in zip(counts, order, complete):
@@ -418,40 +356,180 @@ def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
     return result
 
 
-def _lines(handle: TextIO, block: int = 1 << 16) -> Iterator[str]:
-    """The lines of ``handle`` as ``str.splitlines`` cuts them, line ends kept.
+def _read_counts(handle: TextIO) -> tuple[list[int], np.ndarray]:
+    """The slice indices of a tally CSV in order, and their (n, 24, 3) counts,
+    -1 where a cell is missing.
 
-    Reads ``block`` characters at a time. The last piece of each block is
-    carried into the next one, so a line, or a ``\\r\\n``, cut by a block
-    boundary comes out whole. A block is never shorter than the carried
+    The file is read in blocks of whole lines, and every count goes
+    straight into an int64 buffer, so the whole text and its lines are
+    never held at once; the buffer is freed before the caller builds its
+    tables. Each block goes through numpy's tokenizer in one call and is
+    checked as arrays; a block that fails any check is read again line by
+    line, which stores its rows up to the first error and names that error.
+    """
+    blocks = _line_blocks(handle)
+    lines = next(blocks, None)
+    if lines is None:
+        raise TallyError("line 1: empty tally file")
+    header = [col.strip() for col in lines.pop(0).split(",")]
+    if header == _TALLY_HEADER:
+        sliced = False
+    elif header == ["slice"] + _TALLY_HEADER:
+        sliced = True
+    else:
+        raise TallyError(f"line 1: unexpected header {','.join(header)!r}")
+
+    # (sent, detected, errors) per cell of every slice in order of first
+    # appearance, 72 entries a slice; -1 marks a cell not read yet
+    flat = array("q")
+    start_of: dict[int, int] = {}  # slice index -> its first entry in flat
+    lineno = 2
+    while lines is not None:
+        if lines and not _read_block(lines, sliced, flat, start_of):
+            _read_lines(lines, lineno, sliced, flat, start_of)
+        lineno += len(lines)
+        lines = next(blocks, None)
+    if not start_of:
+        raise TallyError("line 2: no tally rows")
+
+    order = sorted(start_of)
+    by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(
+        len(order), len(ALL_CELLS), len(FIELDS)
+    )
+    first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order))
+    # fancy indexing copies, so no table shares memory with flat
+    return order, by_first_line[first // len(_UNREAD_SLICE)]
+
+
+def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
+    """The lines of ``handle`` as ``str.splitlines`` cuts them, line ends
+    kept, one non-empty list per read.
+
+    Reads ``block`` characters at a time. The last piece of each read is
+    carried into the next one, so a line, or a ``\\r\\n``, cut by a read
+    boundary comes out whole. A read is never shorter than the carried
     piece, which keeps a very long line linear in its length.
     """
     tail = ""
     while chunk := handle.read(max(block, len(tail))):
         pieces = (tail + chunk).splitlines(keepends=True)
         tail = pieces.pop()
-        yield from pieces
+        if pieces:
+            yield pieces
     if tail:
-        yield tail
+        yield [tail]
+
+
+def _row_dtype(sliced: bool) -> np.dtype:
+    label = f"U{_LABEL_WIDTH}"
+    columns = [(name, label) for name in _TALLY_HEADER[:3]]
+    columns += [(name, np.int64) for name in FIELDS]
+    return np.dtype([("slice", np.int64)] * sliced + columns)
+
+
+# characters a label column keeps; a label this long may have been cut short
+_LABEL_WIDTH = 8
+_ROW_DTYPE = {sliced: _row_dtype(sliced) for sliced in (False, True)}
+
+
+def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
+    """Store the rows of ``lines`` with one tokenizer call and array checks.
+
+    Returns False, with nothing stored, when a row might not be valid as
+    the line reader would take it; that reader then names the error.
+    """
+    # numpy drops a label's trailing NULs, which would make a bad label good
+    if "\x00" in "".join(lines):
+        return False
+    try:
+        # numpy < 2 warns where it parses an integer through a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE[sliced]
+            )
+    except (ValueError, Warning):
+        return False
+    if len(table) != len(lines):  # blank lines are skipped
+        return False
+    labels = [table[name].tolist() for name in _TALLY_HEADER[:3]]
+    if any(max(map(len, column)) >= _LABEL_WIDTH for column in labels):
+        return False
+    rows = list(map(_ROW_BY_LABELS.get, zip(*(map(str.strip, column) for column in labels))))
+    if None in rows:
+        return False
+    if any(table[name].min() < 0 or table[name].max() > MAX_PULSES for name in FIELDS):
+        return False
+    if sliced and table["slice"].min() < 0:
+        return False
+    slices = table["slice"].tolist() if sliced else [0] * len(lines)
+    # a failure past this point is a duplicate cell, which the line reader
+    # raises, so the slices added here never reach a result
+    for index in dict.fromkeys(slices):
+        if index not in start_of:
+            start_of[index] = len(flat)
+            flat.extend(_UNREAD_SLICE)
+    at = np.fromiter(map(start_of.__getitem__, slices), np.int64, len(slices))
+    at += np.array(rows, dtype=np.int64) * len(FIELDS)
+    buffer = np.frombuffer(flat, dtype=np.int64)
+    ordered = np.sort(at)
+    if (buffer[at] >= 0).any() or (ordered[1:] == ordered[:-1]).any():
+        return False
+    for shift, name in enumerate(FIELDS):
+        buffer[at + shift] = table[name]
+    return True
+
+
+def _read_lines(
+    lines: list[str], lineno: int, sliced: bool, flat: array, start_of: dict[int, int]
+) -> None:
+    """Store the rows of ``lines``, the first at ``lineno``, one at a time,
+    raising the first error with its line number."""
+    width = len(_TALLY_HEADER) + sliced
+    offset = 1 if sliced else 0
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split(",")
+        if len(parts) != width:
+            if not line.strip():
+                continue
+            raise TallyError(
+                f"line {lineno}: expected {width} columns, got {len(parts)}"
+            )
+        slice_index = _int_field(parts[0], lineno, "slice") if sliced else 0
+        if slice_index < 0:
+            raise TallyError(f"line {lineno}: column slice: {parts[0].strip()!r} is negative")
+        labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
+        row = _ROW_BY_LABELS.get(labels)
+        if row is None:
+            raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
+        counts = array("q")
+        for raw, column in zip(parts[offset + 3 :], FIELDS):
+            value = _int_field(raw, lineno, column)
+            if not 0 <= value <= MAX_PULSES:
+                raise TallyError(
+                    f"line {lineno}: column {column}: {raw.strip()!r} is outside "
+                    f"[0, {MAX_PULSES}]"
+                )
+            counts.append(value)
+        base = start_of.get(slice_index)
+        if base is None:
+            base = start_of[slice_index] = len(flat)
+            flat.extend(_UNREAD_SLICE)
+        at = base + row * len(FIELDS)
+        if flat[at] >= 0:
+            raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
+        flat[at : at + len(FIELDS)] = counts
+
+
+# blanks, an optional sign and ASCII digits: numpy's int64 grammar, unbounded
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _int_field(raw: str, lineno: int, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise TallyError(
-            f"line {lineno}: column {column}: not an integer: {raw.strip()!r}"
-        ) from exc
-
-
-def _raise_count_error(raws: list[str], lineno: int) -> None:
-    """Name the first of sent, detected and errors that is not a count."""
-    for raw, column in zip(raws, FIELDS):
-        if not 0 <= _int_field(raw, lineno, column) <= MAX_PULSES:
-            raise TallyError(
-                f"line {lineno}: column {column}: {raw.strip()!r} is outside "
-                f"[0, {MAX_PULSES}]"
-            )
+    text = raw.strip()
+    if not _INTEGER.fullmatch(text):
+        raise TallyError(f"line {lineno}: column {column}: not an integer: {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
