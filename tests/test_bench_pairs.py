@@ -9,7 +9,10 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-BETTER = {"throughput": "higher", "peak_rss_mb": "lower"}
+END_TO_END = [
+    {"name": "throughput", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.02},
+]
 
 
 def run(side, seed, throughput, rss, failed=0, trace=0, workload="curves"):
@@ -38,7 +41,7 @@ def test_quartiles_interpolate_linearly():
 
 
 def test_summary_of_synthetic_pairs():
-    curves = bench_pairs.summarize(RUNS, BETTER)["curves"]
+    curves = bench_pairs.summarize(RUNS, END_TO_END)["curves"]
     throughput = curves["throughput"]
     assert throughput["parent"] == {"median": 115.0, "q1": 107.5, "q3": 122.5, "n": 4}
     assert throughput["change"] == {"median": 155.0, "q1": 142.5, "q3": 162.5, "n": 4}
@@ -52,10 +55,59 @@ def test_summary_of_synthetic_pairs():
 
 
 def test_a_workload_without_both_sides_has_no_metrics():
-    replay = bench_pairs.summarize(RUNS, BETTER)["replay"]
+    replay = bench_pairs.summarize(RUNS, END_TO_END)["replay"]
     assert replay == {"failed": {"parent": 0, "change": 0}}
 
 
 def test_seed_lists():
     assert bench_pairs.parse_seeds("61-63,70") == [61, 62, 63, 70]
     assert bench_pairs.parse_seeds("5") == [5]
+
+
+def pairs(parent, change):
+    """Untraced ``curves`` runs, one pair per seed, of throughput only."""
+    runs = []
+    for seed, (old, new) in enumerate(zip(parent, change)):
+        runs += [run("parent", seed, old, 40.0), run("change", seed, new, 40.0)]
+    return bench_pairs.summarize(runs, END_TO_END[:1])["curves"]["throughput"]
+
+
+PARENT = [100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0]
+
+
+@pytest.mark.parametrize(
+    "change,won,within_bound,gain_rule_met",
+    [
+        # a win: every pair, by 50 % against a parent quartile spread of 3.5
+        ([value * 1.5 for value in PARENT], "10/10", True, True),
+        # nine pairs won is enough, if the median moves past the spread
+        ([value * 1.5 for value in PARENT[:9]] + [90.0], "9/10", True, True),
+        # eight are not
+        ([value * 1.5 for value in PARENT[:8]] + [90.0, 90.0], "8/10", True, False),
+        # every pair won, but by less than the parent's quartile spread
+        ([value + 1.0 for value in PARENT], "10/10", True, False),
+        # a loss inside the 25 % bound
+        ([value * 0.8 for value in PARENT], "0/10", True, False),
+        # a regression beyond it
+        ([value * 0.7 for value in PARENT], "0/10", False, False),
+        # a tie counts for neither side
+        (PARENT, "0/10", True, False),
+    ],
+)
+def test_verdicts(change, won, within_bound, gain_rule_met):
+    stats = pairs(PARENT, change)
+    assert stats["pairs_won_by_change"] == won
+    assert stats["within_bound"] is within_bound
+    assert stats["gain_rule_met"] is gain_rule_met
+
+
+def test_a_lower_is_better_bound_is_a_share_of_the_parent_median():
+    runs = [run("parent", 1, 100.0, 50.0), run("change", 1, 100.0, 51.0),
+            run("parent", 2, 100.0, 50.0), run("change", 2, 100.0, 51.5)]
+    rss = bench_pairs.summarize(runs, END_TO_END)["curves"]["peak_rss_mb"]
+    # 51.25 against 50 is 2.5 % worse: beyond the 2 % bound
+    assert rss["within_bound"] is False
+    runs[3] = run("change", 2, 100.0, 50.9)
+    rss = bench_pairs.summarize(runs, END_TO_END)["curves"]["peak_rss_mb"]
+    assert rss["within_bound"] is True
+

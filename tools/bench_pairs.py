@@ -14,7 +14,11 @@ runs to those already in ``--out``. The summary, per workload and
 end-to-end metric of the untraced runs, gives each side's median,
 quartiles (linear interpolation) and run count, the ratio of the medians
 and the pairs the change won, in the direction ``BENCHMARK.json`` names;
-a tie counts for neither side.
+a tie counts for neither side. Two verdicts follow: ``within_bound``, the
+change's median is no worse than the parent's by more than the metric's
+``bound`` (a share of the parent's median), and ``gain_rule_met``, the
+change won at least nine tenths of the pairs and its median is better by
+more than the distance between the parent's quartiles.
 """
 from __future__ import annotations
 
@@ -54,11 +58,13 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload, the untraced runs of each side per end-to-end metric.
 
-    ``better`` maps each metric to ``"higher"`` or ``"lower"``. Pairs are
-    the parent and change runs of one (workload, seed).
+    ``end_to_end`` holds ``BENCHMARK.json``'s entries: each metric's
+    ``name``, the direction it is ``better`` in (``"higher"`` or
+    ``"lower"``) and its ``bound``. Pairs are the parent and change runs of
+    one (workload, seed).
     """
     summary: dict[str, dict] = {}
     untraced = [run for run in runs if run["trace"] == 0]
@@ -69,21 +75,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 by_side[run["side"]][run["seed"]] = run["result"]
         paired = sorted(set(by_side["parent"]) & set(by_side["change"]))
         entry: dict[str, dict] = {}
-        for metric, direction in better.items():
+        for spec in end_to_end:
+            metric = spec["name"]
             value = {
                 side: {seed: result["metrics"][metric]["value"] for seed, result in results.items()}
                 for side, results in by_side.items()
             }
             if not value["parent"] or not value["change"]:
                 continue
-            sign = 1.0 if direction == "higher" else -1.0
+            sign = 1.0 if spec["better"] == "higher" else -1.0
             won = sum(sign * (value["change"][s] - value["parent"][s]) > 0.0 for s in paired)
             parent, change = (quartiles(list(value[side].values())) for side in ("parent", "change"))
+            gain = sign * (change["median"] - parent["median"])
             entry[metric] = {
                 "parent": parent,
                 "change": change,
                 "change_over_parent": change["median"] / parent["median"],
                 "pairs_won_by_change": f"{won}/{len(paired)}",
+                "within_bound": gain >= -spec["bound"] * abs(parent["median"]),
+                "gain_rule_met": (
+                    bool(paired) and 10 * won >= 9 * len(paired)
+                    and gain > parent["q3"] - parent["q1"]
+                ),
             }
         entry["failed"] = {
             side: sum(result["failed"] for result in results.values())
@@ -105,7 +118,7 @@ def unpack(rev: str, into: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into)
+        tar.extractall(into, filter="data")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -152,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.workload} trace {args.trace} seeds {args.seeds}: even pairs run the parent first"
     )
 
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     record.update(
         claim=args.claim if args.claim is not None else record.get("claim"),
         command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace X",
@@ -160,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
               "numpy": numpy.__version__},
         parent=_git("rev-parse", "--short", args.parent),
         change=_git("describe", "--always", "--dirty"),
-        summary=summarize(record["runs"], better),
+        summary=summarize(record["runs"], spec["end_to_end"]),
     )
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, entry in record["summary"].items():
@@ -169,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(
                     f"{workload} {metric}: parent {stats['parent']['median']:.6g}, change "
                     f"{stats['change']['median']:.6g} ({stats['change_over_parent']:.3f}x), "
-                    f"pairs won {stats['pairs_won_by_change']}",
+                    f"pairs won {stats['pairs_won_by_change']}, within bound "
+                    f"{stats['within_bound']}, gain rule met {stats['gain_rule_met']}",
                     file=sys.stderr,
                 )
     return 0
