@@ -313,6 +313,17 @@ _ROW_BY_LABELS = {
 }
 # buffer entries of a slice none of whose cells has been read
 _UNREAD_SLICE = array("q", [-1] * (len(ALL_CELLS) * len(FIELDS)))
+# characters a label column keeps; a label this long may have been cut short
+_LABEL_WIDTH = 8
+# one file row as the tokenizer reads it, without and with the slice column
+_ROW_DTYPE = {
+    sliced: np.dtype(
+        [("slice", np.int64)] * sliced
+        + [(name, f"U{_LABEL_WIDTH}") for name in _TALLY_HEADER[:3]]
+        + [(name, np.int64) for name in FIELDS]
+    )
+    for sliced in (False, True)
+}
 
 
 def write_tally_csv(slices: Sequence[ObservedTallies], out: TextIO) -> None:
@@ -420,29 +431,20 @@ def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
         yield [tail]
 
 
-def _row_dtype(sliced: bool) -> np.dtype:
-    label = f"U{_LABEL_WIDTH}"
-    columns = [(name, label) for name in _TALLY_HEADER[:3]]
-    columns += [(name, np.int64) for name in FIELDS]
-    return np.dtype([("slice", np.int64)] * sliced + columns)
-
-
-# characters a label column keeps; a label this long may have been cut short
-_LABEL_WIDTH = 8
-_ROW_DTYPE = {sliced: _row_dtype(sliced) for sliced in (False, True)}
-
-
 def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
     """Store the rows of ``lines`` with one tokenizer call and array checks.
 
-    Returns False, with nothing stored, when a row might not be valid as
-    the line reader would take it; that reader then names the error.
+    Returns False, with no count stored, when a row might not be valid
+    as the line reader takes it; that reader then names the error.
     """
-    # numpy drops a label's trailing NULs, which would make a bad label good
-    if "\x00" in "".join(lines):
+    # numpy's integer parser takes some non-ASCII letters for digits ("Ǿ"
+    # reads as 462), and it drops a label's trailing NULs, which would make
+    # a bad label good
+    text = "".join(lines)
+    if not text.isascii() or "\x00" in text:
         return False
     try:
-        # numpy < 2 warns where it parses an integer through a float
+        # older numpy parses "1.0" as an integer, with only a DeprecationWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(
@@ -485,8 +487,8 @@ def _read_lines(
 ) -> None:
     """Store the rows of ``lines``, the first at ``lineno``, one at a time,
     raising the first error with its line number."""
-    width = len(_TALLY_HEADER) + sliced
     offset = 1 if sliced else 0
+    width = len(_TALLY_HEADER) + offset
     for lineno, line in enumerate(lines, start=lineno):
         parts = line.split(",")
         if len(parts) != width:

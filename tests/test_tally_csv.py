@@ -2,7 +2,9 @@
 import io
 import random
 import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,11 @@ def test_bad_cell_label():
     assert read_error(tally_text(["Q0,Z,mu,100,10,1"])) == "line 2: bad cell label (Q0,Z,mu)"
 
 
+def test_a_label_longer_than_the_tokenizer_keeps():
+    rows = replaced(ROWS, 2, "Z0,Z,omega   X,100,10,1")
+    assert read_error(tally_text(rows)) == "line 4: bad cell label (Z0,Z,omega   X)"
+
+
 def test_non_integer_count():
     text = tally_text([ROWS[0], "Z0,Z,nu,100,1.5,1"])
     assert read_error(text) == "line 3: column detected: not an integer: '1.5'"
@@ -93,9 +100,10 @@ def test_non_integer_slice():
 
 @pytest.mark.parametrize("blank", ["", "\n"])
 @pytest.mark.parametrize("column,value", [("slice", "1_000"), ("slice", "٣"), ("sent", "1_000"),
-                                          ("detected", "٣"), ("errors", "+٣")])
+                                          ("detected", "٣"), ("errors", "+٣"), ("sent", "Ǿ5"),
+                                          ("slice", "ݡ")])
 def test_only_ascii_digits_make_an_integer(blank, column, value):
-    # a blank line sends the block to the line reader; without one it is read as a block
+    # a blank line sends the block to the line reader; without one it is tried as a block
     rows = [f"0,{row}" for row in ROWS]
     fields = dict(zip(["slice"] + HEADER.split(","), rows[3].split(",")), **{column: value})
     rows[3] = ",".join(fields.values())
@@ -310,7 +318,7 @@ def valid_rows(rng, slice_indices):
 
 FIELD_VALUES = [
     "", " ", "x", "1.5", "1e3", "-1", "+7", " 7 ", "\t7\t", "0", "-0", "007", "٣", "1_000",
-    "#1", "1#", '"1"', "\x007", "7\x00", "\xa07", "7\x1c", "7 ", "\x85",
+    "#1", "1#", '"1"', "\x007", "7\x00", "\xa07", "7\x1c", "7 ", "\x85", "Ǿ", "5Ǿ", "ः",
     str(2**62), str(2**62 + 1), str(2**63 - 1), str(2**63), str(2**64), str(-(2**63) - 1),
     "Z0", "Z1", "X0", "Y0", "Z", "X", "mu", "nu", "omega", " omega ", "\tmu", "mu\x00", "Q0",
     "omega   X", "omegaomega", "Z0" + " " * 20, '"Z0"', "#Z0", "a,b", "7\n", "7\r",
@@ -338,12 +346,22 @@ def tally_texts(draw):
         rng.shuffle(rows)
     lines = [",".join(row if sliced else row[1:]) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["field"] * 3 + ["blank", "duplicate", "drop", "columns"]))
+        kind = draw(st.sampled_from(["field"] * 3 + ["pad", "blank", "duplicate", "drop", "columns"]))
         at = draw(st.integers(0, len(lines) - 1)) if lines else 0
         if kind == "field" and lines:
             parts = lines[at].split(",")
             column = draw(st.integers(0, len(parts) - 1))
             parts[column] = draw(st.sampled_from(FIELD_VALUES) | st.integers(0, 2**62).map(str))
+            lines[at] = ",".join(parts)
+        elif kind == "pad" and lines and lines[at].count(",") >= 5:
+            # blanks keep a label valid; a NUL or a long tail does not
+            parts = lines[at].split(",")
+            column = len(parts) - draw(st.integers(4, 6))
+            label = parts[column]
+            parts[column] = draw(st.sampled_from(["", " ", "\t"])) + label + draw(
+                st.sampled_from(["", " ", " " * (8 - len(label)), " " * (8 - len(label)) + "X",
+                                 "\x00", " \x00"])
+            )
             lines[at] = ",".join(parts)
         elif kind == "blank":
             lines.insert(at, draw(st.sampled_from(BLANK_LINES)))
@@ -369,6 +387,19 @@ def test_reader_matches_the_per_line_reference(text, size):
 def long_file(n_slices):
     rows = valid_rows(random.Random(n_slices), range(n_slices))
     return tally_text([",".join(row) for row in rows], "slice," + HEADER)
+
+
+def test_a_tokenizer_warning_sends_the_block_to_the_line_reader(monkeypatch):
+    # as numpy 1.x does, warn and parse "1.0" through a float
+    loadtxt = np.loadtxt
+
+    def lenient(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt([line.replace(",1.0,", ",1,") for line in lines], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    text = tally_text(replaced(ROWS, 2, "Z0,Z,omega,1.0,0,0"))
+    assert read_error(text) == "line 4: column sent: not an integer: '1.0'"
 
 
 def test_a_slice_across_a_block_boundary_is_read_whole():
