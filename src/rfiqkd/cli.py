@@ -523,7 +523,8 @@ def _read_lines(
         flat[at : at + len(FIELDS)] = counts
 
 
-# blanks, an optional sign and ASCII digits: numpy's int64 grammar, unbounded
+# blanks, an optional sign and ASCII digits: on ASCII text, numpy's int64
+# grammar without its 64-bit bound
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
