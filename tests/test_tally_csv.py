@@ -1,6 +1,9 @@
 """Error messages of the tally CSV reader, pinned byte for byte."""
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -124,6 +127,21 @@ def test_process_rejects_a_negative_slice(tmp_path):
     assert cli.main(["process", str(path)], out=out, err=err) == cli.EXIT_ERROR
     assert err.getvalue() == "tally file error: line 2: column slice: '-1' is negative\n"
     assert out.getvalue() == ""
+
+
+def test_process_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma, which np.unique and np.char import, adds about 1.4 MiB of memory
+    path = tmp_path / "two.csv"
+    path.write_text(sliced_text([ROWS, ROWS]))
+    code = (
+        "import io, sys\nfrom rfiqkd import cli\n"
+        "cli.main(['process', sys.argv[1]], out=io.StringIO(), err=io.StringIO())\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_duplicate_cell():
