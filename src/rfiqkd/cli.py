@@ -432,7 +432,8 @@ def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
 
 
 def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
-    """Store the rows of ``lines`` with one tokenizer call and array checks.
+    """Store the rows of ``lines`` with one tokenizer call and array checks;
+    a block with a blank line that is not empty takes a second call.
 
     Returns False, with no count stored, when a row might not be valid
     as the line reader takes it; that reader then names the error.
@@ -443,17 +444,14 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
     text = "".join(lines)
     if not text.isascii() or "\x00" in text:
         return False
-    try:
-        # older numpy parses "1.0" as an integer, with only a DeprecationWarning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE[sliced]
-            )
-    except (ValueError, Warning):
-        return False
-    if len(table) != len(lines):  # blank lines are skipped
-        return False
+    table = _tokenized(lines, sliced)
+    if table is None or len(table) != len(lines):
+        # numpy skips empty lines but fails on other blank ones
+        filled = [line for line in lines if line.strip()]
+        if table is None and len(filled) < len(lines):
+            table = _tokenized(filled, sliced)
+        if table is None or len(table) != len(filled):
+            return False
     labels = [table[name].tolist() for name in _TALLY_HEADER[:3]]
     if any(max(map(len, column)) >= _LABEL_WIDTH for column in labels):
         return False
@@ -464,7 +462,7 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
         return False
     if sliced and table["slice"].min() < 0:
         return False
-    slices = table["slice"].tolist() if sliced else [0] * len(lines)
+    slices = table["slice"].tolist() if sliced else [0] * len(table)
     # a failure past this point is a duplicate cell, which the line reader
     # raises, so the slices added here never reach a result
     for index in dict.fromkeys(slices):
@@ -482,6 +480,20 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
     return True
 
 
+def _tokenized(lines: list[str], sliced: bool) -> np.ndarray | None:
+    """The rows of ``lines`` as numpy's tokenizer reads them, or None where
+    it fails or warns."""
+    try:
+        # older numpy parses "1.0" as an integer, with only a DeprecationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE[sliced]
+            )
+    except (ValueError, Warning):
+        return None
+
+
 def _read_lines(
     lines: list[str], lineno: int, sliced: bool, flat: array, start_of: dict[int, int]
 ) -> None:
@@ -497,30 +509,60 @@ def _read_lines(
             raise TallyError(
                 f"line {lineno}: expected {width} columns, got {len(parts)}"
             )
-        slice_index = _int_field(parts[0], lineno, "slice") if sliced else 0
-        if slice_index < 0:
-            raise TallyError(f"line {lineno}: column slice: {parts[0].strip()!r} is negative")
-        labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
-        row = _ROW_BY_LABELS.get(labels)
-        if row is None:
-            raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
-        counts = array("q")
-        for raw, column in zip(parts[offset + 3 :], FIELDS):
-            value = _int_field(raw, lineno, column)
-            if not 0 <= value <= MAX_PULSES:
-                raise TallyError(
-                    f"line {lineno}: column {column}: {raw.strip()!r} is outside "
-                    f"[0, {MAX_PULSES}]"
-                )
-            counts.append(value)
+        # one check for the whole row; a failing row is re-read to name its
+        # first error. Without "_" and non-ASCII characters, int() takes what
+        # _INTEGER takes or less.
+        try:
+            if "_" in line or not line.isascii():
+                raise ValueError(line)
+            slice_index = int(parts[0]) if sliced else 0
+            row = _ROW_BY_LABELS[
+                parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip()
+            ]
+            sent, detected, errors = (
+                int(parts[offset + 3]), int(parts[offset + 4]), int(parts[offset + 5])
+            )
+            if not (
+                slice_index >= 0
+                and 0 <= sent <= MAX_PULSES
+                and 0 <= detected <= MAX_PULSES
+                and 0 <= errors <= MAX_PULSES
+            ):
+                raise ValueError(line)
+        except (KeyError, ValueError):
+            slice_index, row, (sent, detected, errors) = _checked_row(parts, lineno, offset)
         base = start_of.get(slice_index)
         if base is None:
             base = start_of[slice_index] = len(flat)
             flat.extend(_UNREAD_SLICE)
         at = base + row * len(FIELDS)
         if flat[at] >= 0:
-            raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
-        flat[at : at + len(FIELDS)] = counts
+            raise TallyError(f"line {lineno}: duplicate cell ({parts[offset].strip()},...)")
+        flat[at] = sent
+        flat[at + 1] = detected
+        flat[at + 2] = errors
+
+
+def _checked_row(parts: list[str], lineno: int, offset: int) -> tuple[int, int, list[int]]:
+    """The slice index, count-array row and counts of a row cut at its
+    commas, checked field by field; raises the row's first error."""
+    slice_index = _int_field(parts[0], lineno, "slice") if offset else 0
+    if slice_index < 0:
+        raise TallyError(f"line {lineno}: column slice: {parts[0].strip()!r} is negative")
+    labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
+    row = _ROW_BY_LABELS.get(labels)
+    if row is None:
+        raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
+    counts = []
+    for raw, column in zip(parts[offset + 3 :], FIELDS):
+        value = _int_field(raw, lineno, column)
+        if not 0 <= value <= MAX_PULSES:
+            raise TallyError(
+                f"line {lineno}: column {column}: {raw.strip()!r} is outside "
+                f"[0, {MAX_PULSES}]"
+            )
+        counts.append(value)
+    return slice_index, row, counts
 
 
 # blanks, an optional sign and ASCII digits: on ASCII text, numpy's int64
