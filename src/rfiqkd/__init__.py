@@ -11,6 +11,7 @@ from .core import (
     ProtocolConfig,
     SecurityParams,
     StateLabel,
+    TallyBatch,
     intensity_triple,
     validate_config,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "ProtocolConfig",
     "SecurityParams",
     "StateLabel",
+    "TallyBatch",
     "intensity_triple",
     "validate_config",
     "analyze_tallies",

@@ -39,11 +39,11 @@ from .core import (
     FIELDS,
     MAX_PULSES,
     TWO_PI,
-    CellCount,
     ChannelParams,
     ObservedTallies,
     ProtocolConfig,
     SecurityParams,
+    TallyBatch,
     TallyError,
     intensity_triple,
     validate_config,
@@ -326,45 +326,29 @@ _ROW_DTYPE = {
 }
 
 
-def write_tally_csv(slices: Sequence[ObservedTallies], out: TextIO) -> None:
+def write_tally_csv(batch: TallyBatch, out: TextIO) -> None:
     """Write tallies as CSV; more than one slice adds a leading slice column."""
-    sliced = len(slices) > 1
+    sliced = len(batch) > 1
     header = (["slice"] if sliced else []) + _TALLY_HEADER
     out.write(",".join(header) + "\n")
-    for index, tallies in enumerate(slices):
+    for index, table in enumerate(batch.counts.tolist()):
         prefix = f"{index}," if sliced else ""
         out.write(
             "".join(
                 f"{prefix}{label},{sent},{detected},{errors}\n"
-                for label, (sent, detected, errors) in zip(
-                    _CELL_LABELS, tallies.counts.tolist()
-                )
+                for label, (sent, detected, errors) in zip(_CELL_LABELS, table)
             )
         )
 
 
-def read_tally_csv(handle: TextIO) -> list[ObservedTallies]:
-    """Parse a tally CSV into one tally table per slice.
+def read_tally_csv(handle: TextIO) -> TallyBatch:
+    """Parse a tally CSV into one tally table per slice, in slice order.
 
     Parse and consistency errors carry the offending line number; cell
     constraint violations name the slice and the cell.
     """
     order, counts = _read_counts(handle)
-    complete = (counts[:, :, 0] >= 0).all(axis=1).tolist()
-    result = []
-    for table, slice_index, whole in zip(counts, order, complete):
-        try:
-            if whole:
-                result.append(ObservedTallies(table))
-            else:
-                # the mapping form reports the missing cells
-                ObservedTallies(
-                    {ALL_CELLS[row]: CellCount(*table[row].tolist())
-                     for row in np.flatnonzero(table[:, 0] >= 0)}
-                )
-        except TallyError as exc:
-            raise TallyError(f"slice {slice_index}: {exc}") from exc
-    return result
+    return TallyBatch(counts, order)
 
 
 def _read_counts(handle: TextIO) -> tuple[list[int], np.ndarray]:
@@ -373,7 +357,7 @@ def _read_counts(handle: TextIO) -> tuple[list[int], np.ndarray]:
 
     The file is read in blocks of whole lines, and every count goes
     straight into an int64 buffer, so the whole text and its lines are
-    never held at once; the buffer is freed before the caller builds its
+    never held at once; the buffer is freed before the caller checks the
     tables. Each block goes through numpy's tokenizer in one call and is
     checked as arrays; a block that fails any check is read again line by
     line, which stores its rows up to the first error and names that error.
@@ -604,12 +588,13 @@ def _grid_count(start: float, stop: float, step: float) -> float:
 
 def _make_slices(
     run: RunConfig, cfg: ProtocolConfig, ch: ChannelParams, mode: object
-) -> list[ObservedTallies]:
+) -> TallyBatch:
     """Produce per-slice tallies per ``mode`` and the configured drift model."""
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
-        return list(_blocks(mode, cfg, ch, [distance], seed))
+        tables = _blocks(mode, cfg, ch, [distance], seed)
+        return TallyBatch(np.stack([table.counts for table in tables]))
     if cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
@@ -625,11 +610,10 @@ def _make_slices(
     )
     if mode == "analytic":
         slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-        return list(_blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas))
-    return [
-        oracle.observed()
-        for oracle in sample_drifting_tallies(cfg, ch, distance, trace, seed)
-    ]
+        tables = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
+    else:
+        tables = sample_drifting_tallies(cfg, ch, distance, trace, seed)
+    return TallyBatch(np.stack([table.counts for table in tables]))
 
 
 def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
@@ -640,7 +624,7 @@ def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
         "literal_paper_formulas": literal,
     }
     if len(slices) == 1 and cfg.m_groups == 1:
-        report = analyze_tallies(slices[0], cfg, sec, **options)
+        report = analyze_tallies(ObservedTallies(slices.counts[0]), cfg, sec, **options)
         return _render_report(report, cfg.n_total), report.key_length > 0.0
     result = group_and_extract(slices, cfg.m_groups, cfg, sec, **options)
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0

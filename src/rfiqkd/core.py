@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,15 +141,6 @@ class ProtocolConfig:
         raise KeyError(kind)
 
 
-@dataclass(frozen=True)
-class CellCount:
-    """Counts for one (state, basis, intensity) cell."""
-
-    sent: int
-    detected: int
-    errors: int
-
-
 class TallyError(ValueError):
     """A tally table violates a structural constraint."""
 
@@ -158,6 +148,7 @@ class TallyError(ValueError):
 # Row of each cell in the count array; the three columns are FIELDS.
 CELL_INDEX: dict[CellKey, int] = {key: row for row, key in enumerate(ALL_CELLS)}
 FIELDS = ("sent", "detected", "errors")
+_TABLE = (len(ALL_CELLS), len(FIELDS))  # shape of one count array
 # (pair name, Z row, X row) of each (state, intensity) pair
 _PAIR_ROWS = tuple(
     (
@@ -175,8 +166,8 @@ class ObservedTallies:
     """Detection and error counts for all 24 (state, basis, intensity) cells.
 
     ``counts`` is a read-only int64 array of shape (24, 3): one row per cell
-    in ``ALL_CELLS`` order, columns ``FIELDS``. The constructor takes such
-    an array or a mapping of all 24 cells to ``CellCount``.
+    in ``ALL_CELLS`` order, columns ``FIELDS``. The constructor copies the
+    array it is given.
 
     ``sent`` is the number of pulses emitted with that (state, intensity)
     pair; the same value appears in both basis rows of a pair because the
@@ -188,32 +179,15 @@ class ObservedTallies:
 
     def __post_init__(self) -> None:
         counts = self.counts
-        shape = (len(ALL_CELLS), len(FIELDS))
-        is_array = isinstance(counts, np.ndarray)
-        if is_array and (counts.shape != shape or counts.dtype != np.int64):
+        if not isinstance(counts, np.ndarray) or counts.shape != _TABLE or counts.dtype != np.int64:
             raise TallyError(
-                f"expected an int64 array of shape {shape}, got {counts.dtype} {counts.shape}"
+                f"expected an int64 array of shape {_TABLE}, got "
+                f"{getattr(counts, 'dtype', type(counts).__name__)} {np.shape(counts)}"
             )
-        rows = counts.tolist() if is_array else _rows_of(counts)
-        # Python ints: a count beyond int64 is reported, not wrapped
-        for key, (sent, detected, errors) in zip(ALL_CELLS, rows):
-            if not 0 <= errors <= detected <= sent:
-                raise TallyError(
-                    f"cell {cell_name(key)}: need 0 <= errors <= detected <= sent, "
-                    f"got sent={sent} detected={detected} errors={errors}"
-                )
-            if sent > MAX_PULSES:
-                raise TallyError(
-                    f"cell {cell_name(key)}: sent={sent} exceeds the 64-bit count "
-                    f"budget {MAX_PULSES}"
-                )
-        for pair, z_row, x_row in _PAIR_ROWS:
-            if rows[z_row][0] != rows[x_row][0]:
-                raise TallyError(
-                    f"pair {pair}: sent differs between the Z and X rows, "
-                    f"{rows[z_row][0]} != {rows[x_row][0]}"
-                )
-        array = counts.copy() if is_array else np.array(rows, dtype=np.int64)
+        problem = _table_problem(counts.tolist())
+        if problem is not None:
+            raise TallyError(problem)
+        array = counts.copy()
         array.flags.writeable = False
         object.__setattr__(self, "counts", array)
 
@@ -221,16 +195,6 @@ class ObservedTallies:
         if not isinstance(other, ObservedTallies):
             return NotImplemented
         return bool(np.array_equal(self.counts, other.counts))
-
-    @property
-    def cells(self) -> Mapping[CellKey, CellCount]:
-        """Read-only view of the counts keyed by cell."""
-        return MappingProxyType(
-            {key: CellCount(*row) for key, row in zip(ALL_CELLS, self.counts.tolist())}
-        )
-
-    def cell(self, state: StateLabel, basis: BasisLabel, kind: IntensityKind) -> CellCount:
-        return CellCount(*self.counts[CELL_INDEX[(state, basis, kind)]].tolist())
 
     def _class_sums(
         self, states: Iterable[StateLabel], basis: BasisLabel, field: int
@@ -265,23 +229,79 @@ class ObservedTallies:
         return ObservedTallies(self.counts + other.counts)
 
 
-def _rows_of(cells: Mapping[CellKey, CellCount]) -> list[list[int]]:
-    """Count rows in ``ALL_CELLS`` order from a mapping of all 24 cells."""
-    cells = dict(cells)
-    missing = [key for key in ALL_CELLS if key not in cells]
-    if missing or len(cells) != len(ALL_CELLS):
-        raise TallyError(
-            f"expected {len(ALL_CELLS)} cells, got {len(cells)}; missing {missing}"
-        )
-    # operator.index refuses a float count instead of truncating it
-    return [
-        [operator.index(cc.sent), operator.index(cc.detected), operator.index(cc.errors)]
-        for cc in map(cells.__getitem__, ALL_CELLS)
-    ]
+@dataclass(frozen=True, eq=False)
+class TallyBatch:
+    """The tally tables of n time slices, checked as a whole.
+
+    ``counts`` is a read-only int64 array of shape (n, 24, 3); table ``i``
+    is laid out as ``ObservedTallies.counts`` and belongs to slice
+    ``slices[i]``, by default ``i``. A cell whose ``sent`` is negative is
+    missing. The constructor makes an array that owns its memory read-only
+    in place, and copies any other array.
+
+    A table that ``ObservedTallies`` would refuse makes the constructor
+    raise the same message, prefixed ``slice k: `` for the first such
+    table; a table with missing cells names them instead.
+    """
+
+    counts: np.ndarray
+    slices: Sequence[int] = ()
+
+    def __post_init__(self) -> None:
+        counts = self.counts
+        if not isinstance(counts, np.ndarray) or counts.shape[1:] != _TABLE or counts.dtype != np.int64:
+            raise TallyError(
+                f"expected an int64 array of shape (n, 24, 3), got "
+                f"{getattr(counts, 'dtype', type(counts).__name__)} {np.shape(counts)}"
+            )
+        if counts.base is not None:
+            counts = counts.copy()
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        if not self.slices:
+            object.__setattr__(self, "slices", range(len(counts)))
+        sent, detected, errors = counts[:, :, 0], counts[:, :, 1], counts[:, :, 2]
+        # a negative sent, so a missing cell, fails one of these too
+        bad = (sent > MAX_PULSES) | (detected > sent) | (errors > detected) | (errors < 0)
+        pairs = sent.reshape(len(counts), len(STATES), len(BASES), len(KINDS))
+        bad_table = bad.any(axis=1) | (pairs[:, :, 0] != pairs[:, :, 1]).any(axis=(1, 2))
+        if bad_table.any():
+            first = int(bad_table.argmax())
+            rows = counts[first].tolist()
+            missing = [key for key, row in zip(ALL_CELLS, rows) if row[0] < 0]
+            if missing:
+                problem = (
+                    f"expected {len(ALL_CELLS)} cells, got {len(ALL_CELLS) - len(missing)}; "
+                    f"missing {missing}"
+                )
+            else:
+                problem = _table_problem(rows)
+            raise TallyError(f"slice {self.slices[first]}: {problem}")
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
-def zero_tallies() -> ObservedTallies:
-    return ObservedTallies(np.zeros((len(ALL_CELLS), len(FIELDS)), dtype=np.int64))
+def _table_problem(rows: list[list[int]]) -> str | None:
+    """The first constraint that one table's count rows violate, or None.
+
+    In Python ints: on a single table this beats numpy's per-call overhead.
+    """
+    for key, (sent, detected, errors) in zip(ALL_CELLS, rows):
+        if not 0 <= errors <= detected <= sent:
+            return (
+                f"cell {cell_name(key)}: need 0 <= errors <= detected <= sent, "
+                f"got sent={sent} detected={detected} errors={errors}"
+            )
+        if sent > MAX_PULSES:
+            return f"cell {cell_name(key)}: sent={sent} exceeds the 64-bit count budget {MAX_PULSES}"
+    for pair, z_row, x_row in _PAIR_ROWS:
+        if rows[z_row][0] != rows[x_row][0]:
+            return (
+                f"pair {pair}: sent differs between the Z and X rows, "
+                f"{rows[z_row][0]} != {rows[x_row][0]}"
+            )
+    return None
 
 
 def cell_name(key: CellKey) -> str:

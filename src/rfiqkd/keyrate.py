@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import starmap
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .core import (
     ProtocolConfig,
     SecurityParams,
     StateLabel,
+    TallyBatch,
     TallyError,
     cell_name,
-    zero_tallies,
 )
 from . import decoy, security
 from .security import binary_entropy
@@ -36,8 +37,8 @@ from .security import binary_entropy
 __all__ = [
     "KeyLength",
     "key_length",
-    "RhoResult",
     "DriftClassifier",
+    "CLASSIFY_ROWS",
     "GroupBucket",
     "GroupedData",
     "group_slices",
@@ -91,44 +92,39 @@ def key_length(
     return KeyLength(max(raw, 0.0), raw)
 
 
-@dataclass(frozen=True)
-class RhoResult:
-    """Drift-classification angle; a degenerate slice has no usable angle."""
-
-    rho: float
-    degenerate: bool = False
-
-
 class DriftClassifier:
-    """Per-slice frame-angle estimate from the slice's own counts."""
+    """Per-slice frame-angle estimate from the slice's own counts.
 
-    def classify(self, tallies: ObservedTallies) -> RhoResult:
-        """The angle ``atan2(1 - 2 e_Y0X, 1 - 2 e_X0X) mod 2*pi``.
+    A namespace for one function: ``perfbench`` traces it by this name.
+    """
 
-        ``e_X0X`` and ``e_Y0X`` are the observed error rates of the
-        signal-intensity X0 and Y0 cells measured in X, the correlator pair
+    @staticmethod
+    def classify(x0: Sequence[int], y0: Sequence[int]) -> float | None:
+        """The angle ``atan2(1 - 2 e_Y0X, 1 - 2 e_X0X) mod 2*pi``, or None.
+
+        ``x0`` and ``y0`` are the (detected, errors) counts of rows
+        ``CLASSIFY_ROWS``: the signal-intensity X0 and Y0 cells measured in
+        X, whose error rates ``e_X0X`` and ``e_Y0X`` form the correlator pair
         of Laing et al. (PRA 82, 012304, 2010). Each ``1 - 2e`` is the cosine
         or the sine of the angle times the same visibility, so no channel,
         intensity or distance input is needed. A slice without detections in
-        either cell is degenerate and belongs in the overflow group.
+        either cell is degenerate, has no angle and belongs in the overflow
+        group.
         """
-        (_, xx_detected, xx_errors), (_, yx_detected, yx_errors) = tallies.counts[
-            _CLASSIFY_ROWS
-        ].tolist()
+        (xx_detected, xx_errors), (yx_detected, yx_errors) = x0, y0
         if xx_detected == 0 or yx_detected == 0:
-            return RhoResult(0.0, degenerate=True)
+            return None
         rho = math.atan2(1 - 2 * yx_errors / yx_detected, 1 - 2 * xx_errors / xx_detected)
-        return RhoResult(rho % TWO_PI)
+        return rho % TWO_PI
 
 
 # Count-array rows of the signal-intensity X0 and Y0 cells measured in X
-_CLASSIFY_ROWS = [
+CLASSIFY_ROWS = [
     CELL_INDEX[(state, BasisLabel.X, IntensityKind.MU)]
     for state in (StateLabel.X0, StateLabel.Y0)
 ]
 # Count-array rows measured in Z: their sent column holds every pulse once
 _Z_ROWS = [row for row, (_, basis, _) in enumerate(ALL_CELLS) if basis is BasisLabel.Z]
-_pick_z = itemgetter(*_Z_ROWS)
 
 
 @dataclass(frozen=True)
@@ -147,17 +143,18 @@ class GroupBucket:
 class GroupedData:
     buckets: tuple[GroupBucket, ...]
 
-    def total_tallies(self) -> ObservedTallies:
-        total = zero_tallies()
-        for bucket in self.buckets:
-            total = total + bucket.tallies
-        return total
+
+def _sent_sums(sent: np.ndarray) -> np.ndarray:
+    """Exact column sums of an (n, 24) sent array, as Python ints.
+
+    The high and low 31 bits are summed apart, which cannot wrap in int64
+    for fewer than 2**32 slices, and joined as Python ints.
+    """
+    high, low = (sent >> 31).sum(axis=0), (sent & (2**31 - 1)).sum(axis=0)
+    return high.astype(object) * 2**31 + low.astype(object)
 
 
-def group_slices(
-    slices: list[ObservedTallies],
-    m_groups: int,
-) -> GroupedData:
+def group_slices(batch: TallyBatch, m_groups: int) -> GroupedData:
     """Assign per-slice tallies to uniform angle groups.
 
     With one group, classification is skipped and everything is pooled,
@@ -169,28 +166,24 @@ def group_slices(
         raise ValueError(f"m_groups must be >= 1, got {m_groups}")
     width = TWO_PI / m_groups
     overflow = m_groups  # row of the overflow group
-    classify = DriftClassifier().classify
-
-    def group_of(entry: ObservedTallies) -> int:
-        if m_groups == 1:
-            return 0
-        result = classify(entry)
-        if result.degenerate:
-            return overflow
-        return min(int(result.rho / width), m_groups - 1)
-
-    group = np.fromiter(map(group_of, slices), np.intp, len(slices))
-    stack = np.array([entry.counts for entry in slices], dtype=np.int64).reshape(
-        len(slices), len(ALL_CELLS), len(FIELDS)
-    )
-    # sent bounds the other two fields. Its high and low 31 bits are summed
-    # apart, which cannot wrap in int64 for fewer than 2**32 slices, and
-    # joined as Python ints, so the budget check below is exact.
-    high = np.zeros((m_groups + 1, len(ALL_CELLS)), dtype=np.int64)
-    low = np.zeros_like(high)
-    np.add.at(high, group, stack[:, :, 0] >> 31)
-    np.add.at(low, group, stack[:, :, 0] & (2**31 - 1))
-    sent = high.astype(object) * 2**31 + low.astype(object)
+    if m_groups == 1:
+        group = np.zeros(len(batch), dtype=np.intp)
+    else:
+        angles = starmap(DriftClassifier.classify, batch.counts[:, CLASSIFY_ROWS, 1:].tolist())
+        group = np.fromiter(
+            (overflow if rho is None else min(int(rho / width), m_groups - 1) for rho in angles),
+            np.intp,
+            len(batch),
+        )
+    n_slices = np.bincount(group, minlength=m_groups + 1).tolist()
+    sums = np.zeros((m_groups + 1, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
+    sent = np.zeros((m_groups + 1, len(ALL_CELLS)), dtype=object)
+    for i in np.flatnonzero(n_slices):
+        # a group of every slice needs no copy of the batch
+        members = batch.counts if n_slices[i] == len(batch) else batch.counts[group == i]
+        sent[i] = _sent_sums(members[:, :, 0])
+        # sent bounds the other two fields: they wrap only if sent does
+        sums[i] = members.sum(axis=0)
     over = np.argwhere(sent > MAX_PULSES)
     if len(over):
         i, row = over[0]
@@ -198,9 +191,6 @@ def group_slices(
             f"group {'overflow' if i == overflow else i}: cell {cell_name(ALL_CELLS[row])}: "
             f"summed sent={sent[i, row]} exceeds the 64-bit count budget {MAX_PULSES}"
         )
-    sums = np.zeros((m_groups + 1, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
-    np.add.at(sums, group, stack)
-    n_slices = np.bincount(group, minlength=m_groups + 1).tolist()
 
     def bucket(i: int, index: int | None, rho_low: float, rho_high: float) -> GroupBucket:
         tallies = ObservedTallies(sums[i])
@@ -212,10 +202,9 @@ def group_slices(
     return GroupedData(tuple(buckets))
 
 
-def total_pulses(slices: list[ObservedTallies]) -> int:
+def total_pulses(batch: TallyBatch) -> int:
     """Pulses sent over all slices, summed exactly from the Z rows' sent column."""
-    # Python ints, so the sum cannot wrap; no stacked copy of the slices
-    return sum(sum(_pick_z(entry.counts[:, 0].tolist())) for entry in slices)
+    return sum(_sent_sums(batch.counts[:, :, 0])[_Z_ROWS])
 
 
 @dataclass(frozen=True)
@@ -255,7 +244,7 @@ def _missing_cells(tallies: ObservedTallies) -> str | None:
 
 
 def group_and_extract(
-    slices: list[ObservedTallies],
+    batch: TallyBatch,
     m_groups: int,
     cfg: ProtocolConfig,
     sec: SecurityParams,
@@ -267,7 +256,7 @@ def group_and_extract(
     diagnostic instead of a report. Summation order is fixed by group
     index, so results do not depend on evaluation order.
     """
-    grouped = group_slices(slices, m_groups)
+    grouped = group_slices(batch, m_groups)
     outcomes = []
     total = 0.0
     for bucket in grouped.buckets:

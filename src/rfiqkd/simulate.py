@@ -66,10 +66,13 @@ class OracleTallies:
         for counts in (self.sent, self.detected, self.errors):
             counts.flags.writeable = False
 
+    @property
+    def counts(self) -> np.ndarray:
+        """The observable (24, 3) counts, laid out as ``ObservedTallies.counts``."""
+        return np.stack((self.sent, self.detected.sum(axis=1), self.errors.sum(axis=1)), axis=1)
+
     def observed(self) -> ObservedTallies:
-        return ObservedTallies(
-            np.stack((self.sent, self.detected.sum(axis=1), self.errors.sum(axis=1)), axis=1)
-        )
+        return ObservedTallies(self.counts)
 
     def true_counts(
         self, states: Iterable[StateLabel], basis: BasisLabel, photons: int

@@ -25,11 +25,11 @@ import pytest
 from rfiqkd import cli, decoy
 from rfiqkd.channel import expected_tallies, misalignment_error
 from rfiqkd.core import BasisLabel, SecurityParams, StateLabel
-from rfiqkd.keyrate import DriftClassifier, group_and_extract
+from rfiqkd.keyrate import CLASSIFY_ROWS, DriftClassifier, group_and_extract
 from rfiqkd.security import abs_lower, c1_c2_point, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies, sample_tallies
 
-from conftest import make_config
+from conftest import batch_of, make_config
 
 TWO_PI = 2 * math.pi
 
@@ -103,31 +103,25 @@ def run_grouping_study() -> tuple[str, float, float, float, list[int]]:
         "linear", {"beta0": 0.0, "rate": TWO_PI}, GROUPING_SLICES,
         pulses_per_slice=pulses,
     )
-    slices = [
-        o.observed()
-        for o in sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, trace, GROUPING_SEED)
-    ]
+    slices = batch_of(sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, trace, GROUPING_SEED))
     grouped = group_and_extract(slices, 6, cfg, sec)
     pooled = group_and_extract(slices, 1, cfg, sec)
 
     fixed_trace = drift_beta(
         "fixed", {"beta0": 0.0}, GROUPING_SLICES, pulses_per_slice=pulses
     )
-    fixed_slices = [
-        o.observed()
-        for o in sample_drifting_tallies(
-            cfg, ch, GROUPING_DISTANCE, fixed_trace, GROUPING_SEED + 1
-        )
-    ]
+    fixed_slices = batch_of(
+        sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, fixed_trace, GROUPING_SEED + 1)
+    )
     fixed = group_and_extract(fixed_slices, 1, cfg, sec)
 
     rows = ["metric,value"]
     rows.append(f"l_m6,{grouped.key_length:.6f}")
     rows.append(f"l_m1,{pooled.key_length:.6f}")
     rows.append(f"l_fixed,{fixed.key_length:.6f}")
-    classify = DriftClassifier().classify
-    for i, tallies in enumerate(slices):
-        rows.append(f"slice_rho_{i},{classify(tallies).rho:.9f}")
+    x_rows = slices.counts[:, CLASSIFY_ROWS, 1:].tolist()
+    for i, (x0, y0) in enumerate(x_rows):
+        rows.append(f"slice_rho_{i},{DriftClassifier.classify(x0, y0):.9f}")
     csv_text = "\n".join(rows) + "\n"
     group_sizes = [o.bucket.n_slices for o in grouped.outcomes if o.bucket.index is not None]
     return csv_text, grouped.key_length, pooled.key_length, fixed.key_length, group_sizes

@@ -80,15 +80,17 @@ def test_x_basis_qber_at_200km(cfg, ch):
 def test_expected_tallies_zero_block(ch):
     cfg = make_config(n_total=0)
     tallies = expected_tallies(cfg, ch, [50.0])[0]
-    assert all(c.sent == c.detected == c.errors == 0 for c in tallies.cells.values())
+    assert all(sent == detected == errors == 0 for sent, detected, errors in tallies.counts.tolist())
 
 
 def test_expected_tallies_linear_in_block_size(ch):
     small = expected_tallies(make_config(n_total=10**9), ch, [50.0])[0]
     big = expected_tallies(make_config(n_total=2 * 10**9), ch, [50.0])[0]
-    for key, cell in small.cells.items():
-        assert big.cells[key].detected == pytest.approx(2 * cell.detected, abs=1.0)
-        assert big.cells[key].errors == pytest.approx(2 * cell.errors, abs=1.0)
+    for (_, detected, errors), (_, big_detected, big_errors) in zip(
+        small.counts.tolist(), big.counts.tolist()
+    ):
+        assert big_detected == pytest.approx(2 * detected, abs=1.0)
+        assert big_errors == pytest.approx(2 * errors, abs=1.0)
 
 
 def test_single_photon_scale_near_reported_operating_point(cfg, ch):

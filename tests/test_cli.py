@@ -8,7 +8,7 @@ import pytest
 
 from rfiqkd import analyze_tallies, cli
 from rfiqkd.channel import expected_tallies
-from rfiqkd.core import TallyError
+from rfiqkd.core import ObservedTallies, TallyError
 from rfiqkd.simulate import drift_beta, sample_tallies
 
 
@@ -528,5 +528,5 @@ def test_analytic_drift_chunks_match_one_slice_at_a_time(tmp_path):
     trace = drift_beta("linear", {"beta0": 0.0, "rate": 2 * math.pi}, 1030, 10**9)
     per_slice = replace(cfg, n_total=10**9)
     assert len(slices) == 1030
-    for tallies, beta in zip(slices, trace.betas):
-        assert tallies == expected_tallies(per_slice, ch, [200.0], [beta])[0]
+    for table, beta in zip(slices.counts, trace.betas):
+        assert ObservedTallies(table) == expected_tallies(per_slice, ch, [200.0], [beta])[0]

@@ -14,6 +14,7 @@ from rfiqkd.channel import (
 from rfiqkd.core import (
     ALL_CELLS,
     BASES,
+    CELL_INDEX,
     KINDS,
     MAX_PULSES,
     STATES,
@@ -54,8 +55,8 @@ def test_sampling_deterministic(ch):
 def test_cell_inequalities_hold_for_every_seed(ch):
     for seed in range(5):
         oracle = sample_tallies(SMALL, ch, 30.0, seed)
-        for cc in oracle.observed().cells.values():
-            assert 0 <= cc.errors <= cc.detected <= cc.sent
+        for sent, detected, errors in oracle.observed().counts.tolist():
+            assert 0 <= errors <= detected <= sent
         # per photon number too, and Z and X rows of a pair share their sent
         assert (0 <= oracle.errors).all()
         assert (oracle.errors <= oracle.detected).all()
@@ -146,9 +147,9 @@ def test_sample_mean_matches_expectation(ch):
     esums = {key: 0.0 for key in ALL_CELLS}
     for seed in range(n_seeds):
         obs = sample_tallies(cfg, ch, 50.0, seed).observed()
-        for key, cc in obs.cells.items():
-            sums[key] += cc.detected
-            esums[key] += cc.errors
+        for key, (_, detected, errors) in zip(ALL_CELLS, obs.counts.tolist()):
+            sums[key] += detected
+            esums[key] += errors
     for key in ALL_CELLS:
         state, basis, kind = key
         k = cfg.intensity(kind)
@@ -260,9 +261,9 @@ def test_constant_trace_sums_match_one_shot_statistics(ch):
     expected = expected_tallies(cfg, ch, [50.0])[0]
     for key in ALL_CELLS:
         state, basis, kind = key
-        mean = expected.cells[key].detected
+        mean = expected.counts[CELL_INDEX[key], 1]
         sigma = math.sqrt(max(mean, 1.0))
-        assert abs(summed.cells[key].detected - mean) <= 5 * sigma + 1.0
+        assert abs(summed.counts[CELL_INDEX[key], 1] - mean) <= 5 * sigma + 1.0
 
 
 def test_conservative_decoy_directions_cover_truth(ch, sec):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfiqkd import cli
-from rfiqkd.core import ALL_CELLS, CellCount, ObservedTallies, TallyError
+from rfiqkd.core import ALL_CELLS, ObservedTallies, TallyError
 
 HEADER = "state,basis,intensity,sent,detected,errors"
 ROWS = [f"{s.value},{b.value},{k.value},100,10,1" for s, b, k in ALL_CELLS]
@@ -41,8 +41,8 @@ def replaced(rows, index, row):
 
 
 def test_valid_file_is_read():
-    (tallies,) = cli.read_tally_csv(io.StringIO(tally_text(ROWS)))
-    assert tallies.cell(*ALL_CELLS[0]).sent == 100
+    (table,) = cli.read_tally_csv(io.StringIO(tally_text(ROWS))).counts
+    assert table[0, 0] == 100
 
 
 def test_interleaved_slices_crlf_and_blank_lines(tmp_path):
@@ -58,7 +58,9 @@ def test_interleaved_slices_crlf_and_blank_lines(tmp_path):
     path.write_bytes(tally_text(rows, "slice," + HEADER).replace("\n", "\r\n").encode())
     with path.open() as handle:
         slices = cli.read_tally_csv(handle)
-    assert slices == [cli.read_tally_csv(io.StringIO(tally_text(t)))[0] for t in tables]
+    assert slices.counts.tolist() == [
+        cli.read_tally_csv(io.StringIO(tally_text(t))).counts[0].tolist() for t in tables
+    ]
 
 
 @pytest.mark.parametrize(
@@ -187,8 +189,8 @@ def test_counts_outside_the_budget(column, value):
 
 def test_budget_edge_is_accepted():
     rows = [f"{s.value},{b.value},{k.value},{2**62},{2**62},{2**62}" for s, b, k in ALL_CELLS]
-    (tallies,) = cli.read_tally_csv(io.StringIO(tally_text(rows)))
-    assert tallies.cell(*ALL_CELLS[-1]).errors == 2**62
+    (table,) = cli.read_tally_csv(io.StringIO(tally_text(rows))).counts
+    assert table[-1, 2] == 2**62
 
 
 def test_process_rejects_count_beyond_budget(tmp_path):
@@ -294,10 +296,12 @@ def reference_read(text):
         return "line 2: no tally rows"
     result = []
     for slice_index in sorted(tables):
+        cells = tables[slice_index]
+        missing = [key for row, key in enumerate(ALL_CELLS) if row not in cells]
+        if missing:
+            return f"slice {slice_index}: expected 24 cells, got {len(cells)}; missing {missing}"
         try:
-            table = ObservedTallies(
-                {ALL_CELLS[row]: CellCount(*counts) for row, counts in tables[slice_index].items()}
-            )
+            table = ObservedTallies(np.array([cells[row] for row in range(24)], dtype=np.int64))
         except TallyError as exc:
             return f"slice {slice_index}: {exc}"
         result.append(table.counts.tolist())
@@ -319,7 +323,7 @@ class ShortReads:
 
 def block_read(text, size=1 << 16):
     try:
-        return [table.counts.tolist() for table in cli.read_tally_csv(ShortReads(text, size))]
+        return cli.read_tally_csv(ShortReads(text, size)).counts.tolist()
     except TallyError as exc:
         return str(exc)
 
@@ -456,6 +460,23 @@ def test_a_duplicate_cell_in_a_later_block_is_named():
     lines.insert(2500, lines[1])
     text = "".join(lines)
     assert block_read(text) == reference_read(text) == "line 2501: duplicate cell (Z0,...)"
+
+
+def test_the_batch_read_is_read_only_and_apart_from_the_buffer(monkeypatch):
+    buffers = []
+    read_block = cli._read_block
+
+    def keep_buffer(lines, sliced, flat, start_of):
+        buffers.append(flat)
+        return read_block(lines, sliced, flat, start_of)
+
+    monkeypatch.setattr(cli, "_read_block", keep_buffer)
+    batch = cli.read_tally_csv(io.StringIO(long_file(120)))
+    assert len(batch) == 120 and batch.slices == list(range(120))
+    assert buffers and all(flat is buffers[0] for flat in buffers)
+    assert not np.shares_memory(batch.counts, np.frombuffer(buffers[0], dtype=np.int64))
+    with pytest.raises(ValueError):
+        batch.counts[0, 0, 0] = 5
 
 
 class CountingReads(ShortReads):

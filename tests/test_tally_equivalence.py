@@ -7,7 +7,9 @@ from the sent column of each (state, intensity) pair.
 """
 import io
 import math
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -21,15 +23,37 @@ from rfiqkd.core import (
     STATES,
     TWO_PI,
     BasisLabel,
-    CellCount,
     IntensityKind,
     ObservedTallies,
     StateLabel,
+    TallyBatch,
     TallyError,
 )
 from rfiqkd.keyrate import group_slices, total_pulses
 
 SETTINGS = settings(max_examples=60, deadline=None)
+
+
+class CellCount(NamedTuple):
+    """Counts for one (state, basis, intensity) cell."""
+
+    sent: int
+    detected: int
+    errors: int
+
+
+def as_array(cells):
+    """The (24, 3) count array of a dict of all 24 cells."""
+    return np.array([cells[key] for key in ALL_CELLS], dtype=np.int64)
+
+
+def as_cells(counts):
+    """The dict of all 24 cells of a (24, 3) count array."""
+    return {key: CellCount(*row) for key, row in zip(ALL_CELLS, counts.tolist())}
+
+
+def batch_of_maps(slices):
+    return TallyBatch(np.stack([as_array(cells) for cells in slices]))
 
 
 @st.composite
@@ -121,9 +145,8 @@ def exceeds_budget(buckets):
 @SETTINGS
 @given(cell_maps(MAX_PULSES), st.sets(st.sampled_from(STATES)), st.sampled_from(BASES))
 def test_queries_match_reference(cells, states, basis):
-    tallies = ObservedTallies(cells)
-    assert dict(tallies.cells) == cells
-    assert all(tallies.cell(*key) == cells[key] for key in ALL_CELLS)
+    tallies = ObservedTallies(as_array(cells))
+    assert as_cells(tallies.counts) == cells
     for field, query in (("detected", tallies.class_detected), ("errors", tallies.class_errors)):
         got = query(states, basis)
         assert got == ref_class_sums(cells, states, basis, field)
@@ -133,24 +156,24 @@ def test_queries_match_reference(cells, states, basis):
 @SETTINGS
 @given(cell_maps(MAX_PULSES), cell_maps(MAX_PULSES))
 def test_addition_and_equality_match_reference(a, b):
-    ta, tb = ObservedTallies(a), ObservedTallies(b)
+    ta, tb = ObservedTallies(as_array(a)), ObservedTallies(as_array(b))
     assert (ta == tb) == (a == b)
-    assert ta == ObservedTallies(dict(a))
+    assert ta == ObservedTallies(as_array(dict(a)))
     total = ref_add(a, b)
     event(f"beyond the budget: {any(cc.sent > MAX_PULSES for cc in total.values())}")
     if any(cc.sent > MAX_PULSES for cc in total.values()):
         with pytest.raises(TallyError):
             ta + tb
         return
-    assert dict((ta + tb).cells) == total
+    assert as_cells((ta + tb).counts) == total
 
 
 @SETTINGS
 @given(slice_lists(), st.integers(1, 6))
 def test_grouping_matches_reference(slices, m_groups):
-    grouped = group_slices([ObservedTallies(cells) for cells in slices], m_groups)
+    grouped = group_slices(batch_of_maps(slices), m_groups)
     got = [
-        (b.index, b.rho_low, b.rho_high, dict(b.tallies.cells), b.n_slices, b.n_pulses)
+        (b.index, b.rho_low, b.rho_high, as_cells(b.tallies.counts), b.n_slices, b.n_pulses)
         for b in grouped.buckets
     ]
     expected = ref_group_slices(slices, m_groups)
@@ -161,7 +184,7 @@ def test_grouping_matches_reference(slices, m_groups):
 @SETTINGS
 @given(slice_lists(MAX_PULSES), st.integers(1, 3))
 def test_grouping_near_the_budget_matches_reference(slices, m_groups):
-    tallies = [ObservedTallies(cells) for cells in slices]
+    tallies = batch_of_maps(slices)
     # the pulses of all slices together, which process takes as n_total
     assert total_pulses(tallies) == sum(ref_pulses(cells) for cells in slices)
     expected = ref_group_slices(slices, m_groups)
@@ -171,7 +194,7 @@ def test_grouping_near_the_budget_matches_reference(slices, m_groups):
             group_slices(tallies, m_groups)
         return
     got = group_slices(tallies, m_groups)
-    assert [(dict(b.tallies.cells), b.n_pulses) for b in got.buckets] == [
+    assert [(as_cells(b.tallies.counts), b.n_pulses) for b in got.buckets] == [
         (b[3], b[5]) for b in expected
     ]
 
@@ -180,7 +203,66 @@ def test_grouping_near_the_budget_matches_reference(slices, m_groups):
 @given(slice_lists(MAX_PULSES))
 def test_csv_round_trip(slices):
     for chosen in (slices[:1], slices):  # unsliced and, with two or more, sliced
-        tallies = [ObservedTallies(cells) for cells in chosen]
+        tallies = batch_of_maps(chosen)
         buffer = io.StringIO()
         write_tally_csv(tallies, buffer)
-        assert read_tally_csv(io.StringIO(buffer.getvalue())) == tallies
+        read = read_tally_csv(io.StringIO(buffer.getvalue()))
+        assert [as_cells(table) for table in read.counts] == chosen
+
+
+def ref_batch_problem(tables, slices):
+    """What the per-slice checks raise for the first bad table: its missing
+    cells, else the message of ``ObservedTallies``; None if every table is good."""
+    for index, table in zip(slices, tables):
+        missing = [key for key, row in zip(ALL_CELLS, table) if row[0] < 0]
+        if missing:
+            return f"slice {index}: expected 24 cells, got {24 - len(missing)}; missing {missing}"
+        try:
+            ObservedTallies(np.array(table, dtype=np.int64))
+        except TallyError as exc:
+            return f"slice {index}: {exc}"
+    return None
+
+
+@st.composite
+def faulty_batches(draw):
+    """Count rows of valid tables with up to four faults, and slice indices
+    or None for the default ones."""
+    slices = draw(st.lists(cell_maps(MAX_PULSES), min_size=1, max_size=5))
+    tables = [as_array(cells).tolist() for cells in slices]
+    for _ in range(draw(st.integers(0, 4))):
+        table = tables[draw(st.integers(0, len(tables) - 1))]
+        state, basis, kind = key = draw(st.sampled_from(ALL_CELLS))
+        row = table[ALL_CELLS.index(key)]
+        fault = draw(st.sampled_from(["missing", "errors", "budget", "pair", "negative"]))
+        if fault == "missing":  # as the reader marks a cell it has not read
+            row[:] = [-1, -1, -1]
+        elif fault == "errors":
+            row[2] = row[1] + draw(st.integers(1, MAX_PULSES))
+        elif fault == "budget":  # in both rows of the pair, which stay equal
+            sent = draw(st.integers(MAX_PULSES + 1, 2**63 - 1))
+            for other in BASES:
+                table[ALL_CELLS.index((state, other, kind))][0] = sent
+        elif fault == "pair":
+            row[0] += 1
+        else:
+            row[draw(st.integers(1, 2))] = -draw(st.integers(1, 2**63))
+    indices = None
+    if draw(st.booleans()):
+        indices = sorted(draw(st.sets(st.integers(0, 2**70), min_size=len(tables), max_size=len(tables))))
+    return tables, indices
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_batches())
+def test_batch_check_matches_the_per_slice_checks(case):
+    tables, slices = case
+    expected = ref_batch_problem(tables, slices or range(len(tables)))
+    event(f"refused: {expected is not None}")
+    if expected is None:
+        batch = TallyBatch(np.array(tables, dtype=np.int64), slices or ())
+        assert batch.counts.tolist() == tables
+        return
+    with pytest.raises(TallyError) as info:
+        TallyBatch(np.array(tables, dtype=np.int64), slices or ())
+    assert str(info.value) == expected
