@@ -331,12 +331,12 @@ def write_tally_csv(batch: TallyBatch, out: TextIO) -> None:
     sliced = len(batch) > 1
     header = (["slice"] if sliced else []) + _TALLY_HEADER
     out.write(",".join(header) + "\n")
-    for index, table in enumerate(batch.counts.tolist()):
+    for index, table in enumerate(batch.counts):
         prefix = f"{index}," if sliced else ""
         out.write(
             "".join(
                 f"{prefix}{label},{sent},{detected},{errors}\n"
-                for label, (sent, detected, errors) in zip(_CELL_LABELS, table)
+                for label, (sent, detected, errors) in zip(_CELL_LABELS, table.tolist())
             )
         )
 

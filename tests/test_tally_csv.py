@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfiqkd import cli
-from rfiqkd.core import ALL_CELLS, ObservedTallies, TallyError
+from rfiqkd.core import ALL_CELLS, ObservedTallies, TallyBatch, TallyError
 
 HEADER = "state,basis,intensity,sent,detected,errors"
 ROWS = [f"{s.value},{b.value},{k.value},100,10,1" for s, b, k in ALL_CELLS]
@@ -518,3 +518,30 @@ def test_a_read_only_handle_is_read_whole_within_two_count_buffers():
     # tables, as the per-line reader did, takes 5.10 MB
     count_buffer = 4000 * len(ALL_CELLS) * 3 * 8
     assert peak - held <= 2 * count_buffer
+
+
+class Discard:
+    """A text sink that keeps only the count of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_a_batch_is_written_one_table_at_a_time():
+    text = long_file(4000)
+    batch = cli.read_tally_csv(io.StringIO(text))
+    cli.write_tally_csv(TallyBatch(batch.counts[:2]), Discard())  # first-call caches
+    sink = Discard()
+    tracemalloc.start()
+    try:
+        cli.write_tally_csv(batch, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(text)
+    # all 4000 tables as Python ints at once take about 18 MB (Python 3.11);
+    # one table's take a few kB
+    assert peak <= 256 * 1024
