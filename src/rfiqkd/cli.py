@@ -347,13 +347,12 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     Parse and consistency errors carry the offending line number; cell
     constraint violations name the slice and the cell.
     """
-    order, counts = _read_counts(handle)
-    return TallyBatch(counts, order)
+    return TallyBatch(*_read_counts(handle))
 
 
-def _read_counts(handle: TextIO) -> tuple[list[int], np.ndarray]:
-    """The slice indices of a tally CSV in order, and their (n, 24, 3) counts,
-    -1 where a cell is missing.
+def _read_counts(handle: TextIO) -> tuple[np.ndarray, list[int]]:
+    """The (n, 24, 3) counts of a tally CSV, -1 where a cell is missing, and
+    the slice indices of its tables, in order.
 
     The file is read in blocks of whole lines, and every count goes
     straight into an int64 buffer, so the whole text and its lines are
@@ -393,7 +392,7 @@ def _read_counts(handle: TextIO) -> tuple[list[int], np.ndarray]:
     )
     first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order))
     # fancy indexing copies, so no table shares memory with flat
-    return order, by_first_line[first // len(_UNREAD_SLICE)]
+    return by_first_line[first // len(_UNREAD_SLICE)], order
 
 
 def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
@@ -594,26 +593,30 @@ def _make_slices(
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
         tables = _blocks(mode, cfg, ch, [distance], seed)
-        return TallyBatch(np.stack([table.counts for table in tables]))
-    if cfg.n_total % n_slices != 0:
+    elif cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
         )
-    params = {
-        "beta0": float(run["drift_beta0_rad"]),
-        "rate": float(run["drift_rate_rad"]),
-        "amplitude": float(run["drift_amplitude_rad"]),
-        "period": float(run["drift_period"]),
-    }
-    trace = drift_beta(
-        str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
-    )
-    if mode == "analytic":
-        slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-        tables = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
     else:
-        tables = sample_drifting_tallies(cfg, ch, distance, trace, seed)
-    return TallyBatch(np.stack([table.counts for table in tables]))
+        params = {
+            "beta0": float(run["drift_beta0_rad"]),
+            "rate": float(run["drift_rate_rad"]),
+            "amplitude": float(run["drift_amplitude_rad"]),
+            "period": float(run["drift_period"]),
+        }
+        trace = drift_beta(
+            str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
+        )
+        if mode == "analytic":
+            slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
+            tables = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
+        else:
+            tables = sample_drifting_tallies(cfg, ch, distance, trace, seed)
+    # filled in place: no list of per-slice arrays is held beside the batch
+    counts = np.empty((n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
+    for slot, table in zip(counts, tables):
+        slot[...] = table.counts
+    return TallyBatch(counts)
 
 
 def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import starmap
-from typing import Sequence
 
 import numpy as np
 
@@ -99,7 +98,7 @@ class DriftClassifier:
     """
 
     @staticmethod
-    def classify(x0: Sequence[int], y0: Sequence[int]) -> float | None:
+    def classify(x0: list[int], y0: list[int]) -> float | None:
         """The angle ``atan2(1 - 2 e_Y0X, 1 - 2 e_X0X) mod 2*pi``, or None.
 
         ``x0`` and ``y0`` are the (detected, errors) counts of rows
