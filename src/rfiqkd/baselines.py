@@ -4,12 +4,15 @@ These exist only for side-by-side rate comparisons. They run on the same
 channel model, decoy chain and key-length formula as the main pipeline but
 work directly on event-class statistics (for example "X states measured in
 X"), so no extra state labels are needed anywhere else in the package.
+``distance_km`` is one distance, or an array of them evaluated as one block.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
+
+import numpy as np
 
 from . import decoy, security
 from .channel import pulse_probabilities, quadrature_error, transmittance
@@ -26,7 +29,9 @@ SIX_STATE_BOB = (0.5, 0.25, 0.25)
 
 @dataclass(frozen=True)
 class BaselineReport:
-    """Rate summary of one comparison pipeline at one distance."""
+    """Rate summary of one comparison pipeline at one distance, or at each of
+    an array of distances with one entry per distance in every field but
+    ``protocol``."""
 
     protocol: str
     key_length: float
@@ -39,30 +44,30 @@ class BaselineReport:
     clamped: bool
 
 
-Counts = tuple[float, float, float]
-
-# (c_lower, i_e, clamped) from the correlator magnitudes and e_zz.
-LeakBound = Callable[[list[float], float, bool], tuple[float, float, bool]]
+# (c_lower, i_e, clamped) per point from the correlator magnitudes and e_zz.
+LeakBound = Callable[[list[np.ndarray], np.ndarray, bool], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _class_counts(
     cfg: ProtocolConfig,
     ch: ChannelParams,
-    eta: float,
+    absorbed: np.ndarray,
     alice_prob: float,
     bob_prob: float,
     e_mis: float,
-) -> tuple[Counts, Counts]:
-    """Expected (detections, errors) of one merged class per intensity."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected (detections, errors) of one merged class, (n, 3) arrays over
+    the intensities, from ``absorbed = exp(-eta * k)`` of each point and
+    intensity."""
     detected = []
     errors = []
-    for k in cfg.intensities:
-        gain, error = pulse_probabilities(math.exp(-eta * k.mean_photons), e_mis, ch.e_d)
-        n = round(cfg.n_total * alice_prob * k.probability * bob_prob * gain)
-        m = min(round(cfg.n_total * alice_prob * k.probability * bob_prob * error), n)
-        detected.append(float(n))
-        errors.append(float(m))
-    return tuple(detected), tuple(errors)
+    for k, column in zip(cfg.intensities, absorbed.T):
+        gain, error = pulse_probabilities(column, e_mis, ch.e_d)
+        n = np.rint(cfg.n_total * alice_prob * k.probability * bob_prob * gain)
+        m = np.minimum(np.rint(cfg.n_total * alice_prob * k.probability * bob_prob * error), n)
+        detected.append(n)
+        errors.append(m)
+    return np.stack(detected, axis=-1), np.stack(errors, axis=-1)
 
 
 def _run(
@@ -73,61 +78,81 @@ def _run(
     cfg: ProtocolConfig,
     ch: ChannelParams,
     sec: SecurityParams,
-    distance_km: float,
+    distance_km,
     asymptotic: bool,
     literal: bool,
 ) -> BaselineReport:
     """Shared pipeline: Z-prepared states measured in Z give the key; each
     ``(receiver probability, projection)`` pair in ``quadratures`` is one
-    X- or Y-prepared class whose correlator feeds ``leak``."""
+    X- or Y-prepared class whose correlator feeds ``leak``. A distance array
+    runs as one block and raises what the distances one by one raise first."""
+    distances = np.atleast_1d(distance_km).tolist()
+    # exp stays in math, per point and (path, intensity)
+    absorbed = {
+        path: np.array([
+            [math.exp(-transmittance(d, path, ch) * k.mean_photons) for k in cfg.intensities]
+            for d in distances
+        ]).reshape(len(distances), len(cfg.intensities))
+        for path in (BasisLabel.Z, BasisLabel.X)
+    }
     eps = None if asymptotic else sec.eps_bar
-    eta_z = transmittance(distance_km, BasisLabel.Z, ch)
-    eta_x = transmittance(distance_km, BasisLabel.X, ch)
     p_half = (1.0 - cfg.p_z_alice) / 2.0
 
-    zz_detected, zz_errors = _class_counts(cfg, ch, eta_z, cfg.p_z_alice, p_z_bob, ch.e0)
-    classes = [
-        _class_counts(cfg, ch, eta_x, p_half, bob_prob, quadrature_error(ch.e0, projection))
-        for bob_prob, projection in quadratures
-    ]
-    correlators = []
-    for detected, errors in classes:
-        e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
-        correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
+    def evaluate(stop: int) -> BaselineReport:
+        z, x = absorbed[BasisLabel.Z][:stop], absorbed[BasisLabel.X][:stop]
+        zz_detected, zz_errors = _class_counts(cfg, ch, z, cfg.p_z_alice, p_z_bob, ch.e0)
+        correlators = []
+        for bob_prob, projection in quadratures:
+            detected, errors = _class_counts(
+                cfg, ch, x, p_half, bob_prob, quadrature_error(ch.e0, projection)
+            )
+            e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
+            correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
 
-    n_zz = sum(zz_detected)
-    e_zz = sum(zz_errors) / n_zz if n_zz > 0 else 0.0
-    c_lower, i_e, clamped = leak(correlators, e_zz, literal)
-    s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
-    kl = key_length(
-        s0.lower, s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
-    )
+        n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]
+        e_zz, _ = decoy.divide(zz_errors[:, 0] + zz_errors[:, 1] + zz_errors[:, 2], n_zz, 0.0)
+        c_lower, i_e, clamped = leak(correlators, e_zz, literal)
+        s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
+        kl = key_length(
+            s0.lower, s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
+        )
+        return BaselineReport(
+            protocol=protocol,
+            key_length=kl.length,
+            key_rate=kl.length / cfg.n_total,
+            c_lower=c_lower,
+            i_e=i_e,
+            e_zz=e_zz,
+            n_zz=n_zz,
+            negative_length=kl.negative,
+            clamped=clamped,
+        )
+
+    report = decoy.in_point_order(evaluate, len(distances))
+    if np.ndim(distance_km):
+        return report
     return BaselineReport(
-        protocol=protocol,
-        key_length=kl.length,
-        key_rate=kl.length / cfg.n_total,
-        c_lower=c_lower,
-        i_e=i_e,
-        e_zz=e_zz,
-        n_zz=n_zz,
-        negative_length=kl.negative,
-        clamped=clamped,
+        protocol, *(getattr(report, f.name).item(0) for f in fields(report)[1:])
     )
 
 
 def _leak_six_four(correlators, e_zz, literal):
     raw = security.c_64(*correlators)
-    c_lower = min(raw, 1.0)
+    c_lower = np.where(raw > 1.0, 1.0, raw)
     return c_lower, security.ie_4state(c_lower), raw > 1.0
 
 
 def _leak_six_state(correlators, e_zz, literal):
-    raw = security.c_6state(*correlators)
-    c_lower = min(raw, 2.0)
-    if e_zz < 0.5:
-        i_e = security.ie_6state(c_lower, e_zz, literal_radicand=literal)
-    else:
-        i_e = 1.0  # dark-count dominated; nothing is secret
+    # per point in Python: powers, sqrt, log2 and the clamp warnings
+    raw = np.array([
+        security.c_6state(*point) for point in zip(*(c.tolist() for c in correlators))
+    ])
+    c_lower = np.where(raw > 2.0, 2.0, raw)
+    i_e = np.array([
+        # at e_zz >= 0.5 dark counts dominate; nothing is secret
+        security.ie_6state(c, e, literal_radicand=literal) if e < 0.5 else 1.0
+        for c, e in zip(c_lower.tolist(), e_zz.tolist())
+    ])
     return c_lower, i_e, raw > 2.0
 
 
@@ -135,7 +160,7 @@ def run_six_four(
     cfg: ProtocolConfig,
     ch: ChannelParams,
     sec: SecurityParams,
-    distance_km: float,
+    distance_km,
     asymptotic: bool = False,
     literal_paper_formulas: bool = False,
 ) -> BaselineReport:
@@ -157,7 +182,7 @@ def run_six_state(
     cfg: ProtocolConfig,
     ch: ChannelParams,
     sec: SecurityParams,
-    distance_km: float,
+    distance_km,
     asymptotic: bool = False,
     literal_paper_formulas: bool = False,
 ) -> BaselineReport:

@@ -26,9 +26,9 @@ from .core import (
     BasisLabel,
     ChannelParams,
     IntensityClass,
-    ObservedTallies,
     ProtocolConfig,
     StateLabel,
+    TallyBatch,
 )
 
 
@@ -119,7 +119,7 @@ def expected_tallies(
     ch: ChannelParams,
     distances: Sequence[float],
     betas: Sequence[float] | None = None,
-) -> list[ObservedTallies]:
+) -> TallyBatch:
     """Expected counts for every cell, rounded to the nearest integer, one table
     per distance. Point ``i`` takes the rotation angle ``betas[i]`` (used when
     replaying a drift trace), by default the channel's."""
@@ -144,4 +144,4 @@ def expected_tallies(
     det_i = np.minimum(np.rint(detected), sent_i)
     err_i = np.minimum(np.rint(detected * qber), det_i)
     counts = np.stack(np.broadcast_arrays(sent_i, det_i, err_i), axis=-1).astype(np.int64)
-    return [ObservedTallies(table) for table in counts]
+    return TallyBatch(counts)

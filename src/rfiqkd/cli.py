@@ -50,6 +50,7 @@ from .core import (
 )
 from .keyrate import (
     ExtractionResult,
+    analyze_batch,
     analyze_tallies,
     group_and_extract,
     total_pulses,
@@ -566,17 +567,18 @@ def _int_field(raw: str, lineno: int, column: str) -> int:
 _CHUNK = 512  # points per channel call: bounds the memory of a scan or drift trace
 
 
-def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int, betas=None) -> Iterator:
-    """Tallies per distance ``i``: analytic at angle ``betas[i]`` (by default the
-    channel's), one channel call per ``_CHUNK`` points, or drawn from stream ``seed + i``."""
-    if mode != "analytic":
-        for i, distance in enumerate(distances):
-            yield sample_tallies(cfg, ch, distance, seed + i).observed()
-        return
+def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int, betas=None) -> Iterator[TallyBatch]:
+    """The tallies of every distance, one batch per ``_CHUNK`` points: analytic
+    at angle ``betas[i]`` (by default the channel's), or drawn from stream ``seed + i``."""
     for first in range(0, len(distances), _CHUNK):
         chunk = slice(first, first + _CHUNK)
-        angles = None if betas is None else betas[chunk]
-        yield from expected_tallies(cfg, ch, distances[chunk], angles)
+        if mode == "analytic":
+            yield expected_tallies(cfg, ch, distances[chunk], None if betas is None else betas[chunk])
+        else:
+            yield TallyBatch(np.stack([
+                sample_tallies(cfg, ch, distance, seed + first + i).counts
+                for i, distance in enumerate(distances[chunk])
+            ]))
 
 
 def _grid_count(start: float, stop: float, step: float) -> float:
@@ -592,7 +594,7 @@ def _make_slices(
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
-        tables = _blocks(mode, cfg, ch, [distance], seed)
+        parts = (batch.counts for batch in _blocks(mode, cfg, ch, [distance], seed))
     elif cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
@@ -609,13 +611,17 @@ def _make_slices(
         )
         if mode == "analytic":
             slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-            tables = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
+            blocks = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
+            parts = (batch.counts for batch in blocks)
         else:
-            tables = sample_drifting_tallies(cfg, ch, distance, trace, seed)
+            oracles = sample_drifting_tallies(cfg, ch, distance, trace, seed)
+            parts = (oracle.counts[None] for oracle in oracles)
     # filled in place: no list of per-slice arrays is held beside the batch
     counts = np.empty((n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
-    for slot, table in zip(counts, tables):
-        slot[...] = table.counts
+    first = 0
+    for part in parts:
+        counts[first : first + len(part)] = part
+        first += len(part)
     return TallyBatch(counts)
 
 
@@ -627,14 +633,15 @@ def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
         "literal_paper_formulas": literal,
     }
     if len(slices) == 1 and cfg.m_groups == 1:
-        report = analyze_tallies(ObservedTallies(slices.counts[0]), cfg, sec, **options)
+        report = analyze_tallies(slices[0], cfg, sec, **options)
         return _render_report(report, cfg.n_total), report.key_length > 0.0
     result = group_and_extract(slices, cfg.m_groups, cfg, sec, **options)
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
-def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, float, ObservedTallies]]:
-    """Every (block size, distance) point of a scan with its block of tallies.
+def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list[float], TallyBatch]]:
+    """Every block size of a scan with its distances and their tallies, one
+    batch per ``_CHUNK`` distances.
 
     The block sizes are ``n_values``, or ``n_total`` when that is empty. In
     Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``.
@@ -645,15 +652,21 @@ def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, float
     for n_total in run["n_values"] or (cfg.n_total,):
         cfg_n = replace(cfg, n_total=n_total)
         blocks = _blocks(mode, cfg_n, ch, distances, int(run["seed"]))
-        for distance, block in zip(distances, blocks):
-            yield cfg_n, distance, block
+        for first, block in zip(range(0, len(distances), _CHUNK), blocks):
+            yield cfg_n, distances[first : first + _CHUNK], block
 
 
 def _flags_of(flags: Mapping[str, float]) -> str:
     tokens = {key for key in ("negative_length", "c44_clamped", "c_clamped") if flags.get(key)}
-    if any(key.endswith("_degenerate") for key in flags):
+    if any(key.endswith("_degenerate") and flags[key] for key in flags):
         tokens.add("degenerate")
     return ";".join(sorted(tokens))
+
+
+def _flag_column(flags: Mapping[str, np.ndarray]) -> list[str]:
+    """``_flags_of`` of each point of a batch report's bool columns."""
+    columns = {key: column.tolist() for key, column in flags.items() if column.dtype == bool}
+    return [_flags_of(dict(zip(columns, point))) for point in zip(*columns.values())]
 
 
 def _render_report(report, n_total: int) -> list[str]:
@@ -716,18 +729,18 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Key rate versus distance as CSV."""
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
-    for cfg_n, distance, block in _grid(run, cfg, ch, run["mode"]):
-        result = analyze_tallies(
+    for cfg_n, distances, block in _grid(run, cfg, ch, run["mode"]):
+        result = analyze_batch(
             block, cfg_n, sec,
             n_zz_all_intensities=bool(run["n_zz_all_intensities"]),
             literal_paper_formulas=args.literal_paper_formulas,
         )
-        rows.append(
-            f"{_fmt(distance)},{cfg_n.n_total},{_fmt(result.key_rate)},"
-            f"{_fmt(result.c44_lower)},{_fmt(result.e_zz)},"
-            f"{_fmt(result.s1_zz_lower)},{_flags_of(result.intermediate)}"
-        )
-        any_key = any_key or result.key_rate > 0.0
+        columns = (result.key_rate, result.c44_lower, result.e_zz, result.s1_zz_lower)
+        for distance, *values, flags in zip(
+            distances, *(column.tolist() for column in columns), _flag_column(result.intermediate)
+        ):
+            rows.append(f"{_fmt(distance)},{cfg_n.n_total},{','.join(map(_fmt, values))},{flags}")
+        any_key = any_key or bool((result.key_rate > 0.0).any())
     return rows, any_key
 
 
@@ -739,22 +752,36 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     }
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
-    for cfg_n, distance, block in _grid(run, cfg, ch, "analytic"):
-        four = analyze_tallies(
-            block, cfg_n, sec,
-            n_zz_all_intensities=bool(run["n_zz_all_intensities"]), **options,
-        )
-        results = [(baselines.FOUR_STATE, four, four.c44_lower, four.intermediate)]
-        for runner in (baselines.run_six_four, baselines.run_six_state):
-            base = runner(cfg_n, ch, sec, distance, **options)
-            flags = {"c_clamped": base.clamped, "negative_length": base.negative_length}
-            results.append((base.protocol, base, base.c_lower, flags))
-        for protocol, result, c_lower, flags in results:
-            rows.append(
-                f"{_fmt(distance)},{cfg_n.n_total},{protocol},{_fmt(result.key_rate)},"
-                f"{_fmt(c_lower)},{_fmt(result.e_zz)},{_flags_of(flags)}"
-            )
-            any_key = any_key or result.key_rate > 0.0
+    for cfg_n, distances, block in _grid(run, cfg, ch, "analytic"):
+        results, errors = [], []
+        for protocol in (baselines.FOUR_STATE, baselines.SIX_FOUR, baselines.SIX_STATE):
+            try:
+                if protocol == baselines.FOUR_STATE:
+                    four = analyze_batch(
+                        block, cfg_n, sec,
+                        n_zz_all_intensities=bool(run["n_zz_all_intensities"]), **options,
+                    )
+                    columns = (four.key_rate, four.c44_lower, four.e_zz)
+                    flags = _flag_column(four.intermediate)
+                else:
+                    runner = baselines.run_six_four if protocol == baselines.SIX_FOUR else baselines.run_six_state
+                    base = runner(cfg_n, ch, sec, distances, **options)
+                    columns = (base.key_rate, base.c_lower, base.e_zz)
+                    flags = _flag_column({"c_clamped": base.clamped, "negative_length": base.negative_length})
+            except ValueError as exc:
+                errors.append(exc)
+                continue
+            results.append([[protocol] * len(distances), *(c.tolist() for c in columns), flags])
+        if errors:
+            # what evaluating point by point, then protocol by protocol, raises first
+            raise min(errors, key=lambda exc: getattr(exc, "point", 0))
+        for distance, *points in zip(distances, *(zip(*result) for result in results)):
+            for protocol, key_rate, c_lower, e_zz, flags in points:
+                rows.append(
+                    f"{_fmt(distance)},{cfg_n.n_total},{protocol},{_fmt(key_rate)},"
+                    f"{_fmt(c_lower)},{_fmt(e_zz)},{flags}"
+                )
+                any_key = any_key or key_rate > 0.0
     return rows, any_key
 
 

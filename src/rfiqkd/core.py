@@ -235,8 +235,8 @@ class TallyBatch:
 
     ``counts`` is a read-only int64 array of shape (n, 24, 3); table ``i``
     is laid out as ``ObservedTallies.counts`` and belongs to slice
-    ``slices[i]``, by default ``i``. A cell whose ``sent`` is negative is
-    missing. The constructor makes an array that owns its memory read-only
+    ``slices[i]``, by default ``i``; ``batch[i]`` is its ``ObservedTallies``.
+    A cell whose ``sent`` is negative is missing. The constructor makes an array that owns its memory read-only
     in place, and copies any other array.
 
     A table that ``ObservedTallies`` would refuse makes the constructor
@@ -280,6 +280,9 @@ class TallyBatch:
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    def __getitem__(self, i: int) -> ObservedTallies:
+        return ObservedTallies(self.counts[i])
 
 
 def _table_problem(rows: list[list[int]]) -> str | None:

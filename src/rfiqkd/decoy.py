@@ -1,18 +1,35 @@
 """Finite-size decoy-state estimation with closed-form two-decoy bounds.
 
 All estimators work on the counts of one event class (for example "Z states
-detected in the Z basis") split by source intensity. Statistical
-fluctuations of each observed count are absorbed first, into one interval
-per count, then the closed-form vacuum / single-photon expressions are
-evaluated with the worst-case ends of those intervals.
+detected in the Z basis") split by source intensity, for one point or for a
+block of points at once: a count, and every bound, is a number or an array
+with one entry per point. Statistical fluctuations of each observed count are
+absorbed first, into one interval per count, then the closed-form vacuum /
+single-photon expressions are evaluated with the worst-case ends of those
+intervals.
+
+Only the configuration constants need a transcendental (``exp`` of each
+intensity, tau_0, tau_1 and ``log(1/eps)``), once per call. Per point the chain
+is arithmetic and ``sqrt``, which IEEE 754 rounds correctly in numpy and
+``math`` alike, so it runs on arrays in the scalar order of operations and
+gives each point's per-point result bit for bit. Integer counts stay integers
+(``exact_counts``). A bound that fails at some points raises for the first of
+them, with the point's index as the exception's ``point``; ``in_point_order``
+turns that into the error a point-by-point evaluation raises first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp, factorial, log, sqrt
+from dataclasses import dataclass, fields
+from math import exp, factorial, log
 from typing import Callable
 
+import numpy as np
+
 from .core import IntensityClass
+
+# Below this, float64 holds every class total exactly, and cli's 12-digit
+# format prints an integral float as it prints the int.
+_FLOAT_TOTAL = 1e12
 
 
 class DecoyPreconditionError(ValueError):
@@ -25,7 +42,8 @@ class NonPhysicalEstimateError(ValueError):
 
 @dataclass(frozen=True)
 class BoundedCount:
-    """An estimated quantity with lower/upper bounds around a point value."""
+    """An estimated quantity with lower/upper bounds around a point value;
+    numbers, or arrays with one entry per point."""
 
     lower: float
     point: float
@@ -38,6 +56,53 @@ class BoundedCount:
         return self.upper - self.lower
 
 
+def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> None:
+    """Raise ``error(message(i))`` for the first point ``i`` where ``bad`` holds,
+    with ``point`` set to ``i``."""
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(bad.argmax())
+        exc = error(message(i))
+        exc.point = i
+        raise exc
+
+
+def in_point_order(evaluate: Callable[[int], object], n: int):
+    """``evaluate(n)``, which evaluates points [0, n) as one block, raising the
+    error that evaluating the points one by one raises first.
+
+    A failing step raises for its first failing point ``p``, but an earlier
+    point may fail at a later step, so the points before ``p`` are tried first.
+    """
+    try:
+        return evaluate(n)
+    except ValueError as exc:
+        point = getattr(exc, "point", 0)
+        if point > 0:
+            in_point_order(evaluate, point)
+        raise exc
+
+
+def exact_counts(*counts):
+    """Count arrays as the chain takes them, all decided by the first one.
+
+    Integer counts whose totals over the last axis reach 10^12 become Python
+    ints in object arrays, whose arithmetic is the per-point one; below that,
+    int64 and float64 arithmetic give the same numbers. Float counts stay floats.
+    """
+    arrays = [np.asarray(c) for c in counts]
+    first = arrays[0]
+    if first.dtype.kind in "iu" and np.max(first.sum(axis=-1, dtype=float), initial=0.0) >= _FLOAT_TOTAL:
+        arrays = [a.astype(object) for a in arrays]
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+def divide(num, den, fallback):
+    """``num / den`` where ``den > 0``, else ``fallback``; and where ``den > 0``."""
+    positive = np.asarray(den > 0.0)
+    return np.where(positive, num / np.where(positive, den, 1.0), fallback), positive
+
+
 def tau(n: int, intensities: tuple[IntensityClass, ...]) -> float:
     """Probability that a pulse (any intensity setting) carries n photons."""
     if n < 0:
@@ -48,7 +113,7 @@ def tau(n: int, intensities: tuple[IntensityClass, ...]) -> float:
     return acc / factorial(n)
 
 
-def fluctuation_deltas(x: float, eps: float | None) -> tuple[float, float]:
+def fluctuation_deltas(x, eps: float | None):
     """Downward and upward deviations of an observed count from its mean.
 
     ``eps`` is the probability that the mean escapes on either side.
@@ -58,17 +123,20 @@ def fluctuation_deltas(x: float, eps: float | None) -> tuple[float, float]:
         return 0.0, 0.0
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
-    if x < 0:
-        raise ValueError(f"observed count must be >= 0, got {x}")
+    x = np.asarray(x)
+    raise_at(x < 0, ValueError, lambda i: f"observed count must be >= 0, got {x.item(i)}")
     b = log(1.0 / eps)
-    delta_lower = b / 2.0 + sqrt(2.0 * b * x + b * b / 4.0)
-    delta_upper = b + sqrt(2.0 * b * x + b * b)
+    two_b = 2.0 * b  # 2.0 * b * x multiplies left to right
+
+    def root(radicand):  # object arrays hold Python floats here
+        return np.sqrt(np.asarray(radicand, dtype=float))
+
+    delta_lower = b / 2.0 + root(two_b * x + b * b / 4.0)
+    delta_upper = b + root(two_b * x + b * b)
     return delta_lower, delta_upper
 
 
-def fluctuation_interval(
-    x: float, eps: float | None, literal_upper: bool = False
-) -> BoundedCount:
+def fluctuation_interval(x, eps: float | None, literal_upper: bool = False) -> BoundedCount:
     """Interval that contains the mean of an observed count.
 
     ``literal_upper`` subtracts the upward deviation instead of adding it,
@@ -77,20 +145,14 @@ def fluctuation_interval(
     """
     delta_lower, delta_upper = fluctuation_deltas(x, eps)
     lower = x - delta_lower
-    clamped = False
-    if lower < 0.0:
-        lower = 0.0
-        clamped = True
+    clamped = lower < 0.0
     upper = x - delta_upper if literal_upper else x + delta_upper
-    return BoundedCount(lower, x, upper, clamped=clamped)
+    return BoundedCount(np.where(clamped, 0.0, lower), x, upper, clamped=clamped)
 
 
-def _clamp(value: float, lo: float, hi: float) -> tuple[float, bool]:
-    if value < lo:
-        return lo, True
-    if value > hi:
-        return hi, True
-    return value, False
+def _clamp(value, lo, hi):
+    low, high = value < lo, value > hi
+    return np.where(low, lo, np.where(high, hi, value)), low | high
 
 
 def _worst_case(
@@ -98,7 +160,7 @@ def _worst_case(
     estimate: Callable[..., float],
     rising: tuple[BoundedCount, ...],
     falling: tuple[BoundedCount, ...],
-    cap: float,
+    cap,
 ) -> BoundedCount:
     """Evaluate a closed form at the worst-case ends of its inputs.
 
@@ -107,18 +169,21 @@ def _worst_case(
     their lower ends and the falling ones at their upper ends, and the
     upper bound the reverse. Both ends are clamped to [0, cap].
     """
-    lower, cl = _clamp(
-        estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling)), 0.0, cap
-    )
-    upper, cu = _clamp(
-        estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling)), 0.0, cap
-    )
-    if lower > upper:
-        raise NonPhysicalEstimateError(
-            f"{name}: estimated lower bound {lower!r} exceeds upper bound {upper!r}"
-        )
+    raw_lower = estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling))
+    raw_upper = estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling))
+    lower, cl = _clamp(raw_lower, 0.0, cap)
+    upper, cu = _clamp(raw_upper, 0.0, cap)
+
+    def held(end, raw, i):
+        # a per-point evaluation returns the cap itself, an int for integer counts
+        return np.asarray(cap).item(i) if np.asarray(raw > cap).item(i) else end.item(i)
+
+    raise_at(lower > upper, NonPhysicalEstimateError, lambda i: (
+        f"{name}: estimated lower bound {held(lower, raw_lower, i)!r} "
+        f"exceeds upper bound {held(upper, raw_upper, i)!r}"
+    ))
     point = estimate(*(iv.point for iv in rising + falling))
-    return BoundedCount(lower, point, upper, clamped=cl or cu)
+    return BoundedCount(lower, point, upper, clamped=cl | cu)
 
 
 def vacuum_bound(
@@ -135,13 +200,12 @@ def vacuum_bound(
     if not nu > om:
         raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
     iv_mu, iv_nu, iv_om = detected
-    t0 = tau(0, intensities)
-    coef = t0 / (nu - om)
+    coef = tau(0, intensities) / (nu - om)
+    nu_e_om, om_e_nu = nu * exp(om), om * exp(nu)
 
-    def estimate(n_om_star: float, n_nu_star: float) -> float:
+    def estimate(n_om_star, n_nu_star):
         return coef * (
-            nu * exp(om) * n_om_star / om_s.probability
-            - om * exp(nu) * n_nu_star / nu_s.probability
+            nu_e_om * n_om_star / om_s.probability - om_e_nu * n_nu_star / nu_s.probability
         )
 
     total = iv_mu.point + iv_nu.point + iv_om.point
@@ -163,15 +227,15 @@ def single_photon_bound(
         )
     iv_mu, iv_nu, iv_om = detected
     t0 = tau(0, intensities)
-    t1 = tau(1, intensities)
-    coef = mu * t1 / denom
+    coef = mu * tau(1, intensities) / denom
     ratio = (nu * nu - om * om) / (mu * mu)
+    e_mu, e_nu, e_om = exp(mu), exp(nu), exp(om)
 
-    def estimate(n_nu_star: float, s0_star: float, n_om_star: float, n_mu_star: float) -> float:
+    def estimate(n_nu_star, s0_star, n_om_star, n_mu_star):
         return coef * (
-            exp(nu) * n_nu_star / nu_s.probability
-            - exp(om) * n_om_star / om_s.probability
-            + ratio * (s0_star / t0 - exp(mu) * n_mu_star / mu_s.probability)
+            e_nu * n_nu_star / nu_s.probability
+            - e_om * n_om_star / om_s.probability
+            + ratio * (s0_star / t0 - e_mu * n_mu_star / mu_s.probability)
         )
 
     total = iv_mu.point + iv_nu.point + iv_om.point
@@ -183,7 +247,7 @@ def single_photon_bound(
 def error_count_bound(
     errors: tuple[BoundedCount, BoundedCount],
     intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    cap: float,
+    cap,
 ) -> BoundedCount:
     """Bounds on the number of single-photon errors of one event class.
 
@@ -195,13 +259,12 @@ def error_count_bound(
     if not nu > om:
         raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
     iv_nu, iv_om = errors
-    t1 = tau(1, intensities)
-    coef = t1 / (nu - om)
+    coef = tau(1, intensities) / (nu - om)
+    e_nu, e_om = exp(nu), exp(om)
 
-    def estimate(m_nu_star: float, m_om_star: float) -> float:
+    def estimate(m_nu_star, m_om_star):
         return coef * (
-            exp(nu) * m_nu_star / nu_s.probability
-            - exp(om) * m_om_star / om_s.probability
+            e_nu * m_nu_star / nu_s.probability - e_om * m_om_star / om_s.probability
         )
 
     return _worst_case("single-photon error count", estimate, (iv_nu,), (iv_om,), cap)
@@ -213,22 +276,13 @@ def single_photon_error_rate(t: BoundedCount, s1: BoundedCount) -> BoundedCount:
     A vanishing single-photon lower bound forces the rate's upper end to 1
     and marks the result degenerate.
     """
-    degenerate = False
-    if s1.upper > 0.0:
-        lower = t.lower / s1.upper
-    else:
-        lower = 0.0
-        degenerate = True
-    if s1.lower > 0.0:
-        upper = t.upper / s1.lower
-    else:
-        upper = 1.0
-        degenerate = True
-    point = t.point / s1.point if s1.point > 0.0 else 0.5
+    lower, upper_positive = divide(t.lower, s1.upper, 0.0)
+    upper, lower_positive = divide(t.upper, s1.lower, 1.0)
+    point, _ = _clamp(divide(t.point, s1.point, 0.5)[0], 0.0, 1.0)
     lower, cl = _clamp(lower, 0.0, 1.0)
     upper, cu = _clamp(upper, 0.0, 1.0)
-    point, _ = _clamp(point, 0.0, 1.0)
-    return BoundedCount(lower, point, upper, clamped=cl or cu, degenerate=degenerate)
+    degenerate = ~(upper_positive & lower_positive)
+    return BoundedCount(lower, point, upper, clamped=cl | cu, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -241,28 +295,48 @@ class ClassBounds:
     e: BoundedCount
 
 
+def _first(bound: BoundedCount) -> BoundedCount:
+    """The only point of a block of one."""
+    return BoundedCount(*(np.ravel(getattr(bound, f.name))[0] for f in fields(bound)))
+
+
 def yield_bounds(
-    detected: tuple[float, float, float],
+    detected,
     intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
     eps: float | None,
     literal_upper: bool = False,
 ) -> tuple[BoundedCount, BoundedCount]:
-    """Vacuum and single-photon detection bounds of one event class."""
-    intervals = tuple(fluctuation_interval(n, eps, literal_upper) for n in detected)
+    """Vacuum and single-photon detection bounds of one event class.
+
+    ``detected`` holds its detections at (signal, decoy, vacuum) intensity:
+    an (n, 3) array of n points, or a triple, taken as a block of one.
+    """
+    detected = exact_counts(detected)
+    if detected.ndim == 1:
+        return tuple(map(_first, yield_bounds(detected[None], intensities, eps, literal_upper)))
+    intervals = tuple(
+        fluctuation_interval(detected[..., k], eps, literal_upper) for k in range(3)
+    )
     s0 = vacuum_bound(intervals, intensities)
     return s0, single_photon_bound(intervals, s0, intensities)
 
 
 def class_bounds(
-    detected: tuple[float, float, float],
-    errors: tuple[float, float, float],
+    detected,
+    errors,
     intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
     eps: float | None,
     literal_upper: bool = False,
 ) -> ClassBounds:
     """The full chain: vacuum, single-photon, error count, then error rate.
-    The error count at signal intensity enters only the cap: it gets no interval."""
+    ``errors`` is laid out as ``detected``. The error count at signal intensity
+    enters only the cap: it gets no interval."""
+    detected, errors = exact_counts(detected, errors)
+    if detected.ndim == 1:
+        block = class_bounds(detected[None], errors[None], intensities, eps, literal_upper)
+        return ClassBounds(*map(_first, (block.s0, block.s1, block.t, block.e)))
     s0, s1 = yield_bounds(detected, intensities, eps, literal_upper)
-    intervals = tuple(fluctuation_interval(m, eps, literal_upper) for m in errors[1:])
-    t = error_count_bound(intervals, intensities, sum(errors))
+    intervals = tuple(fluctuation_interval(errors[..., k], eps, literal_upper) for k in (1, 2))
+    cap = errors[..., 0] + errors[..., 1] + errors[..., 2]
+    t = error_count_bound(intervals, intensities, cap)
     return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))

@@ -1,14 +1,15 @@
 """Finite-key secret-key length, drift classification and group extraction.
 
-``analyze_tallies`` is the complete estimator stack: it takes one block of
-observed counts and produces a key-length report with every intermediate
-bound recorded. ``group_and_extract`` applies it per drift group after
-classifying time slices by their X-basis error statistics.
+``analyze_batch`` is the complete estimator stack: it takes the tally tables
+of n points and produces one key-length report whose fields are arrays, with
+every intermediate bound recorded. ``analyze_tallies`` is the same for one
+table. ``group_and_extract`` applies it per drift group after classifying
+time slices by their X-basis error statistics.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import starmap
 
 import numpy as np
@@ -20,6 +21,7 @@ from .core import (
     MAX_PULSES,
     TWO_PI,
     BasisLabel,
+    KINDS,
     IntensityKind,
     KeyRateReport,
     ObservedTallies,
@@ -31,7 +33,7 @@ from .core import (
     cell_name,
 )
 from . import decoy, security
-from .security import binary_entropy
+from .security import binary_entropy, per_point
 
 __all__ = [
     "KeyLength",
@@ -45,13 +47,15 @@ __all__ = [
     "BucketOutcome",
     "ExtractionResult",
     "group_and_extract",
+    "analyze_batch",
     "analyze_tallies",
 ]
 
 
 @dataclass(frozen=True)
 class KeyLength:
-    """Clamped secret-key length together with the raw (signed) value."""
+    """Clamped secret-key length together with the raw (signed) value;
+    numbers, or arrays with one entry per point."""
 
     length: float
     raw: float
@@ -78,17 +82,20 @@ def key_length(
     ``n_zz``/``e_zz`` the sifted-key size and its error rate.
     ``asymptotic=True`` drops the block-size penalty terms of
     Lim et al. (PRA 89, 022307, 2014), leaving the asymptotic formula.
+    The inputs but ``sec`` and ``n_total`` may be arrays with one entry per point.
     """
-    raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * binary_entropy(e_zz)
+    raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * per_point(binary_entropy, e_zz)
     if not asymptotic:
+        # numpy's sqrt rounds as math's; object arrays hold Python floats here
+        root = np.sqrt(np.asarray(n_zz * math.log2(2.0 / sec.eps_bar), dtype=float))
         raw = (
             raw
             - math.log2(2.0 / sec.eps_ec)
             - 2.0 * math.log2(2.0 / sec.eps_pa)
-            - 7.0 * math.sqrt(n_zz * math.log2(2.0 / sec.eps_bar))
+            - 7.0 * root
             - 30.0 * math.log2(n_total + 1.0)
         )
-    return KeyLength(max(raw, 0.0), raw)
+    return KeyLength(np.where(0.0 > raw, 0.0, raw), raw)
 
 
 class DriftClassifier:
@@ -273,81 +280,90 @@ def group_and_extract(
     return ExtractionResult(total, tuple(outcomes), grouped)
 
 
-def analyze_tallies(
-    tallies: ObservedTallies,
+# Count-array rows of each event class's cells per intensity, one list per state
+_CLASS_ROWS = {
+    (states, basis): [[CELL_INDEX[(state, basis, kind)] for kind in KINDS] for state in states]
+    for states, basis in _REQUIRED_CLASSES
+}
+_ZZ = _REQUIRED_CLASSES[0]
+
+
+def analyze_batch(
+    batch: TallyBatch,
     cfg: ProtocolConfig,
     sec: SecurityParams,
     asymptotic: bool = False,
     n_zz_all_intensities: bool = True,
     literal_paper_formulas: bool = False,
 ) -> KeyRateReport:
-    """Run decoy estimation, channel-quality bounds and the key-length formula.
+    """Run decoy estimation, channel-quality bounds and the key-length formula
+    on every table of ``batch`` at once, all with ``cfg``'s block size.
+
+    Each field of the report, and each ``intermediate`` entry, is an array
+    with one entry per table; a ``*_clamped``, ``*_degenerate`` or
+    ``negative_length`` entry is a bool array. A table whose analysis fails
+    raises what ``analyze_tallies`` raises for the first such table, with the
+    table's index as the error's ``point``.
 
     ``asymptotic=True`` collapses every interval onto its point estimate
     and drops the block-size penalty terms, which yields the asymptotic
     rate used as an upper reference.
     """
+    def evaluate(stop: int) -> KeyRateReport:
+        return _analyze(
+            batch.counts[:stop], cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas
+        )
+
+    return decoy.in_point_order(evaluate, len(batch))
+
+
+def _analyze(counts, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> KeyRateReport:
     eps = None if asymptotic else sec.eps_bar
-    inter: dict[str, float] = {}
+    inter: dict[str, np.ndarray] = {}
 
     def record(name: str, bound: decoy.BoundedCount) -> None:
         inter[f"{name}_lower"] = bound.lower
         inter[f"{name}_point"] = bound.point
         inter[f"{name}_upper"] = bound.upper
-        if bound.clamped:
-            inter[f"{name}_clamped"] = 1.0
-        if bound.degenerate:
-            inter[f"{name}_degenerate"] = 1.0
+        inter[f"{name}_clamped"] = np.broadcast_to(bound.clamped, len(counts))
+        inter[f"{name}_degenerate"] = np.broadcast_to(bound.degenerate, len(counts))
 
-    zz_states = (StateLabel.Z0, StateLabel.Z1)
-    zz_detected = tallies.class_detected(zz_states, BasisLabel.Z)
-    zz_errors = tallies.class_errors(zz_states, BasisLabel.Z)
-    s0_zz, s1_zz = decoy.yield_bounds(
-        zz_detected, cfg.intensities, eps, literal_paper_formulas
-    )
+    def class_counts(states, basis):
+        # (n, 3) detections and errors; uint64 holds the sum of two cells
+        rows = _CLASS_ROWS[(states, basis)]
+        total = sum(counts[:, r, 1:].astype(np.uint64) for r in rows)
+        return decoy.exact_counts(total[..., 0], total[..., 1])
+
+    zz_detected, zz_errors = class_counts(*_ZZ)
+    s0_zz, s1_zz = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
     record("s0_zz", s0_zz)
     record("s1_zz", s1_zz)
 
-    rates: dict[StateLabel, decoy.BoundedCount] = {}
-    for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0):
-        cls = decoy.class_bounds(
-            tallies.class_detected((state,), BasisLabel.X),
-            tallies.class_errors((state,), BasisLabel.X),
-            cfg.intensities,
-            eps,
-            literal_paper_formulas,
-        )
-        tag = state.value.lower() + "x"
+    rates = []
+    for states, basis in _REQUIRED_CLASSES[1:]:
+        cls = decoy.class_bounds(*class_counts(states, basis), cfg.intensities, eps, literal)
+        tag = states[0].value.lower() + "x"
         for name in ("s0", "s1", "t", "e"):
             record(f"{name}_{tag}", getattr(cls, name))
-        rates[state] = cls.e
+        rates.append(cls.e)
 
-    cb = security.c_bounds(
-        rates[StateLabel.Z0],
-        rates[StateLabel.Z1],
-        rates[StateLabel.X0],
-        rates[StateLabel.Y0],
-        literal_c1_lower=literal_paper_formulas,
-    )
+    cb = security.c_bounds(*rates, literal_c1_lower=literal)
     inter["c1_lower"] = cb.c1_lower
     inter["c1_upper"] = cb.c1_upper
     inter["c2_lower"] = cb.c2_lower
     inter["c2_upper"] = cb.c2_upper
-    if cb.clamped:
-        inter["c44_clamped"] = 1.0
+    inter["c44_clamped"] = cb.clamped
     i_e = security.ie_4state(cb.c44_lower)
 
     # the sifted key: every intensity, or the signal intensity only
     kinds = 3 if n_zz_all_intensities else 1
-    n_zz = sum(zz_detected[:kinds])
-    m_zz = sum(zz_errors[:kinds])
-    e_zz = m_zz / n_zz if n_zz > 0 else 0.0
+    n_zz = sum(zz_detected[:, k] for k in range(kinds))
+    e_zz, _ = decoy.divide(sum(zz_errors[:, k] for k in range(kinds)), n_zz, 0.0)
 
     kl = key_length(
         s0_zz.lower, s1_zz.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
     )
-    if kl.negative:
-        inter["negative_length"] = 1.0
+    inter["negative_length"] = kl.negative
     inter["key_length_raw"] = kl.raw
 
     return KeyRateReport(
@@ -361,3 +377,27 @@ def analyze_tallies(
         key_rate=kl.length / cfg.n_total,
         intermediate=inter,
     )
+
+
+def analyze_tallies(
+    tallies: ObservedTallies,
+    cfg: ProtocolConfig,
+    sec: SecurityParams,
+    **options,
+) -> KeyRateReport:
+    """``analyze_batch`` of one table, as that table's report: numbers, and
+    ``intermediate`` holds a flag only where it is set, as 1.0."""
+    report = analyze_batch(TallyBatch(tallies.counts[None]), cfg, sec, **options)
+    return report_at(report, 0)
+
+
+def report_at(report: KeyRateReport, i: int) -> KeyRateReport:
+    """Entry ``i`` of a batch report, as ``analyze_tallies`` returns it."""
+    values = {f.name: getattr(report, f.name).item(i) for f in fields(report)[:-1]}
+    inter = {}
+    for name, column in report.intermediate.items():
+        if column.dtype != bool:
+            inter[name] = column.item(i)
+        elif column[i]:
+            inter[name] = 1.0
+    return KeyRateReport(**values, intermediate=inter)

@@ -224,20 +224,48 @@ def assert_point_matches(got, ref):
     assert bool(got.degenerate) == ref.degenerate
 
 
+def raised(call):
+    try:
+        call()
+    except (NonPhysicalEstimateError, DecoyPreconditionError) as exc:
+        return exc
+    return None
+
+
+def at(value, i):
+    return np.broadcast_to(np.asarray(value), np.shape(np.asarray(value)) or (i + 1,))[i]
+
+
 @settings(max_examples=300, deadline=None)
 @given(chain_inputs())
 def test_chain_matches_the_per_point_reference(inputs):
     table, points, eps, literal_upper = inputs
     refs, error = reference_block(table, points, eps, literal_upper)
+    # each point alone, as a triple
     for (detected, errors), ref in zip(points, refs):
         got = decoy.class_bounds(tuple(detected), tuple(errors), table, eps, literal_upper)
         for bound, ref_bound in zip((got.s0, got.s1, got.t, got.e), ref):
             assert_point_matches(bound, ref_bound)
+    # every point as one block: int64 arrays of shape (n, 3)
+    detected = np.array([d for d, _ in points], dtype=np.int64)
+    errors = np.array([e for _, e in points], dtype=np.int64)
+    good = len(refs)
+    if good:
+        block = decoy.class_bounds(detected[:good], errors[:good], table, eps, literal_upper)
+        for i, ref in enumerate(refs):
+            for bound, ref_bound in zip((block.s0, block.s1, block.t, block.e), ref):
+                got = decoy.BoundedCount(*(at(getattr(bound, end), i) for end in (
+                    "lower", "point", "upper", "clamped", "degenerate")))
+                assert_point_matches(got, ref_bound)
     if error is not None:
-        detected, errors = points[len(refs)]
-        try:
-            decoy.class_bounds(tuple(detected), tuple(errors), table, eps, literal_upper)
-        except type(error) as exc:
-            assert str(exc) == str(error)
-        else:
-            raise AssertionError(f"no error, want {error}")
+        one = raised(lambda: decoy.class_bounds(
+            tuple(points[good][0]), tuple(points[good][1]), table, eps, literal_upper
+        ))
+        # the block's error is the first point's, so the same message
+        whole = raised(lambda: decoy.in_point_order(
+            lambda stop: decoy.class_bounds(detected[:stop], errors[:stop], table, eps, literal_upper),
+            len(points),
+        ))
+        for exc in (one, whole):
+            assert type(exc) is type(error) and str(exc) == str(error)
+        assert getattr(whole, "point", 0) == good
