@@ -90,8 +90,8 @@ def _run(
     # exp stays in math, per point and (path, intensity)
     absorbed = {
         path: np.array([
-            [math.exp(-transmittance(d, path, ch) * k.mean_photons) for k in cfg.intensities]
-            for d in distances
+            [math.exp(-eta * k.mean_photons) for k in cfg.intensities]
+            for eta in [transmittance(d, path, ch) for d in distances]
         ]).reshape(len(distances), len(cfg.intensities))
         for path in (BasisLabel.Z, BasisLabel.X)
     }

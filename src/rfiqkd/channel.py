@@ -129,7 +129,7 @@ def expected_tallies(
     kinds = [cfg.intensity(kind) for kind in KINDS]
     # one exp per point and (path, intensity); ALL_CELLS repeats those six per state
     absorbed = np.tile(np.array([
-        [exp(-transmittance(d, b, ch) * k.mean_photons) for b in BASES for k in kinds]
+        [exp(-eta * k.mean_photons) for eta in [transmittance(d, b, ch) for b in BASES] for k in kinds]
         for d in distances
     ]).reshape(len(distances), len(BASES) * len(KINDS)), len(STATES))
     cos_b, sin_b = np.array([cos(b) for b in betas]), np.array([sin(b) for b in betas])

@@ -657,16 +657,17 @@ def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list[
 
 
 def _flags_of(flags: Mapping[str, float]) -> str:
-    tokens = {key for key in ("negative_length", "c44_clamped", "c_clamped") if flags.get(key)}
-    if any(key.endswith("_degenerate") and flags[key] for key in flags):
-        tokens.add("degenerate")
-    return ";".join(sorted(tokens))
+    """The flags column of one point, from its report's ``intermediate``."""
+    return _flag_column({key: np.array([bool(value)]) for key, value in flags.items()})[0]
 
 
-def _flag_column(flags: Mapping[str, np.ndarray]) -> list[str]:
-    """``_flags_of`` of each point of a batch report's bool columns."""
-    columns = {key: column.tolist() for key, column in flags.items() if column.dtype == bool}
-    return [_flags_of(dict(zip(columns, point))) for point in zip(*columns.values())]
+def _flag_column(columns: Mapping[str, np.ndarray]) -> list[str]:
+    """The flags column of each point, from a batch report's bool columns."""
+    degenerate = [column for key, column in columns.items() if key.endswith("_degenerate")]
+    marks = {key: columns[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in columns}
+    marks["degenerate"] = np.logical_or.reduce(degenerate) if degenerate else False
+    marks = {key: np.broadcast_to(column, len(next(iter(columns.values())))).tolist() for key, column in sorted(marks.items())}
+    return [";".join(key for key, on in zip(marks, point) if on) for point in zip(*marks.values())]
 
 
 def _render_report(report, n_total: int) -> list[str]:
@@ -750,38 +751,39 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
         "asymptotic": args.asymptotic,
         "literal_paper_formulas": args.literal_paper_formulas,
     }
+    zz_option = bool(run["n_zz_all_intensities"])
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
     for cfg_n, distances, block in _grid(run, cfg, ch, "analytic"):
-        results, errors = [], []
-        for protocol in (baselines.FOUR_STATE, baselines.SIX_FOUR, baselines.SIX_STATE):
+        reports, errors = [], []
+        for evaluate in (
+            lambda: analyze_batch(block, cfg_n, sec, n_zz_all_intensities=zz_option, **options),
+            lambda: baselines.run_six_four(cfg_n, ch, sec, distances, **options),
+            lambda: baselines.run_six_state(cfg_n, ch, sec, distances, **options),
+        ):
             try:
-                if protocol == baselines.FOUR_STATE:
-                    four = analyze_batch(
-                        block, cfg_n, sec,
-                        n_zz_all_intensities=bool(run["n_zz_all_intensities"]), **options,
-                    )
-                    columns = (four.key_rate, four.c44_lower, four.e_zz)
-                    flags = _flag_column(four.intermediate)
-                else:
-                    runner = baselines.run_six_four if protocol == baselines.SIX_FOUR else baselines.run_six_state
-                    base = runner(cfg_n, ch, sec, distances, **options)
-                    columns = (base.key_rate, base.c_lower, base.e_zz)
-                    flags = _flag_column({"c_clamped": base.clamped, "negative_length": base.negative_length})
+                reports.append(evaluate())
             except ValueError as exc:
                 errors.append(exc)
-                continue
-            results.append([[protocol] * len(distances), *(c.tolist() for c in columns), flags])
         if errors:
-            # what evaluating point by point, then protocol by protocol, raises first
+            # the error of the first point, then of the first protocol there
             raise min(errors, key=lambda exc: getattr(exc, "point", 0))
-        for distance, *points in zip(distances, *(zip(*result) for result in results)):
-            for protocol, key_rate, c_lower, e_zz, flags in points:
+        four, *bases = reports
+        columns = [(baselines.FOUR_STATE, four.key_rate, four.c44_lower, four.e_zz, four.intermediate)]
+        columns += [
+            (base.protocol, base.key_rate, base.c_lower, base.e_zz,
+             {"c_clamped": base.clamped, "negative_length": base.negative_length})
+            for base in bases
+        ]
+        columns = [(protocol, *(c.tolist() for c in values), _flag_column(flags))
+                   for protocol, *values, flags in columns]
+        for i, distance in enumerate(distances):
+            for protocol, key_rate, c_lower, e_zz, flags in columns:
                 rows.append(
-                    f"{_fmt(distance)},{cfg_n.n_total},{protocol},{_fmt(key_rate)},"
-                    f"{_fmt(c_lower)},{_fmt(e_zz)},{flags}"
+                    f"{_fmt(distance)},{cfg_n.n_total},{protocol},{_fmt(key_rate[i])},"
+                    f"{_fmt(c_lower[i])},{_fmt(e_zz[i])},{flags[i]}"
                 )
-                any_key = any_key or key_rate > 0.0
+                any_key = any_key or key_rate[i] > 0.0
     return rows, any_key
 
 

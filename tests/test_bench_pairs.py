@@ -111,3 +111,34 @@ def test_a_lower_is_better_bound_is_a_share_of_the_parent_median():
     rss = bench_pairs.summarize(runs, END_TO_END)["curves"]["peak_rss_mb"]
     assert rss["within_bound"] is True
 
+
+
+def test_runs_are_written_as_they_end(tmp_path, monkeypatch):
+    # the third run fails: the first two are already in --out, and --append resumes
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, seed))
+        if len(calls) == 3:
+            raise RuntimeError("perfbench/run.py failed")
+        result = run("x", seed, 100.0 + len(calls), 40.0)["result"]
+        result["metrics"]["setup_s"] = {"value": 0.1, "unit": "s"}
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc1234")
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--workload", "curves", "--seeds", "1-2", "--out", str(out)]
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(argv)
+    kept = bench_pairs.json.loads(out.read_text())
+    assert [(r["side"], r["seed"]) for r in kept["runs"]] == [("parent", 1), ("change", 1)]
+    assert kept["summary"]["curves"]["throughput"]["pairs_won_by_change"] == "1/1"
+
+    bench_pairs.main(["--parent", "HEAD", "--workload", "curves", "--seeds", "2",
+                      "--out", str(out), "--append"])
+    resumed = bench_pairs.json.loads(out.read_text())
+    assert [(r["side"], r["seed"]) for r in resumed["runs"]] == [
+        ("parent", 1), ("change", 1), ("parent", 2), ("change", 2)
+    ]

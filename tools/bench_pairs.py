@@ -9,8 +9,10 @@ unpacked with ``git archive`` into a fresh temporary directory (under
 branch. Every run lasts ``run_seconds`` of ``BENCHMARK.json``, on both sides.
 For each seed, ``perfbench/run.py`` runs once in that directory and once
 in the working tree; even-numbered pairs run the parent first, odd ones
-the change. Every run's result line is kept. ``--append`` adds the new
-runs to those already in ``--out``. The summary, per workload and
+the change. Every run's result line is kept, and ``--out`` is written
+again after each run, so a failing run loses none of the earlier ones;
+``--append`` adds the new runs to those already in ``--out``, which
+resumes such a session. The summary, per workload and
 end-to-end metric of the untraced runs, gives each side's median,
 quartiles (linear interpolation) and run count, the ratio of the medians
 and the pairs the change won, in the direction ``BENCHMARK.json`` names;
@@ -147,6 +149,22 @@ def main(argv: list[str] | None = None) -> int:
 
     seconds = spec["run_seconds"]
     record = json.loads(args.out.read_text()) if args.append else {"runs": [], "order": []}
+    record["order"].append(
+        f"{args.workload} trace {args.trace} seeds {args.seeds}: even pairs run the parent first"
+    )
+
+    def write() -> None:
+        record.update(
+            claim=args.claim if args.claim is not None else record.get("claim"),
+            command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace X",
+            host={"nproc": os.cpu_count(), "python": platform.python_version(),
+                  "numpy": numpy.__version__},
+            parent=_git("rev-parse", "--short", args.parent),
+            change=_git("describe", "--always", "--dirty"),
+            summary=summarize(record["runs"], spec["end_to_end"]),
+        )
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+
     checkout = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         unpack(args.parent, checkout)
@@ -158,23 +176,13 @@ def main(argv: list[str] | None = None) -> int:
                     "side": side, "workload": args.workload, "seed": seed,
                     "seconds": seconds, "trace": args.trace, "result": result,
                 })
+                # every run is kept as it ends: a later failure loses none, and
+                # --append resumes the session
+                write()
                 print(f"{args.workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr)
     finally:
         shutil.rmtree(checkout, ignore_errors=True)
-    record["order"].append(
-        f"{args.workload} trace {args.trace} seeds {args.seeds}: even pairs run the parent first"
-    )
-
-    record.update(
-        claim=args.claim if args.claim is not None else record.get("claim"),
-        command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace X",
-        host={"nproc": os.cpu_count(), "python": platform.python_version(),
-              "numpy": numpy.__version__},
-        parent=_git("rev-parse", "--short", args.parent),
-        change=_git("describe", "--always", "--dirty"),
-        summary=summarize(record["runs"], spec["end_to_end"]),
-    )
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    write()
     for workload, entry in record["summary"].items():
         for metric, stats in entry.items():
             if metric != "failed":
