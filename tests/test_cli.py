@@ -530,3 +530,118 @@ def test_analytic_drift_chunks_match_one_slice_at_a_time(tmp_path):
     assert len(slices) == 1030
     for table, beta in zip(slices.counts, trace.betas):
         assert ObservedTallies(table) == expected_tallies(per_slice, ch, [200.0], [beta])[0]
+
+
+# -- scan blocks against the point-by-point pipeline ---------------------------
+
+
+def reference_flags(flags):
+    """The flags column of one point, as the per-point CLI wrote it."""
+    tokens = {key for key in ("negative_length", "c44_clamped", "c_clamped") if flags.get(key)}
+    if any(key.endswith("_degenerate") for key in flags):
+        tokens.add("degenerate")
+    return ";".join(sorted(tokens))
+
+
+def grid_points(config, tmp_path, command):
+    """(block size, distance) of every row of ``command``'s grid, and the
+    configuration it reads."""
+    path = tmp_path / "grid.cfg"
+    path.write_text(config)
+    run = cli.load_config(str(path), cli.COMMANDS[command])
+    start, stop, step = (run[key] for key in ("scan_min_km", "scan_max_km", "scan_step_km"))
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    distances = [start + i * step for i in range(count)]
+    cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
+    points = [(replace(cfg, n_total=n), d) for n in run["n_values"] for d in distances]
+    return str(path), points, ch, sec
+
+
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+def test_scan_rows_equal_the_per_point_pipeline(tmp_path, mode):
+    # the analytic grid crosses the 512-point block twice per block size
+    config = (
+        "scan_min_km = 0\nscan_max_km = 60\nscan_step_km = 0.1\nn_values = 1e10,1e13\nbeta_rad = 0.7\n"
+        if mode == "analytic" else
+        "mode = montecarlo\nseed = 3\nscan_min_km = 0\nscan_max_km = 240\nscan_step_km = 20\n"
+        "n_values = 1e9,1e11\n"
+    )
+    path, points, ch, sec = grid_points(config, tmp_path, "scan")
+    code, out, err = run_cli(["scan", "--config", path])
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_KEY), err
+    want = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
+    per_block = len(points) // 2
+    for index, (cfg, distance) in enumerate(points):
+        if mode == "analytic":
+            tallies = expected_tallies(cfg, ch, [distance])[0]
+        else:
+            tallies = sample_tallies(cfg, ch, distance, 3 + index % per_block).observed()
+        report = analyze_tallies(tallies, cfg, sec)
+        want.append(
+            f"{cli._fmt(distance)},{cfg.n_total},{cli._fmt(report.key_rate)},"
+            f"{cli._fmt(report.c44_lower)},{cli._fmt(report.e_zz)},"
+            f"{cli._fmt(report.s1_zz_lower)},{reference_flags(report.intermediate)}"
+        )
+    assert out.splitlines() == want
+
+
+def reference_compare(points, ch, sec, **options):
+    """The rows of ``compare``, one point at a time, or the first error that
+    point by point, then protocol by protocol, raises."""
+    from rfiqkd.baselines import run_six_four, run_six_state
+
+    rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
+    for cfg, distance in points:
+        try:
+            four = analyze_tallies(expected_tallies(cfg, ch, [distance])[0], cfg, sec, **options)
+            results = [("rfi44", four, four.c44_lower, four.intermediate)]
+            for runner in (run_six_four, run_six_state):
+                base = runner(cfg, ch, sec, distance, **options)
+                flags = {"c_clamped": base.clamped, "negative_length": base.negative_length}
+                results.append((base.protocol, base, base.c_lower, flags))
+        except ValueError as exc:
+            return f"error: {exc}\n"
+        for protocol, result, c_lower, flags in results:
+            rows.append(
+                f"{cli._fmt(distance)},{cfg.n_total},{protocol},{cli._fmt(result.key_rate)},"
+                f"{cli._fmt(c_lower)},{cli._fmt(result.e_zz)},{reference_flags(flags)}"
+            )
+    return rows
+
+
+# their six-state clamps are the goldens' and the baselines' tests' to count
+@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
+@pytest.mark.parametrize(
+    "config,flag",
+    [
+        # 561 points cross the 512-point block
+        ("scan_min_km = 0\nscan_max_km = 280\nscan_step_km = 0.5\nn_values = 1e11\n", "--asymptotic"),
+        ("scan_min_km = 0\nscan_max_km = 280\nscan_step_km = 0.5\nn_values = 1e13\nbeta_rad = 2.3\n", None),
+        ("scan_min_km = 0\nscan_max_km = 300\nscan_step_km = 25\nn_values = 1e9,1e12\nbeta_rad = 5.5\n", None),
+    ],
+)
+def test_compare_rows_equal_the_per_point_pipeline(tmp_path, config, flag):
+    path, points, ch, sec = grid_points(config, tmp_path, "compare")
+    code, out, err = run_cli(["compare", "--config", path] + ([flag] if flag else []))
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_KEY), err
+    assert out.splitlines() == reference_compare(points, ch, sec, asymptotic=flag is not None)
+
+
+@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
+@pytest.mark.parametrize(
+    "config",
+    [
+        "scan_min_km = 0\nscan_max_km = 300\nscan_step_km = 5\nn_values = 1e10,1e12,1e13\n",
+        # rfi44 holds at 80 km, so a baseline raises first
+        "scan_min_km = 80\nscan_max_km = 200\nscan_step_km = 10\nn_values = 1000\n",
+        # every point of the first block size holds; the second raises, with
+        # an integer cap in the message
+        "scan_min_km = 100\nscan_max_km = 200\nscan_step_km = 10\nn_values = 1000,3000\n",
+    ],
+)
+def test_literal_compare_raises_the_first_error_point_by_point(tmp_path, config):
+    path, points, ch, sec = grid_points(config, tmp_path, "compare")
+    want = reference_compare(points, ch, sec, literal_paper_formulas=True)
+    assert isinstance(want, str)
+    code, out, err = run_cli(["compare", "--config", path, "--literal-paper-formulas"])
+    assert (code, out, err) == (cli.EXIT_ERROR, "", want)

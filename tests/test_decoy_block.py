@@ -10,13 +10,14 @@ upper end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, log, sqrt
+from math import exp, factorial, hypot, log, log2, sqrt
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfiqkd import decoy, intensity_triple
+from rfiqkd.core import CELL_INDEX, KINDS, BasisLabel, StateLabel
 from rfiqkd.decoy import DecoyPreconditionError, NonPhysicalEstimateError
 
 
@@ -161,6 +162,55 @@ def reference_class_bounds(detected, errors, intensities, eps, literal_upper):
     error_intervals = tuple(ref_interval(m, eps, literal_upper) for m in errors[1:])
     t = ref_error_count(error_intervals, intensities, sum(errors))
     return s0, s1, t, ref_error_rate(t, s1)
+
+
+def ref_entropy(p):
+    return 0.0 if p in (0.0, 1.0) else -p * log2(p) - (1.0 - p) * log2(1.0 - p)
+
+
+def ref_abs_lower(lower, upper):
+    if lower > upper:
+        raise ValueError(f"need lower <= upper, got {lower} > {upper}")
+    return lower if lower > 0.0 else -upper if upper < 0.0 else 0.0
+
+
+def reference_analysis(table, cfg, sec, literal=False):
+    """(n_zz, e_zz, key_length) of one (24, 3) table in Python ints, as the
+    per-point ``analyze_tallies`` computed them."""
+    rows = table.tolist()
+
+    def counts(states, basis, field):
+        return [sum(rows[CELL_INDEX[(s, basis, k)]][field] for s in states) for k in KINDS]
+
+    eps = sec.eps_bar
+    zz = (StateLabel.Z0, StateLabel.Z1)
+    zz_det, zz_err = counts(zz, BasisLabel.Z, 1), counts(zz, BasisLabel.Z, 2)
+    intervals = tuple(ref_interval(n, eps, literal) for n in zz_det)
+    s0 = ref_vacuum(intervals, cfg.intensities)
+    s1 = ref_single_photon(intervals, s0, cfg.intensities)
+    e = [
+        reference_class_bounds(
+            counts((state,), BasisLabel.X, 1), counts((state,), BasisLabel.X, 2),
+            cfg.intensities, eps, literal,
+        )[3]
+        for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0)
+    ]
+    c1_upper = e[0].upper + e[1].upper - 2.0 * e[2].lower
+    c2_upper = e[0].upper + e[1].upper - 2.0 * e[3].lower
+    c1_lower = e[0].lower + e[1].lower - 2.0 * (e[3] if literal else e[2]).upper
+    c2_lower = e[0].lower + e[1].lower - 2.0 * e[3].upper
+    c44 = min(hypot(ref_abs_lower(c1_lower, c1_upper), ref_abs_lower(c2_lower, c2_upper)), 1.0)
+    i_e = ref_entropy((1.0 - c44) / 2.0)
+    n_zz, m_zz = sum(zz_det), sum(zz_err)
+    e_zz = m_zz / n_zz if n_zz > 0 else 0.0
+    raw = (
+        s0.lower + s1.lower * (1.0 - i_e) - n_zz * sec.f_ec * ref_entropy(e_zz)
+        - log2(2.0 / sec.eps_ec)
+        - 2.0 * log2(2.0 / sec.eps_pa)
+        - 7.0 * sqrt(n_zz * log2(2.0 / sec.eps_bar))
+        - 30.0 * log2(cfg.n_total + 1.0)
+    )
+    return n_zz, e_zz, max(raw, 0.0)
 
 
 # -- inputs ------------------------------------------------------------------

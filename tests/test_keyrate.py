@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
-from rfiqkd import SecurityParams
+from rfiqkd import ChannelParams, SecurityParams
 from rfiqkd.channel import expected_tallies
 from rfiqkd.core import (
     ALL_CELLS,
@@ -19,6 +20,7 @@ from rfiqkd.core import (
 from rfiqkd.keyrate import (
     CLASSIFY_ROWS,
     DriftClassifier,
+    analyze_batch,
     analyze_tallies,
     group_and_extract,
     group_slices,
@@ -261,3 +263,49 @@ def test_overflow_group_beyond_the_budget():
     assert _classify(ObservedTallies(big)) is None
     with pytest.raises(TallyError, match=r"^group overflow: cell \(Z0,Z,mu\)"):
         group_slices(TallyBatch(np.stack([big] * 3)), 6)
+
+
+def test_a_class_sum_at_two_to_the_63_does_not_wrap(cfg, sec):
+    # two slices at 2^61 per cell: their group holds 2^62 in every cell, the
+    # budget's edge, so Z0 + Z1 detections reach 2^63 per intensity
+    from test_decoy_block import reference_analysis
+
+    table = np.full((len(ALL_CELLS), 3), 2**61, dtype=np.int64)
+    table[:, 2] = 2**55
+    result = group_and_extract(TallyBatch(np.stack([table, table])), 1, cfg, sec)
+    (outcome,) = result.outcomes
+    group_cfg = replace(cfg, n_total=outcome.bucket.n_pulses)
+    n_zz, e_zz, length = reference_analysis(table * 2, group_cfg, sec)
+    assert n_zz == 6 * 2**62 and outcome.report.n_zz == n_zz
+    assert outcome.report.e_zz == e_zz and outcome.report.key_length == length
+    # the same table in a block, beside one of ordinary counts
+    small = expected_tallies(cfg, ChannelParams(), [50.0])[0].counts
+    block = analyze_batch(TallyBatch(np.stack([small, table * 2])), group_cfg, sec)
+    assert block.n_zz.tolist()[1] == n_zz
+    assert block.key_length.tolist() == [
+        reference_analysis(small, group_cfg, sec)[2], length
+    ]
+
+
+def test_a_batch_raises_what_its_first_failing_table_raises(cfg, ch, sec):
+    from rfiqkd.decoy import NonPhysicalEstimateError
+
+    small = replace(cfg, n_total=1000)
+    far, near = (expected_tallies(small, ch, [d])[0].counts for d in (300.0, 0.0))
+    # the X0 rows of a near table and the rest of a far one: only the X0
+    # class fails, after the key class and the Z0 and Z1 classes
+    late = far.copy()
+    rows = [row for row, (state, _, _) in enumerate(ALL_CELLS) if state is StateLabel.X0]
+    late[rows] = near[rows]
+    errors = {}
+    for name, table in (("far", far), ("near", near), ("late", late)):
+        try:
+            analyze_tallies(ObservedTallies(table), small, sec, literal_paper_formulas=True)
+        except NonPhysicalEstimateError as exc:
+            errors[name] = str(exc)
+    assert set(errors) == {"near", "late"} and errors["near"] != errors["late"]
+    for order, first, point in (("late near", "late", 0), ("far near late", "near", 1)):
+        batch = TallyBatch(np.stack([{"far": far, "near": near, "late": late}[t] for t in order.split()]))
+        with pytest.raises(NonPhysicalEstimateError) as info:
+            analyze_batch(batch, small, sec, literal_paper_formulas=True)
+        assert (str(info.value), info.value.point) == (errors[first], point)
