@@ -29,9 +29,8 @@ SIX_STATE_BOB = (0.5, 0.25, 0.25)
 
 @dataclass(frozen=True)
 class BaselineReport:
-    """Rate summary of one comparison pipeline at one distance, or at each of
-    an array of distances with one entry per distance in every field but
-    ``protocol``."""
+    """Rate summary of one comparison pipeline at one distance, or arrays with
+    one entry per distance."""
 
     protocol: str
     key_length: float
@@ -57,17 +56,11 @@ def _class_counts(
     e_mis: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected (detections, errors) of one merged class, (n, 3) arrays over
-    the intensities, from ``absorbed = exp(-eta * k)`` of each point and
-    intensity."""
-    detected = []
-    errors = []
-    for k, column in zip(cfg.intensities, absorbed.T):
-        gain, error = pulse_probabilities(column, e_mis, ch.e_d)
-        n = np.rint(cfg.n_total * alice_prob * k.probability * bob_prob * gain)
-        m = np.minimum(np.rint(cfg.n_total * alice_prob * k.probability * bob_prob * error), n)
-        detected.append(n)
-        errors.append(m)
-    return np.stack(detected, axis=-1), np.stack(errors, axis=-1)
+    the intensities, from each point's ``absorbed = exp(-eta * k)``."""
+    scale = [cfg.n_total * alice_prob * k.probability * bob_prob for k in cfg.intensities]
+    gain, error = pulse_probabilities(absorbed, e_mis, ch.e_d)
+    detected = np.rint(scale * gain)
+    return detected, np.minimum(np.rint(scale * error), detected)
 
 
 def _run(
@@ -109,7 +102,7 @@ def _run(
             e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
             correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
 
-        n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]
+        n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]  # sum() order
         e_zz, _ = decoy.divide(zz_errors[:, 0] + zz_errors[:, 1] + zz_errors[:, 2], n_zz, 0.0)
         c_lower, i_e, clamped = leak(correlators, e_zz, literal)
         s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)

@@ -143,5 +143,6 @@ def expected_tallies(
     sent_i = np.rint(sent)
     det_i = np.minimum(np.rint(detected), sent_i)
     err_i = np.minimum(np.rint(detected * qber), det_i)
-    counts = np.stack(np.broadcast_arrays(sent_i, det_i, err_i), axis=-1).astype(np.int64)
+    counts = np.empty(det_i.shape + (3,), dtype=np.int64)  # no float copy of the batch
+    counts[..., 0], counts[..., 1], counts[..., 2] = sent_i, det_i, err_i
     return TallyBatch(counts)

@@ -34,13 +34,13 @@ import numpy as np
 
 from . import baselines
 from .channel import expected_tallies
+from .decoy import in_point_order
 from .core import (
     ALL_CELLS,
     FIELDS,
     MAX_PULSES,
     TWO_PI,
     ChannelParams,
-    ObservedTallies,
     ProtocolConfig,
     SecurityParams,
     TallyBatch,
@@ -652,22 +652,19 @@ def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list[
     for n_total in run["n_values"] or (cfg.n_total,):
         cfg_n = replace(cfg, n_total=n_total)
         blocks = _blocks(mode, cfg_n, ch, distances, int(run["seed"]))
-        for first, block in zip(range(0, len(distances), _CHUNK), blocks):
-            yield cfg_n, distances[first : first + _CHUNK], block
-
-
-def _flags_of(flags: Mapping[str, float]) -> str:
-    """The flags column of one point, from its report's ``intermediate``."""
-    return _flag_column({key: np.array([bool(value)]) for key, value in flags.items()})[0]
+        for first in range(0, len(distances), _CHUNK):
+            yield cfg_n, distances[first : first + _CHUNK], next(blocks)
 
 
 def _flag_column(columns: Mapping[str, np.ndarray]) -> list[str]:
     """The flags column of each point, from a batch report's bool columns."""
-    degenerate = [column for key, column in columns.items() if key.endswith("_degenerate")]
     marks = {key: columns[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in columns}
-    marks["degenerate"] = np.logical_or.reduce(degenerate) if degenerate else False
-    marks = {key: np.broadcast_to(column, len(next(iter(columns.values())))).tolist() for key, column in sorted(marks.items())}
-    return [";".join(key for key, on in zip(marks, point) if on) for point in zip(*marks.values())]
+    marks["degenerate"] = np.zeros(len(next(iter(marks.values()))), dtype=bool)
+    for key, column in columns.items():
+        if key.endswith("_degenerate"):
+            marks["degenerate"] = marks["degenerate"] | column
+    names = sorted(marks)
+    return [";".join(n for n, on in zip(names, point) if on) for point in zip(*(marks[n].tolist() for n in names))]
 
 
 def _render_report(report, n_total: int) -> list[str]:
@@ -742,6 +739,7 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
         ):
             rows.append(f"{_fmt(distance)},{cfg_n.n_total},{','.join(map(_fmt, values))},{flags}")
         any_key = any_key or bool((result.key_rate > 0.0).any())
+        del block, result  # before the next block is computed
     return rows, any_key
 
 
@@ -755,20 +753,17 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
     for cfg_n, distances, block in _grid(run, cfg, ch, "analytic"):
-        reports, errors = [], []
-        for evaluate in (
-            lambda: analyze_batch(block, cfg_n, sec, n_zz_all_intensities=zz_option, **options),
-            lambda: baselines.run_six_four(cfg_n, ch, sec, distances, **options),
-            lambda: baselines.run_six_state(cfg_n, ch, sec, distances, **options),
-        ):
-            try:
-                reports.append(evaluate())
-            except ValueError as exc:
-                errors.append(exc)
-        if errors:
-            # the error of the first point, then of the first protocol there
-            raise min(errors, key=lambda exc: getattr(exc, "point", 0))
-        four, *bases = reports
+
+        def evaluate(stop: int):
+            # protocol by protocol, so a point's first error is its rfi44 one
+            part = block if stop == len(block) else TallyBatch(block.counts[:stop])
+            return [
+                analyze_batch(part, cfg_n, sec, n_zz_all_intensities=zz_option, **options),
+                *(runner(cfg_n, ch, sec, distances[:stop], **options)
+                  for runner in (baselines.run_six_four, baselines.run_six_state)),
+            ]
+
+        four, *bases = in_point_order(evaluate, len(distances))
         columns = [(baselines.FOUR_STATE, four.key_rate, four.c44_lower, four.e_zz, four.intermediate)]
         columns += [
             (base.protocol, base.key_rate, base.c_lower, base.e_zz,
@@ -784,6 +779,7 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
                     f"{_fmt(c_lower[i])},{_fmt(e_zz[i])},{flags[i]}"
                 )
                 any_key = any_key or key_rate[i] > 0.0
+        del block, four, bases  # before the next block is computed
     return rows, any_key
 
 

@@ -1,21 +1,17 @@
 """Finite-size decoy-state estimation with closed-form two-decoy bounds.
 
 All estimators work on the counts of one event class (for example "Z states
-detected in the Z basis") split by source intensity, for one point or for a
-block of points at once: a count, and every bound, is a number or an array
-with one entry per point. Statistical fluctuations of each observed count are
-absorbed first, into one interval per count, then the closed-form vacuum /
-single-photon expressions are evaluated with the worst-case ends of those
-intervals.
+detected in the Z basis") split by source intensity. Statistical
+fluctuations of each observed count are absorbed first, into one interval
+per count, then the closed-form vacuum / single-photon expressions are
+evaluated with the worst-case ends of those intervals.
 
-Only the configuration constants need a transcendental (``exp`` of each
-intensity, tau_0, tau_1 and ``log(1/eps)``), once per call. Per point the chain
-is arithmetic and ``sqrt``, which IEEE 754 rounds correctly in numpy and
-``math`` alike, so it runs on arrays in the scalar order of operations and
-gives each point's per-point result bit for bit. Integer counts stay integers
-(``exact_counts``). A bound that fails at some points raises for the first of
-them, with the point's index as the exception's ``point``; ``in_point_order``
-turns that into the error a point-by-point evaluation raises first.
+Every count and bound is an array with one entry per point of a block.
+Only the configuration constants need a transcendental, once per call;
+per point the chain is arithmetic and ``sqrt``, which IEEE 754 rounds
+correctly in numpy and ``math`` alike, so each entry equals the per-point
+result bit for bit. A bound that fails at some points raises for the first
+of them, with the point's index as the error's ``point``.
 """
 from __future__ import annotations
 
@@ -26,10 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .core import IntensityClass
-
-# Below this, float64 holds every class total exactly, and cli's 12-digit
-# format prints an integral float as it prints the int.
-_FLOAT_TOTAL = 1e12
 
 
 class DecoyPreconditionError(ValueError):
@@ -42,8 +34,7 @@ class NonPhysicalEstimateError(ValueError):
 
 @dataclass(frozen=True)
 class BoundedCount:
-    """An estimated quantity with lower/upper bounds around a point value;
-    numbers, or arrays with one entry per point."""
+    """An estimated quantity with lower/upper bounds around a point value."""
 
     lower: float
     point: float
@@ -57,8 +48,8 @@ class BoundedCount:
 
 
 def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> None:
-    """Raise ``error(message(i))`` for the first point ``i`` where ``bad`` holds,
-    with ``point`` set to ``i``."""
+    """Raise ``error(message(i))``, with ``point = i``, for the first point
+    ``i`` where ``bad`` holds."""
     bad = np.asarray(bad)
     if bad.any():
         i = int(bad.argmax())
@@ -68,33 +59,26 @@ def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> Non
 
 
 def in_point_order(evaluate: Callable[[int], object], n: int):
-    """``evaluate(n)``, which evaluates points [0, n) as one block, raising the
-    error that evaluating the points one by one raises first.
-
-    A failing step raises for its first failing point ``p``, but an earlier
-    point may fail at a later step, so the points before ``p`` are tried first.
-    """
+    """``evaluate(n)``, a block evaluation of points [0, n), raising what
+    evaluating the points one by one would raise first: an earlier point
+    than the error's may fail at a later step, so those points go first."""
     try:
         return evaluate(n)
     except ValueError as exc:
-        point = getattr(exc, "point", 0)
-        if point > 0:
-            in_point_order(evaluate, point)
+        if getattr(exc, "point", 0) > 0:
+            in_point_order(evaluate, exc.point)
         raise exc
 
 
-def exact_counts(*counts):
-    """Count arrays as the chain takes them, all decided by the first one.
-
-    Integer counts whose totals over the last axis reach 10^12 become Python
-    ints in object arrays, whose arithmetic is the per-point one; below that,
-    int64 and float64 arithmetic give the same numbers. Float counts stay floats.
-    """
-    arrays = [np.asarray(c) for c in counts]
-    first = arrays[0]
-    if first.dtype.kind in "iu" and np.max(first.sum(axis=-1, dtype=float), initial=0.0) >= _FLOAT_TOTAL:
-        arrays = [a.astype(object) for a in arrays]
-    return arrays if len(arrays) > 1 else arrays[0]
+def exact_counts(counts):
+    """An array of counts as the chain takes it: integer counts whose totals
+    over the last axis reach 10^12 as Python ints, whose arithmetic is the
+    per-point one; below that int64 arithmetic gives the same numbers, and
+    cli's 12 digits print an integral float as they print the int."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind in "iu" and np.max(counts.sum(axis=-1, dtype=float), initial=0.0) >= 1e12:
+        return counts.astype(object)
+    return counts
 
 
 def divide(num, den, fallback):
@@ -126,13 +110,9 @@ def fluctuation_deltas(x, eps: float | None):
     x = np.asarray(x)
     raise_at(x < 0, ValueError, lambda i: f"observed count must be >= 0, got {x.item(i)}")
     b = log(1.0 / eps)
-    two_b = 2.0 * b  # 2.0 * b * x multiplies left to right
-
-    def root(radicand):  # object arrays hold Python floats here
-        return np.sqrt(np.asarray(radicand, dtype=float))
-
-    delta_lower = b / 2.0 + root(two_b * x + b * b / 4.0)
-    delta_upper = b + root(two_b * x + b * b)
+    two_b = 2.0 * b  # 2.0 * b * x multiplies left to right; sqrt takes Python floats too
+    delta_lower = b / 2.0 + np.sqrt(np.asarray(two_b * x + b * b / 4.0, dtype=float))
+    delta_upper = b + np.sqrt(np.asarray(two_b * x + b * b, dtype=float))
     return delta_lower, delta_upper
 
 
@@ -306,11 +286,9 @@ def yield_bounds(
     eps: float | None,
     literal_upper: bool = False,
 ) -> tuple[BoundedCount, BoundedCount]:
-    """Vacuum and single-photon detection bounds of one event class.
-
-    ``detected`` holds its detections at (signal, decoy, vacuum) intensity:
-    an (n, 3) array of n points, or a triple, taken as a block of one.
-    """
+    """Vacuum and single-photon detection bounds of one event class from its
+    detections at (signal, decoy, vacuum) intensity: an (n, 3) array of n
+    points, or a triple, as a block of one."""
     detected = exact_counts(detected)
     if detected.ndim == 1:
         return tuple(map(_first, yield_bounds(detected[None], intensities, eps, literal_upper)))
@@ -331,7 +309,7 @@ def class_bounds(
     """The full chain: vacuum, single-photon, error count, then error rate.
     ``errors`` is laid out as ``detected``. The error count at signal intensity
     enters only the cap: it gets no interval."""
-    detected, errors = exact_counts(detected, errors)
+    detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected
     if detected.ndim == 1:
         block = class_bounds(detected[None], errors[None], intensities, eps, literal_upper)
         return ClassBounds(*map(_first, (block.s0, block.s1, block.t, block.e)))

@@ -9,7 +9,7 @@ time slices by their X-basis error statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import starmap
 
 import numpy as np
@@ -93,7 +93,7 @@ def key_length(
             - math.log2(2.0 / sec.eps_ec)
             - 2.0 * math.log2(2.0 / sec.eps_pa)
             - 7.0 * root
-            - 30.0 * math.log2(n_total + 1.0)
+            - 30.0 * per_point(math.log2, n_total + 1.0)
         )
     return KeyLength(np.where(0.0 > raw, 0.0, raw), raw)
 
@@ -263,18 +263,22 @@ def group_and_extract(
     index, so results do not depend on evaluation order.
     """
     grouped = group_slices(batch, m_groups)
+    problems = [
+        "empty group" if bucket.n_slices == 0 else _missing_cells(bucket.tallies)
+        for bucket in grouped.buckets
+    ]
+    analyzed = [bucket for bucket, problem in zip(grouped.buckets, problems) if problem is None]
+    if analyzed:  # one block of every analyzable group, each with its own block size
+        counts = TallyBatch(np.stack([bucket.tallies.counts for bucket in analyzed]))
+        n_total = [max(bucket.n_pulses, 1) for bucket in analyzed]
+        block = analyze_batch(counts, cfg, sec, n_total=n_total, **analysis_options)
     outcomes = []
     total = 0.0
-    for bucket in grouped.buckets:
-        if bucket.n_slices == 0:
-            outcomes.append(BucketOutcome(bucket, None, 0.0, "empty group"))
-            continue
-        problem = _missing_cells(bucket.tallies)
+    for bucket, problem in zip(grouped.buckets, problems):
         if problem is not None:
             outcomes.append(BucketOutcome(bucket, None, 0.0, problem))
             continue
-        bucket_cfg = replace(cfg, n_total=max(bucket.n_pulses, 1))
-        report = analyze_tallies(bucket.tallies, bucket_cfg, sec, **analysis_options)
+        report = report_at(block, sum(o.report is not None for o in outcomes))
         outcomes.append(BucketOutcome(bucket, report, report.key_length))
         total += report.key_length
     return ExtractionResult(total, tuple(outcomes), grouped)
@@ -295,29 +299,32 @@ def analyze_batch(
     asymptotic: bool = False,
     n_zz_all_intensities: bool = True,
     literal_paper_formulas: bool = False,
+    n_total=None,
 ) -> KeyRateReport:
     """Run decoy estimation, channel-quality bounds and the key-length formula
-    on every table of ``batch`` at once, all with ``cfg``'s block size.
+    on every table of ``batch``. ``n_total`` holds each table's block size,
+    by default ``cfg.n_total``.
 
-    Each field of the report, and each ``intermediate`` entry, is an array
-    with one entry per table; a ``*_clamped``, ``*_degenerate`` or
-    ``negative_length`` entry is a bool array. A table whose analysis fails
-    raises what ``analyze_tallies`` raises for the first such table, with the
-    table's index as the error's ``point``.
+    Each field and ``intermediate`` entry is an array with one entry per
+    table; a flag (``*_clamped``, ``*_degenerate``, ``negative_length``) is a
+    bool array. The first table that ``analyze_tallies`` fails on raises its
+    error, with the table's index as the error's ``point``.
 
     ``asymptotic=True`` collapses every interval onto its point estimate
     and drops the block-size penalty terms, which yields the asymptotic
     rate used as an upper reference.
     """
+    # Python ints: a group's block size may pass 2^63
+    n_total = np.broadcast_to(np.array(cfg.n_total if n_total is None else n_total, dtype=object), len(batch))
+    options = (cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas)
+
     def evaluate(stop: int) -> KeyRateReport:
-        return _analyze(
-            batch.counts[:stop], cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas
-        )
+        return _analyze(batch.counts[:stop], n_total[:stop], *options)
 
     return decoy.in_point_order(evaluate, len(batch))
 
 
-def _analyze(counts, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> KeyRateReport:
+def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> KeyRateReport:
     eps = None if asymptotic else sec.eps_bar
     inter: dict[str, np.ndarray] = {}
 
@@ -330,9 +337,8 @@ def _analyze(counts, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> Key
 
     def class_counts(states, basis):
         # (n, 3) detections and errors; uint64 holds the sum of two cells
-        rows = _CLASS_ROWS[(states, basis)]
-        total = sum(counts[:, r, 1:].astype(np.uint64) for r in rows)
-        return decoy.exact_counts(total[..., 0], total[..., 1])
+        total = sum(counts[:, rows, 1:].astype(np.uint64) for rows in _CLASS_ROWS[(states, basis)])
+        return decoy.exact_counts(np.moveaxis(total, -1, 0))
 
     zz_detected, zz_errors = class_counts(*_ZZ)
     s0_zz, s1_zz = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
@@ -348,10 +354,8 @@ def _analyze(counts, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> Key
         rates.append(cls.e)
 
     cb = security.c_bounds(*rates, literal_c1_lower=literal)
-    inter["c1_lower"] = cb.c1_lower
-    inter["c1_upper"] = cb.c1_upper
-    inter["c2_lower"] = cb.c2_lower
-    inter["c2_upper"] = cb.c2_upper
+    for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
+        inter[name] = getattr(cb, name)
     inter["c44_clamped"] = cb.clamped
     i_e = security.ie_4state(cb.c44_lower)
 
@@ -361,7 +365,7 @@ def _analyze(counts, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> Key
     e_zz, _ = decoy.divide(sum(zz_errors[:, k] for k in range(kinds)), n_zz, 0.0)
 
     kl = key_length(
-        s0_zz.lower, s1_zz.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
+        s0_zz.lower, s1_zz.lower, i_e, n_zz, e_zz, sec, n_total, asymptotic
     )
     inter["negative_length"] = kl.negative
     inter["key_length_raw"] = kl.raw
@@ -374,25 +378,21 @@ def _analyze(counts, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> Key
         e_zz=e_zz,
         n_zz=n_zz,
         key_length=kl.length,
-        key_rate=kl.length / cfg.n_total,
+        key_rate=kl.length / n_total,
         intermediate=inter,
     )
 
 
 def analyze_tallies(
-    tallies: ObservedTallies,
-    cfg: ProtocolConfig,
-    sec: SecurityParams,
-    **options,
+    tallies: ObservedTallies, cfg: ProtocolConfig, sec: SecurityParams, **options
 ) -> KeyRateReport:
-    """``analyze_batch`` of one table, as that table's report: numbers, and
-    ``intermediate`` holds a flag only where it is set, as 1.0."""
-    report = analyze_batch(TallyBatch(tallies.counts[None]), cfg, sec, **options)
-    return report_at(report, 0)
+    """``analyze_batch`` of one table, as that table's report."""
+    return report_at(analyze_batch(TallyBatch(tallies.counts[None]), cfg, sec, **options), 0)
 
 
 def report_at(report: KeyRateReport, i: int) -> KeyRateReport:
-    """Entry ``i`` of a batch report, as ``analyze_tallies`` returns it."""
+    """Entry ``i`` of a batch report: numbers, and in ``intermediate`` a flag
+    only where it is set, as 1.0."""
     values = {f.name: getattr(report, f.name).item(i) for f in fields(report)[:-1]}
     inter = {}
     for name, column in report.intermediate.items():

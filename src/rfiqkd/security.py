@@ -5,12 +5,9 @@ single-photon error rates of the four states measured in the X basis,
 combines them into a rotation-invariant magnitude, and converts that into
 an upper bound on leaked information. Reference curves for the six-state
 and six-four variants live here as well, and so does the binary entropy
-that both the leak bounds and the key-length formula use.
-
-The four-state bounds and the six-four statistic take numbers or arrays with
-one entry per point. Their ``math`` functions (``hypot``, the ``log2`` of
-``binary_entropy``) run point by point through ``per_point``, because numpy's
-versions differ from them in the last bit.
+that both the leak bounds and the key-length formula use. The four-state
+bounds and the six-four statistic take arrays with one entry per point; their
+``math`` functions run point by point, as numpy's differ in the last bit.
 """
 from __future__ import annotations
 
@@ -85,20 +82,16 @@ def c_bounds(
 def abs_lower(lower: float, upper: float) -> float:
     """Smallest possible magnitude of a value known to lie in [lower, upper]."""
     lower, upper = np.asarray(lower), np.asarray(upper)
-    raise_at(
-        lower > upper, ValueError,
-        lambda i: f"need lower <= upper, got {lower.item(i)} > {upper.item(i)}",
-    )
+    raise_at(lower > upper, ValueError,
+             lambda i: f"need lower <= upper, got {lower.item(i)} > {upper.item(i)}")
     return np.where(lower > 0.0, lower, np.where(upper < 0.0, -upper, 0.0))
 
 
 def ie_4state(c44: float) -> float:
     """Leaked-information bound of the four-state protocol."""
     c44 = np.asarray(c44)
-    raise_at(
-        ~((c44 >= 0.0) & (c44 <= 1.0)), ValueError,
-        lambda i: f"c44 must be in [0,1], got {c44.item(i)}",
-    )
+    raise_at(~((c44 >= 0.0) & (c44 <= 1.0)), ValueError,
+             lambda i: f"c44 must be in [0,1], got {c44.item(i)}")
     return per_point(binary_entropy, (1.0 - c44) / 2.0)
 
 

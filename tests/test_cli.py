@@ -511,7 +511,7 @@ def test_scan_chunks_keep_each_point_and_its_stream(tmp_path):
         assert rows[index] == (
             f"{cli._fmt(distance)},{cfg.n_total},{cli._fmt(report.key_rate)},"
             f"{cli._fmt(report.c44_lower)},{cli._fmt(report.e_zz)},"
-            f"{cli._fmt(report.s1_zz_lower)},{cli._flags_of(report.intermediate)}"
+            f"{cli._fmt(report.s1_zz_lower)},{reference_flags(report.intermediate)}"
         )
 
 
