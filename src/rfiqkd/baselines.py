@@ -44,7 +44,7 @@ class BaselineReport:
 
 
 # (c_lower, i_e, clamped) per point from the correlator magnitudes and e_zz.
-LeakBound = Callable[[list[np.ndarray], np.ndarray, bool], tuple[np.ndarray, np.ndarray, np.ndarray]]
+LeakBound = Callable[[list[np.ndarray], np.ndarray, bool], tuple[np.ndarray, ...]]
 
 
 def _class_counts(
@@ -102,7 +102,7 @@ def _run(
             e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
             correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
 
-        n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]  # sum() order
+        n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]  # as sum() adds
         e_zz, _ = decoy.divide(zz_errors[:, 0] + zz_errors[:, 1] + zz_errors[:, 2], n_zz, 0.0)
         c_lower, i_e, clamped = leak(correlators, e_zz, literal)
         s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)

@@ -128,21 +128,22 @@ def expected_tallies(
         raise ValueError(f"{len(betas)} rotation angles for {len(distances)} distances")
     kinds = [cfg.intensity(kind) for kind in KINDS]
     # one exp per point and (path, intensity); ALL_CELLS repeats those six per state
+    etas = [[transmittance(d, b, ch) for b in BASES] for d in distances]
     absorbed = np.tile(np.array([
-        [exp(-eta * k.mean_photons) for eta in [transmittance(d, b, ch) for b in BASES] for k in kinds]
-        for d in distances
+        [exp(-eta * k.mean_photons) for eta in point for k in kinds] for point in etas
     ]).reshape(len(distances), len(BASES) * len(KINDS)), len(STATES))
     cos_b, sin_b = np.array([cos(b) for b in betas]), np.array([sin(b) for b in betas])
     e_mis = np.empty_like(absorbed)
     for column, (state, basis, _) in enumerate(ALL_CELLS):
         e_mis[:, column] = _misalignment(state, basis, ch.e0, cos_b, sin_b)
     gain, qber = _gain_and_qber(absorbed, e_mis, ch.e_d)
+    del absorbed, e_mis  # freed before the counts are built: a block's peak memory
     sent = [cfg.n_total * cfg.state_probability(s) * cfg.intensity(k).probability
             for s, _, k in ALL_CELLS]
     detected = gain * [x * cfg.basis_probability(b) for x, (_, b, _) in zip(sent, ALL_CELLS)]
-    sent_i = np.rint(sent)
-    det_i = np.minimum(np.rint(detected), sent_i)
-    err_i = np.minimum(np.rint(detected * qber), det_i)
-    counts = np.empty(det_i.shape + (3,), dtype=np.int64)  # no float copy of the batch
-    counts[..., 0], counts[..., 1], counts[..., 2] = sent_i, det_i, err_i
+    del gain
+    counts = np.empty(detected.shape + (3,), dtype=np.int64)
+    counts[..., 0] = sent_i = np.rint(sent)
+    counts[..., 1] = det_i = np.minimum(np.rint(detected), sent_i)
+    counts[..., 2] = np.minimum(np.rint(detected * qber), det_i)
     return TallyBatch(counts)

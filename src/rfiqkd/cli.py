@@ -567,13 +567,14 @@ def _int_field(raw: str, lineno: int, column: str) -> int:
 _CHUNK = 512  # points per channel call: bounds the memory of a scan or drift trace
 
 
-def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int, betas=None) -> Iterator[TallyBatch]:
-    """The tallies of every distance, one batch per ``_CHUNK`` points: analytic
+def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int, betas=None) -> Iterator:
+    """The tallies of every distance, one ``TallyBatch`` per ``_CHUNK`` points: analytic
     at angle ``betas[i]`` (by default the channel's), or drawn from stream ``seed + i``."""
     for first in range(0, len(distances), _CHUNK):
         chunk = slice(first, first + _CHUNK)
         if mode == "analytic":
-            yield expected_tallies(cfg, ch, distances[chunk], None if betas is None else betas[chunk])
+            angles = None if betas is None else betas[chunk]
+            yield expected_tallies(cfg, ch, distances[chunk], angles)
         else:
             yield TallyBatch(np.stack([
                 sample_tallies(cfg, ch, distance, seed + first + i).counts
@@ -639,7 +640,7 @@ def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
-def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list[float], TallyBatch]]:
+def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list, TallyBatch]]:
     """Every block size of a scan with its distances and their tallies, one
     batch per ``_CHUNK`` distances.
 
@@ -658,13 +659,15 @@ def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list[
 
 def _flag_column(columns: Mapping[str, np.ndarray]) -> list[str]:
     """The flags column of each point, from a batch report's bool columns."""
-    marks = {key: columns[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in columns}
+    marks = {key: columns[key] for key in ("c44_clamped", "c_clamped", "negative_length")
+             if key in columns}
     marks["degenerate"] = np.zeros(len(next(iter(marks.values()))), dtype=bool)
     for key, column in columns.items():
         if key.endswith("_degenerate"):
             marks["degenerate"] = marks["degenerate"] | column
     names = sorted(marks)
-    return [";".join(n for n, on in zip(names, point) if on) for point in zip(*(marks[n].tolist() for n in names))]
+    points = zip(*(marks[name].tolist() for name in names))
+    return [";".join(name for name, on in zip(names, point) if on) for point in points]
 
 
 def _render_report(report, n_total: int) -> list[str]:
@@ -764,8 +767,9 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
             ]
 
         four, *bases = in_point_order(evaluate, len(distances))
-        columns = [(baselines.FOUR_STATE, four.key_rate, four.c44_lower, four.e_zz, four.intermediate)]
-        columns += [
+        columns = [
+            (baselines.FOUR_STATE, four.key_rate, four.c44_lower, four.e_zz, four.intermediate)
+        ] + [
             (base.protocol, base.key_rate, base.c_lower, base.e_zz,
              {"c_clamped": base.clamped, "negative_length": base.negative_length})
             for base in bases

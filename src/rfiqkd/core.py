@@ -236,8 +236,8 @@ class TallyBatch:
     ``counts`` is a read-only int64 array of shape (n, 24, 3); table ``i``
     is laid out as ``ObservedTallies.counts`` and belongs to slice
     ``slices[i]``, by default ``i``; ``batch[i]`` is its ``ObservedTallies``.
-    A cell whose ``sent`` is negative is missing. The constructor makes an array that owns its memory read-only
-    in place, and copies any other array.
+    A cell whose ``sent`` is negative is missing. The constructor makes an
+    array that owns its memory read-only in place, and copies any other array.
 
     A table that ``ObservedTallies`` would refuse makes the constructor
     raise the same message, prefixed ``slice k: `` for the first such

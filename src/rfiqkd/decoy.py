@@ -6,12 +6,13 @@ fluctuations of each observed count are absorbed first, into one interval
 per count, then the closed-form vacuum / single-photon expressions are
 evaluated with the worst-case ends of those intervals.
 
-Every count and bound is an array with one entry per point of a block.
-Only the configuration constants need a transcendental, once per call;
-per point the chain is arithmetic and ``sqrt``, which IEEE 754 rounds
-correctly in numpy and ``math`` alike, so each entry equals the per-point
-result bit for bit. A bound that fails at some points raises for the first
-of them, with the point's index as the error's ``point``.
+Counts and bounds are arrays with one entry per point of a block; a number
+is a block of one. Only the configuration constants need a transcendental,
+once per call; per point the chain is arithmetic and ``sqrt``, which IEEE 754
+rounds correctly in numpy and ``math`` alike, so each entry equals the
+per-point result bit for bit (``exact_counts`` keeps the integer arithmetic
+exact). A bound that fails at some points raises for the first of them, with
+the point's index as the error's ``point``.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ def fluctuation_deltas(x, eps: float | None):
     x = np.asarray(x)
     raise_at(x < 0, ValueError, lambda i: f"observed count must be >= 0, got {x.item(i)}")
     b = log(1.0 / eps)
-    two_b = 2.0 * b  # 2.0 * b * x multiplies left to right; sqrt takes Python floats too
+    two_b = 2.0 * b  # as 2.0 * b * x groups; object counts give Python floats below
     delta_lower = b / 2.0 + np.sqrt(np.asarray(two_b * x + b * b / 4.0, dtype=float))
     delta_upper = b + np.sqrt(np.asarray(two_b * x + b * b, dtype=float))
     return delta_lower, delta_upper

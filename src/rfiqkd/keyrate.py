@@ -18,10 +18,10 @@ from .core import (
     ALL_CELLS,
     CELL_INDEX,
     FIELDS,
+    KINDS,
     MAX_PULSES,
     TWO_PI,
     BasisLabel,
-    KINDS,
     IntensityKind,
     KeyRateReport,
     ObservedTallies,
@@ -82,7 +82,7 @@ def key_length(
     ``n_zz``/``e_zz`` the sifted-key size and its error rate.
     ``asymptotic=True`` drops the block-size penalty terms of
     Lim et al. (PRA 89, 022307, 2014), leaving the asymptotic formula.
-    The inputs but ``sec`` and ``n_total`` may be arrays with one entry per point.
+    Every input but ``sec`` may be an array with one entry per point.
     """
     raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * per_point(binary_entropy, e_zz)
     if not asymptotic:
@@ -268,23 +268,26 @@ def group_and_extract(
         for bucket in grouped.buckets
     ]
     analyzed = [bucket for bucket, problem in zip(grouped.buckets, problems) if problem is None]
+    reports = iter(())
     if analyzed:  # one block of every analyzable group, each with its own block size
         counts = TallyBatch(np.stack([bucket.tallies.counts for bucket in analyzed]))
         n_total = [max(bucket.n_pulses, 1) for bucket in analyzed]
         block = analyze_batch(counts, cfg, sec, n_total=n_total, **analysis_options)
+        reports = (report_at(block, i) for i in range(len(analyzed)))
     outcomes = []
     total = 0.0
     for bucket, problem in zip(grouped.buckets, problems):
         if problem is not None:
             outcomes.append(BucketOutcome(bucket, None, 0.0, problem))
             continue
-        report = report_at(block, sum(o.report is not None for o in outcomes))
+        report = next(reports)
         outcomes.append(BucketOutcome(bucket, report, report.key_length))
         total += report.key_length
     return ExtractionResult(total, tuple(outcomes), grouped)
 
 
-# Count-array rows of each event class's cells per intensity, one list per state
+# Count-array rows of each required class's cells per intensity, one list per
+# state; the analysis reads the key class, then the four X-basis classes
 _CLASS_ROWS = {
     (states, basis): [[CELL_INDEX[(state, basis, kind)] for kind in KINDS] for state in states]
     for states, basis in _REQUIRED_CLASSES
@@ -315,7 +318,8 @@ def analyze_batch(
     rate used as an upper reference.
     """
     # Python ints: a group's block size may pass 2^63
-    n_total = np.broadcast_to(np.array(cfg.n_total if n_total is None else n_total, dtype=object), len(batch))
+    n_total = cfg.n_total if n_total is None else n_total
+    n_total = np.broadcast_to(np.array(n_total, dtype=object), len(batch))
     options = (cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas)
 
     def evaluate(stop: int) -> KeyRateReport:
@@ -378,7 +382,7 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
         e_zz=e_zz,
         n_zz=n_zz,
         key_length=kl.length,
-        key_rate=kl.length / n_total,
+        key_rate=(kl.length / n_total).astype(float),
         intermediate=inter,
     )
 

@@ -109,11 +109,12 @@ def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> float:
     """Leaked-information bound of the six-state variant.
 
     The inner radicand is clamped at zero and the second mixing coefficient
-    at one; both clamps are reported through ``warnings``. On ordinary
-    ``compare`` rows the coefficient reaches about 14 before its clamp: the
-    per-class decoy error rates that feed ``c`` are overstated (the X-basis
-    rates of Z0 and Z1 come out near 0.735 at 200 km, against a true 0.5),
-    not disturbed by statistical artifacts.
+    at one; both clamps are reported through ``warnings``. Ordinary inputs
+    reach them, not only statistical artifacts: the decoy chain overstates
+    the per-class error rates, so a class whose true rate is 1/2 (a
+    correlator of 0) yields a correlator near 0.44. On half the rows of
+    ``compare`` over 0-300 km, ``c`` is clamped at 2 and the coefficient
+    reaches about 14 before its clamp.
     """
     if not 0.0 <= c <= 2.0:
         raise ValueError(f"c must be in [0,2], got {c}")
