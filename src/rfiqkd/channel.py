@@ -137,13 +137,13 @@ def expected_tallies(
     for column, (state, basis, _) in enumerate(ALL_CELLS):
         e_mis[:, column] = _misalignment(state, basis, ch.e0, cos_b, sin_b)
     gain, qber = _gain_and_qber(absorbed, e_mis, ch.e_d)
-    del absorbed, e_mis  # freed before the counts are built: a block's peak memory
+    del absorbed, e_mis  # freed before the counts are built
     sent = [cfg.n_total * cfg.state_probability(s) * cfg.intensity(k).probability
             for s, _, k in ALL_CELLS]
     detected = gain * [x * cfg.basis_probability(b) for x, (_, b, _) in zip(sent, ALL_CELLS)]
     del gain
-    counts = np.empty(detected.shape + (3,), dtype=np.int64)
-    counts[..., 0] = sent_i = np.rint(sent)
-    counts[..., 1] = det_i = np.minimum(np.rint(detected), sent_i)
-    counts[..., 2] = np.minimum(np.rint(detected * qber), det_i)
+    sent_i = np.rint(sent)
+    det_i = np.minimum(np.rint(detected), sent_i)
+    err_i = np.minimum(np.rint(detected * qber), det_i)
+    counts = np.stack(np.broadcast_arrays(sent_i, det_i, err_i), axis=-1).astype(np.int64)
     return TallyBatch(counts)

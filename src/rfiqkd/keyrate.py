@@ -317,13 +317,13 @@ def analyze_batch(
     and drops the block-size penalty terms, which yields the asymptotic
     rate used as an upper reference.
     """
-    # Python ints: a group's block size may pass 2^63
-    n_total = cfg.n_total if n_total is None else n_total
-    n_total = np.broadcast_to(np.array(n_total, dtype=object), len(batch))
+    if n_total is not None:
+        n_total = np.array(n_total, dtype=object)  # Python ints: a group's block size may pass 2^63
     options = (cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas)
 
     def evaluate(stop: int) -> KeyRateReport:
-        return _analyze(batch.counts[:stop], n_total[:stop], *options)
+        block_size = cfg.n_total if n_total is None else n_total[:stop]
+        return _analyze(batch.counts[:stop], block_size, *options)
 
     return decoy.in_point_order(evaluate, len(batch))
 
@@ -336,8 +336,9 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
         inter[f"{name}_lower"] = bound.lower
         inter[f"{name}_point"] = bound.point
         inter[f"{name}_upper"] = bound.upper
-        inter[f"{name}_clamped"] = np.broadcast_to(bound.clamped, len(counts))
-        inter[f"{name}_degenerate"] = np.broadcast_to(bound.degenerate, len(counts))
+        inter[f"{name}_clamped"] = bound.clamped
+        if np.ndim(bound.degenerate):  # only an error rate can be degenerate
+            inter[f"{name}_degenerate"] = bound.degenerate
 
     def class_counts(states, basis):
         # (n, 3) detections and errors; uint64 holds the sum of two cells
@@ -382,7 +383,7 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
         e_zz=e_zz,
         n_zz=n_zz,
         key_length=kl.length,
-        key_rate=(kl.length / n_total).astype(float),
+        key_rate=np.asarray(kl.length / n_total, dtype=float),
         intermediate=inter,
     )
 
