@@ -310,7 +310,7 @@ def class_bounds(
     """The full chain: vacuum, single-photon, error count, then error rate.
     ``errors`` is laid out as ``detected``. The error count at signal intensity
     enters only the cap: it gets no interval."""
-    detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected
+    detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected: one rule
     if detected.ndim == 1:
         block = class_bounds(detected[None], errors[None], intensities, eps, literal_upper)
         return ClassBounds(*map(_first, (block.s0, block.s1, block.t, block.e)))

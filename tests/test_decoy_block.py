@@ -283,7 +283,8 @@ def raised(call):
 
 
 def at(value, i):
-    return np.broadcast_to(np.asarray(value), np.shape(np.asarray(value)) or (i + 1,))[i]
+    """Point ``i`` of a bound's field; a default flag is one value for all points."""
+    return np.asarray(value)[i] if np.ndim(value) else value
 
 
 @settings(max_examples=300, deadline=None)
