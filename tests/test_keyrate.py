@@ -4,6 +4,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfiqkd import ChannelParams, SecurityParams
 from rfiqkd.channel import expected_tallies
@@ -25,6 +27,7 @@ from rfiqkd.keyrate import (
     group_and_extract,
     group_slices,
     key_length,
+    report_at,
 )
 from rfiqkd.security import binary_entropy, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies
@@ -309,3 +312,31 @@ def test_a_batch_raises_what_its_first_failing_table_raises(cfg, ch, sec):
         with pytest.raises(NonPhysicalEstimateError) as info:
             analyze_batch(batch, small, sec, literal_paper_formulas=True)
         assert (str(info.value), info.value.point) == (errors[first], point)
+
+
+@st.composite
+def valid_tables(draw):
+    """1-4 valid (24, 3) tables, each at one scale from 10 counts to 2^62."""
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([10, 10**6, 10**11, 2**62]))
+        table = np.zeros((len(ALL_CELLS), 3), dtype=np.int64)
+        sent = {}
+        for row, (state, _, kind) in enumerate(ALL_CELLS):
+            n = sent.setdefault((state, kind), draw(st.integers(0, scale)))
+            detected = draw(st.integers(0, n))
+            table[row] = (n, detected, draw(st.integers(0, detected)))
+        tables.append(table)
+    return tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_tables())
+def test_a_batch_matches_the_python_int_reference(tables):
+    from test_decoy_block import reference_analysis
+
+    cfg, sec = make_config(), SecurityParams()
+    report = analyze_batch(TallyBatch(np.stack(tables)), cfg, sec)
+    for i, table in enumerate(tables):
+        got = report_at(report, i)
+        assert (got.n_zz, got.e_zz, got.key_length) == reference_analysis(table, cfg, sec)
