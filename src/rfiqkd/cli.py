@@ -595,34 +595,30 @@ def _make_slices(
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
     if n_slices <= 1:
-        parts = (batch.counts for batch in _blocks(mode, cfg, ch, [distance], seed))
-    elif cfg.n_total % n_slices != 0:
+        return next(_blocks(mode, cfg, ch, [distance], seed))
+    if cfg.n_total % n_slices != 0:
         raise ConfigError(
             f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
         )
-    else:
-        params = {
-            "beta0": float(run["drift_beta0_rad"]),
-            "rate": float(run["drift_rate_rad"]),
-            "amplitude": float(run["drift_amplitude_rad"]),
-            "period": float(run["drift_period"]),
-        }
-        trace = drift_beta(
-            str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
-        )
-        if mode == "analytic":
-            slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-            blocks = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
-            parts = (batch.counts for batch in blocks)
-        else:
-            oracles = sample_drifting_tallies(cfg, ch, distance, trace, seed)
-            parts = (oracle.counts[None] for oracle in oracles)
-    # filled in place: no list of per-slice arrays is held beside the batch
+    params = {
+        "beta0": float(run["drift_beta0_rad"]),
+        "rate": float(run["drift_rate_rad"]),
+        "amplitude": float(run["drift_amplitude_rad"]),
+        "period": float(run["drift_period"]),
+    }
+    trace = drift_beta(
+        str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
+    )
+    if mode != "analytic":
+        return sample_drifting_tallies(cfg, ch, distance, trace, seed)
+    slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
+    blocks = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
+    # filled in place: no list of per-chunk arrays is held beside the batch
     counts = np.empty((n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
     first = 0
-    for part in parts:
-        counts[first : first + len(part)] = part
-        first += len(part)
+    for batch in blocks:
+        counts[first : first + len(batch)] = batch.counts
+        first += len(batch)
     return TallyBatch(counts)
 
 

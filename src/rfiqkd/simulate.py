@@ -1,10 +1,11 @@
 """Monte Carlo tally generation with photon-number ground truth.
 
 Sampling is hierarchical and entirely count-based, so block sizes of 1e12
-pulses stay cheap. Each slice takes five array draws from one generator,
-in this order:
+pulses stay cheap. A drift trace is drawn ``BLOCK`` consecutive slices at a
+time, each block in five array draws over all its slices from one
+generator, in this order:
 
-1. a multinomial split of the slice's pulses over the 12 (state, intensity)
+1. a multinomial split of each slice's pulses over the 12 (state, intensity)
    pairs, states Z0, Z1, X0, Y0 times intensities mu, nu, omega;
 2. a binomial split of each pair over the receiver's passive basis choice
    (the Z share), which gives the 24 routed groups in ``ALL_CELLS`` order;
@@ -13,24 +14,26 @@ in this order:
 4. a binomial draw of the detections per group and photon number;
 5. a binomial draw of the errors among those detections.
 
-The generator of slice ``i`` is seeded with ``(seed mod 2**64, i,
-STREAM_VERSION)``, so slices can be sampled in any order, or in parallel,
-with bit-identical results. ``STREAM_VERSION`` changes whenever the draws
-do; version 1 used 13 streams per slice and one scalar draw per count.
+Block ``j`` (slices ``j*BLOCK`` on) draws from a generator seeded with
+``(seed mod 2**64, j, 2)``, so blocks can be sampled in any order, or in
+parallel, with bit-identical results. ``STREAM_VERSION`` changes whenever
+the draws do: version 1 used 13 streams per slice, version 2 one generator
+per slice, version 3 one per block. A block of one slice (``sample_tallies``,
+a one-slice trace) draws exactly what version 2 drew.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .channel import misalignment_error, transmittance
+from .channel import _misalignment, transmittance
 from .core import (
     ALL_CELLS,
-    BASES,
     CELL_INDEX,
+    FIELDS,
     KINDS,
     MAX_PULSES,
     STATES,
@@ -40,11 +43,14 @@ from .core import (
     ObservedTallies,
     ProtocolConfig,
     StateLabel,
+    TallyBatch,
 )
 
 POISSON_TAIL = 1e-12
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
+
+BLOCK = 128  # slices of a drift trace per generator and per array draw
 
 _PAIRS = tuple((s, k) for s in STATES for k in KINDS)
 
@@ -78,6 +84,8 @@ class OracleTallies:
         self, states: Iterable[StateLabel], basis: BasisLabel, photons: int
     ) -> tuple[int, int]:
         """True (detections, errors) from pulses that carried ``photons``."""
+        if photons < 0:
+            raise ValueError(f"photons must be >= 0, got {photons}")
         if photons >= self.detected.shape[1]:
             return 0, 0
         rows = [CELL_INDEX[(state, basis, kind)] for state in states for kind in KINDS]
@@ -106,7 +114,7 @@ def poisson_pmf_capped(mean: float, tail: float = POISSON_TAIL) -> np.ndarray:
 
 
 class _Sampler:
-    """The draws of one trace: its constants once, then one call per slice."""
+    """The draws of one trace: its constants once, then one call per block of slices."""
 
     def __init__(self, cfg: ProtocolConfig, ch: ChannelParams, distance_km: float) -> None:
         self.pair_probs = np.array(
@@ -125,53 +133,47 @@ class _Sampler:
         self.yields = self.survive + dark
         self.dark_errors = 0.5 * dark
 
-    def slice(self, beta: float, n_pulses: int, seed: int, slice_index: int) -> OracleTallies:
+    def block(
+        self, betas: Sequence[float], n_pulses: int, seed: int, index: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block ``index`` of a trace, one slice of ``n_pulses`` per angle in ``betas``:
+        ``sent`` of shape (b, 24), ``detected`` and ``errors`` of shape (b, 24, P)."""
         if not 0 <= n_pulses <= MAX_PULSES:
             raise ValueError(f"n_pulses {n_pulses} is outside the 64-bit count budget [0, 2**62]")
-        rng = np.random.default_rng((int(seed) % 2**64, int(slice_index), STREAM_VERSION))
-        # (state, 1, intensity), so that the basis axis slots in as in ALL_CELLS
-        sent = rng.multinomial(n_pulses, self.pair_probs).reshape(len(STATES), 1, len(KINDS))
+        b = len(betas)
+        # version 2's third seed word: a block of one slice draws a version-2 slice
+        rng = np.random.default_rng((int(seed) % 2**64, index, 2))
+        # (slice, state, 1, intensity), so that the basis axis slots in as in ALL_CELLS
+        sent = rng.multinomial(n_pulses, self.pair_probs, size=b).reshape(b, len(STATES), 1, -1)
         routed_z = rng.binomial(sent, self.p_z_bob)
-        routed = np.concatenate((routed_z, sent - routed_z), axis=1).reshape(-1)
+        routed = np.concatenate((routed_z, sent - routed_z), axis=2).reshape(b, -1)
         photons = rng.multinomial(routed, self.pmf)
         # Rounding in a pmf's tail can leave photons in the last, padded
         # column; they belong on the row's own cap, as in an unpadded draw.
-        spill = np.where(self.short, photons[:, -1], 0)
-        photons[:, -1] -= spill
-        photons[np.arange(len(ALL_CELLS)), self.cap] += spill
+        spill = np.where(self.short, photons[:, :, -1], 0)
+        photons[:, :, -1] -= spill
+        photons[:, np.arange(len(ALL_CELLS)), self.cap] += spill
         detected = rng.binomial(photons, self.yields)
-        e_mis = np.repeat(
-            [misalignment_error(s, b, beta, self.e0) for s in STATES for b in BASES], len(KINDS)
-        )
+        # math's cos and sin, then the scalar formula's operations elementwise
+        cos_b, sin_b = (np.array([f(beta) for beta in betas]) for f in (math.cos, math.sin))
+        e_mis = np.empty((b, len(ALL_CELLS)))
+        for column, (state, basis, _) in enumerate(ALL_CELLS):
+            e_mis[:, column] = _misalignment(state, basis, self.e0, cos_b, sin_b)
         # zero where the yield is zero: no photon and no dark count, no detection
         error_prob = np.divide(
-            e_mis[:, None] * self.survive + self.dark_errors, self.yields,
-            out=np.zeros_like(self.yields), where=self.yields > 0.0,
+            e_mis[:, :, None] * self.survive + self.dark_errors, self.yields,
+            out=np.zeros(detected.shape), where=self.yields > 0.0,
         )
         errors = rng.binomial(detected, error_prob)
-        return OracleTallies(np.concatenate((sent, sent), axis=1).reshape(-1), detected, errors)
-
-
-def _sample_block(
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    distance_km: float,
-    beta: float,
-    n_pulses: int,
-    seed: int,
-    slice_index: int,
-) -> OracleTallies:
-    """Draw slice ``slice_index`` of a trace on its own."""
-    return _Sampler(cfg, ch, distance_km).slice(beta, n_pulses, seed, slice_index)
+        return np.concatenate((sent, sent), axis=2).reshape(b, -1), detected, errors
 
 
 def sample_tallies(
     cfg: ProtocolConfig, ch: ChannelParams, distance_km: float, seed: int
 ) -> OracleTallies:
-    """Draw one full block of tallies at the channel's rotation angle."""
-    return _sample_block(
-        cfg, ch, distance_km, ch.beta, cfg.n_total, seed, slice_index=0
-    )
+    """Draw one full block of tallies at the channel's rotation angle: a one-slice trace."""
+    drawn = _Sampler(cfg, ch, distance_km).block((ch.beta,), cfg.n_total, seed, 0)
+    return OracleTallies(*(array[0] for array in drawn))
 
 
 @dataclass(frozen=True)
@@ -228,20 +230,22 @@ def drift_beta(
 
 
 def sample_drifting_tallies(
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    distance_km: float,
-    trace: DriftTrace,
-    seed: int,
-) -> list[OracleTallies]:
-    """Draw one block per slice, replacing the rotation angle slice by slice."""
+    cfg: ProtocolConfig, ch: ChannelParams, distance_km: float, trace: DriftTrace, seed: int
+) -> TallyBatch:
+    """One table per slice of ``trace``, at its angle, drawn ``BLOCK`` slices at a time."""
     if trace.n_total != cfg.n_total:
         raise ValueError(
             f"trace covers {trace.n_total} pulses but the configuration "
             f"expects {cfg.n_total}"
         )
     sampler = _Sampler(cfg, ch, distance_km)
-    return [
-        sampler.slice(beta, trace.pulses_per_slice, seed, i)
-        for i, beta in enumerate(trace.betas)
-    ]
+    counts = np.empty((trace.n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
+    for index, first in enumerate(range(0, trace.n_slices, BLOCK)):
+        sent, detected, errors = sampler.block(
+            trace.betas[first : first + BLOCK], trace.pulses_per_slice, seed, index
+        )
+        tables = counts[first : first + BLOCK]
+        tables[:, :, 0] = sent
+        detected.sum(axis=2, out=tables[:, :, 1])
+        errors.sum(axis=2, out=tables[:, :, 2])
+    return TallyBatch(counts)

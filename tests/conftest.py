@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from rfiqkd import ChannelParams, ProtocolConfig, SecurityParams, TallyBatch, intensity_triple
+from rfiqkd import ChannelParams, ProtocolConfig, SecurityParams, intensity_triple
 
 
 def make_config(**overrides) -> ProtocolConfig:
@@ -15,11 +14,6 @@ def make_config(**overrides) -> ProtocolConfig:
     )
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
-
-
-def batch_of(tables) -> TallyBatch:
-    """One batch of ``tables``, anything with a (24, 3) ``counts`` array."""
-    return TallyBatch(np.stack([table.counts for table in tables]))
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from rfiqkd.keyrate import CLASSIFY_ROWS, DriftClassifier, group_and_extract
 from rfiqkd.security import abs_lower, c1_c2_point, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies, sample_tallies
 
-from conftest import batch_of, make_config
+from conftest import make_config
 
 TWO_PI = 2 * math.pi
 
@@ -103,15 +103,15 @@ def run_grouping_study() -> tuple[str, float, float, float, list[int]]:
         "linear", {"beta0": 0.0, "rate": TWO_PI}, GROUPING_SLICES,
         pulses_per_slice=pulses,
     )
-    slices = batch_of(sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, trace, GROUPING_SEED))
+    slices = sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, trace, GROUPING_SEED)
     grouped = group_and_extract(slices, 6, cfg, sec)
     pooled = group_and_extract(slices, 1, cfg, sec)
 
     fixed_trace = drift_beta(
         "fixed", {"beta0": 0.0}, GROUPING_SLICES, pulses_per_slice=pulses
     )
-    fixed_slices = batch_of(
-        sample_drifting_tallies(cfg, ch, GROUPING_DISTANCE, fixed_trace, GROUPING_SEED + 1)
+    fixed_slices = sample_drifting_tallies(
+        cfg, ch, GROUPING_DISTANCE, fixed_trace, GROUPING_SEED + 1
     )
     fixed = group_and_extract(fixed_slices, 1, cfg, sec)
 

@@ -32,7 +32,7 @@ from rfiqkd.keyrate import (
 from rfiqkd.security import binary_entropy, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies
 
-from conftest import batch_of, make_config
+from conftest import make_config
 
 TWO_PI = 2 * math.pi
 
@@ -137,8 +137,9 @@ def test_rho_tracks_drift_trace_ground_truth(ch):
         pulses_per_slice=cfg.n_total // 48,
     )
     for seed in (17, 18, 19):
-        for oracle, beta in zip(sample_drifting_tallies(cfg, ch, 50.0, trace, seed), trace.betas):
-            rho = _classify(oracle)
+        slices = sample_drifting_tallies(cfg, ch, 50.0, trace, seed)
+        for rows, beta in zip(slices.counts[:, CLASSIFY_ROWS, 1:].tolist(), trace.betas):
+            rho = DriftClassifier.classify(*rows)
             assert rho is not None
             assert _angle_error(rho, beta) <= 0.05, (seed, beta, rho)
 
@@ -147,7 +148,7 @@ def _analytic_slices(cfg, ch, distance, betas):
     from dataclasses import replace
 
     per_slice = replace(cfg, n_total=cfg.n_total // len(betas))
-    return batch_of(expected_tallies(per_slice, ch, [distance] * len(betas), betas))
+    return expected_tallies(per_slice, ch, [distance] * len(betas), betas)
 
 
 def test_group_single_group_matches_ungrouped(ch, sec):

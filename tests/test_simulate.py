@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -24,8 +25,9 @@ from rfiqkd.core import (
     intensity_triple,
 )
 from rfiqkd.simulate import (
+    BLOCK,
     DriftTrace,
-    _sample_block,
+    _Sampler,
     drift_beta,
     poisson_pmf_capped,
     sample_drifting_tallies,
@@ -91,11 +93,21 @@ def test_vacuum_intensity_emits_no_photons(ch):
     assert not oracle.errors[omega, 1:].any()
 
 
+def test_true_counts_rejects_a_negative_photon_number(ch):
+    oracle = sample_tallies(SMALL, ch, 50.0, seed=3)
+    for photons in (-1, -12):
+        with pytest.raises(ValueError, match=f"photons must be >= 0, got {photons}"):
+            oracle.true_counts((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z, photons)
+
+
 def test_empty_block_draws_nothing(ch):
-    oracle = _sample_block(SMALL, ch, 50.0, 0.0, 0, seed=1, slice_index=0)
-    assert not oracle.observed().counts.any()
-    with pytest.raises(ValueError, match="count budget"):
-        _sample_block(SMALL, ch, 50.0, 0.0, -1, seed=1, slice_index=0)
+    sampler = _Sampler(SMALL, ch, 50.0)
+    for drawn in sampler.block((0.0, 1.0), 0, seed=1, index=0):
+        assert drawn.shape[0] == 2
+        assert not drawn.any()
+    for n_pulses in (-1, MAX_PULSES + 1):
+        with pytest.raises(ValueError, match="count budget"):
+            sampler.block((0.0,), n_pulses, seed=1, index=0)
 
 
 def test_block_at_the_count_budget(ch):
@@ -236,8 +248,24 @@ def test_single_slice_trace_equals_plain_sampling(ch):
     trace = DriftTrace((ch.beta,), cfg.n_total)
     sliced = sample_drifting_tallies(cfg, ch, 50.0, trace, seed=9)
     plain = sample_tallies(cfg, ch, 50.0, seed=9)
-    assert len(sliced) == 1
-    assert sliced[0].observed() == plain.observed()
+    assert sliced.counts.tolist() == [plain.counts.tolist()]
+
+
+# sha256 of the little-endian int64 sent, detected and errors of
+# sample_tallies at 1e8 pulses, recorded at stream version 2, over
+# distance x angle x seed in the loop order below
+VERSION_2_DIGEST = "bdfc933d98041625cfb85dd01898304c2b7e8daaf7646a01572fde23efe082ad"
+
+
+def test_single_slice_draws_are_those_of_stream_version_2(ch):
+    digest = hashlib.sha256()
+    for distance in (50.0, 200.0):
+        for beta in (0.0, math.pi / 4, math.pi, 5 * math.pi / 4):
+            for seed in range(10):
+                oracle = sample_tallies(SMALL, replace(ch, beta=beta), distance, seed)
+                for drawn in (oracle.sent, oracle.detected, oracle.errors):
+                    digest.update(drawn.astype("<i8").tobytes())
+    assert digest.hexdigest() == VERSION_2_DIGEST
 
 
 def test_trace_must_cover_the_block(ch):
@@ -254,16 +282,20 @@ def test_constant_trace_sums_match_one_shot_statistics(ch):
     trace = drift_beta(
         "fixed", {"beta0": 0.0}, n_slices, pulses_per_slice=cfg.n_total // n_slices
     )
-    slices = sample_drifting_tallies(cfg, ch, 50.0, trace, seed=21)
-    summed = slices[0].observed()
-    for extra in slices[1:]:
-        summed = summed + extra.observed()
+    summed = sample_drifting_tallies(cfg, ch, 50.0, trace, seed=21).counts.sum(axis=0)
     expected = expected_tallies(cfg, ch, [50.0])[0]
     for key in ALL_CELLS:
-        state, basis, kind = key
         mean = expected.counts[CELL_INDEX[key], 1]
         sigma = math.sqrt(max(mean, 1.0))
-        assert abs(summed.counts[CELL_INDEX[key], 1] - mean) <= 5 * sigma + 1.0
+        assert abs(summed[CELL_INDEX[key], 1] - mean) <= 5 * sigma + 1.0
+
+
+def test_blocks_of_a_fixed_trace_are_fresh_draws(ch):
+    # The same angle in every slice: the second block is not a copy of the first.
+    trace = drift_beta("fixed", {"beta0": 0.0}, 2 * BLOCK, pulses_per_slice=1_000_000)
+    cfg = make_config(n_total=trace.n_total)
+    counts = sample_drifting_tallies(cfg, ch, 50.0, trace, seed=21).counts
+    assert not np.array_equal(counts[:BLOCK], counts[BLOCK:])
 
 
 def test_conservative_decoy_directions_cover_truth(ch, sec):
@@ -303,19 +335,21 @@ def test_conservative_decoy_directions_cover_truth(ch, sec):
 
 
 def test_parallel_view_of_streams_is_order_independent(ch):
-    # Sampling slices out of order reproduces the in-order result exactly.
-    cfg = make_config(n_total=8_000_000)
+    # Each block of BLOCK slices has its own generator: blocks sampled in
+    # reverse order reproduce the in-order batch exactly, the ragged last
+    # block of three slices included.
+    n_slices = 2 * BLOCK + 3
+    cfg = make_config(n_total=n_slices * 1_000_000)
     trace = drift_beta(
-        "linear", {"beta0": 0.0, "rate": 2 * math.pi}, 4,
-        pulses_per_slice=cfg.n_total // 4,
+        "linear", {"beta0": 0.0, "rate": 2 * math.pi}, n_slices,
+        pulses_per_slice=cfg.n_total // n_slices,
     )
-    in_order = [t.observed() for t in sample_drifting_tallies(cfg, ch, 40.0, trace, 5)]
-
-    from rfiqkd.simulate import _sample_block
-
-    reversed_result = {
-        i: _sample_block(cfg, ch, 40.0, trace.betas[i], trace.pulses_per_slice, 5, i)
-        for i in reversed(range(4))
-    }
-    for i in range(4):
-        assert reversed_result[i].observed() == in_order[i]
+    in_order = sample_drifting_tallies(cfg, ch, 40.0, trace, 5).counts
+    sampler = _Sampler(cfg, ch, 40.0)
+    reversed_result = np.empty_like(in_order)
+    for index in reversed(range(3)):
+        part = slice(index * BLOCK, (index + 1) * BLOCK)
+        sent, detected, errors = sampler.block(trace.betas[part], trace.pulses_per_slice, 5, index)
+        reversed_result[part] = np.stack((sent, detected.sum(axis=2), errors.sum(axis=2)), axis=2)
+    assert len(reversed_result[2 * BLOCK :]) == 3
+    assert np.array_equal(reversed_result, in_order)
