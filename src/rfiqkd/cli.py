@@ -307,71 +307,68 @@ def _fmt(x: object) -> str:
 
 _TALLY_HEADER = ["state", "basis", "intensity", "sent", "detected", "errors"]
 
-# "Z0,Z,mu"-style label of each cell, in count-array row order
-_CELL_LABELS = tuple(f"{s.value},{b.value},{k.value}" for s, b, k in ALL_CELLS)
 _ROW_BY_LABELS = {
     (s.value, b.value, k.value): row for row, (s, b, k) in enumerate(ALL_CELLS)
 }
 # buffer entries of a slice none of whose cells has been read
 _UNREAD_SLICE = array("q", [-1] * (len(ALL_CELLS) * len(FIELDS)))
-# characters a label column keeps; a label this long may have been cut short
-_LABEL_WIDTH = 8
 # one file row as the tokenizer reads it, without and with the slice column
 _ROW_DTYPE = {
     sliced: np.dtype(
         [("slice", np.int64)] * sliced
-        + [(name, f"U{_LABEL_WIDTH}") for name in _TALLY_HEADER[:3]]
+        + [(name, "S8") for name in _TALLY_HEADER[:3]]
         + [(name, np.int64) for name in FIELDS]
     )
     for sliced in (False, True)
 }
 
 
+def _label_rows(labels: Sequence[str], stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """A label column's codes, each label's 8 bytes as a uint64, sorted, and
+    ``stride`` times the index of each code's label."""
+    codes = np.array(list(dict.fromkeys(labels)), dtype="S8").view(np.uint64)
+    return np.sort(codes), np.argsort(codes) * stride
+
+
+# a cell's row in ALL_CELLS order is state * 6 + basis * 3 + kind
+_LABEL_ROWS = [_label_rows(*column) for column in zip(zip(*_ROW_BY_LABELS), (6, 3, 1))]
+_WRITE_TABLES = 16  # tables per format call: bounds the Python ints held at once
+
+
 def write_tally_csv(batch: TallyBatch, out: TextIO) -> None:
     """Write tallies as CSV; more than one slice adds a leading slice column."""
     sliced = len(batch) > 1
-    header = (["slice"] if sliced else []) + _TALLY_HEADER
-    out.write(",".join(header) + "\n")
-    for index, table in enumerate(batch.counts):
-        prefix = f"{index}," if sliced else ""
-        out.write(
-            "".join(
-                f"{prefix}{label},{sent},{detected},{errors}\n"
-                for label, (sent, detected, errors) in zip(_CELL_LABELS, table.tolist())
-            )
-        )
+    out.write(",".join(["slice"] * sliced + _TALLY_HEADER) + "\n")
+    row = "%d," * sliced + "{},{},{},%d,%d,%d\n"
+    table = "".join(row.format(*labels) for labels in _ROW_BY_LABELS)
+    for start in range(0, len(batch), _WRITE_TABLES):
+        rows = batch.counts[start : start + _WRITE_TABLES]
+        if sliced:
+            rows = np.insert(rows, 0, np.arange(start, start + len(rows))[:, None], axis=2)
+        out.write(table * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_tally_csv(handle: TextIO) -> TallyBatch:
     """Parse a tally CSV into one tally table per slice, in slice order.
 
     Parse and consistency errors carry the offending line number; cell
-    constraint violations name the slice and the cell.
-    """
-    return TallyBatch(*_read_counts(handle))
-
-
-def _read_counts(handle: TextIO) -> tuple[np.ndarray, list[int]]:
-    """The (n, 24, 3) counts of a tally CSV, -1 where a cell is missing, and
-    the slice indices of its tables, in order.
+    constraint violations name the slice and the cell. A missing cell
+    reads as -1 until the batch names it.
 
     The file is read in blocks of whole lines, and every count goes
     straight into an int64 buffer, so the whole text and its lines are
-    never held at once; the buffer is freed before the caller checks the
-    tables. Each block goes through numpy's tokenizer in one call and is
-    checked as arrays; a block that fails any check is read again line by
-    line, which stores its rows up to the first error and names that error.
+    never held at once; the buffer is freed before the tables are checked.
+    Each block goes through numpy's tokenizer in one call and is checked as
+    arrays; a block that fails any check is read again line by line, which
+    stores its rows up to the first error and names that error.
     """
     blocks = _line_blocks(handle)
     lines = next(blocks, None)
     if lines is None:
         raise TallyError("line 1: empty tally file")
     header = [col.strip() for col in lines.pop(0).split(",")]
-    if header == _TALLY_HEADER:
-        sliced = False
-    elif header == ["slice"] + _TALLY_HEADER:
-        sliced = True
-    else:
+    sliced = header == ["slice"] + _TALLY_HEADER
+    if not sliced and header != _TALLY_HEADER:
         raise TallyError(f"line 1: unexpected header {','.join(header)!r}")
 
     # (sent, detected, errors) per cell of every slice in order of first
@@ -388,12 +385,12 @@ def _read_counts(handle: TextIO) -> tuple[np.ndarray, list[int]]:
         raise TallyError("line 2: no tally rows")
 
     order = sorted(start_of)
-    by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(
-        len(order), len(ALL_CELLS), len(FIELDS)
-    )
+    by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(len(order), len(ALL_CELLS), -1)
     first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order))
     # fancy indexing copies, so no table shares memory with flat
-    return by_first_line[first // len(_UNREAD_SLICE)], order
+    counts = by_first_line[first // len(_UNREAD_SLICE)]
+    del flat, by_first_line
+    return TallyBatch(counts, order)
 
 
 def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
@@ -436,25 +433,30 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
             table = _tokenized(filled, sliced)
         if table is None or len(table) != len(filled):
             return False
-    labels = [table[name].tolist() for name in _TALLY_HEADER[:3]]
-    if any(max(map(len, column)) >= _LABEL_WIDTH for column in labels):
-        return False
-    rows = list(map(_ROW_BY_LABELS.get, zip(*(map(str.strip, column) for column in labels))))
-    if None in rows:
-        return False
+    # a label matches only if its 8 bytes are one of its column's labels:
+    # a padded label, or one cut at 8 characters, matches none
+    rows = np.zeros(len(table), dtype=np.int64)
+    for name, (codes, shares) in zip(_TALLY_HEADER[:3], _LABEL_ROWS):
+        column = np.ascontiguousarray(table[name]).view(np.uint64)
+        found = np.searchsorted(codes, column).clip(max=len(codes) - 1)
+        if (codes[found] != column).any():
+            return False
+        rows += shares[found]
     if any(table[name].min() < 0 or table[name].max() > MAX_PULSES for name in FIELDS):
         return False
-    if sliced and table["slice"].min() < 0:
+    slices = table["slice"] if sliced else np.zeros(len(table), dtype=np.int64)
+    if slices.min() < 0:
         return False
-    slices = table["slice"].tolist() if sliced else [0] * len(table)
+    distinct = np.sort(slices)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     # a failure past this point is a duplicate cell, which the line reader
     # raises, so the slices added here never reach a result
-    for index in dict.fromkeys(slices):
+    for index in distinct.tolist():
         if index not in start_of:
             start_of[index] = len(flat)
             flat.extend(_UNREAD_SLICE)
-    at = np.fromiter(map(start_of.__getitem__, slices), np.int64, len(slices))
-    at += np.array(rows, dtype=np.int64) * len(FIELDS)
+    first = np.fromiter(map(start_of.__getitem__, distinct.tolist()), np.int64, len(distinct))
+    at = first[np.searchsorted(distinct, slices)] + rows * len(FIELDS)
     buffer = np.frombuffer(flat, dtype=np.int64)
     ordered = np.sort(at)
     if (buffer[at] >= 0).any() or (ordered[1:] == ordered[:-1]).any():
@@ -615,10 +617,8 @@ def _make_slices(
     blocks = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
     # filled in place: no list of per-chunk arrays is held beside the batch
     counts = np.empty((n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
-    first = 0
-    for batch in blocks:
+    for first, batch in zip(range(0, n_slices, _CHUNK), blocks):
         counts[first : first + len(batch)] = batch.counts
-        first += len(batch)
     return TallyBatch(counts)
 
 

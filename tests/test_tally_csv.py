@@ -428,12 +428,16 @@ def test_a_tokenizer_warning_sends_the_block_to_the_line_reader(monkeypatch):
     assert read_error(text) == "line 4: column sent: not an integer: '1.0'"
 
 
-@pytest.mark.parametrize("blank", ["", " ", "\t", "\r"])
-def test_blank_lines_keep_a_block_off_the_line_reader(monkeypatch, blank):
+@pytest.fixture
+def no_line_reader(monkeypatch):
     def unexpected(*args):
         raise AssertionError("the line reader ran")
 
     monkeypatch.setattr(cli, "_read_lines", unexpected)
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\t", "\r"])
+def test_blank_lines_keep_a_block_off_the_line_reader(no_line_reader, blank):
     lines = long_file(20).splitlines(keepends=True)
     for at in range(len(lines) - 1, 1, -24):
         lines.insert(at, blank + "\n")
@@ -441,6 +445,100 @@ def test_blank_lines_keep_a_block_off_the_line_reader(monkeypatch, blank):
     tables = block_read(text)
     assert tables == reference_read(text)
     assert len(tables) == 20
+
+
+def written(batch):
+    out = io.StringIO()
+    cli.write_tally_csv(batch, out)
+    return out.getvalue()
+
+
+def test_canonical_files_take_the_block_path(no_line_reader):
+    batch = cli.read_tally_csv(io.StringIO(long_file(4000)))
+    # 4000 slices written in order, cells in ALL_CELLS order, LF line ends:
+    # the shape and size of the benchmark's replay input
+    for tables in (batch, TallyBatch(batch.counts[:2]), TallyBatch(batch.counts[:1])):
+        again = cli.read_tally_csv(io.StringIO(written(tables)))
+        assert np.array_equal(again.counts, tables.counts)
+
+
+@pytest.mark.parametrize("n_tables", [1, 2, 17])
+def test_the_writer_matches_the_per_row_format(n_tables):
+    counts = cli.read_tally_csv(io.StringIO(long_file(n_tables))).counts
+    prefix = "slice," if n_tables > 1 else ""
+    rows = [
+        f"{prefix and f'{index},'}{s.value},{b.value},{k.value},{sent},{detected},{errors}"
+        for index, table in enumerate(counts.tolist())
+        for (s, b, k), (sent, detected, errors) in zip(ALL_CELLS, table)
+    ]
+    assert written(TallyBatch(counts)) == tally_text(rows, prefix + HEADER)
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+def test_every_label_is_read_in_any_row_order(no_line_reader, sliced):
+    rng = random.Random(14)
+    rows = valid_rows(rng, [3, 0, 1] if sliced else [0])
+    rng.shuffle(rows)
+    text = tally_text([",".join(row if sliced else row[1:]) for row in rows],
+                      "slice," + HEADER if sliced else HEADER)
+    tables = block_read(text)
+    assert tables == reference_read(text)
+    assert len(tables) == (3 if sliced else 1)
+
+
+def labelled(column, label):
+    """A valid unsliced file whose fourth row has ``label`` in label column
+    ``column``, and that row's labels as an error message names them."""
+    rows = valid_rows(random.Random(column), [0])
+    rows[3][1 + column] = label
+    return tally_text([",".join(row[1:]) for row in rows]), ",".join(
+        part.strip() for part in rows[3][1:4]
+    )
+
+
+def assert_bad_label_named(column, label):
+    """Both readers name the bad label in a full file and in a file of its
+    row alone, where no duplicate cell could send the block to the line
+    reader."""
+    text, labels = labelled(column, label)
+    alone = tally_text([text.splitlines()[4]])
+    for text, lineno in ((text, 5), (alone, 2)):
+        assert block_read(text) == reference_read(text) == f"line {lineno}: bad cell label ({labels})"
+
+
+# one byte off a label of the same column
+@pytest.mark.parametrize("column,label", [
+    (0, "Z2"), (0, "z0"), (0, "X1"), (0, "Y1"), (0, "Z00"), (1, "Y"), (1, "x"), (1, "ZZ"),
+    (2, "mU"), (2, "nv"), (2, "omegA"), (2, "omeg"), (2, "omegas"),
+])
+def test_a_near_miss_label_is_named(column, label):
+    assert_bad_label_named(column, label)
+
+
+# the tokenizer keeps a label column's first 8 characters
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("label", ["omegaXYZ", "omegaXYZW", "Z0Z0Z0Z0", "Z0Z0Z0Z0Z", "mu      X"])
+def test_a_label_of_8_characters_or_more_is_named(column, label):
+    assert_bad_label_named(column, label)
+
+
+# another column's label is no label here
+@pytest.mark.parametrize("column,label", [
+    (0, "Z"), (0, "X"), (0, "mu"), (1, "Z0"), (1, "X0"), (1, "mu"), (1, "omega"),
+    (2, "Z"), (2, "Y0"),
+])
+def test_a_label_of_another_column_is_named(column, label):
+    assert_bad_label_named(column, label)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("pad", [(" ", ""), ("", " "), ("\t", "\t"), ("", " " * 6), (" " * 7, "")])
+def test_a_label_padded_with_blanks_is_valid(column, pad):
+    label = valid_rows(random.Random(column), [0])[3][1 + column]
+    text, _ = labelled(column, pad[0] + label + pad[1])
+    tables = block_read(text)
+    assert tables == reference_read(text)
+    assert len(tables) == 1
 
 
 def test_a_slice_across_a_block_boundary_is_read_whole():
