@@ -326,8 +326,10 @@ _ROW_DTYPE = {
 def _label_rows(labels: Sequence[str], stride: int) -> tuple[np.ndarray, np.ndarray]:
     """A label column's codes, each label's 8 bytes as a uint64, sorted, and
     ``stride`` times the index of each code's label."""
-    codes = np.array(list(dict.fromkeys(labels)), dtype="S8").view(np.uint64)
-    return np.sort(codes), np.argsort(codes) * stride
+    codes = np.array(list(dict.fromkeys(labels)), dtype="S8").view(np.uint64).tolist()
+    # sorted in Python: numpy's sort kernels would add their pages to every run
+    codes, shares = zip(*sorted((code, index * stride) for index, code in enumerate(codes)))
+    return np.array(codes, dtype=np.uint64), np.array(shares)
 
 
 # a cell's row in ALL_CELLS order is state * 6 + basis * 3 + kind
@@ -352,8 +354,7 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     """Parse a tally CSV into one tally table per slice, in slice order.
 
     Parse and consistency errors carry the offending line number; cell
-    constraint violations name the slice and the cell. A missing cell
-    reads as -1 until the batch names it.
+    constraint violations name the slice and the cell.
 
     The file is read in blocks of whole lines, and every count goes
     straight into an int64 buffer, so the whole text and its lines are
@@ -433,8 +434,7 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
             table = _tokenized(filled, sliced)
         if table is None or len(table) != len(filled):
             return False
-    # a label matches only if its 8 bytes are one of its column's labels:
-    # a padded label, or one cut at 8 characters, matches none
+    # only a label's exact 8 bytes match: a padded or cut label matches none
     rows = np.zeros(len(table), dtype=np.int64)
     for name, (codes, shares) in zip(_TALLY_HEADER[:3], _LABEL_ROWS):
         column = np.ascontiguousarray(table[name]).view(np.uint64)
