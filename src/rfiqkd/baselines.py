@@ -4,7 +4,8 @@ These exist only for side-by-side rate comparisons. They run on the same
 channel model, decoy chain and key-length formula as the main pipeline but
 work directly on event-class statistics (for example "X states measured in
 X"), so no extra state labels are needed anywhere else in the package.
-``distance_km`` is one distance, or an array of them evaluated as one block.
+``distance_km`` is one distance, or an array of them evaluated as one block;
+``n_total=`` gives each point its own block size, as in ``analyze_batch``.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import decoy, security
-from .channel import pulse_probabilities, quadrature_error, transmittance
-from .core import BasisLabel, ChannelParams, ProtocolConfig, SecurityParams
+from .channel import absorption, pulse_probabilities, quadrature_error
+from .core import ChannelParams, ProtocolConfig, SecurityParams
 from .keyrate import key_length
 
 FOUR_STATE = "rfi44"
@@ -51,13 +52,15 @@ def _class_counts(
     cfg: ProtocolConfig,
     ch: ChannelParams,
     absorbed: np.ndarray,
+    block: np.ndarray,
     alice_prob: float,
     bob_prob: float,
     e_mis: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expected (detections, errors) of one merged class, (n, 3) arrays over
-    the intensities, from each point's ``absorbed = exp(-eta * k)``."""
-    scale = [cfg.n_total * alice_prob * k.probability * bob_prob for k in cfg.intensities]
+    the intensities, from each point's ``absorbed = exp(-eta * k)`` and block
+    size, an (n, 1) float array."""
+    scale = block * alice_prob * [k.probability for k in cfg.intensities] * bob_prob
     gain, error = pulse_probabilities(absorbed, e_mis, ch.e_d)
     detected = np.rint(scale * gain)
     return detected, np.minimum(np.rint(scale * error), detected)
@@ -74,30 +77,27 @@ def _run(
     distance_km,
     asymptotic: bool,
     literal: bool,
+    n_total,
 ) -> BaselineReport:
     """Shared pipeline: Z-prepared states measured in Z give the key; each
     ``(receiver probability, projection)`` pair in ``quadratures`` is one
     X- or Y-prepared class whose correlator feeds ``leak``. A distance array
     runs as one block and raises what the distances one by one raise first."""
     distances = np.atleast_1d(distance_km).tolist()
-    # exp stays in math, per point and (path, intensity)
-    absorbed = {
-        path: np.array([
-            [math.exp(-eta * k.mean_photons) for k in cfg.intensities]
-            for eta in [transmittance(d, path, ch) for d in distances]
-        ]).reshape(len(distances), len(cfg.intensities))
-        for path in (BasisLabel.Z, BasisLabel.X)
-    }
+    absorbed = np.split(absorption(ch, cfg.intensities, distances), 2, axis=1)  # paths Z, X
+    # block sizes as Python ints, as analyze_batch takes them
+    sizes = np.array([cfg.n_total] * len(distances) if n_total is None else n_total, dtype=object)
+    blocks = sizes.astype(float).reshape(-1, 1)
     eps = None if asymptotic else sec.eps_bar
     p_half = (1.0 - cfg.p_z_alice) / 2.0
 
     def evaluate(stop: int) -> BaselineReport:
-        z, x = absorbed[BasisLabel.Z][:stop], absorbed[BasisLabel.X][:stop]
-        zz_detected, zz_errors = _class_counts(cfg, ch, z, cfg.p_z_alice, p_z_bob, ch.e0)
+        z, x, block = absorbed[0][:stop], absorbed[1][:stop], blocks[:stop]
+        zz_detected, zz_errors = _class_counts(cfg, ch, z, block, cfg.p_z_alice, p_z_bob, ch.e0)
         correlators = []
         for bob_prob, projection in quadratures:
             detected, errors = _class_counts(
-                cfg, ch, x, p_half, bob_prob, quadrature_error(ch.e0, projection)
+                cfg, ch, x, block, p_half, bob_prob, quadrature_error(ch.e0, projection)
             )
             e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
             correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
@@ -106,13 +106,11 @@ def _run(
         e_zz, _ = decoy.divide(zz_errors[:, 0] + zz_errors[:, 1] + zz_errors[:, 2], n_zz, 0.0)
         c_lower, i_e, clamped = leak(correlators, e_zz, literal)
         s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
-        kl = key_length(
-            s0.lower, s1.lower, i_e, n_zz, e_zz, sec, cfg.n_total, asymptotic
-        )
+        kl = key_length(s0.lower, s1.lower, i_e, n_zz, e_zz, sec, sizes[:stop], asymptotic)
         return BaselineReport(
             protocol=protocol,
             key_length=kl.length,
-            key_rate=kl.length / cfg.n_total,
+            key_rate=np.asarray(kl.length / sizes[:stop], dtype=float),
             c_lower=c_lower,
             i_e=i_e,
             e_zz=e_zz,
@@ -156,6 +154,7 @@ def run_six_four(
     distance_km,
     asymptotic: bool = False,
     literal_paper_formulas: bool = False,
+    n_total=None,
 ) -> BaselineReport:
     """Six states at the source, Z and X measurements at the receiver.
 
@@ -167,7 +166,7 @@ def run_six_four(
     quadratures = ((p_x_bob, math.cos(ch.beta)), (p_x_bob, math.sin(ch.beta)))
     return _run(
         SIX_FOUR, _leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, sec,
-        distance_km, asymptotic, literal_paper_formulas,
+        distance_km, asymptotic, literal_paper_formulas, n_total,
     )
 
 
@@ -178,6 +177,7 @@ def run_six_state(
     distance_km,
     asymptotic: bool = False,
     literal_paper_formulas: bool = False,
+    n_total=None,
 ) -> BaselineReport:
     """Six states at the source and three measurement bases at the receiver.
 
@@ -190,5 +190,5 @@ def run_six_state(
     quadratures = ((pb_x, cos_b), (pb_y, -sin_b), (pb_x, sin_b), (pb_y, cos_b))
     return _run(
         SIX_STATE, _leak_six_state, pb_z, quadratures, cfg, ch, sec,
-        distance_km, asymptotic, literal_paper_formulas,
+        distance_km, asymptotic, literal_paper_formulas, n_total,
     )

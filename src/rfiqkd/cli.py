@@ -569,21 +569,6 @@ def _int_field(raw: str, lineno: int, column: str) -> int:
 _CHUNK = 512  # points per channel call: bounds the memory of a scan or drift trace
 
 
-def _blocks(mode, cfg, ch, distances: Sequence[float], seed: int, betas=None) -> Iterator:
-    """The tallies of every distance, one ``TallyBatch`` per ``_CHUNK`` points: analytic
-    at angle ``betas[i]`` (by default the channel's), or drawn from stream ``seed + i``."""
-    for first in range(0, len(distances), _CHUNK):
-        chunk = slice(first, first + _CHUNK)
-        if mode == "analytic":
-            angles = None if betas is None else betas[chunk]
-            yield expected_tallies(cfg, ch, distances[chunk], angles)
-        else:
-            yield TallyBatch(np.stack([
-                sample_tallies(cfg, ch, distance, seed + first + i).counts
-                for i, distance in enumerate(distances[chunk])
-            ]))
-
-
 def _grid_count(start: float, stop: float, step: float) -> float:
     """Points of a scan grid, at most 0 when it is empty; ``inf`` when too many to count."""
     steps = (stop - start) / step
@@ -596,12 +581,12 @@ def _make_slices(
     """Produce per-slice tallies per ``mode`` and the configured drift model."""
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
+    if n_slices <= 1 and mode == "analytic":
+        return expected_tallies(cfg, ch, [distance])
     if n_slices <= 1:
-        return next(_blocks(mode, cfg, ch, [distance], seed))
+        return TallyBatch(sample_tallies(cfg, ch, distance, seed).counts[None])
     if cfg.n_total % n_slices != 0:
-        raise ConfigError(
-            f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}"
-        )
+        raise ConfigError(f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}")
     params = {
         "beta0": float(run["drift_beta0_rad"]),
         "rate": float(run["drift_rate_rad"]),
@@ -614,11 +599,13 @@ def _make_slices(
     if mode != "analytic":
         return sample_drifting_tallies(cfg, ch, distance, trace, seed)
     slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)
-    blocks = _blocks(mode, slice_cfg, ch, [distance] * n_slices, seed, trace.betas)
     # filled in place: no list of per-chunk arrays is held beside the batch
     counts = np.empty((n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
-    for first, batch in zip(range(0, n_slices, _CHUNK), blocks):
-        counts[first : first + len(batch)] = batch.counts
+    for first in range(0, n_slices, _CHUNK):
+        betas = trace.betas[first : first + _CHUNK]
+        counts[first : first + len(betas)] = expected_tallies(
+            slice_cfg, ch, [distance] * len(betas), betas
+        ).counts
     return TallyBatch(counts)
 
 
@@ -636,34 +623,43 @@ def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
-def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[ProtocolConfig, list, TallyBatch]]:
-    """Every block size of a scan with its distances and their tallies, one
-    batch per ``_CHUNK`` distances.
-
-    The block sizes are ``n_values``, or ``n_total`` when that is empty. In
-    Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``.
-    """
+def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[list, list, TallyBatch]]:
+    """The scan grid, block size outer and distance inner, ``_CHUNK`` points a batch: each
+    point's block size (``n_values``, or ``n_total`` when that is empty), distance and
+    tallies. In Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``."""
     start, stop, step = (float(run[key]) for key in ("scan_min_km", "scan_max_km", "scan_step_km"))
     distances = [start + i * step for i in range(_grid_count(start, stop, step))]  # finite, see main
     distances = [value for value in distances if value <= stop + 1e-9]
-    for n_total in run["n_values"] or (cfg.n_total,):
-        cfg_n = replace(cfg, n_total=n_total)
-        blocks = _blocks(mode, cfg_n, ch, distances, int(run["seed"]))
-        for first in range(0, len(distances), _CHUNK):
-            yield cfg_n, distances[first : first + _CHUNK], next(blocks)
+    sizes, seed = run["n_values"] or (cfg.n_total,), int(run["seed"])
+    per_size = len(distances)
+    for first in range(0, per_size * len(sizes), _CHUNK):
+        points = range(first, min(first + _CHUNK, per_size * len(sizes)))
+        block_sizes = [sizes[j // per_size] for j in points]
+        at = [distances[j % per_size] for j in points]
+        if mode == "analytic":
+            yield block_sizes, at, expected_tallies(cfg, ch, at, n_total=block_sizes)
+        else:
+            yield block_sizes, at, TallyBatch(np.stack([
+                sample_tallies(replace(cfg, n_total=n), ch, d, seed + j % per_size).counts
+                for j, n, d in zip(points, block_sizes, at)
+            ]))
 
 
-def _flag_column(columns: Mapping[str, np.ndarray]) -> list[str]:
-    """The flags column of each point, from a batch report's bool columns."""
-    marks = {key: columns[key] for key in ("c44_clamped", "c_clamped", "negative_length")
-             if key in columns}
-    marks["degenerate"] = np.zeros(len(next(iter(marks.values()))), dtype=bool)
-    for key, column in columns.items():
-        if key.endswith("_degenerate"):
-            marks["degenerate"] = marks["degenerate"] | column
+def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) -> list[str]:
+    """A chunk's CSV rows: distance, block size, the ``lead`` fields, the result
+    ``columns`` (``%.12g`` for a float64 one, else ``_fmt``) and the names of the
+    set ``flags`` among a report's bool columns, any ``*_degenerate`` as ``degenerate``."""
+    floats = [column.dtype == np.float64 for column in columns]
+    template = ",".join(["%.12g", "%d", *lead] + ["%.12g" if f else "%s" for f in floats] + ["%s"])
+    values = [c.tolist() if f else list(map(_fmt, c.tolist())) for c, f in zip(columns, floats)]
+    marks = {key: flags[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in flags}
+    marks["degenerate"] = np.zeros(len(distances), dtype=bool)
+    for key in (key for key in flags if key.endswith("_degenerate")):
+        marks["degenerate"] |= flags[key]
     names = sorted(marks)
-    points = zip(*(marks[name].tolist() for name in names))
-    return [";".join(name for name, on in zip(names, point) if on) for point in points]
+    flagged = [";".join(name for name, on in zip(names, point) if on)
+               for point in zip(*(marks[name].tolist() for name in names))]
+    return [template % row for row in zip(distances, sizes, *values, flagged)]
 
 
 def _render_report(report, n_total: int) -> list[str]:
@@ -726,17 +722,14 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Key rate versus distance as CSV."""
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
-    for cfg_n, distances, block in _grid(run, cfg, ch, run["mode"]):
+    for sizes, distances, block in _grid(run, cfg, ch, run["mode"]):
         result = analyze_batch(
-            block, cfg_n, sec,
+            block, cfg, sec, n_total=sizes,
             n_zz_all_intensities=bool(run["n_zz_all_intensities"]),
             literal_paper_formulas=args.literal_paper_formulas,
         )
         columns = (result.key_rate, result.c44_lower, result.e_zz, result.s1_zz_lower)
-        for distance, *values, flags in zip(
-            distances, *(column.tolist() for column in columns), _flag_column(result.intermediate)
-        ):
-            rows.append(f"{_fmt(distance)},{cfg_n.n_total},{','.join(map(_fmt, values))},{flags}")
+        rows += _csv_rows((), distances, sizes, columns, result.intermediate)
         any_key = any_key or bool((result.key_rate > 0.0).any())
         del block, result  # before the next block is computed
     return rows, any_key
@@ -744,41 +737,33 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
 
 def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Protocol comparison as CSV."""
-    options = {
-        "asymptotic": args.asymptotic,
-        "literal_paper_formulas": args.literal_paper_formulas,
-    }
+    options = {"asymptotic": args.asymptotic, "literal_paper_formulas": args.literal_paper_formulas}
     zz_option = bool(run["n_zz_all_intensities"])
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
-    for cfg_n, distances, block in _grid(run, cfg, ch, "analytic"):
+    for sizes, distances, block in _grid(run, cfg, ch, "analytic"):
 
         def evaluate(stop: int):
             # protocol by protocol, so a point's first error is its rfi44 one
             part = block if stop == len(block) else TallyBatch(block.counts[:stop])
+            per_point = {"n_total": sizes[:stop], **options}
             return [
-                analyze_batch(part, cfg_n, sec, n_zz_all_intensities=zz_option, **options),
-                *(runner(cfg_n, ch, sec, distances[:stop], **options)
+                analyze_batch(part, cfg, sec, n_zz_all_intensities=zz_option, **per_point),
+                *(runner(cfg, ch, sec, distances[:stop], **per_point)
                   for runner in (baselines.run_six_four, baselines.run_six_state)),
             ]
 
         four, *bases = in_point_order(evaluate, len(distances))
-        columns = [
-            (baselines.FOUR_STATE, four.key_rate, four.c44_lower, four.e_zz, four.intermediate)
-        ] + [
-            (base.protocol, base.key_rate, base.c_lower, base.e_zz,
-             {"c_clamped": base.clamped, "negative_length": base.negative_length})
-            for base in bases
-        ]
-        columns = [(protocol, *(c.tolist() for c in values), _flag_column(flags))
-                   for protocol, *values, flags in columns]
-        for i, distance in enumerate(distances):
-            for protocol, key_rate, c_lower, e_zz, flags in columns:
-                rows.append(
-                    f"{_fmt(distance)},{cfg_n.n_total},{protocol},{_fmt(key_rate[i])},"
-                    f"{_fmt(c_lower[i])},{_fmt(e_zz[i])},{flags[i]}"
-                )
-                any_key = any_key or key_rate[i] > 0.0
+        protocols = [_csv_rows(
+            (baselines.FOUR_STATE,), distances, sizes,
+            (four.key_rate, four.c44_lower, four.e_zz), four.intermediate,
+        )] + [_csv_rows(
+            (base.protocol,), distances, sizes, (base.key_rate, base.c_lower, base.e_zz),
+            {"c_clamped": base.clamped, "negative_length": base.negative_length},
+        ) for base in bases]
+        for point_rows in zip(*protocols):
+            rows += point_rows
+        any_key = any_key or any(bool((r.key_rate > 0.0).any()) for r in (four, *bases))
         del block, four, bases  # before the next block is computed
     return rows, any_key
 
@@ -818,7 +803,10 @@ class _NotRead(argparse.Action):
         parser.exit(EXIT_ERROR, f"error: {command} does not read {option_string}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: only the subcommand it names (its first token that is
+    not an option) gets its arguments; the others get just their help line."""
+    invoked = next((token for token in argv if not token.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="rfiqkd",
         description="security analysis pipeline for a four-state "
@@ -829,6 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, func in zip(_EVERY, runners):
         sub_parser = sub.add_parser(command, help=func.__doc__)
         sub_parser.set_defaults(func=func)
+        if command != invoked:
+            continue
         if command == "process":
             sub_parser.add_argument("tally_file")
         offered = command_flags(command)
@@ -863,10 +853,11 @@ def main(
     and write its output; the exit code says whether a key was produced."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else argv
     try:
         # argparse prints help and usage errors to sys.stdout and sys.stderr
         with redirect_stdout(out), redirect_stderr(err):
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == EXIT_OK else EXIT_ERROR
     try:

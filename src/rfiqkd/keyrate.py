@@ -317,13 +317,12 @@ def analyze_batch(
     and drops the block-size penalty terms, which yields the asymptotic
     rate used as an upper reference.
     """
-    if n_total is not None:
-        n_total = np.array(n_total, dtype=object)  # Python ints: a group's block size may pass 2^63
+    # Python ints: a group's block size may pass 2^63
+    sizes = np.array([cfg.n_total] * len(batch) if n_total is None else n_total, dtype=object)
     options = (cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas)
 
     def evaluate(stop: int) -> KeyRateReport:
-        block_size = cfg.n_total if n_total is None else n_total[:stop]
-        return _analyze(batch.counts[:stop], block_size, *options)
+        return _analyze(batch.counts[:stop], sizes[:stop], *options)
 
     return decoy.in_point_order(evaluate, len(batch))
 

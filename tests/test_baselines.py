@@ -1,7 +1,12 @@
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfiqkd import ChannelParams, SecurityParams
 from rfiqkd.baselines import run_six_four, run_six_state
 from rfiqkd.channel import expected_tallies
 from rfiqkd.keyrate import analyze_tallies
@@ -71,3 +76,32 @@ def test_six_state_receiver_split_reduces_key_data(cfg, ch, sec):
     base = run_six_state(cfg, ch, sec, 80.0)
     main = analyze_tallies(expected_tallies(cfg, ch, [80.0])[0], cfg, sec)
     assert base.n_zz == pytest.approx(main.n_zz, rel=0.01)
+
+
+# the six-state clamps are counted by the goldens
+@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 50.0, 200.0]) | st.floats(0.0, 300.0),
+            st.sampled_from([10**6, 10**12, 2**53 + 1, 2**62]) | st.integers(10**6, 2**62),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.booleans(),
+)
+def test_each_point_takes_its_own_block_size(points, asymptotic):
+    cfg, ch, sec = make_config(), ChannelParams(beta=0.4), SecurityParams()
+    distances, sizes = (list(column) for column in zip(*points))
+    for runner in (run_six_four, run_six_state):
+        block = runner(cfg, ch, sec, np.array(distances), asymptotic, n_total=sizes)
+        for i, (distance, n) in enumerate(points):
+            alone = runner(replace(cfg, n_total=n), ch, sec, distance, asymptotic)
+            for field in fields(alone):
+                value = getattr(alone, field.name)
+                # a scalar distance gives numbers, equal bit for bit to the block's entry
+                assert isinstance(value, (str, bool, float))
+                if field.name != "protocol":
+                    assert repr(getattr(block, field.name).item(i)) == repr(value)

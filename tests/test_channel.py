@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfiqkd import channel
 from rfiqkd.channel import (
     cell_expectation,
     expected_tallies,
@@ -13,6 +15,7 @@ from rfiqkd.channel import (
 )
 from rfiqkd.core import (
     ALL_CELLS,
+    BASES,
     TWO_PI,
     BasisLabel,
     ChannelParams,
@@ -231,3 +234,47 @@ def test_zero_gain_vacuum_cell_takes_the_half_error_rate():
 def test_expected_tallies_need_one_angle_per_distance(cfg, ch, betas):
     with pytest.raises(ValueError, match=f"^{len(betas)} rotation angles for 3 distances$"):
         expected_tallies(cfg, ch, [10.0, 20.0, 30.0], betas)
+
+
+@st.composite
+def sized_points(draw):
+    """A channel and a few (distance, angle, block size) points."""
+    ch = ChannelParams(beta=draw(st.floats(0.0, TWO_PI, exclude_max=True)))
+    points = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 50.0, 200.0]) | st.floats(0.0, 400.0),
+                st.floats(0.0, TWO_PI, exclude_max=True),
+                st.sampled_from([1, 10**12, 2**53 + 1, 3 * 10**18, 2**62]) | st.integers(1, 2**62),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return ch, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(sized_points())
+def test_each_point_takes_its_own_block_size(inputs):
+    ch, points = inputs
+    cfg = make_config()
+    distances, betas, sizes = (list(column) for column in zip(*points))
+    tables = expected_tallies(cfg, ch, distances, betas, n_total=sizes)
+    for table, (distance, beta, n) in zip(tables.counts, points):
+        alone = replace(cfg, n_total=n)
+        assert np.array_equal(table, expected_tallies(alone, ch, [distance], [beta]).counts[0])
+        assert np.array_equal(table, reference_counts(alone, ch, distance, beta))
+
+
+def test_transmittance_runs_twice_per_distinct_distance(cfg, ch, monkeypatch):
+    seen = []
+
+    def counted(distance_km, path, params):
+        seen.append((distance_km, path))
+        return transmittance(distance_km, path, params)
+
+    monkeypatch.setattr(channel, "transmittance", counted)
+    tables = expected_tallies(cfg, ch, [10.0, 20.0, 10.0, 10.0, 30.0, 20.0])
+    assert seen == [(d, path) for d in (10.0, 20.0, 30.0) for path in BASES]
+    assert np.array_equal(tables.counts[3], tables.counts[0])

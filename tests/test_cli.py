@@ -1,12 +1,13 @@
 import io
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from rfiqkd import analyze_tallies, cli
+from rfiqkd import analyze_tallies, baselines, channel, cli
 from rfiqkd.channel import expected_tallies
 from rfiqkd.core import ObservedTallies, TallyError
 from rfiqkd.simulate import drift_beta, sample_tallies
@@ -507,12 +508,7 @@ def test_scan_chunks_keep_each_point_and_its_stream(tmp_path):
     for index in (0, 511, 512, 520):
         distance = 0.0 + index * 0.1
         block = sample_tallies(cfg, ch, distance, 5 + index).observed()
-        report = analyze_tallies(block, cfg, sec)
-        assert rows[index] == (
-            f"{cli._fmt(distance)},{cfg.n_total},{cli._fmt(report.key_rate)},"
-            f"{cli._fmt(report.c44_lower)},{cli._fmt(report.e_zz)},"
-            f"{cli._fmt(report.s1_zz_lower)},{reference_flags(report.intermediate)}"
-        )
+        assert rows[index] == scan_row(cfg, distance, block, sec)
 
 
 def test_analytic_drift_chunks_match_one_slice_at_a_time(tmp_path):
@@ -541,6 +537,16 @@ def reference_flags(flags):
     if any(key.endswith("_degenerate") for key in flags):
         tokens.add("degenerate")
     return ";".join(sorted(tokens))
+
+
+def scan_row(cfg, distance, tallies, sec):
+    """The ``scan`` row of one point, from the per-point pipeline."""
+    report = analyze_tallies(tallies, cfg, sec)
+    return (
+        f"{cli._fmt(distance)},{cfg.n_total},{cli._fmt(report.key_rate)},"
+        f"{cli._fmt(report.c44_lower)},{cli._fmt(report.e_zz)},"
+        f"{cli._fmt(report.s1_zz_lower)},{reference_flags(report.intermediate)}"
+    )
 
 
 def grid_points(config, tmp_path, command):
@@ -576,12 +582,7 @@ def test_scan_rows_equal_the_per_point_pipeline(tmp_path, mode):
             tallies = expected_tallies(cfg, ch, [distance])[0]
         else:
             tallies = sample_tallies(cfg, ch, distance, 3 + index % per_block).observed()
-        report = analyze_tallies(tallies, cfg, sec)
-        want.append(
-            f"{cli._fmt(distance)},{cfg.n_total},{cli._fmt(report.key_rate)},"
-            f"{cli._fmt(report.c44_lower)},{cli._fmt(report.e_zz)},"
-            f"{cli._fmt(report.s1_zz_lower)},{reference_flags(report.intermediate)}"
-        )
+        want.append(scan_row(cfg, distance, tallies, sec))
     assert out.splitlines() == want
 
 
@@ -645,3 +646,77 @@ def test_literal_compare_raises_the_first_error_point_by_point(tmp_path, config)
     assert isinstance(want, str)
     code, out, err = run_cli(["compare", "--config", path, "--literal-paper-formulas"])
     assert (code, out, err) == (cli.EXIT_ERROR, "", want)
+
+
+# -- block sizes mixed in one chunk ----------------------------------------------
+
+# 2 x 257 points: the first 512-point chunk holds both block sizes, and the
+# class totals of 4e18 pass 10^12, so that whole chunk takes Python-int arithmetic
+MIXED = "scan_min_km = 0\nscan_max_km = 256\nscan_step_km = 1\nn_values = 1e9,4e18\nbeta_rad = 1.1\n"
+
+
+def test_scan_mixes_block_sizes_in_a_chunk(tmp_path):
+    path, points, ch, sec = grid_points(MIXED, tmp_path, "scan")
+    assert len(points) == 514
+    code, out, err = run_cli(["scan", "--config", path])
+    assert code == cli.EXIT_OK, err
+    want = [scan_row(cfg, d, expected_tallies(cfg, ch, [d])[0], sec) for cfg, d in points]
+    assert out.splitlines()[1:] == want
+
+
+@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
+def test_compare_mixes_block_sizes_in_a_chunk(tmp_path):
+    path, points, ch, sec = grid_points(MIXED, tmp_path, "compare")
+    code, out, err = run_cli(["compare", "--config", path])
+    assert code == cli.EXIT_OK, err
+    assert out.splitlines() == reference_compare(points, ch, sec)
+
+
+def test_montecarlo_scan_mixes_block_sizes_and_keeps_streams(tmp_path):
+    # 2 x 300 points; point i of each block size draws from stream seed + i,
+    # also where the second block size crosses the 512-point chunk
+    config = (
+        "mode = montecarlo\nseed = 11\nscan_min_km = 0\nscan_max_km = 299\nscan_step_km = 1\n"
+        "n_values = 1e10,1e12\n"
+    )
+    path, points, ch, sec = grid_points(config, tmp_path, "scan")
+    code, out, err = run_cli(["scan", "--config", path])
+    assert code == cli.EXIT_OK, err
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(points) == 600
+    for index in (0, 299, 300, 511, 512, 599):
+        cfg, distance = points[index]
+        tallies = sample_tallies(cfg, ch, distance, 11 + index % 300).observed()
+        assert rows[index] == scan_row(cfg, distance, tallies, sec)
+
+
+def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(cli, "expected_tallies"), (cli, "analyze_batch"), (channel, "transmittance"),
+                        (baselines, "run_six_four"), (baselines, "run_six_state")]:
+        counted(owner, name)
+    grid = "scan_min_km = 0\nscan_max_km = 300\nn_values = 1e10,1e11,1e12,1e13\n"
+    config = tmp_path / "grid.cfg"
+    config.write_text(grid + "scan_step_km = 1\n")
+    assert run_cli(["scan", "--config", str(config)])[0] == cli.EXIT_OK
+    # 4 x 301 points: chunks of 512, 512 and 180 points over 301, 301 and 180 distances
+    assert calls == {"expected_tallies": 3, "analyze_batch": 3, "transmittance": 2 * 782}
+    calls.clear()
+    config.write_text(grid + "scan_step_km = 5\n")
+    with pytest.warns(RuntimeWarning, match="six-state mixing"):
+        assert run_cli(["compare", "--config", str(config)])[0] == cli.EXIT_OK
+    # 4 x 61 points in one chunk: one call per protocol, three channel calls
+    assert calls == {
+        "expected_tallies": 1, "analyze_batch": 1, "run_six_four": 1, "run_six_state": 1,
+        "transmittance": 3 * 2 * 61,
+    }
