@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import re
 import sys
 import warnings
 from array import array
@@ -55,7 +54,7 @@ from .keyrate import (
     group_and_extract,
     total_pulses,
 )
-from .simulate import drift_beta, sample_drifting_tallies, sample_tallies
+from .simulate import DriftTrace, drift_beta, sample_drifting_tallies, sample_tallies
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -264,13 +263,15 @@ class RunConfig:
 
 
 def load_config(path: str | None, reads: Collection[str] = _SCHEMA) -> RunConfig:
-    """Read a ``key = value`` file; unknown keys are rejected as a group.
-    Keys outside ``reads`` keep their defaults and are listed in ``ignored``."""
+    """Read a ``key = value`` file; unknown and repeated keys are rejected as
+    a group. Keys outside ``reads`` keep their defaults and are listed in
+    ``ignored``."""
     values = {key: spec[0] for key, spec in _SCHEMA.items()}
     origin: dict[str, str] = {}
     ignored: set[str] = set()
     if path is not None:
-        unknown = []
+        problems = []
+        seen: dict[str, int] = {}  # key -> the first line that names it
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 stripped = line.strip()
@@ -280,15 +281,18 @@ def load_config(path: str | None, reads: Collection[str] = _SCHEMA) -> RunConfig
                     raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
                 key, _, raw = stripped.partition("=")
                 key = key.strip()
+                first = seen.setdefault(key, lineno)
                 if key not in _SCHEMA:
-                    unknown.append(f"line {lineno}: unknown key {key!r}")
+                    problems.append(f"line {lineno}: unknown key {key!r}")
+                elif first != lineno:
+                    problems.append(f"line {lineno}: key {key!r} repeats line {first}")
                 elif key not in reads:
                     ignored.add(key)
                 else:
                     values[key] = _parse_value(key, raw, _SCHEMA[key][1])
                     origin[key] = "config file"
-        if unknown:
-            raise ConfigError("; ".join(unknown))
+        if problems:
+            raise ConfigError("; ".join(problems))
     return RunConfig(values, origin, frozenset(reads), tuple(sorted(ignored)))
 
 
@@ -495,28 +499,7 @@ def _read_lines(
             raise TallyError(
                 f"line {lineno}: expected {width} columns, got {len(parts)}"
             )
-        # one check for the whole row; a failing row is re-read to name its
-        # first error. Without "_" and non-ASCII characters, int() takes what
-        # _INTEGER takes or less.
-        try:
-            if "_" in line or not line.isascii():
-                raise ValueError(line)
-            slice_index = int(parts[0]) if sliced else 0
-            row = _ROW_BY_LABELS[
-                parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip()
-            ]
-            sent, detected, errors = (
-                int(parts[offset + 3]), int(parts[offset + 4]), int(parts[offset + 5])
-            )
-            if not (
-                slice_index >= 0
-                and 0 <= sent <= MAX_PULSES
-                and 0 <= detected <= MAX_PULSES
-                and 0 <= errors <= MAX_PULSES
-            ):
-                raise ValueError(line)
-        except (KeyError, ValueError):
-            slice_index, row, (sent, detected, errors) = _checked_row(parts, lineno, offset)
+        slice_index, row, (sent, detected, errors) = _checked_row(parts, lineno, offset)
         base = start_of.get(slice_index)
         if base is None:
             base = start_of[slice_index] = len(flat)
@@ -551,16 +534,17 @@ def _checked_row(parts: list[str], lineno: int, offset: int) -> tuple[int, int, 
     return slice_index, row, counts
 
 
-# blanks, an optional sign and ASCII digits: on ASCII text, numpy's int64
-# grammar without its 64-bit bound
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _int_field(raw: str, lineno: int, column: str) -> int:
+    """Blanks, an optional sign and ASCII digits: on ASCII text without
+    ``_``, what int() takes, which is numpy's int64 grammar without its
+    64-bit bound."""
     text = raw.strip()
-    if not _INTEGER.fullmatch(text):
-        raise TallyError(f"line {lineno}: column {column}: not an integer: {text!r}")
-    return int(text)
+    if "_" not in text and text.isascii():
+        try:
+            return int(text)
+        except ValueError:  # also past int()'s limit on digits
+            pass
+    raise TallyError(f"line {lineno}: column {column}: not an integer: {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +565,20 @@ def _make_slices(
     """Produce per-slice tallies per ``mode`` and the configured drift model."""
     distance, seed = float(run["distance_km"]), int(run["seed"])
     n_slices = int(run["n_slices"])
-    if n_slices <= 1 and mode == "analytic":
-        return expected_tallies(cfg, ch, [distance])
-    if n_slices <= 1:
-        return TallyBatch(sample_tallies(cfg, ch, distance, seed).counts[None])
-    if cfg.n_total % n_slices != 0:
+    if n_slices == 1:  # the whole block at the channel's angle
+        trace = DriftTrace((ch.beta,), cfg.n_total)
+    elif cfg.n_total % n_slices != 0:
         raise ConfigError(f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}")
-    params = {
-        "beta0": float(run["drift_beta0_rad"]),
-        "rate": float(run["drift_rate_rad"]),
-        "amplitude": float(run["drift_amplitude_rad"]),
-        "period": float(run["drift_period"]),
-    }
-    trace = drift_beta(
-        str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
-    )
+    else:
+        params = {
+            "beta0": float(run["drift_beta0_rad"]),
+            "rate": float(run["drift_rate_rad"]),
+            "amplitude": float(run["drift_amplitude_rad"]),
+            "period": float(run["drift_period"]),
+        }
+        trace = drift_beta(
+            str(run["drift"]), params, n_slices, pulses_per_slice=cfg.n_total // n_slices
+        )
     if mode != "analytic":
         return sample_drifting_tallies(cfg, ch, distance, trace, seed)
     slice_cfg = replace(cfg, n_total=trace.pulses_per_slice)

@@ -344,9 +344,10 @@ def validate_config(
     nu = cfg.intensity(IntensityKind.NU)
     om = cfg.intensity(IntensityKind.OMEGA)
     for entry in (mu, nu, om):
-        if entry.mean_photons < 0:
+        if not 0.0 <= entry.mean_photons < math.inf:
             bad.append(
-                f"intensities.{entry.kind.value}: mean photon number must be >= 0, got {entry.mean_photons}"
+                f"intensities.{entry.kind.value}: mean photon number must be finite and >= 0, "
+                f"got {entry.mean_photons}"
             )
         if not 0.0 <= entry.probability <= 1.0:
             bad.append(
@@ -387,8 +388,8 @@ def validate_config(
             bad.append(f"{name}: must be in [0,1], got {val}")
     for name in ("alpha_db_per_km", "eta_z_db", "eta_xy_db"):
         val = getattr(ch, name)
-        if val < 0.0:
-            bad.append(f"{name}: must be >= 0, got {val}")
+        if not 0.0 <= val < math.inf:
+            bad.append(f"{name}: must be finite and >= 0, got {val}")
     if not 0.0 <= ch.beta < TWO_PI:
         bad.append(f"beta: must be in [0, 2*pi), got {ch.beta}")
 
@@ -396,7 +397,7 @@ def validate_config(
         val = getattr(sec, name)
         if not 0.0 < val < 1.0:
             bad.append(f"{name}: must be in (0,1), got {val}")
-    if sec.f_ec < 1.0:
-        bad.append(f"f_ec: must be >= 1, got {sec.f_ec}")
+    if not 1.0 <= sec.f_ec < math.inf:
+        bad.append(f"f_ec: must be finite and >= 1, got {sec.f_ec}")
 
     return sorted(bad)

@@ -41,7 +41,6 @@ __all__ = [
     "DriftClassifier",
     "CLASSIFY_ROWS",
     "GroupBucket",
-    "GroupedData",
     "group_slices",
     "total_pulses",
     "BucketOutcome",
@@ -133,21 +132,17 @@ CLASSIFY_ROWS = [
 _Z_ROWS = [row for row, (_, basis, _) in enumerate(ALL_CELLS) if basis is BasisLabel.Z]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupBucket:
-    """One drift group: accumulated tallies plus the angle interval it covers."""
+    """One drift group: its summed (24, 3) counts, read-only and laid out as
+    a ``TallyBatch`` table, plus the angle interval it covers."""
 
     index: int | None  # None marks the overflow group
     rho_low: float
     rho_high: float
-    tallies: ObservedTallies
+    counts: np.ndarray
     n_slices: int
     n_pulses: int
-
-
-@dataclass(frozen=True)
-class GroupedData:
-    buckets: tuple[GroupBucket, ...]
 
 
 def _sent_sums(sent: np.ndarray) -> np.ndarray:
@@ -160,7 +155,7 @@ def _sent_sums(sent: np.ndarray) -> np.ndarray:
     return high.astype(object) * 2**31 + low.astype(object)
 
 
-def group_slices(batch: TallyBatch, m_groups: int) -> GroupedData:
+def group_slices(batch: TallyBatch, m_groups: int) -> tuple[GroupBucket, ...]:
     """Assign per-slice tallies to uniform angle groups.
 
     With one group, classification is skipped and everything is pooled,
@@ -197,15 +192,15 @@ def group_slices(batch: TallyBatch, m_groups: int) -> GroupedData:
             f"group {'overflow' if i == overflow else i}: cell {cell_name(ALL_CELLS[row])}: "
             f"summed sent={sent[i, row]} exceeds the 64-bit count budget {MAX_PULSES}"
         )
+    sums.flags.writeable = False
 
     def bucket(i: int, index: int | None, rho_low: float, rho_high: float) -> GroupBucket:
-        tallies = ObservedTallies(sums[i])
-        return GroupBucket(index, rho_low, rho_high, tallies, n_slices[i], sum(sent[i, _Z_ROWS]))
+        return GroupBucket(index, rho_low, rho_high, sums[i], n_slices[i], sum(sent[i, _Z_ROWS]))
 
     buckets = [bucket(i, i, i * width, (i + 1) * width) for i in range(m_groups)]
     if n_slices[overflow]:
         buckets.append(bucket(overflow, None, 0.0, TWO_PI))
-    return GroupedData(tuple(buckets))
+    return tuple(buckets)
 
 
 def total_pulses(batch: TallyBatch) -> int:
@@ -225,7 +220,6 @@ class BucketOutcome:
 class ExtractionResult:
     key_length: float
     outcomes: tuple[BucketOutcome, ...]
-    grouped: GroupedData
 
 
 # Event classes whose detection counts must be nonzero at signal and decoy
@@ -237,13 +231,23 @@ _REQUIRED_CLASSES = (
     ((StateLabel.X0,), BasisLabel.X),
     ((StateLabel.Y0,), BasisLabel.X),
 )
+# Count-array rows of each required class's cells per intensity, one list per
+# state; the analysis reads the key class, then the four X-basis classes
+_CLASS_ROWS = {
+    (states, basis): [[CELL_INDEX[(state, basis, kind)] for kind in KINDS] for state in states]
+    for states, basis in _REQUIRED_CLASSES
+}
+_ZZ = _REQUIRED_CLASSES[0]
 
 
-def _missing_cells(tallies: ObservedTallies) -> str | None:
-    for states, basis in _REQUIRED_CLASSES:
-        detected = tallies.class_detected(states, basis)
-        for kind, value in zip((IntensityKind.MU, IntensityKind.NU), detected[:2]):
-            if value == 0:
+def _missing_cells(counts: np.ndarray) -> str | None:
+    """The first required class without detections at signal or decoy
+    intensity in a (24, 3) count array, or None."""
+    for (states, basis), rows in _CLASS_ROWS.items():
+        # counts are >= 0: a class has none where none of its cells has any
+        detected = counts[rows, 1].any(axis=0).tolist()
+        for kind, found in zip((IntensityKind.MU, IntensityKind.NU), detected):
+            if not found:
                 names = "+".join(s.value for s in states)
                 return f"no detections for ({names},{basis.value}) at {kind.value}"
     return None
@@ -262,37 +266,28 @@ def group_and_extract(
     diagnostic instead of a report. Summation order is fixed by group
     index, so results do not depend on evaluation order.
     """
-    grouped = group_slices(batch, m_groups)
+    buckets = group_slices(batch, m_groups)
     problems = [
-        "empty group" if bucket.n_slices == 0 else _missing_cells(bucket.tallies)
-        for bucket in grouped.buckets
+        "empty group" if bucket.n_slices == 0 else _missing_cells(bucket.counts)
+        for bucket in buckets
     ]
-    analyzed = [bucket for bucket, problem in zip(grouped.buckets, problems) if problem is None]
+    analyzed = [bucket for bucket, problem in zip(buckets, problems) if problem is None]
     reports = iter(())
     if analyzed:  # one block of every analyzable group, each with its own block size
-        counts = TallyBatch(np.stack([bucket.tallies.counts for bucket in analyzed]))
+        counts = TallyBatch(np.stack([bucket.counts for bucket in analyzed]))
         n_total = [max(bucket.n_pulses, 1) for bucket in analyzed]
         block = analyze_batch(counts, cfg, sec, n_total=n_total, **analysis_options)
         reports = (report_at(block, i) for i in range(len(analyzed)))
     outcomes = []
     total = 0.0
-    for bucket, problem in zip(grouped.buckets, problems):
+    for bucket, problem in zip(buckets, problems):
         if problem is not None:
             outcomes.append(BucketOutcome(bucket, None, 0.0, problem))
             continue
         report = next(reports)
         outcomes.append(BucketOutcome(bucket, report, report.key_length))
         total += report.key_length
-    return ExtractionResult(total, tuple(outcomes), grouped)
-
-
-# Count-array rows of each required class's cells per intensity, one list per
-# state; the analysis reads the key class, then the four X-basis classes
-_CLASS_ROWS = {
-    (states, basis): [[CELL_INDEX[(state, basis, kind)] for kind in KINDS] for state in states]
-    for states, basis in _REQUIRED_CLASSES
-}
-_ZZ = _REQUIRED_CLASSES[0]
+    return ExtractionResult(total, tuple(outcomes))
 
 
 def analyze_batch(

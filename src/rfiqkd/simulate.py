@@ -205,28 +205,24 @@ def drift_beta(
 
     ``params`` keys: ``beta0`` for all models; ``rate`` (total sweep in
     radians over the run) for ``linear``; ``amplitude`` and ``period``
-    (as a fraction of the run) for ``sinusoidal``. The three models are
-    deterministic.
+    (as a fraction of the run) for ``sinusoidal``. Each key the model uses
+    is required. The three models are deterministic.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    beta0 = float(params.get("beta0", 0.0))
-    betas = []
-    for i in range(n_slices):
-        t = i / n_slices
-        if model == "fixed":
-            value = beta0
-        elif model == "linear":
-            value = beta0 + float(params.get("rate", TWO_PI)) * t
-        elif model == "sinusoidal":
-            period = float(params.get("period", 1.0))
-            value = beta0 + float(params.get("amplitude", math.pi / 4)) * math.sin(
-                TWO_PI * t / period
-            )
-        else:
-            raise ValueError(f"unknown drift model {model!r}")
-        betas.append(value % TWO_PI)
-    return DriftTrace(tuple(betas), pulses_per_slice)
+    if model == "fixed":
+        beta0 = float(params["beta0"])
+        angle = lambda t: beta0
+    elif model == "linear":
+        beta0, rate = float(params["beta0"]), float(params["rate"])
+        angle = lambda t: beta0 + rate * t
+    elif model == "sinusoidal":
+        beta0, amplitude, period = (float(params[k]) for k in ("beta0", "amplitude", "period"))
+        angle = lambda t: beta0 + amplitude * math.sin(TWO_PI * t / period)
+    else:
+        raise ValueError(f"unknown drift model {model!r}")
+    betas = tuple(angle(i / n_slices) % TWO_PI for i in range(n_slices))
+    return DriftTrace(betas, pulses_per_slice)
 
 
 def sample_drifting_tallies(

@@ -142,3 +142,43 @@ def test_runs_are_written_as_they_end(tmp_path, monkeypatch):
     assert [(r["side"], r["seed"]) for r in resumed["runs"]] == [
         ("parent", 1), ("change", 1), ("parent", 2), ("change", 2)
     ]
+
+
+def test_both_sides_run_outside_the_repository(tmp_path, monkeypatch):
+    # a repository with one commit, then an edit, an untracked file, an
+    # ignored file and a deletion that are not committed
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(bench_pairs.json.dumps(
+        {"run_seconds": 1, "end_to_end": END_TO_END}
+    ))
+    (repo / "perfbench" / "run.py").write_text("committed\n")
+    (repo / "gone.txt").write_text("deleted later\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "parent"]):
+        bench_pairs.subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    (repo / "perfbench" / "run.py").write_text("edited\n")
+    (repo / "untracked.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("left out\n")
+    (repo / "gone.txt").unlink()
+
+    seen = []  # the first pair runs the parent first
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        files = sorted(str(path.relative_to(checkout)) for path in checkout.rglob("*") if path.is_file())
+        seen.append((checkout, files, (checkout / "perfbench" / "run.py").read_text()))
+        return run("x", seed, 100.0, 40.0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    bench_pairs.main(["--parent", "HEAD", "--workload", "curves", "--seeds", "1",
+                      "--out", str(tmp_path / "BENCH.json")])
+    (parent, parent_files, parent_run), (change, change_files, change_run) = seen
+    for checkout in (parent, change):
+        assert repo not in (checkout, *checkout.parents)
+        assert not checkout.exists()  # removed after the runs
+    assert parent_files == [".gitignore", "BENCHMARK.json", "gone.txt", "perfbench/run.py"]
+    assert parent_run == "committed\n"
+    assert change_files == [".gitignore", "BENCHMARK.json", "perfbench/run.py", "untracked.txt"]
+    assert change_run == "edited\n"

@@ -51,6 +51,34 @@ def test_invalid_config_is_exit_one(tmp_path):
     assert "mu > nu + omega" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("f_ec = nan", "f_ec: must be finite and >= 1, got nan"),
+        ("mu = inf", "intensities.mu: mean photon number must be finite and >= 0, got inf"),
+        ("eta_z_db = inf", "eta_z_db: must be finite and >= 0, got inf"),
+        ("alpha_db_per_km = nan", "alpha_db_per_km: must be finite and >= 0, got nan"),
+    ],
+    ids=["f_ec-nan", "mu-inf", "eta_z_db-inf", "alpha_db_per_km-nan"],
+)
+def test_a_non_finite_value_is_a_config_error(tmp_path, line, message):
+    config = tmp_path / "probe.cfg"
+    config.write_text(line + "\n")
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+def test_a_repeated_config_key_names_both_lines(tmp_path):
+    config = tmp_path / "twice.cfg"
+    config.write_text("mu = 0.55\n# the signal again\nnu = 0.28\nmu = 0.6\n")
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == "error: line 4: key 'mu' repeats line 1\n"
+
+
 def test_unknown_config_keys_rejected(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mu = 0.55\nbanana = 1\n")

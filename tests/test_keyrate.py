@@ -167,8 +167,8 @@ def test_grouping_conserves_counts(ch, sec):
     cfg = make_config(n_total=12 * 10**8)
     betas = [TWO_PI * i / 12 for i in range(12)]
     slices = _analytic_slices(cfg, ch, 50.0, betas)
-    grouped = group_slices(slices, 6)
-    total = ObservedTallies(sum(bucket.tallies.counts for bucket in grouped.buckets))
+    buckets = group_slices(slices, 6)
+    total = ObservedTallies(sum(bucket.counts for bucket in buckets))
     merged = ObservedTallies(slices.counts[0])
     for extra in slices.counts[1:]:
         merged = merged + ObservedTallies(extra)
@@ -197,6 +197,28 @@ def test_insufficient_counts_diagnosed(sec, ch):
     result = group_and_extract(TallyBatch(np.zeros((1, len(ALL_CELLS), 3), dtype=np.int64)), 1, cfg, sec)
     assert result.key_length == 0.0
     assert result.outcomes[0].diagnostic is not None
+
+
+_Z0, _Z1, _X0, _Y0 = StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0
+
+
+@pytest.mark.parametrize("kind", [IntensityKind.MU, IntensityKind.NU])
+@pytest.mark.parametrize(
+    "states, basis",
+    [((_Z0, _Z1), BasisLabel.Z), ((_Z0,), BasisLabel.X), ((_Z1,), BasisLabel.X),
+     ((_X0,), BasisLabel.X), ((_Y0,), BasisLabel.X)],
+)
+def test_a_class_without_detections_is_named(ch, sec, states, basis, kind):
+    cfg = make_config(n_total=10**10)
+    counts = expected_tallies(cfg, ch, [50.0]).counts.copy()
+    for state in states:
+        counts[0, CELL_INDEX[(state, basis, kind)], 1:] = 0
+    result = group_and_extract(TallyBatch(counts), 1, cfg, sec)
+    names = "+".join(state.value for state in states)
+    assert result.key_length == 0.0
+    assert [outcome.diagnostic for outcome in result.outcomes] == [
+        f"no detections for ({names},{basis.value}) at {kind.value}"
+    ]
 
 
 def test_analyze_report_identities(cfg, ch, sec):
@@ -253,8 +275,9 @@ def test_grouping_beyond_the_budget_names_the_group(counts):
 
 
 def test_grouping_up_to_the_budget_is_exact():
-    (bucket,) = group_slices(_uniform_batch([2**61] * 2), 1).buckets
-    assert bucket.tallies == ObservedTallies(_uniform_counts(2**62))
+    (bucket,) = group_slices(_uniform_batch([2**61] * 2), 1)
+    assert np.array_equal(bucket.counts, _uniform_counts(2**62))
+    assert not bucket.counts.flags.writeable
     assert bucket.n_pulses == 12 * 2**62
 
 

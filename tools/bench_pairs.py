@@ -3,14 +3,16 @@
     python3 tools/bench_pairs.py --parent 842e75b --workload curves \\
         --seeds 61-70 --out BENCH_9.json
 
-Run from anywhere inside the repository. The parent's committed files are
-unpacked with ``git archive`` into a fresh temporary directory (under
-``$TMPDIR``), removed afterwards, so the repository gets no worktree or
-branch. Every run lasts ``run_seconds`` of ``BENCHMARK.json``, on both sides.
-For each seed, ``perfbench/run.py`` runs once in that directory and once
-in the working tree; even-numbered pairs run the parent first, odd ones
-the change. Every run's result line is kept, and ``--out`` is written
-again after each run, so a failing run loses none of the earlier ones;
+Run from anywhere inside the repository. Each side is unpacked into its
+own fresh temporary directory (under ``$TMPDIR``), removed afterwards, so
+the repository gets no worktree or branch and neither side runs in it: the
+parent's committed files with ``git archive``, the change's from the
+working tree, tracked and untracked files that git does not ignore, as
+they are on disk. Every run lasts ``run_seconds`` of ``BENCHMARK.json``,
+on both sides. For each seed, ``perfbench/run.py`` runs once in each
+directory; even-numbered pairs run the parent first, odd ones the change.
+Every run's result line is kept, and ``--out`` is written again after
+each run, so a failing run loses none of the earlier ones;
 ``--append`` adds the new runs to those already in ``--out``, which
 resumes such a session. The summary, per workload and
 end-to-end metric of the untraced runs, gives each side's median,
@@ -114,13 +116,22 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
-def unpack(rev: str, into: Path) -> None:
-    """The committed files of ``rev``, written into ``into``."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+def unpack(rev: str | None, into: Path) -> None:
+    """The committed files of ``rev``, or with ``rev`` None the working
+    tree's files that git does not ignore, written into ``into``."""
+    if rev is not None:
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(into, filter="data")
+        return
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        # a tracked file deleted from the working tree is still listed
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -165,10 +176,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    checkout = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    sides = {side: Path(tempfile.mkdtemp(prefix=f"bench-{side}-")) for side in ("parent", "change")}
     try:
-        unpack(args.parent, checkout)
-        sides = {"parent": checkout, "change": ROOT}
+        unpack(args.parent, sides["parent"])
+        unpack(None, sides["change"])
         for index, seed in enumerate(args.seeds):
             for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
                 result = run_once(sides[side], args.workload, seed, seconds, args.trace)
@@ -181,7 +192,8 @@ def main(argv: list[str] | None = None) -> int:
                 write()
                 print(f"{args.workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr)
     finally:
-        shutil.rmtree(checkout, ignore_errors=True)
+        for checkout in sides.values():
+            shutil.rmtree(checkout, ignore_errors=True)
     write()
     for workload, entry in record["summary"].items():
         for metric, stats in entry.items():
