@@ -2,24 +2,24 @@
 
 Sampling is hierarchical and entirely count-based, so block sizes of 1e12
 pulses stay cheap. A drift trace is drawn ``BLOCK`` consecutive slices at a
-time, each block in five array draws over all its slices from one
+time, each block in three array draws over all its slices from one
 generator, in this order:
 
 1. a multinomial split of each slice's pulses over the 12 (state, intensity)
    pairs, states Z0, Z1, X0, Y0 times intensities mu, nu, omega;
 2. a binomial split of each pair over the receiver's passive basis choice
    (the Z share), which gives the 24 routed groups in ``ALL_CELLS`` order;
-3. a multinomial split of each routed group over emitted photon numbers,
-   every Poisson pmf zero-padded to the widest photon-number cap;
-4. a binomial draw of the detections per group and photon number;
-5. a binomial draw of the errors among those detections.
+3. a multinomial split of each routed group over the seven outcomes of one
+   pulse: an error in photon class n = 0, 1 or >= 2, a correct detection in
+   each class, or none. Pulses are independent, so this is the law of a
+   photon-number, detection and error chain, with no Poisson tail cut off.
 
 Block ``j`` (slices ``j*BLOCK`` on) draws from a generator seeded with
-``(seed mod 2**64, j, 2)``, so blocks can be sampled in any order, or in
+``(seed mod 2**64, j, 4)``, so blocks can be sampled in any order, or in
 parallel, with bit-identical results. ``STREAM_VERSION`` changes whenever
 the draws do: version 1 used 13 streams per slice, version 2 one generator
-per slice, version 3 one per block. A block of one slice (``sample_tallies``,
-a one-slice trace) draws exactly what version 2 drew.
+per slice, version 3 one per block over photon numbers up to a Poisson cap,
+version 4 the three photon classes.
 """
 from __future__ import annotations
 
@@ -46,11 +46,11 @@ from .core import (
     TallyBatch,
 )
 
-POISSON_TAIL = 1e-12
-
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 BLOCK = 128  # slices of a drift trace per generator and per array draw
+
+PHOTON_CLASSES = 3  # oracle columns: pulses of 0, 1 and >= 2 photons
 
 _PAIRS = tuple((s, k) for s in STATES for k in KINDS)
 
@@ -60,8 +60,8 @@ class OracleTallies:
     """Observable tallies plus the photon-number side information.
 
     Read-only int64 arrays in ``ALL_CELLS`` order: ``sent`` has shape (24,),
-    ``detected`` and ``errors`` have shape (24, P), where column n counts the
-    pulses that carried n photons.
+    ``detected`` and ``errors`` have shape (24, 3), whose columns count the
+    pulses that carried 0, 1 and at least 2 photons.
     """
 
     sent: np.ndarray
@@ -83,11 +83,13 @@ class OracleTallies:
     def true_counts(
         self, states: Iterable[StateLabel], basis: BasisLabel, photons: int
     ) -> tuple[int, int]:
-        """True (detections, errors) from pulses that carried ``photons``."""
+        """True (detections, errors) from pulses that carried ``photons``, 0 or 1."""
         if photons < 0:
             raise ValueError(f"photons must be >= 0, got {photons}")
-        if photons >= self.detected.shape[1]:
-            return 0, 0
+        if photons > 1:
+            raise ValueError(
+                f"photons must be 0 or 1, got {photons}: pulses of 2 or more photons are pooled"
+            )
         rows = [CELL_INDEX[(state, basis, kind)] for state in states for kind in KINDS]
         return (
             sum(self.detected[rows, photons].tolist()),
@@ -95,22 +97,16 @@ class OracleTallies:
         )
 
 
-def poisson_pmf_capped(mean: float, tail: float = POISSON_TAIL) -> np.ndarray:
-    """Poisson pmf truncated at the smallest cap with tail mass below ``tail``.
-
-    The residual mass is folded onto the cap entry so the vector sums to 1.
-    """
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
-    probs = [math.exp(-mean)]
-    cumulative = probs[0]
-    n = 0
-    while 1.0 - cumulative > tail:
-        n += 1
-        probs.append(probs[-1] * mean / n)
-        cumulative += probs[-1]
-    probs[-1] += max(1.0 - cumulative, 0.0)
-    return np.asarray(probs)
+def _class_probabilities(mean: float, eta: float) -> tuple[list[float], list[float]]:
+    """Per pulse of mean photon number ``mean``, by photon class 0, 1, >= 2: the
+    probability of the class, and of the class with at least one photon detected
+    through a path of transmittance ``eta``. The clamps undo rounding at tiny
+    means and at ``eta = 1``, so that no probability is negative."""
+    p1 = mean * math.exp(-mean)
+    p2 = max(-math.expm1(-mean) - p1, 0.0)
+    s1 = p1 * eta
+    s2 = min(max(-math.expm1(-mean * eta) - s1, 0.0), p2)
+    return [math.exp(-mean), p1, p2], [0.0, s1, s2]
 
 
 class _Sampler:
@@ -122,49 +118,46 @@ class _Sampler:
         )
         self.p_z_bob = cfg.p_z_bob
         self.e0 = ch.e0
-        pmfs = [poisson_pmf_capped(cfg.intensity(k).mean_photons) for _, _, k in ALL_CELLS]
-        width = max(map(len, pmfs))
-        self.pmf = np.array([np.pad(pmf, (0, width - len(pmf))) for pmf in pmfs])
-        self.cap = np.array([len(pmf) - 1 for pmf in pmfs])
-        self.short = self.cap < width - 1
-        eta = np.array([transmittance(distance_km, b, ch) for _, b, _ in ALL_CELLS])
-        self.survive = 1.0 - (1.0 - eta[:, None]) ** np.arange(width)
-        dark = ch.e_d * (1.0 - self.survive)
-        self.yields = self.survive + dark
-        self.dark_errors = 0.5 * dark
+        emitted, lit = np.array(
+            [
+                _class_probabilities(
+                    cfg.intensity(k).mean_photons, transmittance(distance_km, b, ch)
+                )
+                for _, b, k in ALL_CELLS
+            ]
+        ).transpose(1, 0, 2)
+        # Per pulse and photon class, (24, 3): a photon detected (lit), or none
+        # but a dark count, which is an error half of the time.
+        dark_error = 0.5 * ch.e_d * (emitted - lit)
+        # The seven outcomes of one routed pulse are base + e_mis * slope: an
+        # error in each class, a correct detection in each class, then none.
+        missed = np.maximum(1.0 - lit.sum(axis=1) - 2.0 * dark_error.sum(axis=1), 0.0)
+        self.base = np.concatenate((dark_error, lit + dark_error, missed[:, None]), axis=1)
+        self.slope = np.concatenate((lit, -lit, np.zeros((len(ALL_CELLS), 1))), axis=1)
 
     def block(
         self, betas: Sequence[float], n_pulses: int, seed: int, index: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Block ``index`` of a trace, one slice of ``n_pulses`` per angle in ``betas``:
-        ``sent`` of shape (b, 24), ``detected`` and ``errors`` of shape (b, 24, P)."""
+        ``sent`` of shape (b, 24), ``detected`` and ``errors`` of shape (b, 24, 3)."""
         if not 0 <= n_pulses <= MAX_PULSES:
             raise ValueError(f"n_pulses {n_pulses} is outside the 64-bit count budget [0, 2**62]")
         b = len(betas)
-        # version 2's third seed word: a block of one slice draws a version-2 slice
-        rng = np.random.default_rng((int(seed) % 2**64, index, 2))
+        rng = np.random.default_rng((int(seed) % 2**64, index, STREAM_VERSION))
         # (slice, state, 1, intensity), so that the basis axis slots in as in ALL_CELLS
         sent = rng.multinomial(n_pulses, self.pair_probs, size=b).reshape(b, len(STATES), 1, -1)
         routed_z = rng.binomial(sent, self.p_z_bob)
         routed = np.concatenate((routed_z, sent - routed_z), axis=2).reshape(b, -1)
-        photons = rng.multinomial(routed, self.pmf)
-        # Rounding in a pmf's tail can leave photons in the last, padded
-        # column; they belong on the row's own cap, as in an unpadded draw.
-        spill = np.where(self.short, photons[:, :, -1], 0)
-        photons[:, :, -1] -= spill
-        photons[:, np.arange(len(ALL_CELLS)), self.cap] += spill
-        detected = rng.binomial(photons, self.yields)
         # math's cos and sin, then the scalar formula's operations elementwise
         cos_b, sin_b = (np.array([f(beta) for beta in betas]) for f in (math.cos, math.sin))
-        e_mis = np.empty((b, len(ALL_CELLS)))
+        e_mis = np.empty((b, len(ALL_CELLS), 1))
         for column, (state, basis, _) in enumerate(ALL_CELLS):
-            e_mis[:, column] = _misalignment(state, basis, self.e0, cos_b, sin_b)
-        # zero where the yield is zero: no photon and no dark count, no detection
-        error_prob = np.divide(
-            e_mis[:, :, None] * self.survive + self.dark_errors, self.yields,
-            out=np.zeros(detected.shape), where=self.yields > 0.0,
-        )
-        errors = rng.binomial(detected, error_prob)
+            e_mis[:, column, 0] = _misalignment(state, basis, self.e0, cos_b, sin_b)
+        pvals = e_mis * self.slope
+        pvals += self.base
+        outcomes = rng.multinomial(routed, pvals)
+        errors = outcomes[:, :, :PHOTON_CLASSES]
+        detected = errors + outcomes[:, :, PHOTON_CLASSES:-1]
         return np.concatenate((sent, sent), axis=2).reshape(b, -1), detected, errors
 
 

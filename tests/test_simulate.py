@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfiqkd.channel import (
     cell_expectation,
@@ -19,17 +21,19 @@ from rfiqkd.core import (
     KINDS,
     MAX_PULSES,
     STATES,
+    TWO_PI,
     BasisLabel,
+    ChannelParams,
     IntensityKind,
     StateLabel,
     intensity_triple,
 )
 from rfiqkd.simulate import (
     BLOCK,
+    STREAM_VERSION,
     DriftTrace,
     _Sampler,
     drift_beta,
-    poisson_pmf_capped,
     sample_drifting_tallies,
     sample_tallies,
 )
@@ -73,15 +77,16 @@ def test_photon_partitions_sum_to_cell_totals(ch):
     assert obs.counts[:, 0].tolist() == oracle.sent.tolist()
     assert obs.counts[:, 1].tolist() == oracle.detected.sum(axis=1).tolist()
     assert obs.counts[:, 2].tolist() == oracle.errors.sum(axis=1).tolist()
-    width = oracle.detected.shape[1]
+    assert oracle.detected.shape == oracle.errors.shape == (len(ALL_CELLS), 3)
     for states, basis in (
         ((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z),
         ((StateLabel.Y0,), BasisLabel.X),
     ):
-        by_photons = [oracle.true_counts(states, basis, n) for n in range(width + 1)]
-        assert by_photons[width] == (0, 0)
-        assert sum(det for det, _ in by_photons) == sum(obs.class_detected(states, basis))
-        assert sum(err for _, err in by_photons) == sum(obs.class_errors(states, basis))
+        rows = [CELL_INDEX[(state, basis, kind)] for state in states for kind in KINDS]
+        pooled = (oracle.detected[rows, 2].sum(), oracle.errors[rows, 2].sum())
+        by_class = [oracle.true_counts(states, basis, n) for n in (0, 1)] + [pooled]
+        assert sum(det for det, _ in by_class) == sum(obs.class_detected(states, basis))
+        assert sum(err for _, err in by_class) == sum(obs.class_errors(states, basis))
 
 
 def test_vacuum_intensity_emits_no_photons(ch):
@@ -97,6 +102,13 @@ def test_true_counts_rejects_a_negative_photon_number(ch):
     oracle = sample_tallies(SMALL, ch, 50.0, seed=3)
     for photons in (-1, -12):
         with pytest.raises(ValueError, match=f"photons must be >= 0, got {photons}"):
+            oracle.true_counts((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z, photons)
+
+
+def test_true_counts_rejects_a_pooled_photon_number(ch):
+    oracle = sample_tallies(SMALL, ch, 50.0, seed=3)
+    for photons in (2, 3, 12):
+        with pytest.raises(ValueError, match=f"photons must be 0 or 1, got {photons}: "):
             oracle.true_counts((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z, photons)
 
 
@@ -118,18 +130,15 @@ def test_block_at_the_count_budget(ch):
     assert oracle.observed().counts.dtype == np.int64
 
 
-def test_photon_counts_stop_at_each_class_cap(ch):
-    # At the count budget and 0 km the pmf tails are sampled and detected;
-    # nu = 0.2 has a shorter cap than mu, and nothing may land past it.
-    cfg = make_config(
-        n_total=MAX_PULSES, intensities=intensity_triple(0.55, 0.2, 0.0, 0.54, 0.36, 0.10)
-    )
-    oracle = sample_tallies(cfg, ch, 0.0, seed=8)
-    caps = {k: len(poisson_pmf_capped(cfg.intensity(k).mean_photons)) - 1 for k in KINDS}
-    assert caps[IntensityKind.NU] < caps[IntensityKind.MU] == oracle.detected.shape[1] - 1
+def test_every_photon_class_is_drawn_at_the_count_budget(ch):
+    # At the count budget and 0 km every lit row detects pulses of 0, 1 and
+    # >= 2 photons; the vacuum rows emit none, so they detect dark counts only.
+    oracle = sample_tallies(make_config(n_total=MAX_PULSES), ch, 0.0, seed=8)
     for row, (_, _, kind) in enumerate(ALL_CELLS):
-        assert oracle.detected[row, caps[kind]] > 0
-        assert not oracle.detected[row, caps[kind] + 1 :].any()
+        if kind is IntensityKind.OMEGA:
+            assert not oracle.detected[row, 1:].any()
+        else:
+            assert oracle.detected[row].all()
 
 
 def test_zero_dark_counts_give_no_vacuum_detections(ch):
@@ -140,14 +149,6 @@ def test_zero_dark_counts_give_no_vacuum_detections(ch):
     lit = [row for row, (_, _, kind) in enumerate(ALL_CELLS) if kind is not IntensityKind.OMEGA]
     assert not oracle.detected[:, 0].any()
     assert oracle.detected[lit, 1].all()
-
-
-def test_poisson_cap_tail():
-    pmf = poisson_pmf_capped(0.55)
-    assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
-    # cap is the first index whose untruncated tail mass drops below 1e-12
-    assert len(pmf) < 25
-    assert poisson_pmf_capped(0.0).tolist() == [1.0]
 
 
 def test_sample_mean_matches_expectation(ch):
@@ -181,18 +182,33 @@ def test_sample_mean_matches_expectation(ch):
         assert abs(esums[key] / n_seeds - mean_m) <= 5 * se_m + 1.0
 
 
+def _class_laws(mu, eta, e_mis, e_d):
+    """Per routed pulse, by photon class 0, 1, >= 2: the probabilities of a
+    detection and of an error, untruncated. A class's photons are lost with
+    probability sum of p_n (1 - eta)^n over its n, which for n >= 2 is
+    exp(-mu eta) - exp(-mu) - mu exp(-mu) (1 - eta)."""
+    p = [math.exp(-mu), mu * math.exp(-mu)]
+    p.append(1.0 - p[0] - p[1])
+    lost = [p[0], p[1] * (1.0 - eta), math.exp(-mu * eta) - p[0] - p[1] * (1.0 - eta)]
+    lit = [p_c - lost_c for p_c, lost_c in zip(p, lost)]
+    detected = [s + e_d * m for s, m in zip(lit, lost)]
+    errors = [e_mis * s + 0.5 * e_d * m for s, m in zip(lit, lost)]
+    return detected, errors
+
+
 def test_photon_number_means_match_expectation(ch):
-    # 100 seeds at 1e9 pulses; for n <= 3 photons, the mean of each cell's
-    # detections and errors must sit within five standard errors of
-    # N * p_pair * p_basis * pmf[n] * Y_n (errors: the erroneous part of Y_n).
+    # 100 seeds at 1e9 pulses; for the photon classes n = 0, 1 and >= 2, the
+    # mean of each cell's detections and errors must sit within five standard
+    # errors of N * p_pair * p_basis times the class's detection (or error)
+    # probability per pulse, with no Poisson tail cut off.
     cfg = make_config(n_total=1_000_000_000)
     n_seeds, distance = 100, 50.0
-    det_sum = np.zeros((len(ALL_CELLS), 4))
-    err_sum = np.zeros((len(ALL_CELLS), 4))
+    det_sum = np.zeros((len(ALL_CELLS), 3))
+    err_sum = np.zeros((len(ALL_CELLS), 3))
     for seed in range(n_seeds):
         oracle = sample_tallies(cfg, ch, distance, seed)
-        det_sum += oracle.detected[:, :4]
-        err_sum += oracle.errors[:, :4]
+        det_sum += oracle.detected
+        err_sum += oracle.errors
     for row, (state, basis, kind) in enumerate(ALL_CELLS):
         k = cfg.intensity(kind)
         eta = transmittance(distance, basis, ch)
@@ -200,16 +216,49 @@ def test_photon_number_means_match_expectation(ch):
         p_routed = (
             cfg.state_probability(state) * k.probability * cfg.basis_probability(basis)
         )
-        for n in range(4):
-            pmf = math.exp(-k.mean_photons) * k.mean_photons**n / math.factorial(n)
-            survive = 1.0 - (1.0 - eta) ** n
-            y_n = survive + ch.e_d * (1.0 - survive)
-            e_n = e_mis * survive + 0.5 * ch.e_d * (1.0 - survive)
-            for total, per_photon in ((det_sum[row, n], y_n), (err_sum[row, n], e_n)):
-                prob = p_routed * pmf * per_photon
+        laws = _class_laws(k.mean_photons, eta, e_mis, ch.e_d)
+        for totals, per_pulse in zip((det_sum[row], err_sum[row]), laws):
+            for n in range(3):
+                prob = p_routed * per_pulse[n]
                 mean = cfg.n_total * prob
                 se = math.sqrt(cfg.n_total * prob * (1.0 - prob) / n_seeds)
-                assert abs(total / n_seeds - mean) <= 5.0 * se, (row, n)
+                assert abs(totals[n] / n_seeds - mean) <= 5.0 * se, (row, n)
+
+
+@st.composite
+def block_inputs(draw):
+    """A sampler, a block of angles and its pulses per slice, seed and index."""
+    nu = draw(st.just(1e-9) | st.floats(1e-9, 0.5))
+    cfg = make_config(intensities=intensity_triple(0.55, nu, 0.0, 0.54, 0.36, 0.10))
+    ch = ChannelParams(e_d=draw(st.sampled_from([0.0, ChannelParams().e_d])))
+    distance = draw(st.sampled_from([0.0, 500.0]) | st.floats(0.0, 500.0))
+    betas = draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=4))
+    n_pulses = draw(st.sampled_from([0, 1, MAX_PULSES]) | st.integers(0, MAX_PULSES))
+    seed, index = draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 100))
+    return cfg, _Sampler(cfg, ch, distance), betas, n_pulses, seed, index
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_inputs())
+def test_block_counts_are_consistent(inputs):
+    cfg, sampler, betas, n_pulses, seed, index = inputs
+    # numpy's warnings raise; underflow, silent by default (a subnormal angle), stays so
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        sent, detected, errors = sampler.block(betas, n_pulses, seed, index)
+    b = len(betas)
+    assert sent.shape == (b, len(ALL_CELLS))
+    assert detected.shape == errors.shape == (b, len(ALL_CELLS), 3)
+    assert (0 <= errors).all() and (errors <= detected).all()
+    # the routed groups: the block generator's first two draws, replayed
+    rng = np.random.default_rng((seed, index, STREAM_VERSION))
+    pairs = rng.multinomial(n_pulses, sampler.pair_probs, size=b).reshape(b, len(STATES), 1, -1)
+    routed_z = rng.binomial(pairs, cfg.p_z_bob)
+    routed = np.concatenate((routed_z, pairs - routed_z), axis=2).reshape(b, -1)
+    assert (detected.sum(axis=2) <= routed).all()
+    by_pair = sent.reshape(b, len(STATES), len(BASES), len(KINDS))
+    assert (by_pair[:, :, 0] == by_pair[:, :, 1]).all()
+    assert by_pair[:, :, 0].sum(axis=(1, 2)).tolist() == [n_pulses] * b
 
 
 def test_block_size_overflow_rejected(ch):
@@ -252,20 +301,27 @@ def test_single_slice_trace_equals_plain_sampling(ch):
 
 
 # sha256 of the little-endian int64 sent, detected and errors of
-# sample_tallies at 1e8 pulses, recorded at stream version 2, over
-# distance x angle x seed in the loop order below
-VERSION_2_DIGEST = "bdfc933d98041625cfb85dd01898304c2b7e8daaf7646a01572fde23efe082ad"
+# sample_tallies at 1e8 pulses, over distance x angle x seed in the loop order
+# of _stream_digest, by stream version. A change to the draws bumps
+# simulate.STREAM_VERSION and records the new version's digest, printed by
+#   PYTHONPATH=src:tests python -c "import test_simulate as t; print(t._stream_digest())"
+STREAM_DIGESTS = {4: "411899fa66065a73bee300c6f6cbd3f7a4474866f0d3c7f8fe1f600897bd9705"}
 
 
-def test_single_slice_draws_are_those_of_stream_version_2(ch):
-    digest = hashlib.sha256()
+def _stream_digest():
+    digest, ch = hashlib.sha256(), ChannelParams()
     for distance in (50.0, 200.0):
         for beta in (0.0, math.pi / 4, math.pi, 5 * math.pi / 4):
             for seed in range(10):
                 oracle = sample_tallies(SMALL, replace(ch, beta=beta), distance, seed)
                 for drawn in (oracle.sent, oracle.detected, oracle.errors):
                     digest.update(drawn.astype("<i8").tobytes())
-    assert digest.hexdigest() == VERSION_2_DIGEST
+    return digest.hexdigest()
+
+
+def test_single_slice_draws_match_the_stream_digest():
+    assert STREAM_VERSION in STREAM_DIGESTS
+    assert _stream_digest() == STREAM_DIGESTS[STREAM_VERSION]
 
 
 def test_trace_must_cover_the_block(ch):
