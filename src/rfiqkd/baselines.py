@@ -88,7 +88,7 @@ def _run(
     # block sizes as Python ints, as analyze_batch takes them
     sizes = np.array([cfg.n_total] * len(distances) if n_total is None else n_total, dtype=object)
     blocks = sizes.astype(float).reshape(-1, 1)
-    eps = None if asymptotic else sec.eps_bar
+    setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
     p_half = (1.0 - cfg.p_z_alice) / 2.0
 
     def evaluate(stop: int) -> BaselineReport:
@@ -99,13 +99,13 @@ def _run(
             detected, errors = _class_counts(
                 cfg, ch, x, block, p_half, bob_prob, quadrature_error(ch.e0, projection)
             )
-            e = decoy.class_bounds(detected, errors, cfg.intensities, eps, literal).e
+            e = decoy.class_bounds(detected, errors, setting).e
             correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
 
         n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]  # as sum() adds
         e_zz, _ = decoy.divide(zz_errors[:, 0] + zz_errors[:, 1] + zz_errors[:, 2], n_zz, 0.0)
         c_lower, i_e, clamped = leak(correlators, e_zz, literal)
-        s0, s1 = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
+        s0, s1 = decoy.yield_bounds(zz_detected, setting)
         kl = key_length(s0.lower, s1.lower, i_e, n_zz, e_zz, sec, sizes[:stop], asymptotic)
         return BaselineReport(
             protocol=protocol,

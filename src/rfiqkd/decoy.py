@@ -7,16 +7,16 @@ per count, then the closed-form vacuum / single-photon expressions are
 evaluated with the worst-case ends of those intervals.
 
 Counts and bounds are arrays with one entry per point of a block; a number
-is a block of one. Only the configuration constants need a transcendental,
-once per call; per point the chain is arithmetic and ``sqrt``, which IEEE 754
-rounds correctly in numpy and ``math`` alike, so each entry equals the
+is a block of one. Only the constants of a ``Setting`` need a transcendental,
+once per analysis; per point the chain is arithmetic and ``sqrt``, which IEEE
+754 rounds correctly in numpy and ``math`` alike, so each entry equals the
 per-point result bit for bit (``exact_counts`` keeps the integer arithmetic
 exact). A bound that fails at some points raises for the first of them, with
 the point's index as the error's ``point``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import exp, factorial, log
 from typing import Callable
 
@@ -98,36 +98,97 @@ def tau(n: int, intensities: tuple[IntensityClass, ...]) -> float:
     return acc / factorial(n)
 
 
-def fluctuation_deltas(x, eps: float | None):
-    """Downward and upward deviations of an observed count from its mean.
+@dataclass(frozen=True)
+class Setting:
+    """The constants of the closed-form bounds for one (signal, decoy,
+    vacuum) intensity triple and ε, built by ``setting``: the selection
+    probabilities, τ0, e^k, each formula's coefficients and ``b = log(1/ε)``
+    (None: no fluctuations). Each formula is a method over its counts."""
 
-    ``eps`` is the probability that the mean escapes on either side.
-    ``None`` disables fluctuations entirely (both deltas zero).
-    """
-    if eps is None:
-        return 0.0, 0.0
-    if not 0.0 < eps < 1.0:
+    p_mu: float
+    p_nu: float
+    p_om: float
+    t0: float
+    e_mu: float
+    e_nu: float
+    e_om: float
+    nu_e_om: float
+    om_e_nu: float
+    vacuum_coef: float
+    single_coef: float
+    ratio: float
+    error_coef: float
+    b: float | None
+    literal_upper: bool
+
+    def vacuum(self, n_om_star, n_nu_star):
+        return self.vacuum_coef * (
+            self.nu_e_om * n_om_star / self.p_om - self.om_e_nu * n_nu_star / self.p_nu
+        )
+
+    def single_photon(self, n_nu_star, s0_star, n_om_star, n_mu_star):
+        return self.single_coef * (
+            self.e_nu * n_nu_star / self.p_nu
+            - self.e_om * n_om_star / self.p_om
+            + self.ratio * (s0_star / self.t0 - self.e_mu * n_mu_star / self.p_mu)
+        )
+
+    def error_count(self, m_nu_star, m_om_star):
+        return self.error_coef * (
+            self.e_nu * m_nu_star / self.p_nu - self.e_om * m_om_star / self.p_om
+        )
+
+
+def setting(
+    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
+    eps: float | None,
+    literal_upper: bool = False,
+) -> Setting:
+    """The bounds' constants for ``intensities`` and ``eps``, the probability
+    that a mean escapes its fluctuation interval on either side (None:
+    no fluctuations). ``literal_upper`` subtracts the upward deviation of
+    each interval instead of adding it, which produces an upper end below the
+    observation; that variant exists only for side-by-side comparison."""
+    (mu, p_mu), (nu, p_nu), (om, p_om) = ((k.mean_photons, k.probability) for k in intensities)
+    if not nu > om:
+        raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
+    denom = mu * (nu - om) - (nu * nu - om * om)
+    if denom <= 0.0:
+        raise DecoyPreconditionError(
+            f"need mu*(nu-omega) > nu^2-omega^2, got mu={mu} nu={nu} omega={om}"
+        )
+    if eps is not None and not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
+    t0, t1 = tau(0, intensities), tau(1, intensities)
+    e_mu, e_nu, e_om = exp(mu), exp(nu), exp(om)
+    return Setting(
+        p_mu, p_nu, p_om, t0, e_mu, e_nu, e_om, nu * e_om, om * e_nu,
+        t0 / (nu - om), mu * t1 / denom, (nu * nu - om * om) / (mu * mu), t1 / (nu - om),
+        None if eps is None else log(1.0 / eps), literal_upper,
+    )
+
+
+def fluctuation_deltas(x, setting: Setting):
+    """Downward and upward deviations of an observed count from its mean;
+    both zero without fluctuations."""
+    b = setting.b
+    if b is None:
+        return 0.0, 0.0
     x = np.asarray(x)
     raise_at(x < 0, ValueError, lambda i: f"observed count must be >= 0, got {x.item(i)}")
-    b = log(1.0 / eps)
     two_b = 2.0 * b  # as 2.0 * b * x groups; object counts give Python floats below
     delta_lower = b / 2.0 + np.sqrt(np.asarray(two_b * x + b * b / 4.0, dtype=float))
     delta_upper = b + np.sqrt(np.asarray(two_b * x + b * b, dtype=float))
     return delta_lower, delta_upper
 
 
-def fluctuation_interval(x, eps: float | None, literal_upper: bool = False) -> BoundedCount:
-    """Interval that contains the mean of an observed count.
-
-    ``literal_upper`` subtracts the upward deviation instead of adding it,
-    which produces an upper end below the observation. That variant exists
-    only for side-by-side comparison; it is vacuous as a bound.
-    """
-    delta_lower, delta_upper = fluctuation_deltas(x, eps)
+def fluctuation_interval(x, setting: Setting) -> BoundedCount:
+    """Interval that contains the mean of an observed count; vacuous as a
+    bound under ``setting.literal_upper``."""
+    delta_lower, delta_upper = fluctuation_deltas(x, setting)
     lower = x - delta_lower
     clamped = lower < 0.0
-    upper = x - delta_upper if literal_upper else x + delta_upper
+    upper = x - delta_upper if setting.literal_upper else x + delta_upper
     return BoundedCount(np.where(clamped, 0.0, lower), x, upper, clamped=clamped)
 
 
@@ -168,87 +229,40 @@ def _worst_case(
 
 
 def vacuum_bound(
-    detected: tuple[BoundedCount, BoundedCount, BoundedCount],
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
+    detected: tuple[BoundedCount, BoundedCount, BoundedCount], setting: Setting
 ) -> BoundedCount:
     """Bounds on the number of detections caused by vacuum pulses.
 
     ``detected`` holds the intervals of one event class's detections at (signal,
     decoy, vacuum) intensity. The result is clamped to [0, total detections].
     """
-    mu_s, nu_s, om_s = intensities
-    nu, om = nu_s.mean_photons, om_s.mean_photons
-    if not nu > om:
-        raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
     iv_mu, iv_nu, iv_om = detected
-    coef = tau(0, intensities) / (nu - om)
-    nu_e_om, om_e_nu = nu * exp(om), om * exp(nu)
-
-    def estimate(n_om_star, n_nu_star):
-        return coef * (
-            nu_e_om * n_om_star / om_s.probability - om_e_nu * n_nu_star / nu_s.probability
-        )
-
     total = iv_mu.point + iv_nu.point + iv_om.point
-    return _worst_case("vacuum count", estimate, (iv_om,), (iv_nu,), total)
+    return _worst_case("vacuum count", setting.vacuum, (iv_om,), (iv_nu,), total)
 
 
 def single_photon_bound(
     detected: tuple[BoundedCount, BoundedCount, BoundedCount],
     s0: BoundedCount,
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
+    setting: Setting,
 ) -> BoundedCount:
     """Bounds on the number of detections caused by single-photon pulses."""
-    mu_s, nu_s, om_s = intensities
-    mu, nu, om = mu_s.mean_photons, nu_s.mean_photons, om_s.mean_photons
-    denom = mu * (nu - om) - (nu * nu - om * om)
-    if denom <= 0.0:
-        raise DecoyPreconditionError(
-            f"need mu*(nu-omega) > nu^2-omega^2, got mu={mu} nu={nu} omega={om}"
-        )
     iv_mu, iv_nu, iv_om = detected
-    t0 = tau(0, intensities)
-    coef = mu * tau(1, intensities) / denom
-    ratio = (nu * nu - om * om) / (mu * mu)
-    e_mu, e_nu, e_om = exp(mu), exp(nu), exp(om)
-
-    def estimate(n_nu_star, s0_star, n_om_star, n_mu_star):
-        return coef * (
-            e_nu * n_nu_star / nu_s.probability
-            - e_om * n_om_star / om_s.probability
-            + ratio * (s0_star / t0 - e_mu * n_mu_star / mu_s.probability)
-        )
-
     total = iv_mu.point + iv_nu.point + iv_om.point
     return _worst_case(
-        "single-photon count", estimate, (iv_nu, s0), (iv_om, iv_mu), total
+        "single-photon count", setting.single_photon, (iv_nu, s0), (iv_om, iv_mu), total
     )
 
 
 def error_count_bound(
-    errors: tuple[BoundedCount, BoundedCount],
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    cap,
+    errors: tuple[BoundedCount, BoundedCount], setting: Setting, cap
 ) -> BoundedCount:
     """Bounds on the number of single-photon errors of one event class.
 
     ``errors`` holds the intervals of its errors at decoy and vacuum intensity;
     ``cap``, its total observed errors, is the physical ceiling.
     """
-    mu_s, nu_s, om_s = intensities
-    nu, om = nu_s.mean_photons, om_s.mean_photons
-    if not nu > om:
-        raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
-    iv_nu, iv_om = errors
-    coef = tau(1, intensities) / (nu - om)
-    e_nu, e_om = exp(nu), exp(om)
-
-    def estimate(m_nu_star, m_om_star):
-        return coef * (
-            e_nu * m_nu_star / nu_s.probability - e_om * m_om_star / om_s.probability
-        )
-
-    return _worst_case("single-photon error count", estimate, (iv_nu,), (iv_om,), cap)
+    return _worst_case("single-photon error count", setting.error_count, errors[:1], errors[1:], cap)
 
 
 def single_photon_error_rate(t: BoundedCount, s1: BoundedCount) -> BoundedCount:
@@ -276,46 +290,23 @@ class ClassBounds:
     e: BoundedCount
 
 
-def _first(bound: BoundedCount) -> BoundedCount:
-    """The only point of a block of one."""
-    return BoundedCount(*(np.ravel(getattr(bound, f.name))[0] for f in fields(bound)))
-
-
-def yield_bounds(
-    detected,
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    eps: float | None,
-    literal_upper: bool = False,
-) -> tuple[BoundedCount, BoundedCount]:
+def yield_bounds(detected, setting: Setting) -> tuple[BoundedCount, BoundedCount]:
     """Vacuum and single-photon detection bounds of one event class from its
-    detections at (signal, decoy, vacuum) intensity: an (n, 3) array of n
-    points, or a triple, as a block of one."""
+    detections at (signal, decoy, vacuum) intensity, an (n, 3) array of n
+    points."""
     detected = exact_counts(detected)
-    if detected.ndim == 1:
-        return tuple(map(_first, yield_bounds(detected[None], intensities, eps, literal_upper)))
-    intervals = tuple(
-        fluctuation_interval(detected[..., k], eps, literal_upper) for k in range(3)
-    )
-    s0 = vacuum_bound(intervals, intensities)
-    return s0, single_photon_bound(intervals, s0, intensities)
+    intervals = tuple(fluctuation_interval(detected[..., k], setting) for k in range(3))
+    s0 = vacuum_bound(intervals, setting)
+    return s0, single_photon_bound(intervals, s0, setting)
 
 
-def class_bounds(
-    detected,
-    errors,
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    eps: float | None,
-    literal_upper: bool = False,
-) -> ClassBounds:
+def class_bounds(detected, errors, setting: Setting) -> ClassBounds:
     """The full chain: vacuum, single-photon, error count, then error rate.
     ``errors`` is laid out as ``detected``. The error count at signal intensity
     enters only the cap: it gets no interval."""
     detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected: one rule
-    if detected.ndim == 1:
-        block = class_bounds(detected[None], errors[None], intensities, eps, literal_upper)
-        return ClassBounds(*map(_first, (block.s0, block.s1, block.t, block.e)))
-    s0, s1 = yield_bounds(detected, intensities, eps, literal_upper)
-    intervals = tuple(fluctuation_interval(errors[..., k], eps, literal_upper) for k in (1, 2))
+    s0, s1 = yield_bounds(detected, setting)
+    intervals = tuple(fluctuation_interval(errors[..., k], setting) for k in (1, 2))
     cap = errors[..., 0] + errors[..., 1] + errors[..., 2]
-    t = error_count_bound(intervals, intensities, cap)
+    t = error_count_bound(intervals, setting, cap)
     return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))

@@ -323,7 +323,7 @@ def analyze_batch(
 
 
 def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> KeyRateReport:
-    eps = None if asymptotic else sec.eps_bar
+    setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
     inter: dict[str, np.ndarray] = {}
 
     def record(name: str, bound: decoy.BoundedCount) -> None:
@@ -340,13 +340,13 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
         return decoy.exact_counts(np.moveaxis(total, -1, 0))
 
     zz_detected, zz_errors = class_counts(*_ZZ)
-    s0_zz, s1_zz = decoy.yield_bounds(zz_detected, cfg.intensities, eps, literal)
+    s0_zz, s1_zz = decoy.yield_bounds(zz_detected, setting)
     record("s0_zz", s0_zz)
     record("s1_zz", s1_zz)
 
     rates = []
     for states, basis in _REQUIRED_CLASSES[1:]:
-        cls = decoy.class_bounds(*class_counts(states, basis), cfg.intensities, eps, literal)
+        cls = decoy.class_bounds(*class_counts(states, basis), setting)
         tag = states[0].value.lower() + "x"
         for name in ("s0", "s1", "t", "e"):
             record(f"{name}_{tag}", getattr(cls, name))

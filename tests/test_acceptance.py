@@ -59,6 +59,7 @@ def run_sandwich_study(seeds: int = SANDWICH_SEEDS) -> tuple[str, dict]:
     cfg = make_config(n_total=SANDWICH_N)
     ch = __import__("rfiqkd").ChannelParams()
     sec = SecurityParams()
+    setting = decoy.setting(cfg.intensities, sec.eps_bar)
     rows = ["seed,event_class,quantity,lower,true_value,upper,inside"]
     summary: dict[tuple[str, str], list[int]] = {}
     for seed in range(seeds):
@@ -67,18 +68,17 @@ def run_sandwich_study(seeds: int = SANDWICH_SEEDS) -> tuple[str, dict]:
         for name, states, basis, quantities in _CLASSES:
             det = obs.class_detected(states, basis)
             err = obs.class_errors(states, basis)
-            chain = decoy.class_bounds(det, err, cfg.intensities, sec.eps_bar)
+            chain = decoy.class_bounds([det], [err], setting)
             bounds = {"s0": chain.s0, "s1": chain.s1, "t": chain.t}
             true_s0, _ = oracle.true_counts(states, basis, 0)
             true_s1, true_t = oracle.true_counts(states, basis, 1)
             truths = {"s0": true_s0, "s1": true_s1, "t": true_t}
             for quantity in quantities:
-                bound = bounds[quantity]
+                lower, upper = bounds[quantity].lower[0], bounds[quantity].upper[0]
                 truth = truths[quantity]
-                inside = bound.lower <= truth <= bound.upper
+                inside = lower <= truth <= upper
                 rows.append(
-                    f"{seed},{name},{quantity},{bound.lower:.6f},{truth},"
-                    f"{bound.upper:.6f},{int(inside)}"
+                    f"{seed},{name},{quantity},{lower:.6f},{truth},{upper:.6f},{int(inside)}"
                 )
                 hit, total = summary.get((name, quantity), (0, 0))
                 summary[(name, quantity)] = (hit + int(inside), total + 1)
@@ -252,11 +252,12 @@ def test_criterion_06_fluctuation_coverage():
     rng = np.random.default_rng(123)
     draws = rng.binomial(100_000, 0.3, size=10_000)
     mean = 30_000.0
+    setting = decoy.setting(make_config().intensities, 1e-3)
     misses = sum(
         1
         for x in draws
         if not (lambda iv: iv.lower <= mean <= iv.upper)(
-            decoy.fluctuation_interval(float(x), 1e-3)
+            decoy.fluctuation_interval(float(x), setting)
         )
     )
     elapsed = time.monotonic() - started

@@ -25,11 +25,12 @@ from rfiqkd.keyrate import analyze_tallies
 
 TABLE = intensity_triple(0.55, 0.28, 0.0, 0.54, 0.36, 0.10)
 EPS = 1e-10
+SETTING = decoy.setting(TABLE, EPS)
 
 
 def intervals(counts, eps=EPS):
     """One fluctuation interval per observed count."""
-    return tuple(fluctuation_interval(count, eps) for count in counts)
+    return tuple(fluctuation_interval(count, decoy.setting(TABLE, eps)) for count in counts)
 
 
 def test_tau0_baseline_intensities():
@@ -50,31 +51,31 @@ def test_tau_normalized_to_poisson_cap():
 
 def test_fluctuation_deltas_at_zero():
     b = math.log(1.0 / EPS)
-    d_lo, d_up = fluctuation_deltas(0.0, EPS)
+    d_lo, d_up = fluctuation_deltas(0.0, SETTING)
     assert d_lo == pytest.approx(b)
     assert d_up == pytest.approx(2 * b)
 
 
 def test_fluctuation_deltas_at_1e6():
-    d_lo, d_up = fluctuation_deltas(1e6, EPS)
+    d_lo, d_up = fluctuation_deltas(1e6, SETTING)
     assert d_lo == pytest.approx(6797.66311591, abs=1e-2)
     assert d_up == pytest.approx(6809.20533940, abs=1e-2)
 
 
 def test_fluctuation_interval_shape():
-    iv = fluctuation_interval(1000.0, EPS)
+    iv = fluctuation_interval(1000.0, SETTING)
     assert iv.lower < iv.point == 1000.0 < iv.upper
-    small = fluctuation_interval(1.0, EPS)
+    small = fluctuation_interval(1.0, SETTING)
     assert small.lower == 0.0 and small.clamped
 
 
 def test_fluctuation_interval_literal_upper_is_vacuous():
-    iv = fluctuation_interval(1000.0, EPS, literal_upper=True)
+    iv = fluctuation_interval(1000.0, decoy.setting(TABLE, EPS, literal_upper=True))
     assert iv.upper < iv.point
 
 
 def test_fluctuation_disabled_collapses_to_point():
-    iv = fluctuation_interval(1234.0, None)
+    iv = fluctuation_interval(1234.0, decoy.setting(TABLE, None))
     assert iv.lower == iv.point == iv.upper == 1234.0
 
 
@@ -82,7 +83,7 @@ def test_fluctuation_monotone_in_eps():
     # Weaker confidence (bigger eps) must never widen the interval.
     widths = []
     for eps in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
-        iv = fluctuation_interval(5e4, eps)
+        iv = fluctuation_interval(5e4, decoy.setting(TABLE, eps))
         widths.append(iv.upper - iv.lower)
     assert all(a >= b for a, b in zip(widths, widths[1:]))
 
@@ -94,7 +95,7 @@ def test_fluctuation_coverage_binomial():
     mean = 30_000.0
     misses = 0
     for x in draws:
-        iv = fluctuation_interval(float(x), 1e-3)
+        iv = fluctuation_interval(float(x), decoy.setting(TABLE, 1e-3))
         if not iv.lower <= mean <= iv.upper:
             misses += 1
     assert misses <= 20  # 99.8 percent coverage
@@ -103,38 +104,37 @@ def test_fluctuation_coverage_binomial():
 def test_vacuum_bound_omega_zero_collapse():
     # With a true vacuum setting the bound reduces to tau0 * n_omega / p_omega.
     counts = (5000.0, 2000.0, 100.0)
-    res = vacuum_bound(intervals(counts), TABLE)
+    res = vacuum_bound(intervals(counts), SETTING)
     t0 = tau(0, TABLE)
-    lo_expected = t0 * fluctuation_interval(100.0, EPS).lower / 0.10
-    up_expected = t0 * fluctuation_interval(100.0, EPS).upper / 0.10
+    lo_expected = t0 * fluctuation_interval(100.0, SETTING).lower / 0.10
+    up_expected = t0 * fluctuation_interval(100.0, SETTING).upper / 0.10
     assert res.lower == pytest.approx(lo_expected)
     assert res.upper == pytest.approx(up_expected)
     assert res.point == pytest.approx(t0 * 100.0 / 0.10)
 
 
 def test_vacuum_bound_no_dark_counts():
-    res = vacuum_bound(intervals((5000.0, 2000.0, 0.0)), TABLE)
+    res = vacuum_bound(intervals((5000.0, 2000.0, 0.0)), SETTING)
     assert res.lower == 0.0
 
 
 def test_vacuum_bound_requires_nu_above_omega():
     flat = intensity_triple(0.55, 0.2, 0.2, 0.54, 0.36, 0.10)
     with pytest.raises(DecoyPreconditionError):
-        vacuum_bound(intervals((1.0, 1.0, 1.0)), flat)
+        decoy.setting(flat, EPS)
 
 
 def test_single_photon_bound_zero_counts():
-    s0 = vacuum_bound(intervals((0.0, 0.0, 0.0)), TABLE)
-    res = single_photon_bound(intervals((0.0, 0.0, 0.0)), s0, TABLE)
+    s0 = vacuum_bound(intervals((0.0, 0.0, 0.0)), SETTING)
+    res = single_photon_bound(intervals((0.0, 0.0, 0.0)), s0, SETTING)
     assert res.lower == 0.0
 
 
 def test_single_photon_bound_precondition():
     # mu * (nu - omega) = 0.069 < nu^2 - omega^2 = 0.0759
     tight = intensity_triple(0.3, 0.28, 0.05, 0.54, 0.36, 0.10)
-    s0 = BoundedCount(0.0, 0.0, 0.0)
     with pytest.raises(DecoyPreconditionError):
-        single_photon_bound(intervals((1.0, 1.0, 1.0)), s0, tight)
+        decoy.setting(tight, EPS)
 
 
 def test_single_photon_scale_at_operating_point(ch):
@@ -150,23 +150,23 @@ def test_single_photon_scale_at_operating_point(ch):
     for k in TABLE:
         gain = 1 - (1 - ch.e_d) * math.exp(-eta * k.mean_photons)
         counts.append(n_total * 0.77 * k.probability * gain)
-    s0 = vacuum_bound(intervals(counts), TABLE)
-    s1 = single_photon_bound(intervals(counts), s0, TABLE)
+    s0 = vacuum_bound(intervals(counts), SETTING)
+    s1 = single_photon_bound(intervals(counts), s0, SETTING)
     assert 3.3e7 / 2 <= s1.lower <= 3.3e7 * 2
 
 
 def test_error_count_bound_zero_errors():
-    res = error_count_bound(intervals((0.0, 0.0)), TABLE, cap=1e9)
+    res = error_count_bound(intervals((0.0, 0.0)), SETTING, cap=1e9)
     assert res.lower == 0.0
     assert 0.0 < res.upper < 1e4  # only fluctuation terms remain
 
 
 def test_error_count_bound_bar_swap_symmetry():
     counts = (4000.0, 900.0, 40.0)
-    res = error_count_bound(intervals(counts[1:]), TABLE, cap=1e9)
+    res = error_count_bound(intervals(counts[1:]), SETTING, cap=1e9)
     t1 = tau(1, TABLE)
-    iv_nu = fluctuation_interval(900.0, EPS)
-    iv_om = fluctuation_interval(40.0, EPS)
+    iv_nu = fluctuation_interval(900.0, SETTING)
+    iv_om = fluctuation_interval(40.0, SETTING)
     coef = t1 / 0.28
     lo = coef * (math.exp(0.28) * iv_nu.lower / 0.36 - iv_om.upper / 0.10)
     up = coef * (math.exp(0.28) * iv_nu.upper / 0.36 - iv_om.lower / 0.10)
@@ -202,21 +202,22 @@ def test_bounds_scale_consistency():
     # Ten times the data shrinks the per-pulse interval width.
     counts = (50_000.0, 18_000.0, 900.0)
     scaled = tuple(10 * c for c in counts)
-    s0_a = vacuum_bound(intervals(counts), TABLE)
-    s0_b = vacuum_bound(intervals(scaled), TABLE)
-    s1_a = single_photon_bound(intervals(counts), s0_a, TABLE)
-    s1_b = single_photon_bound(intervals(scaled), s0_b, TABLE)
+    s0_a = vacuum_bound(intervals(counts), SETTING)
+    s0_b = vacuum_bound(intervals(scaled), SETTING)
+    s1_a = single_photon_bound(intervals(counts), s0_a, SETTING)
+    s1_b = single_photon_bound(intervals(scaled), s0_b, SETTING)
     assert s1_b.width / 10 < s1_a.width
     assert s0_b.width / 10 < s0_a.width
 
 
 def test_disabled_fluctuations_give_point_estimates():
     counts = (50_000.0, 18_000.0, 900.0)
-    s0 = vacuum_bound(intervals(counts, None), TABLE)
+    exact = decoy.setting(TABLE, None)
+    s0 = vacuum_bound(intervals(counts, None), exact)
     assert s0.lower == s0.point == s0.upper
-    s1 = single_photon_bound(intervals(counts, None), s0, TABLE)
+    s1 = single_photon_bound(intervals(counts, None), s0, exact)
     assert s1.lower == s1.point == s1.upper
-    t = error_count_bound(intervals((180.0, 4.0), None), TABLE, cap=1e9)
+    t = error_count_bound(intervals((180.0, 4.0), None), exact, cap=1e9)
     assert t.lower == t.point == t.upper
 
 
@@ -260,11 +261,12 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
     table, counts, errors = inputs
     (mu, p_mu), (nu, p_nu), (om, p_om) = ((k.mean_photons, k.probability) for k in table)
     t0, t1 = tau(0, table), tau(1, table)
-    iv_mu, iv_nu, iv_om = (fluctuation_interval(c, EPS) for c in counts)
+    setting = decoy.setting(table, EPS)
+    iv_mu, iv_nu, iv_om = (fluctuation_interval(c, setting) for c in counts)
     total = sum(counts)
 
     # S0 = tau0 / (nu - om) * (nu e^om N_om / p_om - om e^nu N_nu / p_nu)
-    s0 = vacuum_bound((iv_mu, iv_nu, iv_om), table)
+    s0 = vacuum_bound((iv_mu, iv_nu, iv_om), setting)
     assert_extremes(
         s0,
         [
@@ -277,7 +279,7 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
 
     # S1 = mu tau1 / (mu (nu - om) - (nu^2 - om^2)) * (e^nu N_nu / p_nu
     #      - e^om N_om / p_om + (nu^2 - om^2) / mu^2 * (S0 / tau0 - e^mu N_mu / p_mu))
-    s1 = single_photon_bound((iv_mu, iv_nu, iv_om), s0, table)
+    s1 = single_photon_bound((iv_mu, iv_nu, iv_om), s0, setting)
     a = mu * t1 / (mu * (nu - om) - (nu**2 - om**2))
     b = (nu**2 - om**2) / mu**2
     assert_extremes(
@@ -293,8 +295,8 @@ def test_worst_case_ends_are_the_corner_extremes(inputs):
     )
 
     # T1 = tau1 / (nu - om) * (e^nu M_nu / p_nu - e^om M_om / p_om)
-    er_nu, er_om = fluctuation_interval(errors[1], EPS), fluctuation_interval(errors[2], EPS)
-    t = error_count_bound((er_nu, er_om), table, sum(errors))
+    er_nu, er_om = (fluctuation_interval(m, setting) for m in errors[1:])
+    t = error_count_bound((er_nu, er_om), setting, sum(errors))
     assert_extremes(
         t,
         [

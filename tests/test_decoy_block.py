@@ -287,34 +287,38 @@ def at(value, i):
     return np.asarray(value)[i] if np.ndim(value) else value
 
 
+def point_of(bound, i):
+    """Point ``i`` of a block's bound."""
+    return decoy.BoundedCount(*(at(getattr(bound, end), i) for end in (
+        "lower", "point", "upper", "clamped", "degenerate")))
+
+
 @settings(max_examples=300, deadline=None)
 @given(chain_inputs())
 def test_chain_matches_the_per_point_reference(inputs):
     table, points, eps, literal_upper = inputs
     refs, error = reference_block(table, points, eps, literal_upper)
-    # each point alone, as a triple
-    for (detected, errors), ref in zip(points, refs):
-        got = decoy.class_bounds(tuple(detected), tuple(errors), table, eps, literal_upper)
-        for bound, ref_bound in zip((got.s0, got.s1, got.t, got.e), ref):
-            assert_point_matches(bound, ref_bound)
-    # every point as one block: int64 arrays of shape (n, 3)
+    setting = decoy.setting(table, eps, literal_upper)
+    # int64 arrays of shape (n, 3): each point as a block of one, then every point as one block
     detected = np.array([d for d, _ in points], dtype=np.int64)
     errors = np.array([e for _, e in points], dtype=np.int64)
     good = len(refs)
+    for i, ref in enumerate(refs):
+        got = decoy.class_bounds(detected[i : i + 1], errors[i : i + 1], setting)
+        for bound, ref_bound in zip((got.s0, got.s1, got.t, got.e), ref):
+            assert_point_matches(point_of(bound, 0), ref_bound)
     if good:
-        block = decoy.class_bounds(detected[:good], errors[:good], table, eps, literal_upper)
+        block = decoy.class_bounds(detected[:good], errors[:good], setting)
         for i, ref in enumerate(refs):
             for bound, ref_bound in zip((block.s0, block.s1, block.t, block.e), ref):
-                got = decoy.BoundedCount(*(at(getattr(bound, end), i) for end in (
-                    "lower", "point", "upper", "clamped", "degenerate")))
-                assert_point_matches(got, ref_bound)
+                assert_point_matches(point_of(bound, i), ref_bound)
     if error is not None:
         one = raised(lambda: decoy.class_bounds(
-            tuple(points[good][0]), tuple(points[good][1]), table, eps, literal_upper
+            detected[good : good + 1], errors[good : good + 1], setting
         ))
         # the block's error is the first point's, so the same message
         whole = raised(lambda: decoy.in_point_order(
-            lambda stop: decoy.class_bounds(detected[:stop], errors[:stop], table, eps, literal_upper),
+            lambda stop: decoy.class_bounds(detected[:stop], errors[:stop], setting),
             len(points),
         ))
         for exc in (one, whole):

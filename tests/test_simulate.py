@@ -368,6 +368,7 @@ def test_conservative_decoy_directions_cover_truth(ch, sec):
         ((StateLabel.X0,), BasisLabel.X),
         ((StateLabel.Y0,), BasisLabel.X),
     ]
+    setting = decoy.setting(cfg.intensities, sec.eps_bar)
     failures = 0
     trials = 0
     for seed in range(30):
@@ -376,7 +377,7 @@ def test_conservative_decoy_directions_cover_truth(ch, sec):
         for states, basis in classes:
             det = obs.class_detected(states, basis)
             err = obs.class_errors(states, basis)
-            chain = decoy.class_bounds(det, err, cfg.intensities, sec.eps_bar)
+            chain = decoy.class_bounds([det], [err], setting)
             s0, s1, t = chain.s0, chain.s1, chain.t
             true_s0, _ = oracle.true_counts(states, basis, 0)
             true_s1, true_t = oracle.true_counts(states, basis, 1)
