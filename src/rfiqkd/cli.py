@@ -138,7 +138,8 @@ _RANGES = {
     "drift_beta0_rad": _FINITE,
     "drift_rate_rad": _FINITE,
     "drift_amplitude_rad": _FINITE,
-    "drift_period": (lambda period: period > 0.0, "must be > 0"),
+    "drift_period": (lambda period: period > 0.0 and math.isfinite(TWO_PI / period),
+                     "must be > 0 with 2*pi/drift_period finite"),
 }
 # subcommand -> the config keys it reads
 COMMANDS: dict[str, frozenset[str]] = {
@@ -851,7 +852,8 @@ def main(
             out.write("\n".join(run.provenance_lines()) + "\n")
             return EXIT_OK
         cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
-        problems = sorted(validate_config(cfg, ch, sec) + [
+        named = (problem.partition(":") for problem in validate_config(cfg, ch, sec))
+        problems = sorted([_CHANNEL_KEY.get(key, key) + sep + rest for key, sep, rest in named] + [
             f"{key}: {need}, got {run[key]}"
             for key, (ok, need) in _RANGES.items() if not ok(run[key])
         ])

@@ -340,10 +340,7 @@ def validate_config(
     """
     bad: list[str] = []
 
-    mu = cfg.intensity(IntensityKind.MU)
-    nu = cfg.intensity(IntensityKind.NU)
-    om = cfg.intensity(IntensityKind.OMEGA)
-    for entry in (mu, nu, om):
+    for entry in cfg.intensities:
         if not 0.0 <= entry.mean_photons < math.inf:
             bad.append(
                 f"intensities.{entry.kind.value}: mean photon number must be finite and >= 0, "
@@ -353,16 +350,13 @@ def validate_config(
             bad.append(
                 f"intensities.{entry.kind.value}: probability must be in [0,1], got {entry.probability}"
             )
-    if not mu.mean_photons > nu.mean_photons + om.mean_photons:
-        bad.append(
-            "intensities: require mu > nu + omega, got "
-            f"mu={mu.mean_photons} nu={nu.mean_photons} omega={om.mean_photons}"
-        )
-    if not 0.0 <= om.mean_photons <= nu.mean_photons:
-        bad.append(
-            f"intensities: require 0 <= omega <= nu, got omega={om.mean_photons} nu={nu.mean_photons}"
-        )
-    psum = mu.probability + nu.probability + om.probability
+    if not bad:  # the decoy bounds' own preconditions; eps_bar is checked below
+        from .decoy import DecoyPreconditionError, setting  # decoy imports core
+        try:
+            setting(cfg.intensities, None)
+        except DecoyPreconditionError as exc:
+            bad.append(str(exc))
+    psum = sum(entry.probability for entry in cfg.intensities)
     if abs(psum - 1.0) > PROB_TOL:
         bad.append(f"intensities: selection probabilities must sum to 1, got {psum!r}")
 
@@ -395,8 +389,8 @@ def validate_config(
 
     for name in ("eps_bar", "eps_ec", "eps_pa"):
         val = getattr(sec, name)
-        if not 0.0 < val < 1.0:
-            bad.append(f"{name}: must be in (0,1), got {val}")
+        if not (0.0 < val < 1.0 and math.isfinite(2.0 / val)):
+            bad.append(f"{name}: must be in (0,1) with 2/{name} finite, got {val}")
     if not 1.0 <= sec.f_ec < math.inf:
         bad.append(f"f_ec: must be finite and >= 1, got {sec.f_ec}")
 

@@ -17,12 +17,12 @@ the point's index as the error's ``point``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, log
+from math import exp, factorial, isfinite, log, nan
 from typing import Callable
 
 import numpy as np
 
-from .core import IntensityClass
+from .core import MAX_PULSES, IntensityClass
 
 
 class DecoyPreconditionError(ValueError):
@@ -100,10 +100,9 @@ def tau(n: int, intensities: tuple[IntensityClass, ...]) -> float:
 
 @dataclass(frozen=True)
 class Setting:
-    """The constants of the closed-form bounds for one (signal, decoy,
-    vacuum) intensity triple and ε, built by ``setting``: the selection
-    probabilities, τ0, e^k, each formula's coefficients and ``b = log(1/ε)``
-    (None: no fluctuations). Each formula is a method over its counts."""
+    """The constants of the closed-form bounds for one (signal, decoy, vacuum)
+    intensity triple and ε, built by ``setting``: the selection probabilities,
+    τ0, e^k, the coefficients and ``b = log(1/ε)``, and each formula as a method."""
 
     p_mu: float
     p_nu: float
@@ -121,51 +120,60 @@ class Setting:
     b: float | None
     literal_upper: bool
 
-    def vacuum(self, n_om_star, n_nu_star):
-        return self.vacuum_coef * (
-            self.nu_e_om * n_om_star / self.p_om - self.om_e_nu * n_nu_star / self.p_nu
-        )
+    def vacuum(self, n_om, n_nu):
+        return self.vacuum_coef * (self.nu_e_om * n_om / self.p_om - self.om_e_nu * n_nu / self.p_nu)
 
-    def single_photon(self, n_nu_star, s0_star, n_om_star, n_mu_star):
+    def single_photon(self, n_nu, s0, n_om, n_mu):
         return self.single_coef * (
-            self.e_nu * n_nu_star / self.p_nu
-            - self.e_om * n_om_star / self.p_om
-            + self.ratio * (s0_star / self.t0 - self.e_mu * n_mu_star / self.p_mu)
+            self.e_nu * n_nu / self.p_nu
+            - self.e_om * n_om / self.p_om
+            + self.ratio * (s0 / self.t0 - self.e_mu * n_mu / self.p_mu)
         )
 
-    def error_count(self, m_nu_star, m_om_star):
-        return self.error_coef * (
-            self.e_nu * m_nu_star / self.p_nu - self.e_om * m_om_star / self.p_om
-        )
+    def error_count(self, m_nu, m_om):
+        return self.error_coef * (self.e_nu * m_nu / self.p_nu - self.e_om * m_om / self.p_om)
 
 
 def setting(
-    intensities: tuple[IntensityClass, IntensityClass, IntensityClass],
-    eps: float | None,
-    literal_upper: bool = False,
+    intensities: tuple[IntensityClass, ...], eps: float | None, literal_upper: bool = False
 ) -> Setting:
-    """The bounds' constants for ``intensities`` and ``eps``, the probability
-    that a mean escapes its fluctuation interval on either side (None:
-    no fluctuations). ``literal_upper`` subtracts the upward deviation of
-    each interval instead of adding it, which produces an upper end below the
-    observation; that variant exists only for side-by-side comparison."""
+    """The bounds' constants for ``intensities`` and ``eps`` (None: no
+    fluctuations), and the one check of what the closed forms need, up to each
+    term a count of 2^62 builds: a failure raises ``DecoyPreconditionError``,
+    its message led by the key at fault."""
+
+    def need(ok, problem):
+        if not ok:
+            raise DecoyPreconditionError(problem)
+
+    for k in intensities:
+        need(k.probability > 0.0, f"p_{k.kind.value}: must be > 0, got {k.probability}")
     (mu, p_mu), (nu, p_nu), (om, p_om) = ((k.mean_photons, k.probability) for k in intensities)
-    if not nu > om:
-        raise DecoyPreconditionError(f"need nu > omega, got nu={nu} omega={om}")
+    need(nu > om, f"nu: must be > omega, got nu={nu} omega={om}")
     denom = mu * (nu - om) - (nu * nu - om * om)
-    if denom <= 0.0:
-        raise DecoyPreconditionError(
-            f"need mu*(nu-omega) > nu^2-omega^2, got mu={mu} nu={nu} omega={om}"
+    need(denom > 0.0, f"mu: need mu*(nu-omega) > nu^2-omega^2, got mu={mu} nu={nu} omega={om}")
+    b = None if eps is None else log(1.0 / eps) if 0.0 < eps < 1.0 else nan
+    need(b is None or isfinite(b), f"eps: must be in (0,1) with log(1/eps) finite, got {eps}")
+    try:
+        t0, t1 = tau(0, intensities), tau(1, intensities)
+        e_mu, e_nu, e_om = exp(mu), exp(nu), exp(om)
+        s = Setting(
+            p_mu, p_nu, p_om, t0, e_mu, e_nu, e_om, nu * e_om, om * e_nu,
+            t0 / (nu - om), mu * t1 / denom, (nu * nu - om * om) / (mu * mu), t1 / (nu - om),
+            b, literal_upper,
         )
-    if eps is not None and not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
-    t0, t1 = tau(0, intensities), tau(1, intensities)
-    e_mu, e_nu, e_om = exp(mu), exp(nu), exp(om)
-    return Setting(
-        p_mu, p_nu, p_om, t0, e_mu, e_nu, e_om, nu * e_om, om * e_nu,
-        t0 / (nu - om), mu * t1 / denom, (nu * nu - om * om) / (mu * mu), t1 / (nu - om),
-        None if eps is None else log(1.0 / eps), literal_upper,
-    )
+        n, z = float(MAX_PULSES), 0.0
+        for key, value, p, terms in (  # each count of each formula alone, s0 under omega
+            ("nu", nu, p_nu, (s.vacuum(z, n), s.single_photon(n, z, z, z), s.error_count(n, z))),
+            ("omega", om, p_om, (s.vacuum(n, z), s.single_photon(z, n, z, z),
+                                 s.single_photon(z, z, n, z), s.error_count(z, n))),
+            ("mu", mu, p_mu, (s.single_photon(z, z, z, n),)),
+        ):
+            need(all(map(isfinite, terms)),
+                 f"{key}: a count of 2^62 overflows a decoy bound, got {key}={value} p_{key}={p}")
+    except ArithmeticError as exc:  # e^mu overflows, or a divisor underflows to 0
+        raise DecoyPreconditionError(f"mu: the decoy constants fail ({exc}), got mu={mu}") from None
+    return s
 
 
 def fluctuation_deltas(x, setting: Setting):
@@ -183,8 +191,9 @@ def fluctuation_deltas(x, setting: Setting):
 
 
 def fluctuation_interval(x, setting: Setting) -> BoundedCount:
-    """Interval that contains the mean of an observed count; vacuous as a
-    bound under ``setting.literal_upper``."""
+    """Interval that contains the mean of an observed count. Under
+    ``literal_upper`` its upper end, below the observation, is vacuous as a
+    bound: that variant exists only for side-by-side comparison."""
     delta_lower, delta_upper = fluctuation_deltas(x, setting)
     lower = x - delta_lower
     clamped = lower < 0.0
@@ -209,10 +218,12 @@ def _worst_case(
     ``estimate`` takes the ``rising`` inputs (those it increases with) and
     then the ``falling`` ones. Its lower bound takes the rising inputs at
     their lower ends and the falling ones at their upper ends, and the
-    upper bound the reverse. Both ends are clamped to [0, cap].
+    upper bound the reverse. Finite ends are clamped to [0, cap], others raise.
     """
     raw_lower = estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling))
     raw_upper = estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling))
+    finite = np.isfinite(np.asarray((raw_lower, raw_upper), dtype=float)).all(axis=0)
+    raise_at(~finite, NonPhysicalEstimateError, lambda i: f"{name}: a raw bound is not finite")
     lower, cl = _clamp(raw_lower, 0.0, cap)
     upper, cu = _clamp(raw_upper, 0.0, cap)
 

@@ -1,11 +1,15 @@
 import io
 import math
 import re
+import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfiqkd import analyze_tallies, baselines, channel, cli
 from rfiqkd.channel import expected_tallies
@@ -48,7 +52,9 @@ def test_invalid_config_is_exit_one(tmp_path):
     bad.write_text("mu = 0.2\nnu = 0.28\n")
     code, _, err = run_cli(["point", "--config", str(bad)])
     assert code == cli.EXIT_ERROR
-    assert "mu > nu + omega" in err
+    assert err == (
+        "config error: mu: need mu*(nu-omega) > nu^2-omega^2, got mu=0.2 nu=0.28 omega=0.0\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -68,6 +74,28 @@ def test_a_non_finite_value_is_a_config_error(tmp_path, line, message):
     assert code == cli.EXIT_ERROR
     assert out == ""
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("nu = 0.1\nomega = 0.1\n", "nu: must be > omega, got nu=0.1 omega=0.1"),
+        ("nu = 1e-320\n", "nu: a count of 2^62 overflows a decoy bound, got nu=1e-320 p_nu=0.36"),
+        ("mu = 800\nnu = 1\n", "mu: the decoy constants fail (math range error), got mu=800.0"),
+        ("mu = 700\nnu = 1\n", "mu: a count of 2^62 overflows a decoy bound, got mu=700.0 p_mu=0.54"),
+        ("p_omega = 0\np_mu = 0.64\n", "p_omega: must be > 0, got 0.0"),
+        ("eps_bar = 1e-320\n", "eps_bar: must be in (0,1) with 2/eps_bar finite, got 1e-320"),
+        ("eps_ec = 1e-320\n", "eps_ec: must be in (0,1) with 2/eps_ec finite, got 1e-320"),
+        ("beta_rad = 7\n", "beta_rad: must be in [0, 2*pi), got 7.0"),
+    ],
+    ids=["nu-equals-omega", "nu-subnormal", "mu-800", "mu-700", "p_omega-0", "eps_bar-tiny",
+         "eps_ec-tiny", "beta_rad-7"],
+)
+def test_an_intensity_or_epsilon_probe_is_one_config_error(tmp_path, lines, message):
+    config = tmp_path / "probe.cfg"
+    config.write_text(lines)
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert (code, out, err) == (cli.EXIT_ERROR, "", f"config error: {message}\n")
 
 
 def test_a_repeated_config_key_names_both_lines(tmp_path):
@@ -110,7 +138,11 @@ def test_distance_must_be_finite_and_non_negative(argv):
         ("n_slices = -1\n", "n_slices: must be >= 1, got -1"),
         (
             "drift = sinusoidal\nn_slices = 4\ndrift_period = 0\n",
-            "drift_period: must be > 0, got 0.0",
+            "drift_period: must be > 0 with 2*pi/drift_period finite, got 0.0",
+        ),
+        (
+            "drift = sinusoidal\nn_slices = 4\ndrift_period = 1e-320\n",
+            "drift_period: must be > 0 with 2*pi/drift_period finite, got 1e-320",
         ),
         (
             "drift = linear\nn_slices = 4\ndrift_rate_rad = nan\n",
@@ -748,3 +780,30 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
         "expected_tallies": 1, "analyze_batch": 1, "run_six_four": 1, "run_six_state": 1,
         "transmittance": 3 * 2 * 61,
     }
+
+
+# -- config fuzz ----------------------------------------------------------------
+
+_FUZZ_KEYS = ("mu", "nu", "omega", "p_mu", "p_nu", "p_omega", "eps_bar", "eps_ec", "eps_pa",
+              "beta_rad")
+_FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "1e300")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)))
+def test_fuzzed_intensity_and_epsilon_configs_fail_cleanly(values):
+    # a key left out keeps its default; block sizes and slice counts are not
+    # drawn, so no run allocates a large trace
+    lines = "".join(f"{key} = {value}\n" for key, value in values.items())
+    with tempfile.TemporaryDirectory() as folder:
+        config = Path(folder) / "fuzz.cfg"
+        config.write_text(lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["point", "--config", str(config)])
+    assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_NO_KEY)
+    assert not re.search(r"\b(nan|inf)\b", out), out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == cli.EXIT_ERROR:
+        assert out == ""
+        assert all(line.startswith(("config error: ", "error: ")) for line in err.splitlines())

@@ -28,7 +28,7 @@ def test_intensity_ordering_rejected(ch, sec):
     cfg = make_config(intensities=__import__("rfiqkd").intensity_triple(
         0.3, 0.28, 0.1, 0.54, 0.36, 0.10))
     problems = validate_config(cfg, ch, sec)
-    assert any("mu > nu + omega" in p for p in problems)
+    assert "mu: need mu*(nu-omega) > nu^2-omega^2, got mu=0.3 nu=0.28 omega=0.1" in problems
 
 
 def test_probability_sum_checked(ch, sec):

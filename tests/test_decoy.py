@@ -124,6 +124,35 @@ def test_vacuum_bound_requires_nu_above_omega():
         decoy.setting(flat, EPS)
 
 
+@pytest.mark.parametrize(
+    "table, eps, message",
+    [
+        (intensity_triple(0.55, 0.28, 0.0, 0.9, 0.1, 0.0), EPS, "p_omega: must be > 0, got 0.0"),
+        (TABLE, 1.0, "eps: must be in (0,1) with log(1/eps) finite, got 1.0"),
+        (TABLE, 1e-320, "eps: must be in (0,1) with log(1/eps) finite, got 1e-320"),
+        (TABLE, math.nan, "eps: must be in (0,1) with log(1/eps) finite, got nan"),
+        (intensity_triple(0.55, 1e-320, 0.0, 0.54, 0.36, 0.10), EPS,
+         "nu: a count of 2^62 overflows a decoy bound, got nu=1e-320 p_nu=0.36"),
+        (intensity_triple(0.55, 0.28, 0.0, 0.54, 0.36, 5e-324), EPS,
+         "omega: a count of 2^62 overflows a decoy bound, got omega=0.0 p_omega=5e-324"),
+        (intensity_triple(710.0, 0.28, 0.0, 0.54, 0.36, 0.10), EPS,
+         "mu: the decoy constants fail (math range error), got mu=710.0"),
+    ],
+)
+def test_the_setting_names_the_key_at_fault(table, eps, message):
+    with pytest.raises(DecoyPreconditionError) as info:
+        decoy.setting(table, eps)
+    assert str(info.value) == message
+
+
+def test_a_non_finite_raw_end_raises_at_its_point():
+    finite = fluctuation_interval(np.array([100.0, 100.0]), SETTING)
+    broken = BoundedCount(finite.lower, finite.point, np.array([finite.upper[0], math.inf]))
+    with pytest.raises(decoy.NonPhysicalEstimateError, match="^vacuum count: ") as info:
+        vacuum_bound((finite, finite, broken), SETTING)
+    assert info.value.point == 1
+
+
 def test_single_photon_bound_zero_counts():
     s0 = vacuum_bound(intervals((0.0, 0.0, 0.0)), SETTING)
     res = single_photon_bound(intervals((0.0, 0.0, 0.0)), s0, SETTING)
@@ -354,6 +383,17 @@ def test_each_observed_count_gets_one_interval(monkeypatch, cfg, ch, sec, runner
     assert [tag for tag, _ in read] == ["s0", "s1"] * (len(read) // 2)
     for (_, vacuum), (_, single) in zip(read[::2], read[1::2]):
         assert all(a is b for a, b in zip(vacuum, single))
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_an_analysis_builds_its_constants_once(monkeypatch, cfg, ch, sec, runner):
+    calls = []
+    for name in ("tau", "log"):
+        original = getattr(decoy, name)
+        monkeypatch.setattr(decoy, name, lambda *args, f=original, name=name: (
+            calls.append(name), f(*args))[1])
+    RUNNERS[runner][0](cfg, ch, sec)
+    assert sorted(calls) == ["log", "tau", "tau"]
 
 
 def test_intervals_follow_the_observed_counts(monkeypatch, cfg, ch, sec):
