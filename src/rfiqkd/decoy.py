@@ -26,7 +26,7 @@ from .core import MAX_PULSES, IntensityClass
 
 
 class DecoyPreconditionError(ValueError):
-    """The intensity settings do not admit the closed-form bounds."""
+    """The intensity settings or ε do not admit the closed-form bounds."""
 
 
 class NonPhysicalEstimateError(ValueError):
@@ -137,10 +137,10 @@ class Setting:
 def setting(
     intensities: tuple[IntensityClass, ...], eps: float | None, literal_upper: bool = False
 ) -> Setting:
-    """The bounds' constants for ``intensities`` and ``eps`` (None: no
-    fluctuations), and the one check of what the closed forms need, up to each
-    term a count of 2^62 builds: a failure raises ``DecoyPreconditionError``,
-    its message led by the key at fault."""
+    """The bounds' constants for ``intensities`` and ``eps``, the chance that a
+    mean escapes its interval on either side (None: no fluctuations), and the
+    one check of what the closed forms need, up to each term a count of 2^62
+    builds: a failure raises ``DecoyPreconditionError`` led by the key at fault."""
 
     def need(ok, problem):
         if not ok:

@@ -388,10 +388,18 @@ def test_each_observed_count_gets_one_interval(monkeypatch, cfg, ch, sec, runner
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_an_analysis_builds_its_constants_once(monkeypatch, cfg, ch, sec, runner):
     calls = []
-    for name in ("tau", "log"):
+
+    def count(name):
         original = getattr(decoy, name)
-        monkeypatch.setattr(decoy, name, lambda *args, f=original, name=name: (
-            calls.append(name), f(*args))[1])
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(decoy, name, counted)
+
+    count("tau")
+    count("log")
     RUNNERS[runner][0](cfg, ch, sec)
     assert sorted(calls) == ["log", "tau", "tau"]
 

@@ -236,14 +236,14 @@ def faulty_batches(draw):
         fault = draw(st.sampled_from(["missing", "errors", "budget", "pair", "negative"]))
         if fault == "missing":  # as the reader marks a cell it has not read
             row[:] = [-1, -1, -1]
-        elif fault == "errors":
-            row[2] = row[1] + draw(st.integers(1, MAX_PULSES))
+        elif fault == "errors":  # detected <= 2^62: the sum stays within int64
+            row[2] = row[1] + draw(st.integers(1, MAX_PULSES - 1))
         elif fault == "budget":  # in both rows of the pair, which stay equal
             sent = draw(st.integers(MAX_PULSES + 1, 2**63 - 1))
             for other in BASES:
                 table[ALL_CELLS.index((state, other, kind))][0] = sent
-        elif fault == "pair":
-            row[0] += 1
+        elif fault == "pair":  # one step that stays within int64, after a budget fault too
+            row[0] += 1 if row[0] < 2**63 - 1 else -1
         else:
             row[draw(st.integers(1, 2))] = -draw(st.integers(1, 2**63))
     indices = None
