@@ -57,9 +57,9 @@ def _class_counts(
     bob_prob: float,
     e_mis: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expected (detections, errors) of one merged class, (n, 3) arrays over
-    the intensities, from each point's ``absorbed = exp(-eta * k)`` and block
-    size, an (n, 1) float array."""
+    """Expected (detections, errors) of merged classes, (n, [classes,] 3) arrays,
+    from each point's ``absorbed = exp(-eta * k)`` and block size, (n, [1,] 3)
+    and (n, [1,] 1) arrays, and (classes, 1) receiver probabilities and errors."""
     scale = block * alice_prob * [k.probability for k in cfg.intensities] * bob_prob
     gain, error = pulse_probabilities(absorbed, e_mis, ch.e_d)
     detected = np.rint(scale * gain)
@@ -90,17 +90,16 @@ def _run(
     blocks = sizes.astype(float).reshape(-1, 1)
     setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
     p_half = (1.0 - cfg.p_z_alice) / 2.0
+    bob_prob, projection = np.array(quadratures).T[..., None]  # (classes, 1) each
+    e_mis = quadrature_error(ch.e0, projection)
 
     def evaluate(stop: int) -> BaselineReport:
-        z, x, block = absorbed[0][:stop], absorbed[1][:stop], blocks[:stop]
+        z, x, block = absorbed[0][:stop], absorbed[1][:stop, None], blocks[:stop]
         zz_detected, zz_errors = _class_counts(cfg, ch, z, block, cfg.p_z_alice, p_z_bob, ch.e0)
-        correlators = []
-        for bob_prob, projection in quadratures:
-            detected, errors = _class_counts(
-                cfg, ch, x, block, p_half, bob_prob, quadrature_error(ch.e0, projection)
-            )
-            e = decoy.class_bounds(detected, errors, setting).e
-            correlators.append(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower))
+        # the quadrature classes as one (n, classes, 3) block
+        detected, errors = _class_counts(cfg, ch, x, block[:, None], p_half, bob_prob, e_mis)
+        e = decoy.class_bounds(detected, errors, setting).e
+        correlators = list(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower).T)
 
         n_zz = zz_detected[:, 0] + zz_detected[:, 1] + zz_detected[:, 2]  # as sum() adds
         e_zz, _ = decoy.divide(zz_errors[:, 0] + zz_errors[:, 1] + zz_errors[:, 2], n_zz, 0.0)

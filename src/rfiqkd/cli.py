@@ -27,6 +27,7 @@ from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
+from itertools import compress, product
 from typing import Collection, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -640,9 +641,10 @@ def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) 
     marks["degenerate"] = np.zeros(len(distances), dtype=bool)
     for key in (key for key in flags if key.endswith("_degenerate")):
         marks["degenerate"] |= flags[key]
-    names = sorted(marks)
-    flagged = [";".join(name for name, on in zip(names, point) if on)
-               for point in zip(*(marks[name].tolist() for name in names))]
+    names = sorted(marks)  # a point's marks as a bitmask, the first name its highest bit
+    code = sum(marks[name] << (len(names) - 1 - j) for j, name in enumerate(names))
+    labels = [";".join(compress(names, bits)) for bits in product((0, 1), repeat=len(names))]
+    flagged = map(labels.__getitem__, code.tolist())
     return [template % row for row in zip(distances, sizes, *values, flagged)]
 
 

@@ -6,13 +6,13 @@ fluctuations of each observed count are absorbed first, into one interval
 per count, then the closed-form vacuum / single-photon expressions are
 evaluated with the worst-case ends of those intervals.
 
-Counts and bounds are arrays with one entry per point of a block; a number
-is a block of one. Only the constants of a ``Setting`` need a transcendental,
-once per analysis; per point the chain is arithmetic and ``sqrt``, which IEEE
-754 rounds correctly in numpy and ``math`` alike, so each entry equals the
-per-point result bit for bit (``exact_counts`` keeps the integer arithmetic
-exact). A bound that fails at some points raises for the first of them, with
-the point's index as the error's ``point``.
+Counts and bounds are arrays with one entry per point of a block, and a class
+axis after it runs every class of an analysis in one call. Only a ``Setting``'s
+constants need a transcendental, once per analysis; per entry the chain is
+arithmetic and ``sqrt``, which IEEE 754 rounds correctly in numpy and ``math``
+alike, so each entry equals the per-point, per-class result bit for bit
+(``exact_counts`` keeps the integer arithmetic exact). A bound that fails raises
+for the first failing point, its index on the point axis as the error's ``point``.
 """
 from __future__ import annotations
 
@@ -47,15 +47,23 @@ class BoundedCount:
     def width(self) -> float:
         return self.upper - self.lower
 
+    def __getitem__(self, index) -> "BoundedCount":
+        """The entries at ``index`` of each field; a flag left at its default stays."""
+        return BoundedCount(*(np.asarray(f)[index] if np.ndim(f) else f for f in (
+            self.lower, self.point, self.upper, self.clamped, self.degenerate)))
+
+    __iter__ = None  # indexing does not make a bound a sequence
+
 
 def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> None:
-    """Raise ``error(message(i))``, with ``point = i``, for the first point
-    ``i`` where ``bad`` holds."""
-    bad = np.asarray(bad)
+    """Raise ``error(message(i))`` for the first entry ``i`` (a flat index)
+    where ``bad`` holds, with the entry's index along the leading axis as the
+    error's ``point``."""
+    bad = np.atleast_1d(bad)
     if bad.any():
         i = int(bad.argmax())
         exc = error(message(i))
-        exc.point = i
+        exc.point = i // (bad.size // len(bad))
         raise exc
 
 
@@ -302,11 +310,11 @@ class ClassBounds:
 
 
 def yield_bounds(detected, setting: Setting) -> tuple[BoundedCount, BoundedCount]:
-    """Vacuum and single-photon detection bounds of one event class from its
+    """Vacuum and single-photon detection bounds of event classes from their
     detections at (signal, decoy, vacuum) intensity, an (n, 3) array of n
-    points."""
-    detected = exact_counts(detected)
-    intervals = tuple(fluctuation_interval(detected[..., k], setting) for k in range(3))
+    points or an (n, classes, 3) one."""
+    iv = fluctuation_interval(exact_counts(detected), setting)  # one per count array
+    intervals = tuple(iv[..., k] for k in range(3))
     s0 = vacuum_bound(intervals, setting)
     return s0, single_photon_bound(intervals, s0, setting)
 
@@ -314,10 +322,21 @@ def yield_bounds(detected, setting: Setting) -> tuple[BoundedCount, BoundedCount
 def class_bounds(detected, errors, setting: Setting) -> ClassBounds:
     """The full chain: vacuum, single-photon, error count, then error rate.
     ``errors`` is laid out as ``detected``. The error count at signal intensity
-    enters only the cap: it gets no interval."""
+    enters only the cap: it gets no interval. At the point where (n, classes, 3)
+    counts fail, the classes run one at a time: the first failing one raises."""
     detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected: one rule
-    s0, s1 = yield_bounds(detected, setting)
-    intervals = tuple(fluctuation_interval(errors[..., k], setting) for k in (1, 2))
-    cap = errors[..., 0] + errors[..., 1] + errors[..., 2]
-    t = error_count_bound(intervals, setting, cap)
+    try:
+        s0, s1 = yield_bounds(detected, setting)
+        iv = fluctuation_interval(errors[..., 1:], setting)
+        cap = errors[..., 0] + errors[..., 1] + errors[..., 2]
+        t = error_count_bound((iv[..., 0], iv[..., 1]), setting, cap)
+    except ValueError as exc:
+        p = exc.point
+        for c in range(detected.shape[1] if detected.ndim > 2 else 0):
+            try:
+                class_bounds(detected[p : p + 1, c], errors[p : p + 1, c], setting)
+            except ValueError as first:
+                first.point = p
+                raise first from None
+        raise
     return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))

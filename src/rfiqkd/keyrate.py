@@ -238,6 +238,7 @@ _CLASS_ROWS = {
     for states, basis in _REQUIRED_CLASSES
 }
 _ZZ = _REQUIRED_CLASSES[0]
+_X_ROWS = [_CLASS_ROWS[key] for key in _REQUIRED_CLASSES[1:]]
 
 
 def _missing_cells(counts: np.ndarray) -> str | None:
@@ -334,25 +335,23 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
         if np.ndim(bound.degenerate):  # only an error rate can be degenerate
             inter[f"{name}_degenerate"] = bound.degenerate
 
-    def class_counts(states, basis):
-        # (n, 3) detections and errors; uint64 holds the sum of two cells
-        total = sum(counts[:, rows, 1:].astype(np.uint64) for rows in _CLASS_ROWS[(states, basis)])
+    def class_counts(rows):
+        # detections and errors, (n, ..., 3); uint64 holds the sum of two cells
+        total = counts[:, rows, 1:].astype(np.uint64).sum(axis=-3)
         return decoy.exact_counts(np.moveaxis(total, -1, 0))
 
-    zz_detected, zz_errors = class_counts(*_ZZ)
+    zz_detected, zz_errors = class_counts(_CLASS_ROWS[_ZZ])
     s0_zz, s1_zz = decoy.yield_bounds(zz_detected, setting)
     record("s0_zz", s0_zz)
     record("s1_zz", s1_zz)
 
-    rates = []
-    for states, basis in _REQUIRED_CLASSES[1:]:
-        cls = decoy.class_bounds(*class_counts(states, basis), setting)
-        tag = states[0].value.lower() + "x"
+    # the four X-basis classes as one (n, 4, 3) block
+    xs = decoy.class_bounds(*class_counts(_X_ROWS), setting)
+    for j, (states, _) in enumerate(_REQUIRED_CLASSES[1:]):
         for name in ("s0", "s1", "t", "e"):
-            record(f"{name}_{tag}", getattr(cls, name))
-        rates.append(cls.e)
+            record(f"{name}_{states[0].value.lower()}x", getattr(xs, name)[:, j])
 
-    cb = security.c_bounds(*rates, literal_c1_lower=literal)
+    cb = security.c_bounds(*(xs.e[:, j] for j in range(4)), literal_c1_lower=literal)
     for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
         inter[name] = getattr(cb, name)
     inter["c44_clamped"] = cb.clamped

@@ -144,6 +144,27 @@ def test_runs_are_written_as_they_end(tmp_path, monkeypatch):
     ]
 
 
+def test_append_to_a_missing_record_starts_it(tmp_path, monkeypatch):
+    def run_once(checkout, workload, seed, seconds, trace):
+        result = run("x", seed, 100.0, 40.0)["result"]
+        result["metrics"]["setup_s"] = {"value": 0.1, "unit": "s"}
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc1234")
+    out = tmp_path / "BENCH.json"
+    for workload in ("curves", "replay"):  # the first --append creates --out
+        bench_pairs.main(["--parent", "HEAD", "--workload", workload, "--seeds", "1",
+                          "--out", str(out), "--append"])
+    record = bench_pairs.json.loads(out.read_text())
+    assert [(r["workload"], r["side"]) for r in record["runs"]] == [
+        ("curves", "parent"), ("curves", "change"), ("replay", "parent"), ("replay", "change")
+    ]
+    assert [line.split()[0] for line in record["order"]] == ["curves", "replay"]
+    assert sorted(record["summary"]) == ["curves", "replay"]
+
+
 def test_both_sides_run_outside_the_repository(tmp_path, monkeypatch):
     # a repository with one commit, then an edit, an untracked file, an
     # ignored file and a deletion that are not committed

@@ -153,6 +153,15 @@ def test_a_non_finite_raw_end_raises_at_its_point():
     assert info.value.point == 1
 
 
+@pytest.mark.parametrize("shape, point", [((12,), 6), ((3, 4), 1), ((2, 3, 2), 1), ((), 0)])
+def test_raise_at_names_the_leading_index_and_reads_the_flat_entry(shape, point):
+    values = np.arange(int(np.prod(shape))).reshape(shape) + 10
+    with pytest.raises(ValueError) as info:
+        decoy.raise_at(values >= 16 if shape else values == 10, ValueError,
+                       lambda i: f"entry {values.item(i)}")
+    assert (str(info.value), info.value.point) == (f"entry {16 if shape else 10}", point)
+
+
 def test_single_photon_bound_zero_counts():
     s0 = vacuum_bound(intervals((0.0, 0.0, 0.0)), SETTING)
     res = single_photon_bound(intervals((0.0, 0.0, 0.0)), s0, SETTING)
@@ -371,6 +380,11 @@ RUNNERS = {
 }
 
 
+def entries(made):
+    """The counts of the intervals built, one per entry of each count array."""
+    return [n for counts in made for n in np.ravel(counts).tolist()]
+
+
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_each_observed_count_gets_one_interval(monkeypatch, cfg, ch, sec, runner):
     run, count = RUNNERS[runner]
@@ -378,7 +392,7 @@ def test_each_observed_count_gets_one_interval(monkeypatch, cfg, ch, sec, runner
     run(cfg, ch, sec)
     # three detection counts and two error counts per class, the key class
     # without its errors
-    assert len(made) == count
+    assert len(entries(made)) == count
     # a class's single-photon bound reads the very intervals of its vacuum bound
     assert [tag for tag, _ in read] == ["s0", "s1"] * (len(read) // 2)
     for (_, vacuum), (_, single) in zip(read[::2], read[1::2]):
@@ -408,8 +422,13 @@ def test_intervals_follow_the_observed_counts(monkeypatch, cfg, ch, sec):
     tallies = at_200km(cfg, ch)
     made, _ = spy_on_intervals(monkeypatch)
     analyze_tallies(tallies, cfg, sec)
+    # the key class's detections, then the X-basis classes' detections and
+    # their errors at decoy and vacuum intensity, each in class order
     observed = list(tallies.class_detected((StateLabel.Z0, StateLabel.Z1), BasisLabel.Z))
-    for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0):
-        observed += tallies.class_detected((state,), BasisLabel.X)
-        observed += tallies.class_errors((state,), BasisLabel.X)[1:]
-    assert made == observed
+    x_classes = [(state,) for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0)]
+    for states in x_classes:
+        observed += tallies.class_detected(states, BasisLabel.X)
+    for states in x_classes:
+        observed += tallies.class_errors(states, BasisLabel.X)[1:]
+    assert entries(made) == observed
+    assert len(made) == 3  # one interval call per count array

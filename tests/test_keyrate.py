@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import ChannelParams, SecurityParams
+from rfiqkd import ChannelParams, SecurityParams, decoy
+from rfiqkd.baselines import run_six_four, run_six_state
 from rfiqkd.channel import expected_tallies
 from rfiqkd.core import (
     ALL_CELLS,
     CELL_INDEX,
     BasisLabel,
+    KINDS,
     IntensityKind,
     ObservedTallies,
     StateLabel,
@@ -145,7 +147,7 @@ def test_rho_tracks_drift_trace_ground_truth(ch):
 
 
 def _analytic_slices(cfg, ch, distance, betas):
-    from dataclasses import replace
+    from dataclasses import fields, replace
 
     per_slice = replace(cfg, n_total=cfg.n_total // len(betas))
     return expected_tallies(per_slice, ch, [distance] * len(betas), betas)
@@ -364,3 +366,152 @@ def test_a_batch_matches_the_python_int_reference(tables):
     for i, table in enumerate(tables):
         got = report_at(report, i)
         assert (got.n_zz, got.e_zz, got.key_length) == reference_analysis(table, cfg, sec)
+
+
+
+# -- the class axis against class-by-class evaluation ------------------------
+
+
+def one_class_at_a_time(class_bounds):
+    """``class_bounds`` as the analyses ran it before the chain took a class
+    axis: each class of (n, classes, 3) counts alone, over every point, with
+    the bounds stacked back along the class axis."""
+
+    def stacked(bounds):
+        ends = zip(*((b.lower, b.point, b.upper, b.clamped, b.degenerate) for b in bounds))
+        return decoy.BoundedCount(*(np.stack(e, axis=1) if np.ndim(e[0]) else e[0] for e in ends))
+
+    def per_class(detected, errors, setting):
+        detected, errors = np.asarray(detected), np.asarray(errors)
+        if detected.ndim < 3:
+            return class_bounds(detected, errors, setting)
+        chains = [class_bounds(detected[:, c], errors[:, c], setting) for c in range(detected.shape[1])]
+        return decoy.ClassBounds(*(
+            stacked([getattr(chain, name) for chain in chains]) for name in ("s0", "s1", "t", "e")
+        ))
+
+    return per_class
+
+
+def outcome(run):
+    """``run()``'s report, or its error as (type, message, point)."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+
+
+def stacked_and_class_by_class(run):
+    """``outcome(run)``, then the same with the classes run one at a time."""
+    stacked = outcome(run)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoy, "class_bounds", one_class_at_a_time(decoy.class_bounds))
+        return stacked, outcome(run)
+
+
+def assert_same_bits(a, b):
+    """Equal entry for entry, the sign of zero included, whatever the dtype."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
+        assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y), (x, y)
+
+
+def assert_same_outcome(stacked, alone, columns):
+    """The same error, or the same bits in every entry of ``columns(report)``."""
+    assert type(stacked) is type(alone)
+    if isinstance(alone, tuple):
+        assert stacked == alone
+        return
+    got, want = columns(stacked), columns(alone)
+    assert list(got) == list(want)
+    for name, column in want.items():
+        assert_same_bits(got[name], column)
+
+
+def report_columns(report):
+    """Every field of a batch report and every ``intermediate`` entry: each
+    class's s0/s1/t/e ends and points, and its clamped and degenerate flags."""
+    columns = {f.name: getattr(report, f.name) for f in fields(report)[:-1]}
+    return {**columns, **report.intermediate}
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_tables(), st.booleans(), st.booleans())
+def test_the_class_axis_matches_class_by_class_evaluation(tables, asymptotic, literal):
+    cfg, sec = make_config(), SecurityParams()
+    batch = TallyBatch(np.stack(tables))
+    stacked, alone = stacked_and_class_by_class(lambda: analyze_batch(
+        batch, cfg, sec, asymptotic=asymptotic, literal_paper_formulas=literal
+    ))
+    assert_same_outcome(stacked, alone, report_columns)
+    if isinstance(alone, tuple):
+        return
+    # and each class's intermediates are that class's own chain
+    setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
+    for state in (StateLabel.Z0, StateLabel.Z1, StateLabel.X0, StateLabel.Y0):
+        rows = batch.counts[:, [CELL_INDEX[(state, BasisLabel.X, kind)] for kind in KINDS]]
+        chain = decoy.class_bounds(rows[..., 1], rows[..., 2], setting)
+        for name in ("s0", "s1", "t", "e"):
+            bound, key = getattr(chain, name), f"{name}_{state.value.lower()}x"
+            for end in ("lower", "point", "upper", "clamped"):
+                assert_same_bits(stacked.intermediate[f"{key}_{end}"], getattr(bound, end))
+        assert_same_bits(stacked.intermediate[f"e_{state.value.lower()}x_degenerate"],
+                         chain.e.degenerate)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 50.0, 200.0]) | st.floats(0.0, 300.0),
+            st.sampled_from([10**3, 10**12, 2**62]) | st.integers(10**3, 2**62),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(0.0, 2 * math.pi),
+    st.booleans(),
+    st.booleans(),
+)
+@pytest.mark.filterwarnings("ignore:six-state:RuntimeWarning")
+def test_the_baselines_class_axis_matches_class_by_class_evaluation(
+    points, beta, asymptotic, literal
+):
+    cfg, ch, sec = make_config(), ChannelParams(beta=beta), SecurityParams()
+    distances, sizes = (list(column) for column in zip(*points))
+    for runner in (run_six_four, run_six_state):
+        stacked, alone = stacked_and_class_by_class(lambda: runner(
+            cfg, ch, sec, np.array(distances), asymptotic, literal, n_total=sizes
+        ))
+        assert_same_outcome(stacked, alone, lambda report: {
+            f.name: getattr(report, f.name) for f in fields(report)[1:]
+        })
+
+
+def test_a_point_raises_what_its_first_failing_class_raises(cfg, ch, sec):
+    # at 1e6 pulses the 300 km table passes the literal chain and the 0 km
+    # one fails it; the crafted Z1 rows fail only at the error count, after
+    # the single-photon count that the near X0 rows fail at
+    small = replace(cfg, n_total=10**6)
+    far, near = (expected_tallies(small, ch, [d])[0].counts for d in (300.0, 0.0))
+    crafted = far.copy()
+    z1, x0 = ([CELL_INDEX[(state, BasisLabel.X, kind)] for kind in KINDS]
+              for state in (StateLabel.Z1, StateLabel.X0))
+    crafted[z1, 1:] = [[10**5, 10**5], [500, 500], [0, 0]]
+    mixed = crafted.copy()
+    mixed[x0] = near[x0]
+    errors = {}
+    for name, table in (("far", far), ("crafted", crafted), ("near", near), ("mixed", mixed)):
+        errors[name] = outcome(lambda: analyze_tallies(
+            ObservedTallies(table), small, sec, literal_paper_formulas=True
+        ))
+    assert not isinstance(errors["far"], tuple)
+    assert errors["crafted"][1].startswith("single-photon error count: ")
+    assert errors["near"][1].startswith("single-photon count: ")
+    assert errors["mixed"][:2] == errors["crafted"][:2]
+    batch = TallyBatch(np.stack([far, mixed]))
+    stacked, alone = stacked_and_class_by_class(lambda: analyze_batch(
+        batch, small, sec, literal_paper_formulas=True
+    ))
+    assert stacked == alone == (*errors["crafted"][:2], 1)

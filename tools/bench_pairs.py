@@ -14,11 +14,12 @@ directory; even-numbered pairs run the parent first, odd ones the change.
 Every run's result line is kept, and ``--out`` is written again after
 each run, so a failing run loses none of the earlier ones;
 ``--append`` adds the new runs to those already in ``--out``, which
-resumes such a session. The summary, per workload and
-end-to-end metric of the untraced runs, gives each side's median,
-quartiles (linear interpolation) and run count, the ratio of the medians
-and the pairs the change won, in the direction ``BENCHMARK.json`` names;
-a tie counts for neither side. Two verdicts follow: ``within_bound``, the
+resumes such a session, or starts ``--out`` when it does not exist yet.
+The summary, per workload and end-to-end metric of the untraced runs,
+gives each side's median, quartiles (linear interpolation) and run count,
+the ratio of the medians and the pairs the change won, in the direction
+``BENCHMARK.json`` names; a tie counts for neither side. Two verdicts
+follow: ``within_bound``, the
 change's median is no worse than the parent's by more than the metric's
 ``bound`` (a share of the parent's median), and ``gain_rule_met``, the
 change won at least nine tenths of the pairs and its median is better by
@@ -159,7 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     seconds = spec["run_seconds"]
-    record = json.loads(args.out.read_text()) if args.append else {"runs": [], "order": []}
+    resume = args.append and args.out.exists()
+    record = json.loads(args.out.read_text()) if resume else {"runs": [], "order": []}
     record["order"].append(
         f"{args.workload} trace {args.trace} seeds {args.seeds}: even pairs run the parent first"
     )
