@@ -55,7 +55,7 @@ from .keyrate import (
     group_and_extract,
     total_pulses,
 )
-from .simulate import DriftTrace, drift_beta, sample_drifting_tallies, sample_tallies
+from .simulate import DriftTrace, drift_beta, sample_drifting_tallies
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -349,10 +349,12 @@ def write_tally_csv(batch: TallyBatch, out: TextIO) -> None:
     out.write(",".join(["slice"] * sliced + _TALLY_HEADER) + "\n")
     row = "%d," * sliced + "{},{},{},%d,%d,%d\n"
     table = "".join(row.format(*labels) for labels in _ROW_BY_LABELS)
+    buffer = np.empty((_WRITE_TABLES, len(ALL_CELLS), sliced + len(FIELDS)), dtype=np.int64)
     for start in range(0, len(batch), _WRITE_TABLES):
-        rows = batch.counts[start : start + _WRITE_TABLES]
+        rows = buffer[: min(_WRITE_TABLES, len(batch) - start)]
         if sliced:
-            rows = np.insert(rows, 0, np.arange(start, start + len(rows))[:, None], axis=2)
+            rows[:, :, 0] = np.arange(start, start + len(rows))[:, None]
+        rows[:, :, sliced:] = batch.counts[start : start + len(rows)]
         out.write(table * len(rows) % tuple(rows.ravel().tolist()))
 
 
@@ -624,8 +626,10 @@ def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[list, list, TallyBatc
         if mode == "analytic":
             yield block_sizes, at, expected_tallies(cfg, ch, at, n_total=block_sizes)
         else:
-            yield block_sizes, at, TallyBatch(np.stack([
-                sample_tallies(replace(cfg, n_total=n), ch, d, seed + j % per_size).counts
+            yield block_sizes, at, TallyBatch(np.concatenate([  # one-slice traces
+                sample_drifting_tallies(
+                    replace(cfg, n_total=n), ch, d, DriftTrace((ch.beta,), n), seed + j % per_size
+                ).counts
                 for j, n, d in zip(points, block_sizes, at)
             ]))
 

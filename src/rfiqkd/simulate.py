@@ -2,30 +2,34 @@
 
 Sampling is hierarchical and entirely count-based, so block sizes of 1e12
 pulses stay cheap. A drift trace is drawn ``BLOCK`` consecutive slices at a
-time, each block in three array draws over all its slices from one
-generator, in this order:
+time, each block in array draws over all its slices from one generator, in
+this order:
 
 1. a multinomial split of each slice's pulses over the 12 (state, intensity)
    pairs, states Z0, Z1, X0, Y0 times intensities mu, nu, omega;
 2. a binomial split of each pair over the receiver's passive basis choice
    (the Z share), which gives the 24 routed groups in ``ALL_CELLS`` order;
-3. a multinomial split of each routed group over the seven outcomes of one
-   pulse: an error in photon class n = 0, 1 or >= 2, a correct detection in
-   each class, or none. Pulses are independent, so this is the law of a
-   photon-number, detection and error chain, with no Poisson tail cut off.
+3a. a multinomial split of each routed group over an error, a correct
+    detection, or none;
+3b. for ``sample_tallies`` only, a multinomial split of each group's errors
+    over the photon classes n = 0, 1 and >= 2, then one of its correct
+    detections. Pulses are independent, so 3a and 3b have the law of a
+    photon-number, detection and error chain, with no Poisson tail cut off,
+    and 3b comes last, so the observable counts do not depend on it.
 
 Block ``j`` (slices ``j*BLOCK`` on) draws from a generator seeded with
-``(seed mod 2**64, j, 4)``, so blocks can be sampled in any order, or in
+``(seed mod 2**64, j, 5)``, so blocks can be sampled in any order, or in
 parallel, with bit-identical results. ``STREAM_VERSION`` changes whenever
 the draws do: version 1 used 13 streams per slice, version 2 one generator
 per slice, version 3 one per block over photon numbers up to a Poisson cap,
-version 4 the three photon classes.
+version 4 one seven-outcome draw over the three photon classes, version 5
+the observable outcomes first and the classes last.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -46,11 +50,9 @@ from .core import (
     TallyBatch,
 )
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 BLOCK = 128  # slices of a drift trace per generator and per array draw
-
-PHOTON_CLASSES = 3  # oracle columns: pulses of 0, 1 and >= 2 photons
 
 _PAIRS = tuple((s, k) for s in STATES for k in KINDS)
 
@@ -129,17 +131,22 @@ class _Sampler:
         # Per pulse and photon class, (24, 3): a photon detected (lit), or none
         # but a dark count, which is an error half of the time.
         dark_error = 0.5 * ch.e_d * (emitted - lit)
-        # The seven outcomes of one routed pulse are base + e_mis * slope: an
-        # error in each class, a correct detection in each class, then none.
+        # Step 3b's laws, (24, 2, 3): an error, then a correct detection, in
+        # each class is class_base + e_mis * class_slope. Step 3a's are their
+        # sums over the classes, then none: base + e_mis * slope, (24, 3).
+        self.class_base = np.stack((dark_error, lit + dark_error), axis=1)
+        self.class_slope = np.stack((lit, -lit), axis=1)
         missed = np.maximum(1.0 - lit.sum(axis=1) - 2.0 * dark_error.sum(axis=1), 0.0)
-        self.base = np.concatenate((dark_error, lit + dark_error, missed[:, None]), axis=1)
-        self.slope = np.concatenate((lit, -lit, np.zeros((len(ALL_CELLS), 1))), axis=1)
+        self.base = np.column_stack((self.class_base.sum(axis=2), missed))
+        self.slope = np.column_stack((self.class_slope.sum(axis=2), np.zeros_like(missed)))
 
     def block(
         self, betas: Sequence[float], n_pulses: int, seed: int, index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray]]]:
         """Block ``index`` of a trace, one slice of ``n_pulses`` per angle in ``betas``:
-        ``sent`` of shape (b, 24), ``detected`` and ``errors`` of shape (b, 24, 3)."""
+        ``sent`` of shape (b, 24), ``outcomes`` (b, 24, 3), each routed group's errors,
+        correct detections and pulses with none, and ``split``, which draws step 3b
+        and returns ``detected`` and ``errors`` (b, 24, 3) by photon class."""
         if not 0 <= n_pulses <= MAX_PULSES:
             raise ValueError(f"n_pulses {n_pulses} is outside the 64-bit count budget [0, 2**62]")
         b = len(betas)
@@ -156,17 +163,24 @@ class _Sampler:
         pvals = e_mis * self.slope
         pvals += self.base
         outcomes = rng.multinomial(routed, pvals)
-        errors = outcomes[:, :, :PHOTON_CLASSES]
-        detected = errors + outcomes[:, :, PHOTON_CLASSES:-1]
-        return np.concatenate((sent, sent), axis=2).reshape(b, -1), detected, errors
+
+        def split() -> tuple[np.ndarray, np.ndarray]:
+            probs = e_mis[..., None] * self.class_slope + self.class_base
+            totals = probs.sum(axis=3, keepdims=True)  # 0 where 3a drew none to split
+            np.divide(probs, totals, out=probs, where=totals > 0.0)
+            errors, correct = rng.multinomial(outcomes[:, :, :2], probs).transpose(2, 0, 1, 3)
+            return errors + correct, errors
+
+        return np.concatenate((sent, sent), axis=2).reshape(b, -1), outcomes, split
 
 
 def sample_tallies(
     cfg: ProtocolConfig, ch: ChannelParams, distance_km: float, seed: int
 ) -> OracleTallies:
-    """Draw one full block of tallies at the channel's rotation angle: a one-slice trace."""
-    drawn = _Sampler(cfg, ch, distance_km).block((ch.beta,), cfg.n_total, seed, 0)
-    return OracleTallies(*(array[0] for array in drawn))
+    """Draw one full block of tallies at the channel's rotation angle, a one-slice
+    trace, and then its photon classes."""
+    sent, _, split = _Sampler(cfg, ch, distance_km).block((ch.beta,), cfg.n_total, seed, 0)
+    return OracleTallies(sent[0], *(array[0] for array in split()))
 
 
 @dataclass(frozen=True)
@@ -230,11 +244,11 @@ def sample_drifting_tallies(
     sampler = _Sampler(cfg, ch, distance_km)
     counts = np.empty((trace.n_slices, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
     for index, first in enumerate(range(0, trace.n_slices, BLOCK)):
-        sent, detected, errors = sampler.block(
+        sent, outcomes, _ = sampler.block(
             trace.betas[first : first + BLOCK], trace.pulses_per_slice, seed, index
         )
         tables = counts[first : first + BLOCK]
         tables[:, :, 0] = sent
-        detected.sum(axis=2, out=tables[:, :, 1])
-        errors.sum(axis=2, out=tables[:, :, 2])
+        np.add(outcomes[:, :, 0], outcomes[:, :, 1], out=tables[:, :, 1])
+        tables[:, :, 2] = outcomes[:, :, 0]
     return TallyBatch(counts)

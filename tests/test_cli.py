@@ -646,6 +646,21 @@ def test_scan_rows_equal_the_per_point_pipeline(tmp_path, mode):
     assert out.splitlines() == want
 
 
+def test_a_montecarlo_scan_prints_the_oracle_counts(tmp_path):
+    # scan draws only the observable outcomes of each point, which are the
+    # counts of sample_tallies at that point's seed: 3 distances x 2 block sizes
+    config = "seed = 11\nscan_min_km = 25\nscan_max_km = 125\nscan_step_km = 50\nn_values = 1e9,1e12\n"
+    path, points, ch, sec = grid_points(config, tmp_path, "scan")
+    code, out, err = run_cli(["scan", "--config", path, "--mode", "montecarlo"])
+    assert code in (cli.EXIT_OK, cli.EXIT_NO_KEY), err
+    want = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
+    for index, (cfg, distance) in enumerate(points):
+        counts = sample_tallies(cfg, ch, distance, 11 + index % 3).counts
+        want.append(scan_row(cfg, distance, ObservedTallies(counts), sec))
+    assert len(want) == 7
+    assert out.splitlines() == want
+
+
 def reference_compare(points, ch, sec, **options):
     """The rows of ``compare``, one point at a time, or the first error that
     point by point, then protocol by protocol, raises."""

@@ -114,7 +114,8 @@ def test_true_counts_rejects_a_pooled_photon_number(ch):
 
 def test_empty_block_draws_nothing(ch):
     sampler = _Sampler(SMALL, ch, 50.0)
-    for drawn in sampler.block((0.0, 1.0), 0, seed=1, index=0):
+    sent, outcomes, split = sampler.block((0.0, 1.0), 0, seed=1, index=0)
+    for drawn in (sent, outcomes, *split()):
         assert drawn.shape[0] == 2
         assert not drawn.any()
     for n_pulses in (-1, MAX_PULSES + 1):
@@ -230,7 +231,10 @@ def block_inputs(draw):
     """A sampler, a block of angles and its pulses per slice, seed and index."""
     nu = draw(st.just(1e-9) | st.floats(1e-9, 0.5))
     cfg = make_config(intensities=intensity_triple(0.55, nu, 0.0, 0.54, 0.36, 0.10))
-    ch = ChannelParams(e_d=draw(st.sampled_from([0.0, ChannelParams().e_d])))
+    ch = ChannelParams(
+        e0=draw(st.sampled_from([0.0, ChannelParams().e0])),
+        e_d=draw(st.sampled_from([0.0, ChannelParams().e_d])),
+    )
     distance = draw(st.sampled_from([0.0, 500.0]) | st.floats(0.0, 500.0))
     betas = draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=4))
     n_pulses = draw(st.sampled_from([0, 1, MAX_PULSES]) | st.integers(0, MAX_PULSES))
@@ -245,7 +249,8 @@ def test_block_counts_are_consistent(inputs):
     # numpy's warnings raise; underflow, silent by default (a subnormal angle), stays so
     with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
         warnings.simplefilter("error")
-        sent, detected, errors = sampler.block(betas, n_pulses, seed, index)
+        sent, _, split = sampler.block(betas, n_pulses, seed, index)
+        detected, errors = split()
     b = len(betas)
     assert sent.shape == (b, len(ALL_CELLS))
     assert detected.shape == errors.shape == (b, len(ALL_CELLS), 3)
@@ -259,6 +264,27 @@ def test_block_counts_are_consistent(inputs):
     by_pair = sent.reshape(b, len(STATES), len(BASES), len(KINDS))
     assert (by_pair[:, :, 0] == by_pair[:, :, 1]).all()
     assert by_pair[:, :, 0].sum(axis=(1, 2)).tolist() == [n_pulses] * b
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_inputs())
+def test_the_class_split_of_an_empty_outcome_is_zero(inputs):
+    # Step 3b where a group has no errors or no correct detections: none drawn,
+    # or none possible (e_d = 0 with e0 = 0, or the vacuum intensity). Its
+    # class probabilities are 0/0 there, so they must not reach the draw.
+    _, sampler, betas, _, seed, index = inputs
+    for n_pulses in (0, 1, MAX_PULSES):
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            _, outcomes, split = sampler.block(betas, n_pulses, seed, index)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            detected, errors = split()
+        correct = detected - errors
+        assert (errors.sum(axis=2) == outcomes[:, :, 0]).all()
+        assert (correct.sum(axis=2) == outcomes[:, :, 1]).all()
+        assert not errors[outcomes[:, :, 0] == 0].any()
+        assert not correct[outcomes[:, :, 1] == 0].any()
 
 
 def test_block_size_overflow_rejected(ch):
@@ -302,10 +328,19 @@ def test_single_slice_trace_equals_plain_sampling(ch):
 
 # sha256 of the little-endian int64 sent, detected and errors of
 # sample_tallies at 1e8 pulses, over distance x angle x seed in the loop order
-# of _stream_digest, by stream version. A change to the draws bumps
-# simulate.STREAM_VERSION and records the new version's digest, printed by
+# of _stream_digest, and of the counts of the drifting batch of _drift_digest,
+# by stream version. A change to the draws bumps simulate.STREAM_VERSION and
+# records the new version's digests, printed by
 #   PYTHONPATH=src:tests python -c "import test_simulate as t; print(t._stream_digest())"
-STREAM_DIGESTS = {4: "411899fa66065a73bee300c6f6cbd3f7a4474866f0d3c7f8fe1f600897bd9705"}
+#   PYTHONPATH=src:tests python -c "import test_simulate as t; print(t._drift_digest())"
+STREAM_DIGESTS = {
+    4: "411899fa66065a73bee300c6f6cbd3f7a4474866f0d3c7f8fe1f600897bd9705",
+    5: "9824ba5f925f177b056cae100b5b567fe32825382ca03f72ff94c294a4d4a102",
+}
+DRIFT_DIGESTS = {
+    4: "728ee3a9c0aba392b44b836fde71a0c00337da1d7d35b2f752a6cbbce64ecf6e",
+    5: "cdc24c1db081d6824d1cd81b08bc0434c2f0ebbd00d5ce546ea499995d6ad183",
+}
 
 
 def _stream_digest():
@@ -319,9 +354,26 @@ def _stream_digest():
     return digest.hexdigest()
 
 
+def _drift_digest():
+    """Of a sinusoidal trace of 2 * BLOCK + 3 slices: two full blocks and a ragged one."""
+    n_slices = 2 * BLOCK + 3
+    trace = drift_beta(
+        "sinusoidal", {"beta0": 0.3, "amplitude": math.pi, "period": 0.4}, n_slices,
+        pulses_per_slice=10**9,
+    )
+    cfg = make_config(n_total=trace.n_total)
+    counts = sample_drifting_tallies(cfg, ChannelParams(), 50.0, trace, seed=17).counts
+    return hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+
+
 def test_single_slice_draws_match_the_stream_digest():
     assert STREAM_VERSION in STREAM_DIGESTS
     assert _stream_digest() == STREAM_DIGESTS[STREAM_VERSION]
+
+
+def test_drift_draws_match_the_stream_digest():
+    assert STREAM_VERSION in DRIFT_DIGESTS
+    assert _drift_digest() == DRIFT_DIGESTS[STREAM_VERSION]
 
 
 def test_trace_must_cover_the_block(ch):
@@ -406,7 +458,8 @@ def test_parallel_view_of_streams_is_order_independent(ch):
     reversed_result = np.empty_like(in_order)
     for index in reversed(range(3)):
         part = slice(index * BLOCK, (index + 1) * BLOCK)
-        sent, detected, errors = sampler.block(trace.betas[part], trace.pulses_per_slice, 5, index)
-        reversed_result[part] = np.stack((sent, detected.sum(axis=2), errors.sum(axis=2)), axis=2)
+        sent, outcomes, _ = sampler.block(trace.betas[part], trace.pulses_per_slice, 5, index)
+        errors = outcomes[:, :, 0]
+        reversed_result[part] = np.stack((sent, errors + outcomes[:, :, 1], errors), axis=2)
     assert len(reversed_result[2 * BLOCK :]) == 3
     assert np.array_equal(reversed_result, in_order)
