@@ -555,6 +555,7 @@ def _int_field(raw: str, lineno: int, column: str) -> int:
 # shared runner pieces
 
 _CHUNK = 512  # points per channel call: bounds the memory of a scan or drift trace
+MAX_GRID_POINTS = 10**6  # distances a scan or compare grid may have; _grid lists them all
 
 
 def _grid_count(start: float, stop: float, step: float) -> float:
@@ -596,13 +597,18 @@ def _make_slices(
     return TallyBatch(counts)
 
 
-def _analyze(run, cfg, sec, slices, literal: bool) -> tuple[list[str], bool]:
+def _options(args, run: RunConfig) -> dict[str, bool]:
+    """The analysis options of a run, as every protocol's analysis takes them."""
+    return {
+        "asymptotic": bool(args.asymptotic),
+        "n_zz_all_intensities": bool(run["n_zz_all_intensities"]),
+        "literal_paper_formulas": args.literal_paper_formulas,
+    }
+
+
+def _analyze(cfg, sec, slices, options) -> tuple[list[str], bool]:
     """The report of ``slices``, as one block or by drift group, and whether
     it yields a key."""
-    options = {
-        "n_zz_all_intensities": bool(run["n_zz_all_intensities"]),
-        "literal_paper_formulas": literal,
-    }
     if len(slices) == 1 and cfg.m_groups == 1:
         report = analyze_tallies(slices[0], cfg, sec, **options)
         return _render_report(report, cfg.n_total), report.key_length > 0.0
@@ -653,17 +659,8 @@ def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) 
 
 
 def _render_report(report, n_total: int) -> list[str]:
-    lines = [
-        f"n_total = {n_total}",
-        f"s0_zz_lower = {_fmt(report.s0_zz_lower)}",
-        f"s1_zz_lower = {_fmt(report.s1_zz_lower)}",
-        f"c44_lower = {_fmt(report.c44_lower)}",
-        f"i_e = {_fmt(report.i_e)}",
-        f"e_zz = {_fmt(report.e_zz)}",
-        f"n_zz = {report.n_zz}",
-        f"key_length = {_fmt(report.key_length)}",
-        f"key_rate = {_fmt(report.key_rate)}",
-    ]
+    lines = [f"n_total = {n_total}"]
+    lines += [f"{f.name} = {_fmt(getattr(report, f.name))}" for f in fields(report)[:-1]]
     for key in sorted(report.intermediate):
         lines.append(f"intermediate.{key} = {_fmt(report.intermediate[key])}")
     return lines
@@ -700,7 +697,7 @@ def _render_extraction(result: ExtractionResult, n_total: int) -> list[str]:
 def cmd_point(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Full pipeline at one distance."""
     slices = _make_slices(run, cfg, ch, run["mode"])
-    lines, key = _analyze(run, cfg, sec, slices, args.literal_paper_formulas)
+    lines, key = _analyze(cfg, sec, slices, _options(args, run))
     if args.dump_tallies:
         with open(args.dump_tallies, "w", encoding="utf-8", newline="") as handle:
             write_tally_csv(slices, handle)
@@ -710,14 +707,11 @@ def cmd_point(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
 
 def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Key rate versus distance as CSV."""
+    options = _options(args, run)
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
     for sizes, distances, block in _grid(run, cfg, ch, run["mode"]):
-        result = analyze_batch(
-            block, cfg, sec, n_total=sizes,
-            n_zz_all_intensities=bool(run["n_zz_all_intensities"]),
-            literal_paper_formulas=args.literal_paper_formulas,
-        )
+        result = analyze_batch(block, cfg, sec, n_total=sizes, **options)
         columns = (result.key_rate, result.c44_lower, result.e_zz, result.s1_zz_lower)
         rows += _csv_rows((), distances, sizes, columns, result.intermediate)
         any_key = any_key or bool((result.key_rate > 0.0).any())
@@ -727,8 +721,7 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
 
 def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     """Protocol comparison as CSV."""
-    options = {"asymptotic": args.asymptotic, "literal_paper_formulas": args.literal_paper_formulas}
-    zz_option = bool(run["n_zz_all_intensities"])
+    options = _options(args, run)
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
     for sizes, distances, block in _grid(run, cfg, ch, "analytic"):
@@ -738,23 +731,19 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
             part = block if stop == len(block) else TallyBatch(block.counts[:stop])
             per_point = {"n_total": sizes[:stop], **options}
             return [
-                analyze_batch(part, cfg, sec, n_zz_all_intensities=zz_option, **per_point),
+                analyze_batch(part, cfg, sec, **per_point),
                 *(runner(cfg, ch, sec, distances[:stop], **per_point)
                   for runner in (baselines.run_six_four, baselines.run_six_state)),
             ]
 
-        four, *bases = in_point_order(evaluate, len(distances))
+        reports = in_point_order(evaluate, len(distances))
         protocols = [_csv_rows(
-            (baselines.FOUR_STATE,), distances, sizes,
-            (four.key_rate, four.c44_lower, four.e_zz), four.intermediate,
-        )] + [_csv_rows(
-            (base.protocol,), distances, sizes, (base.key_rate, base.c_lower, base.e_zz),
-            {"c_clamped": base.clamped, "negative_length": base.negative_length},
-        ) for base in bases]
+            (name,), distances, sizes, (r.key_rate, r.c44_lower, r.e_zz), r.intermediate
+        ) for name, r in zip(baselines.PROTOCOLS, reports)]
         for point_rows in zip(*protocols):
             rows += point_rows
-        any_key = any_key or any(bool((r.key_rate > 0.0).any()) for r in (four, *bases))
-        del block, four, bases  # before the next block is computed
+        any_key = any_key or any(bool((r.key_rate > 0.0).any()) for r in reports)
+        del block, reports  # before the next block is computed
     return rows, any_key
 
 
@@ -767,7 +756,7 @@ def cmd_process(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
         cfg = replace(cfg, n_total=total_pulses(slices))
         if cfg.n_total == 0:
             raise TallyError("no pulses sent: the Z rows' sent counts sum to 0")
-        lines, key = _analyze(run, cfg, sec, slices, args.literal_paper_formulas)
+        lines, key = _analyze(cfg, sec, slices, _options(args, run))
     except (OSError, TallyError) as exc:
         raise TallyFileError(exc) from exc
     return [f"tally_file = {args.tally_file}"] + lines, key
@@ -859,12 +848,15 @@ def main(
             return EXIT_OK
         cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
         named = (problem.partition(":") for problem in validate_config(cfg, ch, sec))
-        problems = sorted([_CHANNEL_KEY.get(key, key) + sep + rest for key, sep, rest in named] + [
+        problems = sorted([  # a key derived from p_z_alice (None in run) is not the bad key
+            _CHANNEL_KEY.get(key, key) + sep + rest
+            for key, sep, rest in named if run.values.get(key, key) is not None
+        ] + [
             f"{key}: {need}, got {run[key]}"
             for key, (ok, need) in _RANGES.items() if not ok(run[key])
         ])
         lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
-        if not problems and _grid_count(lo, hi, step) == math.inf:
+        if not problems and _grid_count(lo, hi, step) > MAX_GRID_POINTS:
             problems = [f"scan_step_km: {step} km steps over [{lo}, {hi}] km are too many to count"]
         for problem in problems:
             print(f"config error: {problem}", file=err)

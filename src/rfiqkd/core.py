@@ -314,7 +314,8 @@ def cell_name(key: CellKey) -> str:
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Final key-length result with every intermediate bound kept for audit."""
+    """Final key-length result with every intermediate bound kept for audit.
+    A baseline's report holds that protocol's statistic C in ``c44_lower``."""
 
     s0_zz_lower: float
     s1_zz_lower: float

@@ -3,8 +3,9 @@
 ``analyze_batch`` is the complete estimator stack: it takes the tally tables
 of n points and produces one key-length report whose fields are arrays, with
 every intermediate bound recorded. ``analyze_tallies`` is the same for one
-table. ``group_and_extract`` applies it per drift group after classifying
-time slices by their X-basis error statistics.
+table. Both run ``analyze_classes``, the estimator the baselines share.
+``group_and_extract`` applies it per drift group after classifying time
+slices by their X-basis error statistics.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ __all__ = [
     "ExtractionResult",
     "group_and_extract",
     "analyze_batch",
+    "analyze_classes",
     "analyze_tallies",
 ]
 
@@ -315,52 +317,47 @@ def analyze_batch(
     """
     # Python ints: a group's block size may pass 2^63
     sizes = np.array([cfg.n_total] * len(batch) if n_total is None else n_total, dtype=object)
-    options = (cfg, sec, asymptotic, n_zz_all_intensities, literal_paper_formulas)
 
     def evaluate(stop: int) -> KeyRateReport:
-        return _analyze(batch.counts[:stop], sizes[:stop], *options)
+        key, tests = (_class_sums(batch.counts[:stop], rows) for rows in (_CLASS_ROWS[_ZZ], _X_ROWS))
+        return analyze_classes(
+            key, tests, _leak_four_state, cfg, sec, sizes[:stop],
+            asymptotic, n_zz_all_intensities, literal_paper_formulas,
+        )
 
     return decoy.in_point_order(evaluate, len(batch))
 
 
-def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, literal) -> KeyRateReport:
+def _class_sums(counts: np.ndarray, rows) -> np.ndarray:
+    """Detections and errors of the classes whose cells are ``rows`` of (n, 24, 3)
+    counts, as one (2, n, ..., 3) array; uint64 holds the sum of two cells."""
+    total = counts[:, rows, 1:].astype(np.uint64).sum(axis=-3)
+    return decoy.exact_counts(np.moveaxis(total, -1, 0))
+
+
+def analyze_classes(
+    key, tests, leak, cfg: ProtocolConfig, sec: SecurityParams, n_total,
+    asymptotic: bool, n_zz_all_intensities: bool, literal: bool,
+) -> KeyRateReport:
+    """The estimator every protocol shares, on n points' class counts: the key
+    class's (detections, errors) at (signal, decoy, vacuum) intensity, (n, 3)
+    each, and the test classes', (n, classes, 3) each. ``leak(bounds, e_zz,
+    intermediate, literal)`` maps the test classes' ``ClassBounds`` to the lower
+    end of the protocol's channel statistic (``c44_lower``) and ``i_e``, adding
+    its own entries to ``intermediate``."""
     setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
     inter: dict[str, np.ndarray] = {}
-
-    def record(name: str, bound: decoy.BoundedCount) -> None:
-        inter[f"{name}_lower"] = bound.lower
-        inter[f"{name}_point"] = bound.point
-        inter[f"{name}_upper"] = bound.upper
-        inter[f"{name}_clamped"] = bound.clamped
-        if np.ndim(bound.degenerate):  # only an error rate can be degenerate
-            inter[f"{name}_degenerate"] = bound.degenerate
-
-    def class_counts(rows):
-        # detections and errors, (n, ..., 3); uint64 holds the sum of two cells
-        total = counts[:, rows, 1:].astype(np.uint64).sum(axis=-3)
-        return decoy.exact_counts(np.moveaxis(total, -1, 0))
-
-    zz_detected, zz_errors = class_counts(_CLASS_ROWS[_ZZ])
+    zz_detected, zz_errors = key
     s0_zz, s1_zz = decoy.yield_bounds(zz_detected, setting)
-    record("s0_zz", s0_zz)
-    record("s1_zz", s1_zz)
-
-    # the four X-basis classes as one (n, 4, 3) block
-    xs = decoy.class_bounds(*class_counts(_X_ROWS), setting)
-    for j, (states, _) in enumerate(_REQUIRED_CLASSES[1:]):
-        for name in ("s0", "s1", "t", "e"):
-            record(f"{name}_{states[0].value.lower()}x", getattr(xs, name)[:, j])
-
-    cb = security.c_bounds(*(xs.e[:, j] for j in range(4)), literal_c1_lower=literal)
-    for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
-        inter[name] = getattr(cb, name)
-    inter["c44_clamped"] = cb.clamped
-    i_e = security.ie_4state(cb.c44_lower)
+    _record(inter, "s0_zz", s0_zz)
+    _record(inter, "s1_zz", s1_zz)
+    bounds = decoy.class_bounds(*tests, setting)
 
     # the sifted key: every intensity, or the signal intensity only
     kinds = 3 if n_zz_all_intensities else 1
     n_zz = sum(zz_detected[:, k] for k in range(kinds))
     e_zz, _ = decoy.divide(sum(zz_errors[:, k] for k in range(kinds)), n_zz, 0.0)
+    c_lower, i_e = leak(bounds, e_zz, inter, literal)
 
     kl = key_length(
         s0_zz.lower, s1_zz.lower, i_e, n_zz, e_zz, sec, n_total, asymptotic
@@ -371,7 +368,7 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
     return KeyRateReport(
         s0_zz_lower=s0_zz.lower,
         s1_zz_lower=s1_zz.lower,
-        c44_lower=cb.c44_lower,
+        c44_lower=c_lower,
         i_e=i_e,
         e_zz=e_zz,
         n_zz=n_zz,
@@ -379,6 +376,25 @@ def _analyze(counts, n_total, cfg, sec, asymptotic, n_zz_all_intensities, litera
         key_rate=np.asarray(kl.length / n_total, dtype=float),
         intermediate=inter,
     )
+
+
+def _record(inter: dict, name: str, bound: decoy.BoundedCount) -> None:
+    for end in ("lower", "point", "upper", "clamped"):
+        inter[f"{name}_{end}"] = getattr(bound, end)
+    if np.ndim(bound.degenerate):  # only an error rate can be degenerate
+        inter[f"{name}_degenerate"] = bound.degenerate
+
+
+def _leak_four_state(xs: decoy.ClassBounds, e_zz, inter: dict, literal: bool):
+    """rfi44: each X-basis class's chain recorded, then c44 and its leak bound."""
+    for j, (states, _) in enumerate(_REQUIRED_CLASSES[1:]):
+        for name in ("s0", "s1", "t", "e"):
+            _record(inter, f"{name}_{states[0].value.lower()}x", getattr(xs, name)[:, j])
+    cb = security.c_bounds(*(xs.e[:, j] for j in range(4)), literal_c1_lower=literal)
+    for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
+        inter[name] = getattr(cb, name)
+    inter["c44_clamped"] = cb.clamped
+    return cb.c44_lower, security.ie_4state(cb.c44_lower)
 
 
 def analyze_tallies(

@@ -99,9 +99,16 @@ def test_each_point_takes_its_own_block_size(points, asymptotic):
         block = runner(cfg, ch, sec, np.array(distances), asymptotic, n_total=sizes)
         for i, (distance, n) in enumerate(points):
             alone = runner(replace(cfg, n_total=n), ch, sec, distance, asymptotic)
-            for field in fields(alone):
+            for field in fields(alone)[:-1]:
                 value = getattr(alone, field.name)
                 # a scalar distance gives numbers, equal bit for bit to the block's entry
-                assert isinstance(value, (str, bool, float))
-                if field.name != "protocol":
-                    assert repr(getattr(block, field.name).item(i)) == repr(value)
+                assert isinstance(value, float)
+                assert repr(getattr(block, field.name).item(i)) == repr(value)
+            # and the same intermediates, its flags (c_clamped, negative_length) among them
+            assert {"c_clamped", "negative_length"} <= set(block.intermediate)
+            assert set(alone.intermediate) <= set(block.intermediate)
+            for key, column in block.intermediate.items():
+                if column.dtype == bool:
+                    assert alone.intermediate.get(key) == (1.0 if column[i] else None)
+                else:
+                    assert repr(column.item(i)) == repr(alone.intermediate[key])

@@ -194,6 +194,57 @@ def test_grid_with_an_infinite_point_count_is_rejected(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["scan", "compare"])
+def test_grid_over_the_point_budget_is_rejected_before_it_is_built(tmp_path, monkeypatch, command):
+    # a finite count far past the budget: the grid must not be listed at all
+    def unbuilt(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli, "_grid", unbuilt)
+    config = tmp_path / "grid.cfg"
+    config.write_text("scan_max_km = 1e300\nscan_step_km = 50\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == (
+        "config error: scan_step_km: 50.0 km steps over [0.0, 1e+300] km are too many to count\n"
+    )
+    # the budget itself is allowed: 0, 1, ..., MAX_GRID_POINTS - 1 km
+    monkeypatch.setattr(cli, "_grid", lambda *args: iter(()))
+    config.write_text(f"scan_max_km = {cli.MAX_GRID_POINTS - 1}\nscan_step_km = 1\n")
+    assert cli._grid_count(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0) == cli.MAX_GRID_POINTS
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert (code, len(out.splitlines()), err) == (cli.EXIT_NO_KEY, 1, "")
+    config.write_text(f"scan_max_km = {cli.MAX_GRID_POINTS}\nscan_step_km = 1\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert code == cli.EXIT_ERROR and "are too many to count" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "2", "-1.5"])
+def test_a_bad_p_z_alice_is_reported_once_not_as_its_derived_keys(tmp_path, value):
+    config = tmp_path / "derived.cfg"
+    config.write_text(f"p_z_alice = {value}\n")
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == f"config error: p_z_alice: must be in [0,1], got {float(value)}\n"
+
+
+def test_a_p_x0_set_out_of_range_is_reported_under_its_own_name(tmp_path):
+    config = tmp_path / "set.cfg"
+    config.write_text("p_x0 = -0.5\np_z_alice = 2\n")  # p_y0 derived: -0.5
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.splitlines() == [
+        "config error: p_x0: must be in [0,1], got -0.5",
+        "config error: p_z_alice: must be in [0,1], got 2.0",
+    ]
+    config.write_text("p_x0 = 2\n")  # p_z_alice and p_y0 in range; the sum is not
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert err.splitlines() == [
+        "config error: p_x0: must be in [0,1], got 2.0",
+        "config error: p_z_alice + p_x0 + p_y0 must sum to 1, got 2.885",
+    ]
+
+
+@pytest.mark.parametrize("command", ["scan", "compare"])
 def test_grid_whose_span_overflows_below_is_empty(tmp_path, command):
     # scan_max_km - scan_min_km is -inf: no point, not an OverflowError
     config = tmp_path / "grid.cfg"
@@ -669,18 +720,21 @@ def reference_compare(points, ch, sec, **options):
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     for cfg, distance in points:
         try:
-            four = analyze_tallies(expected_tallies(cfg, ch, [distance])[0], cfg, sec, **options)
-            results = [("rfi44", four, four.c44_lower, four.intermediate)]
-            for runner in (run_six_four, run_six_state):
+            results = [("rfi44", analyze_tallies(
+                expected_tallies(cfg, ch, [distance])[0], cfg, sec, **options
+            ))]
+            for protocol, runner in (("rfi64", run_six_four), ("rfi66", run_six_state)):
                 base = runner(cfg, ch, sec, distance, **options)
-                flags = {"c_clamped": base.clamped, "negative_length": base.negative_length}
-                results.append((base.protocol, base, base.c_lower, flags))
+                # its flags column: c_clamped and negative_length, no degenerate estimate
+                assert not any(key.endswith("_degenerate") for key in base.intermediate)
+                results.append((protocol, base))
         except ValueError as exc:
             return f"error: {exc}\n"
-        for protocol, result, c_lower, flags in results:
+        for protocol, result in results:
             rows.append(
                 f"{cli._fmt(distance)},{cfg.n_total},{protocol},{cli._fmt(result.key_rate)},"
-                f"{cli._fmt(c_lower)},{cli._fmt(result.e_zz)},{reference_flags(flags)}"
+                f"{cli._fmt(result.c44_lower)},{cli._fmt(result.e_zz)},"
+                f"{reference_flags(result.intermediate)}"
             )
     return rows
 
@@ -701,6 +755,21 @@ def test_compare_rows_equal_the_per_point_pipeline(tmp_path, config, flag):
     code, out, err = run_cli(["compare", "--config", path] + ([flag] if flag else []))
     assert code in (cli.EXIT_OK, cli.EXIT_NO_KEY), err
     assert out.splitlines() == reference_compare(points, ch, sec, asymptotic=flag is not None)
+
+
+@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
+def test_compare_counts_the_sifted_key_at_signal_intensity_for_every_protocol(tmp_path):
+    grid = "scan_min_km = 0\nscan_max_km = 200\nscan_step_km = 50\nn_values = 1e12\n"
+    path, points, ch, sec = grid_points(grid + "n_zz_all_intensities = false\n", tmp_path, "compare")
+    code, out, err = run_cli(["compare", "--config", path])
+    assert code == cli.EXIT_OK, err
+    assert out.splitlines() == reference_compare(points, ch, sec, n_zz_all_intensities=False)
+    # and no protocol's row is the default one's
+    (tmp_path / "default.cfg").write_text(grid)
+    default = run_cli(["compare", "--config", str(tmp_path / "default.cfg")])[1].splitlines()
+    assert len(default) == len(out.splitlines()) == 1 + 3 * 5
+    for row, default_row in zip(out.splitlines()[1:], default[1:]):
+        assert row != default_row
 
 
 @pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")

@@ -484,9 +484,9 @@ def test_the_baselines_class_axis_matches_class_by_class_evaluation(
         stacked, alone = stacked_and_class_by_class(lambda: runner(
             cfg, ch, sec, np.array(distances), asymptotic, literal, n_total=sizes
         ))
-        assert_same_outcome(stacked, alone, lambda report: {
-            f.name: getattr(report, f.name) for f in fields(report)[1:]
-        })
+        assert_same_outcome(stacked, alone, report_columns)
+        if not isinstance(alone, tuple):  # the flags column reads these two
+            assert {"c_clamped", "negative_length"} <= set(alone.intermediate)
 
 
 def test_a_point_raises_what_its_first_failing_class_raises(cfg, ch, sec):
