@@ -7,7 +7,8 @@ decoy chain, ``n_zz`` and key-length formula, fed with event-class statistics
 extra state labels are needed anywhere else in the package. A run returns a
 ``KeyRateReport`` whose ``c44_lower`` holds the protocol's own statistic C.
 ``distance_km`` is one distance, or an array of them evaluated as one block;
-``n_total=`` gives each point its own block size, as in ``analyze_batch``.
+``n_total=`` gives each point its own block size, as in ``analyze_batch``, and
+``absorbed=`` its row of ``channel.absorption``, as in ``expected_tallies``.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ def _run(
     sec: SecurityParams,
     distance_km,
     n_total,
+    absorbed,
     *options,
 ) -> KeyRateReport:
     """Shared pipeline: Z-prepared states measured in Z give the key; each
@@ -62,7 +64,8 @@ def _run(
     X- or Y-prepared class whose bounds feed ``leak``. A distance array
     runs as one block and raises what the distances one by one raise first."""
     distances = np.atleast_1d(distance_km).tolist()
-    absorbed = np.split(absorption(ch, cfg.intensities, distances), 2, axis=1)  # paths Z, X
+    table = absorption(ch, cfg.intensities, distances) if absorbed is None else absorbed
+    absorbed = np.split(table, 2, axis=1)  # paths Z, X
     # block sizes as Python ints, as analyze_batch takes them
     sizes = np.array([cfg.n_total] * len(distances) if n_total is None else n_total, dtype=object)
     blocks = sizes.astype(float).reshape(-1, 1)
@@ -114,6 +117,7 @@ def run_six_four(
     literal_paper_formulas: bool = False,
     n_total=None,
     n_zz_all_intensities: bool = True,
+    absorbed: np.ndarray | None = None,
 ) -> KeyRateReport:
     """Six states at the source, Z and X measurements at the receiver.
 
@@ -124,7 +128,7 @@ def run_six_four(
     p_x_bob = 1.0 - cfg.p_z_bob
     quadratures = ((p_x_bob, math.cos(ch.beta)), (p_x_bob, math.sin(ch.beta)))
     return _run(
-        _leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, sec, distance_km, n_total,
+        _leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, sec, distance_km, n_total, absorbed,
         asymptotic, n_zz_all_intensities, literal_paper_formulas,
     )
 
@@ -138,6 +142,7 @@ def run_six_state(
     literal_paper_formulas: bool = False,
     n_total=None,
     n_zz_all_intensities: bool = True,
+    absorbed: np.ndarray | None = None,
 ) -> KeyRateReport:
     """Six states at the source and three measurement bases at the receiver.
 
@@ -149,6 +154,6 @@ def run_six_state(
     # (preparation, receiver) basis: xx, xy, yx, yy
     quadratures = ((pb_x, cos_b), (pb_y, -sin_b), (pb_x, sin_b), (pb_y, cos_b))
     return _run(
-        _leak_six_state, pb_z, quadratures, cfg, ch, sec, distance_km, n_total,
+        _leak_six_state, pb_z, quadratures, cfg, ch, sec, distance_km, n_total, absorbed,
         asymptotic, n_zz_all_intensities, literal_paper_formulas,
     )

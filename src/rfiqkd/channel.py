@@ -115,12 +115,15 @@ def cell_expectation(
 def absorption(ch: ChannelParams, intensities, distances: Sequence[float]) -> np.ndarray:
     """``exp(-eta * k)`` of each point (row) by receiver path, in ``BASES`` order, then
     intensity (column); each distinct distance is evaluated in ``math`` once."""
-    rows: dict[float, list[float]] = {}
-    for d in distances:
-        if d not in rows:
-            etas = [transmittance(d, path, ch) for path in BASES]
-            rows[d] = [exp(-eta * k.mean_photons) for eta in etas for k in intensities]
-    return np.array([rows[d] for d in distances]).reshape(len(distances), -1)
+    distinct, width = dict.fromkeys(distances), len(BASES) * len(intensities)  # first-seen order
+    table = np.fromiter((
+        exp(-eta * k.mean_photons)
+        for d in distinct for eta in [transmittance(d, path, ch) for path in BASES] for k in intensities
+    ), float, len(distinct) * width).reshape(len(distinct), width)
+    if len(distinct) == len(distances):
+        return table
+    row_of = {d: row for row, d in enumerate(distinct)}
+    return table[[row_of[d] for d in distances]]
 
 
 def expected_tallies(
@@ -129,16 +132,19 @@ def expected_tallies(
     distances: Sequence[float],
     betas: Sequence[float] | None = None,
     n_total=None,
+    absorbed: np.ndarray | None = None,
 ) -> TallyBatch:
     """Expected counts for every cell, rounded to the nearest integer, one table
     per distance. Point ``i`` takes the rotation angle ``betas[i]`` (used when
     replaying a drift trace), by default the channel's, and the block size
-    ``n_total[i]``, by default ``cfg.n_total``."""
+    ``n_total[i]``, by default ``cfg.n_total``. ``absorbed`` holds the rows of
+    ``absorption`` at ``distances`` when the caller has them."""
     betas = [ch.beta] * len(distances) if betas is None else betas
     if len(betas) != len(distances):
         raise ValueError(f"{len(betas)} rotation angles for {len(distances)} distances")
     # ALL_CELLS repeats the six (path, intensity) columns once per state
-    absorbed = np.tile(absorption(ch, [cfg.intensity(k) for k in KINDS], distances), len(STATES))
+    rows = absorption(ch, [cfg.intensity(k) for k in KINDS], distances) if absorbed is None else absorbed
+    absorbed = np.tile(rows, len(STATES))
     cos_b, sin_b = np.array([cos(b) for b in betas]), np.array([sin(b) for b in betas])
     e_mis = np.empty_like(absorbed)
     for column, (state, basis, _) in enumerate(ALL_CELLS):

@@ -33,7 +33,7 @@ from typing import Collection, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 from . import baselines
-from .channel import expected_tallies
+from .channel import absorption, expected_tallies
 from .decoy import in_point_order
 from .core import (
     ALL_CELLS,
@@ -616,23 +616,26 @@ def _analyze(cfg, sec, slices, options) -> tuple[list[str], bool]:
     return _render_extraction(result, cfg.n_total), result.key_length > 0.0
 
 
-def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[list, list, TallyBatch]]:
+def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[list, list, np.ndarray | None, TallyBatch]]:
     """The scan grid, block size outer and distance inner, ``_CHUNK`` points a batch: each
-    point's block size (``n_values``, or ``n_total`` when that is empty), distance and
-    tallies. In Monte Carlo mode, point ``i`` of each block size uses stream ``seed + i``."""
+    point's block size (``n_values``, or ``n_total`` when that is empty), distance, row of
+    the grid's one ``absorption`` table (None in Monte Carlo mode) and tallies. In Monte
+    Carlo mode, point ``i`` of each block size uses stream ``seed + i``."""
     start, stop, step = (float(run[key]) for key in ("scan_min_km", "scan_max_km", "scan_step_km"))
     distances = [start + i * step for i in range(_grid_count(start, stop, step))]  # finite, see main
     distances = [value for value in distances if value <= stop + 1e-9]
     sizes, seed = run["n_values"] or (cfg.n_total,), int(run["seed"])
     per_size = len(distances)
+    table = absorption(ch, cfg.intensities, distances) if mode == "analytic" else None
     for first in range(0, per_size * len(sizes), _CHUNK):
         points = range(first, min(first + _CHUNK, per_size * len(sizes)))
         block_sizes = [sizes[j // per_size] for j in points]
         at = [distances[j % per_size] for j in points]
         if mode == "analytic":
-            yield block_sizes, at, expected_tallies(cfg, ch, at, n_total=block_sizes)
+            rows = table[np.arange(points.start, points.stop) % per_size]
+            yield block_sizes, at, rows, expected_tallies(cfg, ch, at, n_total=block_sizes, absorbed=rows)
         else:
-            yield block_sizes, at, TallyBatch(np.concatenate([  # one-slice traces
+            yield block_sizes, at, None, TallyBatch(np.concatenate([  # one-slice traces
                 sample_drifting_tallies(
                     replace(cfg, n_total=n), ch, d, DriftTrace((ch.beta,), n), seed + j % per_size
                 ).counts
@@ -645,7 +648,7 @@ def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) 
     ``columns`` (``%.12g`` for a float64 one, else ``_fmt``) and the names of the
     set ``flags`` among a report's bool columns, any ``*_degenerate`` as ``degenerate``."""
     floats = [column.dtype == np.float64 for column in columns]
-    template = ",".join(["%.12g", "%d", *lead] + ["%.12g" if f else "%s" for f in floats] + ["%s"])
+    template = ",".join(["%s", "%d", *lead] + ["%.12g" if f else "%s" for f in floats] + ["%s"])
     values = [c.tolist() if f else list(map(_fmt, c.tolist())) for c, f in zip(columns, floats)]
     marks = {key: flags[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in flags}
     marks["degenerate"] = np.zeros(len(distances), dtype=bool)
@@ -655,7 +658,8 @@ def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) 
     code = sum(marks[name] << (len(names) - 1 - j) for j, name in enumerate(names))
     labels = [";".join(compress(names, bits)) for bits in product((0, 1), repeat=len(names))]
     flagged = map(labels.__getitem__, code.tolist())
-    return [template % row for row in zip(distances, sizes, *values, flagged)]
+    text = {d: "%.12g" % d for d in dict.fromkeys(distances)}  # each distinct distance once
+    return [template % row for row in zip(map(text.__getitem__, distances), sizes, *values, flagged)]
 
 
 def _render_report(report, n_total: int) -> list[str]:
@@ -710,7 +714,7 @@ def cmd_scan(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     options = _options(args, run)
     rows = ["distance_km,n_total,key_rate,c44_lower,e_zz,s1_lower,flags"]
     any_key = False
-    for sizes, distances, block in _grid(run, cfg, ch, run["mode"]):
+    for sizes, distances, _, block in _grid(run, cfg, ch, run["mode"]):
         result = analyze_batch(block, cfg, sec, n_total=sizes, **options)
         columns = (result.key_rate, result.c44_lower, result.e_zz, result.s1_zz_lower)
         rows += _csv_rows((), distances, sizes, columns, result.intermediate)
@@ -724,7 +728,7 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     options = _options(args, run)
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
-    for sizes, distances, block in _grid(run, cfg, ch, "analytic"):
+    for sizes, distances, absorbed, block in _grid(run, cfg, ch, "analytic"):
 
         def evaluate(stop: int):
             # protocol by protocol, so a point's first error is its rfi44 one
@@ -732,7 +736,7 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
             per_point = {"n_total": sizes[:stop], **options}
             return [
                 analyze_batch(part, cfg, sec, **per_point),
-                *(runner(cfg, ch, sec, distances[:stop], **per_point)
+                *(runner(cfg, ch, sec, distances[:stop], absorbed=absorbed[:stop], **per_point)
                   for runner in (baselines.run_six_four, baselines.run_six_state)),
             ]
 
@@ -856,8 +860,10 @@ def main(
             for key, (ok, need) in _RANGES.items() if not ok(run[key])
         ])
         lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
-        if not problems and _grid_count(lo, hi, step) > MAX_GRID_POINTS:
-            problems = [f"scan_step_km: {step} km steps over [{lo}, {hi}] km are too many to count"]
+        if not problems and (count := _grid_count(lo, hi, step)) > MAX_GRID_POINTS:
+            size = "are too many to count" if math.isinf(count) else (
+                f"give {count:.12g} distances, over the {MAX_GRID_POINTS} a grid may have")
+            problems = [f"scan_step_km: {step} km steps over [{lo}, {hi}] km {size}"]
         for problem in problems:
             print(f"config error: {problem}", file=err)
         if problems:

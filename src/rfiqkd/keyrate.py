@@ -34,7 +34,7 @@ from .core import (
     cell_name,
 )
 from . import decoy, security
-from .security import binary_entropy, per_point
+from .security import binary_entropies, per_point
 
 __all__ = [
     "KeyLength",
@@ -85,7 +85,7 @@ def key_length(
     Lim et al. (PRA 89, 022307, 2014), leaving the asymptotic formula.
     Every input but ``sec`` may be an array with one entry per point.
     """
-    raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * per_point(binary_entropy, e_zz)
+    raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * binary_entropies(e_zz)
     if not asymptotic:
         # numpy's sqrt rounds as math's; object arrays hold Python floats here
         root = np.sqrt(np.asarray(n_zz * math.log2(2.0 / sec.eps_bar), dtype=float))
@@ -387,9 +387,12 @@ def _record(inter: dict, name: str, bound: decoy.BoundedCount) -> None:
 
 def _leak_four_state(xs: decoy.ClassBounds, e_zz, inter: dict, literal: bool):
     """rfi44: each X-basis class's chain recorded, then c44 and its leak bound."""
+    # each (n, 4) field split once into class columns; a flag left at its default is not recorded
+    columns = [(f"{name}_%sx_{end}", list(np.transpose(value))) for name in ("s0", "s1", "t", "e")
+               for end, value in vars(getattr(xs, name)).items() if np.ndim(value)]
     for j, (states, _) in enumerate(_REQUIRED_CLASSES[1:]):
-        for name in ("s0", "s1", "t", "e"):
-            _record(inter, f"{name}_{states[0].value.lower()}x", getattr(xs, name)[:, j])
+        for key, column in columns:
+            inter[key % states[0].value.lower()] = column[j]
     cb = security.c_bounds(*(xs.e[:, j] for j in range(4)), literal_c1_lower=literal)
     for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
         inter[name] = getattr(cb, name)

@@ -37,6 +37,18 @@ def binary_entropy(p: float) -> float:
     return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
 
 
+def binary_entropies(p):
+    """``binary_entropy`` of each entry of an array, bit for bit: its arithmetic on the
+    array, ``math.log2`` per entry; the first entry outside [0, 1] raises its error."""
+    p = np.asarray(p, dtype=float)
+    raise_at(~((p >= 0.0) & (p <= 1.0)), ValueError,
+             lambda i: f"probability must be in [0,1], got {p.item(i)}")
+    inner = (p > 0.0) & (p < 1.0)
+    p = np.where(inner, p, 0.5)  # h(0) = h(1) = 0 below; no log2 of 0
+    log_p, log_q = (per_point(log2, x) for x in (p, 1.0 - p))
+    return np.where(inner, -p * log_p - (1.0 - p) * log_q, 0.0)
+
+
 @dataclass(frozen=True)
 class CBounds:
     """Interval estimates of the two correlator components."""
@@ -92,7 +104,7 @@ def ie_4state(c44: float) -> float:
     c44 = np.asarray(c44)
     raise_at(~((c44 >= 0.0) & (c44 <= 1.0)), ValueError,
              lambda i: f"c44 must be in [0,1], got {c44.item(i)}")
-    return per_point(binary_entropy, (1.0 - c44) / 2.0)
+    return binary_entropies((1.0 - c44) / 2.0)
 
 
 def c_64(corr_xx: float, corr_yx: float) -> float:

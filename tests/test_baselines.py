@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rfiqkd import ChannelParams, SecurityParams
 from rfiqkd.baselines import run_six_four, run_six_state
-from rfiqkd.channel import expected_tallies
+from rfiqkd.channel import absorption, expected_tallies
 from rfiqkd.keyrate import analyze_tallies
 
 from conftest import make_config
@@ -112,3 +112,23 @@ def test_each_point_takes_its_own_block_size(points, asymptotic):
                     assert alone.intermediate.get(key) == (1.0 if column[i] else None)
                 else:
                     assert repr(column.item(i)) == repr(alone.intermediate[key])
+
+
+@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
+@pytest.mark.parametrize("sizes", [[10**12] * 8, [10**10, 10**11, 10**12, 10**13, 2**62] * 2])
+@pytest.mark.parametrize("runner", [run_six_four, run_six_state])
+def test_a_chunk_of_table_rows_gives_what_its_distances_give(runner, sizes):
+    # a grid's one table, its rows gathered per point as a scan or compare chunk does
+    cfg, ch, sec = make_config(), ChannelParams(beta=0.3), SecurityParams()
+    grid = [0.0, 40.0, 130.0, 220.0]
+    table = absorption(ch, cfg.intensities, grid)
+    points = np.arange(len(sizes)) % len(grid)
+    distances = [grid[i] for i in points]
+    given_rows = runner(cfg, ch, sec, distances, n_total=sizes, absorbed=table[points])
+    computed = runner(cfg, ch, sec, distances, n_total=sizes)
+    pairs = [(getattr(given_rows, f.name), getattr(computed, f.name)) for f in fields(computed)[:-1]]
+    assert given_rows.intermediate.keys() == computed.intermediate.keys()
+    pairs += [(given_rows.intermediate[key], column) for key, column in computed.intermediate.items()]
+    for got, expected in pairs:
+        # repr tells every float apart, -0.0 and nan too, and reads object arrays by value
+        assert (got.dtype, repr(got.tolist())) == (expected.dtype, repr(expected.tolist()))

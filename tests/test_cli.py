@@ -205,7 +205,8 @@ def test_grid_over_the_point_budget_is_rejected_before_it_is_built(tmp_path, mon
     code, out, err = run_cli([command, "--config", str(config)])
     assert (code, out) == (cli.EXIT_ERROR, "")
     assert err == (
-        "config error: scan_step_km: 50.0 km steps over [0.0, 1e+300] km are too many to count\n"
+        "config error: scan_step_km: 50.0 km steps over [0.0, 1e+300] km give 2e+298 distances, "
+        "over the 1000000 a grid may have\n"
     )
     # the budget itself is allowed: 0, 1, ..., MAX_GRID_POINTS - 1 km
     monkeypatch.setattr(cli, "_grid", lambda *args: iter(()))
@@ -215,7 +216,11 @@ def test_grid_over_the_point_budget_is_rejected_before_it_is_built(tmp_path, mon
     assert (code, len(out.splitlines()), err) == (cli.EXIT_NO_KEY, 1, "")
     config.write_text(f"scan_max_km = {cli.MAX_GRID_POINTS}\nscan_step_km = 1\n")
     code, out, err = run_cli([command, "--config", str(config)])
-    assert code == cli.EXIT_ERROR and "are too many to count" in err
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == (
+        "config error: scan_step_km: 1.0 km steps over [0.0, 1000000.0] km give 1000001 distances, "
+        "over the 1000000 a grid may have\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["nan", "2", "-1.5"])
@@ -853,16 +858,16 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
     config = tmp_path / "grid.cfg"
     config.write_text(grid + "scan_step_km = 1\n")
     assert run_cli(["scan", "--config", str(config)])[0] == cli.EXIT_OK
-    # 4 x 301 points: chunks of 512, 512 and 180 points over 301, 301 and 180 distances
-    assert calls == {"expected_tallies": 3, "analyze_batch": 3, "transmittance": 2 * 782}
+    # 4 x 301 points in chunks of 512, 512 and 180: one absorption table of the 301 distances
+    assert calls == {"expected_tallies": 3, "analyze_batch": 3, "transmittance": 2 * 301}
     calls.clear()
     config.write_text(grid + "scan_step_km = 5\n")
     with pytest.warns(RuntimeWarning, match="six-state mixing"):
         assert run_cli(["compare", "--config", str(config)])[0] == cli.EXIT_OK
-    # 4 x 61 points in one chunk: one call per protocol, three channel calls
+    # 4 x 61 points in one chunk: one call per protocol, all three on the grid's one table
     assert calls == {
         "expected_tallies": 1, "analyze_batch": 1, "run_six_four": 1, "run_six_state": 1,
-        "transmittance": 3 * 2 * 61,
+        "transmittance": 2 * 61,
     }
 
 
