@@ -127,20 +127,24 @@ _SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
     "drift_period": (1.0, float, _ASSUMED, _DRIFTING),
     "n_zz_all_intensities": (True, bool, _ASSUMED, _ANALYZERS),
 }
-# keys whose parser admits values the run cannot use -> (test, requirement)
+MAX_SLICES = 10**6  # slices a drift trace may have; each slice's counts take 576 B
+# keys whose parser admits values the run cannot use -> (test, requirement), each
 _NON_NEGATIVE = (lambda km: 0.0 <= km < math.inf, "must be finite and >= 0")
 _FINITE = (math.isfinite, "must be finite")
 _RANGES = {
-    "distance_km": _NON_NEGATIVE,
-    "scan_min_km": _NON_NEGATIVE,
-    "scan_max_km": _FINITE,
-    "scan_step_km": (lambda step: 0.0 < step < math.inf, "must be finite and > 0"),
-    "n_slices": (lambda n: n >= 1, "must be >= 1"),
-    "drift_beta0_rad": _FINITE,
-    "drift_rate_rad": _FINITE,
-    "drift_amplitude_rad": _FINITE,
-    "drift_period": (lambda period: period > 0.0 and math.isfinite(TWO_PI / period),
-                     "must be > 0 with 2*pi/drift_period finite"),
+    "distance_km": [_NON_NEGATIVE],
+    "scan_min_km": [_NON_NEGATIVE],
+    "scan_max_km": [_FINITE],
+    "scan_step_km": [(lambda step: 0.0 < step < math.inf, "must be finite and > 0")],
+    "n_slices": [
+        (lambda n: n >= 1, "must be >= 1"),
+        (lambda n: n <= MAX_SLICES, f"exceeds the slice budget {MAX_SLICES}"),
+    ],
+    "drift_beta0_rad": [_FINITE],
+    "drift_rate_rad": [_FINITE],
+    "drift_amplitude_rad": [_FINITE],
+    "drift_period": [(lambda period: period > 0.0 and math.isfinite(TWO_PI / period),
+                      "must be > 0 with 2*pi/drift_period finite")],
 }
 # subcommand -> the config keys it reads
 COMMANDS: dict[str, frozenset[str]] = {
@@ -347,15 +351,13 @@ def write_tally_csv(batch: TallyBatch, out: TextIO) -> None:
     """Write tallies as CSV; more than one slice adds a leading slice column."""
     sliced = len(batch) > 1
     out.write(",".join(["slice"] * sliced + _TALLY_HEADER) + "\n")
-    row = "%d," * sliced + "{},{},{},%d,%d,%d\n"
-    table = "".join(row.format(*labels) for labels in _ROW_BY_LABELS)
-    buffer = np.empty((_WRITE_TABLES, len(ALL_CELLS), sliced + len(FIELDS)), dtype=np.int64)
+    # "" first, so that prefix.join(rows) puts a table's slice index before each row
+    rows = ["", *("{},{},{},%d,%d,%d\n".format(*labels) for labels in _ROW_BY_LABELS)]
     for start in range(0, len(batch), _WRITE_TABLES):
-        rows = buffer[: min(_WRITE_TABLES, len(batch) - start)]
-        if sliced:
-            rows[:, :, 0] = np.arange(start, start + len(rows))[:, None]
-        rows[:, :, sliced:] = batch.counts[start : start + len(rows)]
-        out.write(table * len(rows) % tuple(rows.ravel().tolist()))
+        tables = batch.counts[start : start + _WRITE_TABLES]
+        prefixes = [f"{i}," for i in range(start, start + len(tables))] if sliced else [""]
+        text = "".join(prefix.join(rows) for prefix in prefixes)
+        out.write(text % tuple(tables.ravel().tolist()))
 
 
 def read_tally_csv(handle: TextIO) -> TallyBatch:
@@ -788,16 +790,23 @@ class _NotRead(argparse.Action):
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser of ``argv``: only the subcommand it names (its first token that is
-    not an option) gets its arguments; the others get just their help line."""
+    not an option) gets its arguments. A subcommand named first is the only one
+    built; otherwise the others get just their help line, for the top-level help
+    or usage error."""
     invoked = next((token for token in argv if not token.startswith("-")), None)
+    alone = invoked in _EVERY and argv[0] == invoked
     parser = argparse.ArgumentParser(
         prog="rfiqkd",
         description="security analysis pipeline for a four-state "
         "reference-frame-independent QKD protocol",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the usage line names every subcommand, also when one is built
+    metavar = "{%s}" % ",".join(_EVERY) if alone else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     runners = (cmd_point, cmd_scan, cmd_compare, cmd_process, cmd_simulate)
     for command, func in zip(_EVERY, runners):
+        if alone and command != invoked:
+            continue
         sub_parser = sub.add_parser(command, help=func.__doc__)
         sub_parser.set_defaults(func=func)
         if command != invoked:
@@ -857,7 +866,7 @@ def main(
             for key, sep, rest in named if run.values.get(key, key) is not None
         ] + [
             f"{key}: {need}, got {run[key]}"
-            for key, (ok, need) in _RANGES.items() if not ok(run[key])
+            for key, checks in _RANGES.items() for ok, need in checks if not ok(run[key])
         ])
         lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
         if not problems and (count := _grid_count(lo, hi, step)) > MAX_GRID_POINTS:

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 MAX_PULSES = 2**62  # counts are held in 64-bit integers
+MAX_GROUPS = 10**4  # drift groups a run may have; each takes its own (24, 3) sums
 
 PROB_TOL = 1e-12
 
@@ -376,6 +377,8 @@ def validate_config(
         bad.append(f"n_total: exceeds 64-bit count budget {MAX_PULSES}, got {cfg.n_total}")
     if cfg.m_groups < 1:
         bad.append(f"m_groups: must be >= 1, got {cfg.m_groups}")
+    if cfg.m_groups > MAX_GROUPS:
+        bad.append(f"m_groups: exceeds the group budget {MAX_GROUPS}, got {cfg.m_groups}")
 
     for name in ("e0", "e_d", "eta_det"):
         val = getattr(ch, name)

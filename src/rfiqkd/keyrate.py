@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import starmap
 
 import numpy as np
 
@@ -157,6 +156,30 @@ def _sent_sums(sent: np.ndarray) -> np.ndarray:
     return high.astype(object) * 2**31 + low.astype(object)
 
 
+def _slice_groups(batch: TallyBatch, m_groups: int) -> np.ndarray:
+    """Each slice's group, ``DriftClassifier.classify``'s angle over the group
+    width, or ``m_groups`` for the overflow group.
+
+    int64 to float64 is exact below 2**53, so with every classify count below
+    2**52 each quotient is the correctly rounded one of the scalar's int
+    division. A slice with a larger count takes the scalar itself.
+    """
+    width = TWO_PI / m_groups
+    rows = batch.counts[:, CLASSIFY_ROWS, 1:]  # (slice, (X0, Y0), (detected, errors))
+    detected, errors = rows[..., 0], rows[..., 1]
+    live = (detected > 0).all(axis=1)
+    ratio = np.divide(2 * errors, detected, out=np.zeros(detected.shape), where=live[:, None])
+    cos, sin = (1 - ratio).T.tolist()
+    # math's atan2, then Python's float % and int() as numpy's remainder and truncation
+    rho = np.remainder(list(map(math.atan2, sin, cos)), TWO_PI)
+    group = np.minimum((rho / width).astype(np.intp), m_groups - 1)
+    group[~live] = m_groups
+    for i in np.flatnonzero((rows >= 2**52).any(axis=(1, 2))).tolist():
+        angle = DriftClassifier.classify(*rows[i].tolist())
+        group[i] = m_groups if angle is None else min(int(angle / width), m_groups - 1)
+    return group
+
+
 def group_slices(batch: TallyBatch, m_groups: int) -> tuple[GroupBucket, ...]:
     """Assign per-slice tallies to uniform angle groups.
 
@@ -172,12 +195,7 @@ def group_slices(batch: TallyBatch, m_groups: int) -> tuple[GroupBucket, ...]:
     if m_groups == 1:
         group = np.zeros(len(batch), dtype=np.intp)
     else:
-        angles = starmap(DriftClassifier.classify, batch.counts[:, CLASSIFY_ROWS, 1:].tolist())
-        group = np.fromiter(
-            (overflow if rho is None else min(int(rho / width), m_groups - 1) for rho in angles),
-            np.intp,
-            len(batch),
-        )
+        group = _slice_groups(batch, m_groups)
     n_slices = np.bincount(group, minlength=m_groups + 1).tolist()
     sums = np.zeros((m_groups + 1, len(ALL_CELLS), len(FIELDS)), dtype=np.int64)
     sent = np.zeros((m_groups + 1, len(ALL_CELLS)), dtype=object)

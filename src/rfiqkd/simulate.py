@@ -156,7 +156,7 @@ class _Sampler:
         routed_z = rng.binomial(sent, self.p_z_bob)
         routed = np.concatenate((routed_z, sent - routed_z), axis=2).reshape(b, -1)
         # math's cos and sin, then the scalar formula's operations elementwise
-        cos_b, sin_b = (np.array([f(beta) for beta in betas]) for f in (math.cos, math.sin))
+        cos_b, sin_b = (np.array(list(map(f, betas))) for f in (math.cos, math.sin))
         e_mis = np.empty((b, len(ALL_CELLS), 1))
         for column, (state, basis, _) in enumerate(ALL_CELLS):
             e_mis[:, column, 0] = _misalignment(state, basis, self.e0, cos_b, sin_b)
@@ -217,18 +217,20 @@ def drift_beta(
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    if model == "fixed":
-        beta0 = float(params["beta0"])
-        angle = lambda t: beta0
-    elif model == "linear":
-        beta0, rate = float(params["beta0"]), float(params["rate"])
-        angle = lambda t: beta0 + rate * t
-    elif model == "sinusoidal":
-        beta0, amplitude, period = (float(params[k]) for k in ("beta0", "amplitude", "period"))
-        angle = lambda t: beta0 + amplitude * math.sin(TWO_PI * t / period)
-    else:
-        raise ValueError(f"unknown drift model {model!r}")
-    betas = tuple(angle(i / n_slices) % TWO_PI for i in range(n_slices))
+    t = np.arange(n_slices) / n_slices  # the scalar i / n_slices, exact as float64 below 2**53
+    # Python's float arithmetic and %: an angle that overflows is inf, then nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model == "fixed":
+            angles = np.full(n_slices, float(params["beta0"]))
+        elif model == "linear":
+            beta0, rate = float(params["beta0"]), float(params["rate"])
+            angles = beta0 + rate * t
+        elif model == "sinusoidal":
+            beta0, amplitude, period = (float(params[k]) for k in ("beta0", "amplitude", "period"))
+            angles = beta0 + amplitude * np.array(list(map(math.sin, (TWO_PI * t / period).tolist())))
+        else:
+            raise ValueError(f"unknown drift model {model!r}")
+        betas = tuple(np.remainder(angles, TWO_PI).tolist())
     return DriftTrace(betas, pulses_per_slice)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 import re
@@ -7,13 +8,14 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import analyze_tallies, baselines, channel, cli
+from rfiqkd import analyze_tallies, baselines, channel, cli, keyrate
 from rfiqkd.channel import expected_tallies
-from rfiqkd.core import ObservedTallies, TallyError
+from rfiqkd.core import MAX_GROUPS, ObservedTallies, TallyBatch, TallyError
 from rfiqkd.simulate import drift_beta, sample_tallies
 
 
@@ -221,6 +223,46 @@ def test_grid_over_the_point_budget_is_rejected_before_it_is_built(tmp_path, mon
         "config error: scan_step_km: 1.0 km steps over [0.0, 1000000.0] km give 1000001 distances, "
         "over the 1000000 a grid may have\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("point", "n_slices = 100000000\nn_total = 3e12\n",
+         "n_slices: exceeds the slice budget 1000000, got 100000000"),
+        ("simulate", "n_slices = 1000001\n", "n_slices: exceeds the slice budget 1000000, got 1000001"),
+        ("point", "m_groups = 1000000000\n", "m_groups: exceeds the group budget 10000, got 1000000000"),
+        ("point", "m_groups = 1000000000000000000000\n",
+         "m_groups: exceeds the group budget 10000, got 1000000000000000000000"),
+        ("process", "m_groups = 10001\n", "m_groups: exceeds the group budget 10000, got 10001"),
+    ],
+)
+def test_slices_and_groups_over_their_budget_are_rejected_before_any_is_built(
+    tmp_path, monkeypatch, tally_file, command, lines, message
+):
+    def unbuilt(*args):
+        raise AssertionError("slices were built or grouped")
+
+    monkeypatch.setattr(cli, "_make_slices", unbuilt)
+    monkeypatch.setattr(keyrate, "group_slices", unbuilt)
+    config = tmp_path / "budget.cfg"
+    config.write_text(lines)
+    code, out, err = run_cli(_argv(command, tally_file) + ["--config", str(config)])
+    assert (code, out, err) == (cli.EXIT_ERROR, "", f"config error: {message}\n")
+
+
+def test_the_slice_and_group_budgets_themselves_are_allowed(tmp_path, monkeypatch):
+    # 10**6 slices of the default block pass the checks; the slices made stand
+    # in as one without detections, so each of the 10**4 groups is empty and
+    # diagnosed as such, and the slice lands in the overflow group
+    assert (cli.MAX_SLICES, MAX_GROUPS) == (10**6, 10**4)
+    monkeypatch.setattr(cli, "_make_slices", lambda *args: TallyBatch(np.zeros((1, 24, 3), np.int64)))
+    config = tmp_path / "budget.cfg"
+    config.write_text(f"n_slices = {cli.MAX_SLICES}\nm_groups = {MAX_GROUPS}\n")
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert (code, err) == (cli.EXIT_NO_KEY, "")
+    assert out.count("skipped: empty group") == MAX_GROUPS
+    assert "group overflow: rho=[0,6.28318530718) slices=1 pulses=0" in out
 
 
 @pytest.mark.parametrize("value", ["nan", "2", "-1.5"])
@@ -579,6 +621,21 @@ def test_help_exits_zero():
     code, out, err = run_cli(["--help"])
     assert code == cli.EXIT_OK and err == ""
     assert out.startswith("usage: rfiqkd")
+
+
+def test_a_subcommand_named_first_is_built_alone_with_the_same_usage():
+    def built(argv):
+        (sub,) = [a for a in cli.build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert built(["scan", "--seed", "1"]) == ["scan"]
+    for argv in (["--help", "scan"], ["bogus"], []):
+        assert built(argv) == list(cli.COMMANDS)
+    usage = cli.build_parser([]).format_usage()
+    assert usage == "usage: rfiqkd [-h] {point,scan,compare,process,simulate} ...\n"
+    assert cli.build_parser(["scan"]).format_usage() == usage
+    code, out, err = run_cli(["scan", "--bogus"])
+    assert (code, out, err) == (cli.EXIT_ERROR, "", usage + "rfiqkd: error: unrecognized arguments: --bogus\n")
 
 
 def test_readme_table_is_the_code_table():

@@ -4,15 +4,16 @@ from dataclasses import fields, replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import ChannelParams, SecurityParams, decoy
+from rfiqkd import ChannelParams, SecurityParams, decoy, keyrate
 from rfiqkd.baselines import run_six_four, run_six_state
 from rfiqkd.channel import expected_tallies
 from rfiqkd.core import (
     ALL_CELLS,
     CELL_INDEX,
+    MAX_PULSES,
     BasisLabel,
     KINDS,
     IntensityKind,
@@ -292,6 +293,66 @@ def test_overflow_group_beyond_the_budget():
     assert _classify(ObservedTallies(big)) is None
     with pytest.raises(TallyError, match=r"^group overflow: cell \(Z0,Z,mu\)"):
         group_slices(TallyBatch(np.stack([big] * 3)), 6)
+
+
+# detections of one classify cell: none, or a count spread over every binade up
+# to MAX_PULSES, the array quotient's exact ones below 2**52 and those from 2**52 on
+_DETECTED = st.one_of(st.just(0), st.integers(0, 62).flatmap(
+    lambda k: st.integers(2**k, min(2 ** (k + 1) - 1, MAX_PULSES))
+))
+
+
+@st.composite
+def _classify_cells(draw, m_groups):
+    """The X0 and Y0 classify cells' (detected, errors) of one slice: each error
+    count anywhere in [0, detected], or within 2 of the one that puts the angle
+    on a group edge k * 2*pi / m_groups."""
+    edge = draw(st.integers(0, m_groups - 1)) * TWO_PI / m_groups
+    cells = []
+    for target in (math.cos(edge), math.sin(edge)):
+        detected = draw(_DETECTED)
+        on_edge = round(detected * (1.0 - target) / 2.0)
+        errors = draw(st.one_of(
+            st.integers(0, detected),
+            st.integers(on_edge - 2, on_edge + 2).map(lambda e: min(max(e, 0), detected)),
+        ))
+        cells.append((detected, errors))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@example((6, [[(2**52 - 1, 0), (2**52 - 1, 2**51)]]))  # an angle of -1/(2**52 - 1), which % wraps to 2*pi
+@given(st.integers(2, 12).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(_classify_cells(m), min_size=1, max_size=6))
+))
+def test_array_classification_is_the_scalar_classifier(case):
+    m_groups, slices = case
+    counts = np.zeros((len(slices), len(ALL_CELLS), 3), dtype=np.int64)
+    for table, cells in zip(counts, slices):
+        for state, (detected, errors) in zip((StateLabel.X0, StateLabel.Y0), cells):
+            table[CELL_INDEX[(state, BasisLabel.Z, IntensityKind.MU)], 0] = detected
+            table[CELL_INDEX[(state, BasisLabel.X, IntensityKind.MU)]] = (detected, detected, errors)
+    batch = TallyBatch(counts)
+    width = TWO_PI / m_groups
+    expected = []
+    for cells in slices:
+        rho = DriftClassifier.classify(*cells)
+        expected.append(m_groups if rho is None else min(int(rho / width), m_groups - 1))
+    assert keyrate._slice_groups(batch, m_groups).tolist() == expected
+
+    sums = [sum((counts[i].astype(object) for i, g in enumerate(expected) if g == group),
+                np.zeros((len(ALL_CELLS), 3), dtype=object)) for group in range(m_groups + 1)]
+    if any((total > MAX_PULSES).any() for total in sums):
+        with pytest.raises(TallyError, match="exceeds the 64-bit count budget"):
+            group_slices(batch, m_groups)
+        return
+    buckets = group_slices(batch, m_groups)
+    groups = [*range(m_groups), None] if m_groups in expected else range(m_groups)
+    assert [(b.index, b.n_slices, b.counts.tolist()) for b in buckets] == [
+        (index, expected.count(m_groups if index is None else index),
+         sums[m_groups if index is None else index].tolist())
+        for index in groups
+    ]
 
 
 def test_a_class_sum_at_two_to_the_63_does_not_wrap(cfg, sec):

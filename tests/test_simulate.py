@@ -313,6 +313,30 @@ def test_drift_sinusoidal_wraps_into_range():
     assert all(0.0 <= b < 2 * math.pi for b in trace.betas)
 
 
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("fixed", {"beta0": -7.5}),
+        ("linear", {"beta0": 5.9, "rate": 40.3}),
+        ("linear", {"beta0": 1.7e308, "rate": 1.7e308}),  # inf, then nan, as Python's floats
+        ("sinusoidal", {"beta0": 0.3, "amplitude": math.pi, "period": 0.4}),
+        ("sinusoidal", {"beta0": -2.0, "amplitude": 13.0, "period": 3.7}),
+    ],
+)
+def test_drift_trace_is_the_scalar_formula_bit_for_bit(model, params):
+    angle = {
+        "fixed": lambda t: params["beta0"],
+        "linear": lambda t: params["beta0"] + params["rate"] * t,
+        "sinusoidal": lambda t: params["beta0"]
+        + params["amplitude"] * math.sin(2 * math.pi * t / params["period"]),
+    }[model]
+    n_slices = 1031
+    expected = [angle(i / n_slices) % (2 * math.pi) for i in range(n_slices)]
+    got = drift_beta(model, params, n_slices).betas
+    assert type(got) is tuple and all(type(beta) is float for beta in got)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 def test_drift_unknown_model_rejected():
     with pytest.raises(ValueError, match="drift model"):
         drift_beta("randomwalk", {}, 4)
