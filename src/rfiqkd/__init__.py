@@ -13,7 +13,6 @@ from .core import (
     StateLabel,
     TallyBatch,
     intensity_triple,
-    validate_config,
 )
 from .keyrate import analyze_tallies, group_and_extract
 
@@ -29,7 +28,6 @@ __all__ = [
     "StateLabel",
     "TallyBatch",
     "intensity_triple",
-    "validate_config",
     "analyze_tallies",
     "group_and_extract",
 ]

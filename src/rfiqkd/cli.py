@@ -34,7 +34,7 @@ import numpy as np
 
 from . import baselines
 from .channel import absorption, expected_tallies
-from .decoy import in_point_order
+from .decoy import DecoyPreconditionError, in_point_order, setting
 from .core import (
     ALL_CELLS,
     FIELDS,
@@ -46,7 +46,6 @@ from .core import (
     TallyBatch,
     TallyError,
     intensity_triple,
-    validate_config,
 )
 from .keyrate import (
     ExtractionResult,
@@ -128,21 +127,30 @@ _SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
     "n_zz_all_intensities": (True, bool, _ASSUMED, _ANALYZERS),
 }
 MAX_SLICES = 10**6  # slices a drift trace may have; each slice's counts take 576 B
-# keys whose parser admits values the run cannot use -> (test, requirement), each
-_NON_NEGATIVE = (lambda km: 0.0 <= km < math.inf, "must be finite and >= 0")
+MAX_GROUPS = 10**4  # drift groups a run may have; each takes its own (24, 3) sums
+# keys whose parser admits values the run cannot use -> (test, requirement), each;
+# a derived key, None in the run, is not checked
+_NON_NEGATIVE = (lambda x: 0.0 <= x < math.inf, "must be finite and >= 0")
 _FINITE = (math.isfinite, "must be finite")
+_UNIT = (lambda p: 0.0 <= p <= 1.0, "must be in [0,1]")
+_AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
 _RANGES = {
-    "distance_km": [_NON_NEGATIVE],
-    "scan_min_km": [_NON_NEGATIVE],
-    "scan_max_km": [_FINITE],
+    **dict.fromkeys(("e0", "e_d", "eta_det", "p_mu", "p_nu", "p_omega", "p_z_alice", "p_x0", "p_y0"),
+                    [_UNIT]),
+    **dict.fromkeys(("alpha_db_per_km", "eta_z_db", "eta_xy_db", "mu", "nu", "omega", "distance_km",
+                     "scan_min_km"), [_NON_NEGATIVE]),
+    **dict.fromkeys(("scan_max_km", "drift_beta0_rad", "drift_rate_rad", "drift_amplitude_rad"),
+                    [_FINITE]),
+    **{key: [(lambda eps: 0.0 < eps < 1.0 and math.isfinite(2.0 / eps),
+              f"must be in (0,1) with 2/{key} finite")] for key in ("eps_bar", "eps_ec", "eps_pa")},
+    # the leak term is f_ec times a count of up to 2^62
+    "f_ec": [(lambda f: 1.0 <= f < math.inf, "must be finite and >= 1"),
+             (lambda f: not math.isfinite(f) or f * MAX_PULSES < math.inf, "must keep f_ec*2^62 finite")],
+    "beta_rad": [(lambda beta: 0.0 <= beta < TWO_PI, "must be in [0, 2*pi)")],
+    "p_z_bob": [(lambda p: 0.0 < p < 1.0, "must be in (0,1)")],
     "scan_step_km": [(lambda step: 0.0 < step < math.inf, "must be finite and > 0")],
-    "n_slices": [
-        (lambda n: n >= 1, "must be >= 1"),
-        (lambda n: n <= MAX_SLICES, f"exceeds the slice budget {MAX_SLICES}"),
-    ],
-    "drift_beta0_rad": [_FINITE],
-    "drift_rate_rad": [_FINITE],
-    "drift_amplitude_rad": [_FINITE],
+    "n_slices": [_AT_LEAST_ONE, (lambda n: n <= MAX_SLICES, f"exceeds the slice budget {MAX_SLICES}")],
+    "m_groups": [_AT_LEAST_ONE, (lambda m: m <= MAX_GROUPS, f"exceeds the group budget {MAX_GROUPS}")],
     "drift_period": [(lambda period: period > 0.0 and math.isfinite(TWO_PI / period),
                       "must be > 0 with 2*pi/drift_period finite")],
 }
@@ -836,6 +844,39 @@ def _run_config(args) -> RunConfig:
     return run
 
 
+def _joint_problems(run: RunConfig, cfg: ProtocolConfig, problems: list[str]) -> list[str]:
+    """The checks of keys taken together, after each key's own (``problems``):
+    the probability sums; the decoy bounds' preconditions and the drift
+    angles, each once the keys it reads are in range; and the grid budget,
+    once all else passes."""
+    failed = {problem.partition(":")[0] for problem in problems}
+    sums = {"p_mu + p_nu + p_omega": sum(entry.probability for entry in cfg.intensities),
+            "p_z_alice + p_x0 + p_y0": cfg.p_z_alice + cfg.p_x0 + cfg.p_y0}
+    joint = [f"{keys} must sum to 1, got {total!r}"
+             for keys, total in sums.items() if abs(total - 1.0) > 1e-12]
+    if failed.isdisjoint(("mu", "nu", "omega", "p_mu", "p_nu", "p_omega")):
+        try:
+            setting(cfg.intensities, None)
+        except DecoyPreconditionError as exc:
+            joint.append(str(exc))
+    # a trace's extreme angles, from its ends: n_slices = 1 takes the channel's angle
+    drift = ("n_slices", "drift_beta0_rad", "drift_rate_rad", "drift_amplitude_rad")
+    n, beta0, rate, amplitude = map(run.__getitem__, drift)
+    if n > 1 and failed.isdisjoint(drift):
+        if run["drift"] == "linear" and not math.isfinite(beta0 + rate * ((n - 1) / n)):
+            joint.append(f"drift_beta0_rad + drift_rate_rad*(n_slices-1)/n_slices must be finite, "
+                         f"got {beta0} + {rate}*{n - 1}/{n}")
+        if run["drift"] == "sinusoidal" and not math.isfinite(abs(beta0) + abs(amplitude)):
+            joint.append(f"drift_beta0_rad +/- drift_amplitude_rad must be finite, "
+                         f"got {beta0} +/- {amplitude}")
+    lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
+    if not problems and not joint and (count := _grid_count(lo, hi, step)) > MAX_GRID_POINTS:
+        size = "are too many to count" if math.isinf(count) else (
+            f"give {count:.12g} distances, over the {MAX_GRID_POINTS} a grid may have")
+        joint.append(f"scan_step_km: {step} km steps over [{lo}, {hi}] km {size}")
+    return joint
+
+
 def main(
     argv: Sequence[str] | None = None,
     out: TextIO | None = None,
@@ -860,19 +901,11 @@ def main(
             out.write("\n".join(run.provenance_lines()) + "\n")
             return EXIT_OK
         cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
-        named = (problem.partition(":") for problem in validate_config(cfg, ch, sec))
-        problems = sorted([  # a key derived from p_z_alice (None in run) is not the bad key
-            _CHANNEL_KEY.get(key, key) + sep + rest
-            for key, sep, rest in named if run.values.get(key, key) is not None
-        ] + [
-            f"{key}: {need}, got {run[key]}"
-            for key, checks in _RANGES.items() for ok, need in checks if not ok(run[key])
-        ])
-        lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
-        if not problems and (count := _grid_count(lo, hi, step)) > MAX_GRID_POINTS:
-            size = "are too many to count" if math.isinf(count) else (
-                f"give {count:.12g} distances, over the {MAX_GRID_POINTS} a grid may have")
-            problems = [f"scan_step_km: {step} km steps over [{lo}, {hi}] km {size}"]
+        problems = sorted(
+            f"{key}: {need}, got {run[key]}" for key, checks in _RANGES.items()
+            for ok, need in checks if run[key] is not None and not ok(run[key])
+        )
+        problems += _joint_problems(run, cfg, problems)
         for problem in problems:
             print(f"config error: {problem}", file=err)
         if problems:

@@ -1,4 +1,4 @@
-"""Shared domain types and configuration validation.
+"""Shared domain types.
 
 Everything here is an immutable value object. Instances are cheap to copy
 with :func:`dataclasses.replace` and safe to share between workers.
@@ -14,9 +14,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 MAX_PULSES = 2**62  # counts are held in 64-bit integers
-MAX_GROUPS = 10**4  # drift groups a run may have; each takes its own (24, 3) sums
-
-PROB_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
@@ -330,72 +327,3 @@ class KeyRateReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intermediate", MappingProxyType(dict(self.intermediate)))
-
-
-def validate_config(
-    cfg: ProtocolConfig, ch: ChannelParams, sec: SecurityParams
-) -> list[str]:
-    """Check every type invariant; return the full list of violations.
-
-    An empty list means the configuration is valid. The list is sorted so
-    repeated validation of the same input yields identical output.
-    """
-    bad: list[str] = []
-
-    for entry in cfg.intensities:
-        if not 0.0 <= entry.mean_photons < math.inf:
-            bad.append(
-                f"intensities.{entry.kind.value}: mean photon number must be finite and >= 0, "
-                f"got {entry.mean_photons}"
-            )
-        if not 0.0 <= entry.probability <= 1.0:
-            bad.append(
-                f"intensities.{entry.kind.value}: probability must be in [0,1], got {entry.probability}"
-            )
-    if not bad:  # the decoy bounds' own preconditions; eps_bar is checked below
-        from .decoy import DecoyPreconditionError, setting  # decoy imports core
-        try:
-            setting(cfg.intensities, None)
-        except DecoyPreconditionError as exc:
-            bad.append(str(exc))
-    psum = sum(entry.probability for entry in cfg.intensities)
-    if abs(psum - 1.0) > PROB_TOL:
-        bad.append(f"intensities: selection probabilities must sum to 1, got {psum!r}")
-
-    ssum = cfg.p_z_alice + float(cfg.p_x0) + float(cfg.p_y0)
-    if abs(ssum - 1.0) > PROB_TOL:
-        bad.append(f"p_z_alice + p_x0 + p_y0 must sum to 1, got {ssum!r}")
-    for name in ("p_z_alice", "p_x0", "p_y0"):
-        val = float(getattr(cfg, name))
-        if not 0.0 <= val <= 1.0:
-            bad.append(f"{name}: must be in [0,1], got {val}")
-    if not 0.0 < cfg.p_z_bob < 1.0:
-        bad.append(f"p_z_bob: must be in (0,1), got {cfg.p_z_bob}")
-    if cfg.n_total < 1:
-        bad.append(f"n_total: must be >= 1, got {cfg.n_total}")
-    if cfg.n_total > MAX_PULSES:
-        bad.append(f"n_total: exceeds 64-bit count budget {MAX_PULSES}, got {cfg.n_total}")
-    if cfg.m_groups < 1:
-        bad.append(f"m_groups: must be >= 1, got {cfg.m_groups}")
-    if cfg.m_groups > MAX_GROUPS:
-        bad.append(f"m_groups: exceeds the group budget {MAX_GROUPS}, got {cfg.m_groups}")
-
-    for name in ("e0", "e_d", "eta_det"):
-        val = getattr(ch, name)
-        if not 0.0 <= val <= 1.0:
-            bad.append(f"{name}: must be in [0,1], got {val}")
-    for name in ("alpha_db_per_km", "eta_z_db", "eta_xy_db"):
-        val = getattr(ch, name)
-        if not 0.0 <= val < math.inf:
-            bad.append(f"{name}: must be finite and >= 0, got {val}")
-    if not 0.0 <= ch.beta < TWO_PI:
-        bad.append(f"beta: must be in [0, 2*pi), got {ch.beta}")
-
-    for name in ("eps_bar", "eps_ec", "eps_pa"):
-        val = getattr(sec, name)
-        if not (0.0 < val < 1.0 and math.isfinite(2.0 / val)):
-            bad.append(f"{name}: must be in (0,1) with 2/{name} finite, got {val}")
-    if not 1.0 <= sec.f_ec < math.inf:
-        bad.append(f"f_ec: must be finite and >= 1, got {sec.f_ec}")
-
-    return sorted(bad)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from rfiqkd import analyze_tallies, baselines, channel, cli, keyrate
 from rfiqkd.channel import expected_tallies
-from rfiqkd.core import MAX_GROUPS, ObservedTallies, TallyBatch, TallyError
+from rfiqkd.cli import MAX_GROUPS
+from rfiqkd.core import ObservedTallies, TallyBatch, TallyError
 from rfiqkd.simulate import drift_beta, sample_tallies
 
 
@@ -63,7 +64,7 @@ def test_invalid_config_is_exit_one(tmp_path):
     "line, message",
     [
         ("f_ec = nan", "f_ec: must be finite and >= 1, got nan"),
-        ("mu = inf", "intensities.mu: mean photon number must be finite and >= 0, got inf"),
+        ("mu = inf", "mu: must be finite and >= 0, got inf"),
         ("eta_z_db = inf", "eta_z_db: must be finite and >= 0, got inf"),
         ("alpha_db_per_km = nan", "alpha_db_per_km: must be finite and >= 0, got nan"),
     ],
@@ -89,15 +90,50 @@ def test_a_non_finite_value_is_a_config_error(tmp_path, line, message):
         ("eps_bar = 1e-320\n", "eps_bar: must be in (0,1) with 2/eps_bar finite, got 1e-320"),
         ("eps_ec = 1e-320\n", "eps_ec: must be in (0,1) with 2/eps_ec finite, got 1e-320"),
         ("beta_rad = 7\n", "beta_rad: must be in [0, 2*pi), got 7.0"),
+        ("mu = 0.3\nomega = 0.1\n",
+         "mu: need mu*(nu-omega) > nu^2-omega^2, got mu=0.3 nu=0.28 omega=0.1"),
+        ("p_omega = 0.2\n", "p_mu + p_nu + p_omega must sum to 1, got 1.1"),
+        ("f_ec = 1e300\n", "f_ec: must keep f_ec*2^62 finite, got 1e+300"),
     ],
     ids=["nu-equals-omega", "nu-subnormal", "mu-800", "mu-700", "p_omega-0", "eps_bar-tiny",
-         "eps_ec-tiny", "beta_rad-7"],
+         "eps_ec-tiny", "beta_rad-7", "intensity-ordering", "probability-sum", "f_ec-1e300"],
 )
 def test_an_intensity_or_epsilon_probe_is_one_config_error(tmp_path, lines, message):
     config = tmp_path / "probe.cfg"
     config.write_text(lines)
     code, out, err = run_cli(["point", "--config", str(config)])
     assert (code, out, err) == (cli.EXIT_ERROR, "", f"config error: {message}\n")
+
+
+def test_the_baseline_config_written_out_is_accepted(tmp_path):
+    config = tmp_path / "baseline.cfg"
+    config.write_text(
+        "mu = 0.55\nnu = 0.28\nomega = 0\np_mu = 0.54\np_nu = 0.36\np_omega = 0.10\n"
+        "p_z_alice = 0.77\np_z_bob = 0.5\nn_total = 3e12\nm_groups = 1\n"
+    )
+    code, out, err = run_cli(["point", "--config", str(config)])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == run_cli(["point"])[1]
+
+
+@pytest.mark.parametrize(
+    "lines, messages",
+    [
+        ("p_mu = 2\n",
+         ["p_mu: must be in [0,1], got 2.0", "p_mu + p_nu + p_omega must sum to 1, got 2.46"]),
+        ("p_z_bob = 1.5\ne0 = -0.1\nm_groups = 0\n",
+         ["e0: must be in [0,1], got -0.1", "m_groups: must be >= 1, got 0",
+          "p_z_bob: must be in (0,1), got 1.5"]),
+        ("e_d = 2\nbeta_rad = -1\n",
+         ["beta_rad: must be in [0, 2*pi), got -1.0", "e_d: must be in [0,1], got 2.0"]),
+    ],
+    ids=["p_mu-2", "three-keys", "e_d-and-beta_rad"],
+)
+def test_every_violation_is_reported_together_and_alike_each_time(tmp_path, lines, messages):
+    config = tmp_path / "probe.cfg"
+    config.write_text(lines)
+    first, second = (run_cli(["point", "--config", str(config)]) for _ in range(2))
+    assert first == second == (cli.EXIT_ERROR, "", "".join(f"config error: {m}\n" for m in messages))
 
 
 def test_a_repeated_config_key_names_both_lines(tmp_path):
@@ -249,6 +285,34 @@ def test_slices_and_groups_over_their_budget_are_rejected_before_any_is_built(
     config.write_text(lines)
     code, out, err = run_cli(_argv(command, tally_file) + ["--config", str(config)])
     assert (code, out, err) == (cli.EXIT_ERROR, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("point", "drift = linear\ndrift_beta0_rad = 1.7e308\ndrift_rate_rad = 1.7e308\n",
+         "drift_beta0_rad + drift_rate_rad*(n_slices-1)/n_slices must be finite, "
+         "got 1.7e+308 + 1.7e+308*3/4"),
+        ("simulate", "drift = sinusoidal\ndrift_beta0_rad = -1.7e308\ndrift_amplitude_rad = 1.7e308\n",
+         "drift_beta0_rad +/- drift_amplitude_rad must be finite, got -1.7e+308 +/- 1.7e+308"),
+    ],
+    ids=["linear", "sinusoidal"],
+)
+def test_a_drift_whose_angle_overflows_is_rejected_before_any_slice_is_made(
+    tmp_path, monkeypatch, command, lines, message
+):
+    def unbuilt(*args):
+        raise AssertionError("slices were built")
+
+    monkeypatch.setattr(cli, "_make_slices", unbuilt)
+    config = tmp_path / "drift.cfg"
+    config.write_text(lines + "n_total = 4000000\nn_slices = 4\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert (code, out, err) == (cli.EXIT_ERROR, "", f"config error: {message}\n")
+    # one slice takes the channel's angle and reads no drift key
+    config.write_text(lines + "n_total = 4000000\n")
+    monkeypatch.setattr(cli, "_make_slices", lambda *args: TallyBatch(np.zeros((1, 24, 3), np.int64)))
+    assert run_cli([command, "--config", str(config)])[2] == ""
 
 
 def test_the_slice_and_group_budgets_themselves_are_allowed(tmp_path, monkeypatch):
@@ -930,26 +994,41 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
 
 # -- config fuzz ----------------------------------------------------------------
 
-_FUZZ_KEYS = ("mu", "nu", "omega", "p_mu", "p_nu", "p_omega", "eps_bar", "eps_ec", "eps_pa",
-              "beta_rad")
+_FUZZ_KEYS = [key for key, spec in cli._SCHEMA.items() if spec[1] in (float, "optional_float")]
 _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "1e300")
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES)))
-def test_fuzzed_intensity_and_epsilon_configs_fail_cleanly(values):
-    # a key left out keeps its default; block sizes and slice counts are not
-    # drawn, so no run allocates a large trace
-    lines = "".join(f"{key} = {value}\n" for key, value in values.items())
+def _fuzzed_config(command):
+    """``command`` and a config of float keys it reads, perhaps with a block size at or
+    just past the count budget."""
+    keys = st.sampled_from([key for key in _FUZZ_KEYS if key in cli.COMMANDS[command]])
+    return st.tuples(
+        st.just(command),
+        st.dictionaries(keys, st.sampled_from(_FUZZ_VALUES)),
+        st.sampled_from([{}, {"n_total": 2**62}, {"n_total": 2**62 + 1}]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["point", "scan", "compare"]).flatmap(_fuzzed_config))
+def test_fuzzed_intensity_and_epsilon_configs_fail_cleanly(drawn):
+    # a key left out keeps its default; slice and group counts are not drawn,
+    # so no run allocates a large trace
+    command, values, block = drawn
+    lines = "".join(f"{key} = {value}\n" for key, value in {**values, **block}.items())
     with tempfile.TemporaryDirectory() as folder:
         config = Path(folder) / "fuzz.cfg"
         config.write_text(lines)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(["point", "--config", str(config)])
+            code, out, err = run_cli([command, "--config", str(config)])
     assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_NO_KEY)
     assert not re.search(r"\b(nan|inf)\b", out), out
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and not str(w.message).startswith("six-state mixing")]
     if code == cli.EXIT_ERROR:
         assert out == ""
-        assert all(line.startswith(("config error: ", "error: ")) for line in err.splitlines())
+        for line in err.splitlines():
+            prefix, _, problem = line.partition(": ")
+            assert prefix in ("config error", "error"), line
+            assert re.match(r"\w+", problem)[0] in cli._SCHEMA, line

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from rfiqkd import ChannelParams, SecurityParams, validate_config
+from rfiqkd import SecurityParams
 import numpy as np
 
 from rfiqkd.core import (
@@ -18,43 +18,6 @@ from rfiqkd.core import (
 )
 
 from conftest import make_config
-
-
-def test_baseline_config_accepted(cfg, ch, sec):
-    assert validate_config(cfg, ch, sec) == []
-
-
-def test_intensity_ordering_rejected(ch, sec):
-    cfg = make_config(intensities=__import__("rfiqkd").intensity_triple(
-        0.3, 0.28, 0.1, 0.54, 0.36, 0.10))
-    problems = validate_config(cfg, ch, sec)
-    assert "mu: need mu*(nu-omega) > nu^2-omega^2, got mu=0.3 nu=0.28 omega=0.1" in problems
-
-
-def test_probability_sum_checked(ch, sec):
-    from rfiqkd import intensity_triple
-
-    good = make_config(intensities=intensity_triple(0.55, 0.28, 0.0, 0.54, 0.36, 0.10))
-    assert validate_config(good, ch, sec) == []
-    bad = make_config(intensities=intensity_triple(0.55, 0.28, 0.0, 0.54, 0.36, 0.20))
-    problems = validate_config(bad, ch, sec)
-    assert any("sum to 1" in p for p in problems)
-
-
-def test_all_violations_reported_together(sec):
-    cfg = make_config(p_z_bob=1.5, n_total=0)
-    ch = ChannelParams(e0=-0.1)
-    problems = validate_config(cfg, ch, sec)
-    assert len(problems) >= 3
-    joined = "\n".join(problems)
-    assert "p_z_bob" in joined and "n_total" in joined and "e0" in joined
-
-
-def test_validation_idempotent(cfg, sec):
-    ch = ChannelParams(e_d=2.0, beta=-1.0)
-    first = validate_config(cfg, ch, sec)
-    second = validate_config(cfg, ch, sec)
-    assert first == second != []
 
 
 def test_default_xy_probabilities_derived():

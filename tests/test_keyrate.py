@@ -576,3 +576,30 @@ def test_a_point_raises_what_its_first_failing_class_raises(cfg, ch, sec):
         batch, small, sec, literal_paper_formulas=True
     ))
     assert stacked == alone == (*errors["crafted"][:2], 1)
+
+
+# -- rate properties on the analytic channel ---------------------------------------
+
+
+# The analytic channel rounds each expected count to an integer, and one count
+# can reverse the order of two nearby points' rates (0 km against 1.2e-7 km at
+# a block of 511955619 pulses; 999999999999953 pulses against one more). So
+# the two orderings are checked between points at least 1 km, or a factor 2
+# in block size, apart.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 299.0), st.floats(1.0, 300.0), st.floats(0.0, TWO_PI, exclude_max=True),
+    st.integers(10**8, 5 * 10**14), st.floats(2.0, 10**7),
+)
+def test_the_rate_falls_with_distance_rises_with_block_size_and_stays_below_asymptotic(
+    near, step, beta, small, factor
+):
+    far, large = min(near + step, 300.0), min(int(small * factor), 10**15)
+    cfg, ch, sec = make_config(), ChannelParams(beta=beta), SecurityParams()
+    distances, sizes = [near, far, near], [small, small, large]
+    tallies = expected_tallies(cfg, ch, distances, n_total=sizes)
+    finite = analyze_batch(tallies, cfg, sec, n_total=sizes).key_rate
+    asymptotic = analyze_batch(tallies, cfg, sec, n_total=sizes, asymptotic=True).key_rate
+    assert (finite <= asymptotic).all(), (finite, asymptotic)
+    assert finite[0] >= finite[1], finite
+    assert finite[0] <= finite[2], finite
