@@ -19,7 +19,7 @@ import numpy as np
 from . import security
 from .channel import absorption, pulse_probabilities, quadrature_error
 from .core import ChannelParams, KeyRateReport, ProtocolConfig, SecurityParams
-from .decoy import BoundedCount, in_point_order
+from .decoy import BoundedCount, ClassBounds
 from .keyrate import analyze_classes, report_at
 # Unused here, but tracers that wrap every binding of key_length by module
 # (perfbench/spans.py) look it up in this module too.
@@ -62,7 +62,7 @@ def _run(
     """Shared pipeline: Z-prepared states measured in Z give the key; each
     ``(receiver probability, projection)`` pair in ``quadratures`` is one
     X- or Y-prepared class whose bounds feed ``leak``. A distance array
-    runs as one block and raises what the distances one by one raise first."""
+    runs as one block, each distance's entries its own."""
     distances = np.atleast_1d(distance_km).tolist()
     table = absorption(ch, cfg.intensities, distances) if absorbed is None else absorbed
     absorbed = np.split(table, 2, axis=1)  # paths Z, X
@@ -73,24 +73,25 @@ def _run(
     bob_prob, projection = np.array(quadratures).T[..., None]  # (classes, 1) each
     e_mis = quadrature_error(ch.e0, projection)
 
-    def evaluate(stop: int) -> KeyRateReport:
-        z, x, block = absorbed[0][:stop], absorbed[1][:stop, None], blocks[:stop]
-        key = _class_counts(cfg, ch, z, block, cfg.p_z_alice, p_z_bob, ch.e0)
-        # the quadrature classes as one (n, classes, 3) block
-        tests = _class_counts(cfg, ch, x, block[:, None], p_half, bob_prob, e_mis)
-        return analyze_classes(key, tests, leak, cfg, sec, sizes[:stop], *options)
-
-    report = in_point_order(evaluate, len(distances))
+    key = _class_counts(cfg, ch, absorbed[0], blocks, cfg.p_z_alice, p_z_bob, ch.e0)
+    # the quadrature classes as one (n, classes, 3) block
+    tests = _class_counts(cfg, ch, absorbed[1][:, None], blocks[:, None], p_half, bob_prob, e_mis)
+    report = analyze_classes(key, tests, leak, cfg, sec, sizes, *options)
     return report if np.ndim(distance_km) else report_at(report, 0)
 
 
-def _correlators(e: BoundedCount) -> list[np.ndarray]:
-    """The smallest magnitude of each class's correlator 1 - 2e, one array per class."""
+def _correlators(bounds: ClassBounds, inter: dict) -> list[np.ndarray]:
+    """The smallest magnitude of each class's correlator 1 - 2e, one array per
+    class. Records as ``c_nonphysical`` the points where a class's decoy chain
+    gave a non-physical bound."""
+    flags = np.array([bounds.s0.nonphysical, bounds.s1.nonphysical, bounds.t.nonphysical])
+    inter["c_nonphysical"] = flags.reshape(3, len(flags[0]), -1).any(axis=(0, 2))
+    e = bounds.e
     return list(security.abs_lower(1.0 - 2.0 * e.upper, 1.0 - 2.0 * e.lower).T)
 
 
 def _leak_six_four(bounds, e_zz, inter, literal):
-    raw = security.c_64(*_correlators(bounds.e))
+    raw = security.c_64(*_correlators(bounds, inter))
     c_lower = np.where(raw > 1.0, 1.0, raw)
     inter["c_clamped"] = raw > 1.0
     return c_lower, security.ie_4state(c_lower)
@@ -98,7 +99,7 @@ def _leak_six_four(bounds, e_zz, inter, literal):
 
 def _leak_six_state(bounds, e_zz, inter, literal):
     # per point in Python: powers, sqrt, log2 and the clamp warnings
-    raw = security.per_point(security.c_6state, *_correlators(bounds.e))
+    raw = security.per_point(security.c_6state, *_correlators(bounds, inter))
     c_lower = np.where(raw > 2.0, 2.0, raw)
     inter["c_clamped"] = raw > 2.0
     return c_lower, np.array([

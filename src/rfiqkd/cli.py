@@ -34,7 +34,7 @@ import numpy as np
 
 from . import baselines
 from .channel import absorption, expected_tallies
-from .decoy import DecoyPreconditionError, in_point_order, setting
+from .decoy import DecoyPreconditionError, setting
 from .core import (
     ALL_CELLS,
     FIELDS,
@@ -582,8 +582,6 @@ def _make_slices(
     n_slices = int(run["n_slices"])
     if n_slices == 1:  # the whole block at the channel's angle
         trace = DriftTrace((ch.beta,), cfg.n_total)
-    elif cfg.n_total % n_slices != 0:
-        raise ConfigError(f"n_total={cfg.n_total} is not divisible by n_slices={n_slices}")
     else:
         params = {
             "beta0": float(run["drift_beta0_rad"]),
@@ -656,14 +654,16 @@ def _grid(run: RunConfig, cfg, ch, mode) -> Iterator[tuple[list, list, np.ndarra
 def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) -> list[str]:
     """A chunk's CSV rows: distance, block size, the ``lead`` fields, the result
     ``columns`` (``%.12g`` for a float64 one, else ``_fmt``) and the names of the
-    set ``flags`` among a report's bool columns, any ``*_degenerate`` as ``degenerate``."""
+    set ``flags`` among a report's bool columns, any ``*_degenerate`` as ``degenerate``
+    and any ``*_nonphysical`` as ``nonphysical``."""
     floats = [column.dtype == np.float64 for column in columns]
     template = ",".join(["%s", "%d", *lead] + ["%.12g" if f else "%s" for f in floats] + ["%s"])
     values = [c.tolist() if f else list(map(_fmt, c.tolist())) for c, f in zip(columns, floats)]
     marks = {key: flags[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in flags}
-    marks["degenerate"] = np.zeros(len(distances), dtype=bool)
-    for key in (key for key in flags if key.endswith("_degenerate")):
-        marks["degenerate"] |= flags[key]
+    for mark in ("degenerate", "nonphysical"):
+        marks[mark] = np.zeros(len(distances), dtype=bool)
+        for key in (key for key in flags if key.endswith("_" + mark)):
+            marks[mark] |= flags[key]
     names = sorted(marks)  # a point's marks as a bitmask, the first name its highest bit
     code = sum(marks[name] << (len(names) - 1 - j) for j, name in enumerate(names))
     labels = [";".join(compress(names, bits)) for bits in product((0, 1), repeat=len(names))]
@@ -693,9 +693,12 @@ def _render_extraction(result: ExtractionResult, n_total: int) -> list[str]:
             lines.append(f"  skipped: {outcome.diagnostic}")
             continue
         report = outcome.report
+        # report_at keeps a flag only where it is set
+        nonphysical = any(key.endswith("_nonphysical") for key in report.intermediate)
         lines.append(
             f"  c44_lower={_fmt(report.c44_lower)} i_e={_fmt(report.i_e)} "
             f"e_zz={_fmt(report.e_zz)} key_length={_fmt(report.key_length)}"
+            + " nonphysical" * nonphysical
         )
     lines.append(f"key_length = {_fmt(result.key_length)}")
     lines.append(f"key_rate = {_fmt(result.key_length / n_total)}")
@@ -739,18 +742,11 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
     for sizes, distances, absorbed, block in _grid(run, cfg, ch, "analytic"):
-
-        def evaluate(stop: int):
-            # protocol by protocol, so a point's first error is its rfi44 one
-            part = block if stop == len(block) else TallyBatch(block.counts[:stop])
-            per_point = {"n_total": sizes[:stop], **options}
-            return [
-                analyze_batch(part, cfg, sec, **per_point),
-                *(runner(cfg, ch, sec, distances[:stop], absorbed=absorbed[:stop], **per_point)
-                  for runner in (baselines.run_six_four, baselines.run_six_state)),
-            ]
-
-        reports = in_point_order(evaluate, len(distances))
+        reports = [
+            analyze_batch(block, cfg, sec, n_total=sizes, **options),
+            *(runner(cfg, ch, sec, distances, absorbed=absorbed, n_total=sizes, **options)
+              for runner in (baselines.run_six_four, baselines.run_six_state)),
+        ]
         protocols = [_csv_rows(
             (name,), distances, sizes, (r.key_rate, r.c44_lower, r.e_zz), r.intermediate
         ) for name, r in zip(baselines.PROTOCOLS, reports)]
@@ -846,9 +842,9 @@ def _run_config(args) -> RunConfig:
 
 def _joint_problems(run: RunConfig, cfg: ProtocolConfig, problems: list[str]) -> list[str]:
     """The checks of keys taken together, after each key's own (``problems``):
-    the probability sums; the decoy bounds' preconditions and the drift
-    angles, each once the keys it reads are in range; and the grid budget,
-    once all else passes."""
+    the probability sums; the decoy bounds' preconditions, the drift angles
+    and the block size's split into slices, each once the keys it reads are
+    in range; and the grid budget, once all else passes."""
     failed = {problem.partition(":")[0] for problem in problems}
     sums = {"p_mu + p_nu + p_omega": sum(entry.probability for entry in cfg.intensities),
             "p_z_alice + p_x0 + p_y0": cfg.p_z_alice + cfg.p_x0 + cfg.p_y0}
@@ -862,6 +858,8 @@ def _joint_problems(run: RunConfig, cfg: ProtocolConfig, problems: list[str]) ->
     # a trace's extreme angles, from its ends: n_slices = 1 takes the channel's angle
     drift = ("n_slices", "drift_beta0_rad", "drift_rate_rad", "drift_amplitude_rad")
     n, beta0, rate, amplitude = map(run.__getitem__, drift)
+    if "n_slices" not in failed and cfg.n_total % n:
+        joint.append(f"n_total={cfg.n_total} is not divisible by n_slices={n}")
     if n > 1 and failed.isdisjoint(drift):
         if run["drift"] == "linear" and not math.isfinite(beta0 + rate * ((n - 1) / n)):
             joint.append(f"drift_beta0_rad + drift_rate_rad*(n_slices-1)/n_slices must be finite, "

@@ -11,8 +11,9 @@ axis after it runs every class of an analysis in one call. Only a ``Setting``'s
 constants need a transcendental, once per analysis; per entry the chain is
 arithmetic and ``sqrt``, which IEEE 754 rounds correctly in numpy and ``math``
 alike, so each entry equals the per-point, per-class result bit for bit
-(``exact_counts`` keeps the integer arithmetic exact). A bound that fails raises
-for the first failing point, its index on the point axis as the error's ``point``.
+(``exact_counts`` keeps the integer arithmetic exact). A bound whose worst-case
+ends are not finite or cross is ``[0, cap]``, flagged ``nonphysical``: every
+entry keeps its own result, whatever the entries beside it give.
 """
 from __future__ import annotations
 
@@ -29,10 +30,6 @@ class DecoyPreconditionError(ValueError):
     """The intensity settings or ε do not admit the closed-form bounds."""
 
 
-class NonPhysicalEstimateError(ValueError):
-    """An estimated interval came out with lower > upper after clamping."""
-
-
 @dataclass(frozen=True)
 class BoundedCount:
     """An estimated quantity with lower/upper bounds around a point value."""
@@ -42,6 +39,7 @@ class BoundedCount:
     upper: float
     clamped: bool = False
     degenerate: bool = False
+    nonphysical: bool = False
 
     @property
     def width(self) -> float:
@@ -50,33 +48,17 @@ class BoundedCount:
     def __getitem__(self, index) -> "BoundedCount":
         """The entries at ``index`` of each field; a flag left at its default stays."""
         return BoundedCount(*(np.asarray(f)[index] if np.ndim(f) else f for f in (
-            self.lower, self.point, self.upper, self.clamped, self.degenerate)))
+            self.lower, self.point, self.upper, self.clamped, self.degenerate, self.nonphysical)))
 
     __iter__ = None  # indexing does not make a bound a sequence
 
 
 def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> None:
     """Raise ``error(message(i))`` for the first entry ``i`` (a flat index)
-    where ``bad`` holds, with the entry's index along the leading axis as the
-    error's ``point``."""
-    bad = np.atleast_1d(bad)
+    where ``bad`` holds."""
+    bad = np.asarray(bad)
     if bad.any():
-        i = int(bad.argmax())
-        exc = error(message(i))
-        exc.point = i // (bad.size // len(bad))
-        raise exc
-
-
-def in_point_order(evaluate: Callable[[int], object], n: int):
-    """``evaluate(n)``, a block evaluation of points [0, n), raising what
-    evaluating the points one by one would raise first: an earlier point
-    than the error's may fail at a later step, so those points go first."""
-    try:
-        return evaluate(n)
-    except ValueError as exc:
-        if getattr(exc, "point", 0) > 0:
-            in_point_order(evaluate, exc.point)
-        raise exc
+        raise error(message(int(bad.argmax())))
 
 
 def exact_counts(counts):
@@ -215,7 +197,6 @@ def _clamp(value, lo, hi):
 
 
 def _worst_case(
-    name: str,
     estimate: Callable[..., float],
     rising: tuple[BoundedCount, ...],
     falling: tuple[BoundedCount, ...],
@@ -226,25 +207,19 @@ def _worst_case(
     ``estimate`` takes the ``rising`` inputs (those it increases with) and
     then the ``falling`` ones. Its lower bound takes the rising inputs at
     their lower ends and the falling ones at their upper ends, and the
-    upper bound the reverse. Finite ends are clamped to [0, cap], others raise.
+    upper bound the reverse. The ends are clamped to [0, cap]. Where a raw end
+    is not finite or the clamped ends cross, the bound is the trivially valid
+    [0, cap], flagged ``nonphysical``.
     """
     raw_lower = estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling))
     raw_upper = estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling))
-    finite = np.isfinite(np.asarray((raw_lower, raw_upper), dtype=float)).all(axis=0)
-    raise_at(~finite, NonPhysicalEstimateError, lambda i: f"{name}: a raw bound is not finite")
     lower, cl = _clamp(raw_lower, 0.0, cap)
     upper, cu = _clamp(raw_upper, 0.0, cap)
-
-    def held(end, raw, i):
-        # a per-point evaluation returns the cap itself, an int for integer counts
-        return np.asarray(cap).item(i) if np.asarray(raw > cap).item(i) else end.item(i)
-
-    raise_at(lower > upper, NonPhysicalEstimateError, lambda i: (
-        f"{name}: estimated lower bound {held(lower, raw_lower, i)!r} "
-        f"exceeds upper bound {held(upper, raw_upper, i)!r}"
-    ))
+    finite = np.isfinite(np.asarray((raw_lower, raw_upper), dtype=float)).all(axis=0)
+    bad = ~finite | (lower > upper)
     point = estimate(*(iv.point for iv in rising + falling))
-    return BoundedCount(lower, point, upper, clamped=cl | cu)
+    return BoundedCount(np.where(bad, 0.0, lower), point, np.where(bad, cap, upper),
+                        clamped=cl | cu, nonphysical=bad)
 
 
 def vacuum_bound(
@@ -257,7 +232,7 @@ def vacuum_bound(
     """
     iv_mu, iv_nu, iv_om = detected
     total = iv_mu.point + iv_nu.point + iv_om.point
-    return _worst_case("vacuum count", setting.vacuum, (iv_om,), (iv_nu,), total)
+    return _worst_case(setting.vacuum, (iv_om,), (iv_nu,), total)
 
 
 def single_photon_bound(
@@ -268,9 +243,7 @@ def single_photon_bound(
     """Bounds on the number of detections caused by single-photon pulses."""
     iv_mu, iv_nu, iv_om = detected
     total = iv_mu.point + iv_nu.point + iv_om.point
-    return _worst_case(
-        "single-photon count", setting.single_photon, (iv_nu, s0), (iv_om, iv_mu), total
-    )
+    return _worst_case(setting.single_photon, (iv_nu, s0), (iv_om, iv_mu), total)
 
 
 def error_count_bound(
@@ -281,7 +254,7 @@ def error_count_bound(
     ``errors`` holds the intervals of its errors at decoy and vacuum intensity;
     ``cap``, its total observed errors, is the physical ceiling.
     """
-    return _worst_case("single-photon error count", setting.error_count, errors[:1], errors[1:], cap)
+    return _worst_case(setting.error_count, errors[:1], errors[1:], cap)
 
 
 def single_photon_error_rate(t: BoundedCount, s1: BoundedCount) -> BoundedCount:
@@ -322,21 +295,11 @@ def yield_bounds(detected, setting: Setting) -> tuple[BoundedCount, BoundedCount
 def class_bounds(detected, errors, setting: Setting) -> ClassBounds:
     """The full chain: vacuum, single-photon, error count, then error rate.
     ``errors`` is laid out as ``detected``. The error count at signal intensity
-    enters only the cap: it gets no interval. At the point where (n, classes, 3)
-    counts fail, the classes run one at a time: the first failing one raises."""
+    enters only the cap: it gets no interval. Each step is elementwise, so a
+    class's bounds and flags do not depend on the classes beside it."""
     detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected: one rule
-    try:
-        s0, s1 = yield_bounds(detected, setting)
-        iv = fluctuation_interval(errors[..., 1:], setting)
-        cap = errors[..., 0] + errors[..., 1] + errors[..., 2]
-        t = error_count_bound((iv[..., 0], iv[..., 1]), setting, cap)
-    except ValueError as exc:
-        p = exc.point
-        for c in range(detected.shape[1] if detected.ndim > 2 else 0):
-            try:
-                class_bounds(detected[p : p + 1, c], errors[p : p + 1, c], setting)
-            except ValueError as first:
-                first.point = p
-                raise first from None
-        raise
+    s0, s1 = yield_bounds(detected, setting)
+    iv = fluctuation_interval(errors[..., 1:], setting)
+    cap = errors[..., 0] + errors[..., 1] + errors[..., 2]
+    t = error_count_bound((iv[..., 0], iv[..., 1]), setting, cap)
     return ClassBounds(s0, s1, t, single_photon_error_rate(t, s1))

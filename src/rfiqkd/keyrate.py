@@ -325,9 +325,9 @@ def analyze_batch(
     by default ``cfg.n_total``.
 
     Each field and ``intermediate`` entry is an array with one entry per
-    table; a flag (``*_clamped``, ``*_degenerate``, ``negative_length``) is a
-    bool array. The first table that ``analyze_tallies`` fails on raises its
-    error, with the table's index as the error's ``point``.
+    table; a flag (``*_clamped``, ``*_degenerate``, ``*_nonphysical``,
+    ``negative_length``) is a bool array. A table with a non-physical bound
+    gets key length 0; the others are not affected by it.
 
     ``asymptotic=True`` collapses every interval onto its point estimate
     and drops the block-size penalty terms, which yields the asymptotic
@@ -335,15 +335,11 @@ def analyze_batch(
     """
     # Python ints: a group's block size may pass 2^63
     sizes = np.array([cfg.n_total] * len(batch) if n_total is None else n_total, dtype=object)
-
-    def evaluate(stop: int) -> KeyRateReport:
-        key, tests = (_class_sums(batch.counts[:stop], rows) for rows in (_CLASS_ROWS[_ZZ], _X_ROWS))
-        return analyze_classes(
-            key, tests, _leak_four_state, cfg, sec, sizes[:stop],
-            asymptotic, n_zz_all_intensities, literal_paper_formulas,
-        )
-
-    return decoy.in_point_order(evaluate, len(batch))
+    key, tests = (_class_sums(batch.counts, rows) for rows in (_CLASS_ROWS[_ZZ], _X_ROWS))
+    return analyze_classes(
+        key, tests, _leak_four_state, cfg, sec, sizes,
+        asymptotic, n_zz_all_intensities, literal_paper_formulas,
+    )
 
 
 def _class_sums(counts: np.ndarray, rows) -> np.ndarray:
@@ -362,7 +358,9 @@ def analyze_classes(
     each, and the test classes', (n, classes, 3) each. ``leak(bounds, e_zz,
     intermediate, literal)`` maps the test classes' ``ClassBounds`` to the lower
     end of the protocol's channel statistic (``c44_lower``) and ``i_e``, adding
-    its own entries to ``intermediate``."""
+    its own entries to ``intermediate``, among them a ``*_nonphysical`` flag for
+    any non-physical bound of the test classes. A point with any
+    ``*_nonphysical`` entry set has key length 0."""
     setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
     inter: dict[str, np.ndarray] = {}
     zz_detected, zz_errors = key
@@ -382,6 +380,8 @@ def analyze_classes(
     )
     inter["negative_length"] = kl.negative
     inter["key_length_raw"] = kl.raw
+    nonphysical = np.any([flag for name, flag in inter.items() if name.endswith("_nonphysical")], axis=0)
+    length = np.where(nonphysical, 0.0, kl.length)
 
     return KeyRateReport(
         s0_zz_lower=s0_zz.lower,
@@ -390,14 +390,14 @@ def analyze_classes(
         i_e=i_e,
         e_zz=e_zz,
         n_zz=n_zz,
-        key_length=kl.length,
-        key_rate=np.asarray(kl.length / n_total, dtype=float),
+        key_length=length,
+        key_rate=np.asarray(length / n_total, dtype=float),
         intermediate=inter,
     )
 
 
 def _record(inter: dict, name: str, bound: decoy.BoundedCount) -> None:
-    for end in ("lower", "point", "upper", "clamped"):
+    for end in ("lower", "point", "upper", "clamped", "nonphysical"):
         inter[f"{name}_{end}"] = getattr(bound, end)
     if np.ndim(bound.degenerate):  # only an error rate can be degenerate
         inter[f"{name}_degenerate"] = bound.degenerate
@@ -415,6 +415,7 @@ def _leak_four_state(xs: decoy.ClassBounds, e_zz, inter: dict, literal: bool):
     for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
         inter[name] = getattr(cb, name)
     inter["c44_clamped"] = cb.clamped
+    inter["c44_nonphysical"] = cb.nonphysical
     return cb.c44_lower, security.ie_4state(cb.c44_lower)
 
 

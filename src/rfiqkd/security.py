@@ -59,6 +59,7 @@ class CBounds:
     c2_upper: float
     c44_lower: float
     clamped: bool = False
+    nonphysical: bool = False
 
 
 def c1_c2_point(e_z0x: float, e_z1x: float, e_x0x: float, e_y0x: float) -> tuple[float, float]:
@@ -79,16 +80,20 @@ def c_bounds(
 
     ``literal_c1_lower`` reproduces a printed variant that mixes the Y0
     statistic into the first component's lower end; the default keeps each
-    component built from its own quadrature.
+    component built from its own quadrature. Where a component's ends cross,
+    ``c44_lower`` is 0, flagged ``nonphysical``.
     """
     c1_upper, c2_upper = c1_c2_point(e_z0x.upper, e_z1x.upper, e_x0x.lower, e_y0x.lower)
     x_for_lower = e_y0x if literal_c1_lower else e_x0x
     c1_lower, c2_lower = c1_c2_point(
         e_z0x.lower, e_z1x.lower, x_for_lower.upper, e_y0x.upper
     )
-    raw = per_point(hypot, abs_lower(c1_lower, c1_upper), abs_lower(c2_lower, c2_upper))
+    bad = (c1_lower > c1_upper) | (c2_lower > c2_upper)
+    c1_abs, c2_abs = (abs_lower(np.where(bad, 0.0, lower), np.where(bad, 0.0, upper))
+                      for lower, upper in ((c1_lower, c1_upper), (c2_lower, c2_upper)))
+    raw = per_point(hypot, c1_abs, c2_abs)
     clamped = raw > 1.0
-    return CBounds(c1_lower, c1_upper, c2_lower, c2_upper, np.where(clamped, 1.0, raw), clamped)
+    return CBounds(c1_lower, c1_upper, c2_lower, c2_upper, np.where(clamped, 1.0, raw), clamped, bad)
 
 
 def abs_lower(lower: float, upper: float) -> float:

@@ -315,6 +315,22 @@ def test_a_drift_whose_angle_overflows_is_rejected_before_any_slice_is_made(
     assert run_cli([command, "--config", str(config)])[2] == ""
 
 
+@pytest.mark.parametrize("command", ["point", "simulate"])
+def test_a_block_size_its_slices_do_not_divide_is_a_config_error(tmp_path, monkeypatch, command):
+    def unbuilt(*args):
+        raise AssertionError("slices were built")
+
+    monkeypatch.setattr(cli, "_make_slices", unbuilt)
+    config = tmp_path / "slices.cfg"
+    config.write_text("n_total = 10\nn_slices = 3\np_z_bob = 2\n")
+    code, out, err = run_cli([command, "--config", str(config)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err.splitlines() == [
+        "config error: p_z_bob: must be in (0,1), got 2.0",
+        "config error: n_total=10 is not divisible by n_slices=3",
+    ]
+
+
 def test_the_slice_and_group_budgets_themselves_are_allowed(tmp_path, monkeypatch):
     # 10**6 slices of the default block pass the checks; the slices made stand
     # in as one without detections, so each of the 10**4 groups is empty and
@@ -771,8 +787,9 @@ def test_analytic_drift_chunks_match_one_slice_at_a_time(tmp_path):
 def reference_flags(flags):
     """The flags column of one point, as the per-point CLI wrote it."""
     tokens = {key for key in ("negative_length", "c44_clamped", "c_clamped") if flags.get(key)}
-    if any(key.endswith("_degenerate") for key in flags):
-        tokens.add("degenerate")
+    for mark in ("degenerate", "nonphysical"):
+        if any(key.endswith("_" + mark) for key in flags):
+            tokens.add(mark)
     return ";".join(sorted(tokens))
 
 
@@ -839,23 +856,19 @@ def test_a_montecarlo_scan_prints_the_oracle_counts(tmp_path):
 
 
 def reference_compare(points, ch, sec, **options):
-    """The rows of ``compare``, one point at a time, or the first error that
-    point by point, then protocol by protocol, raises."""
+    """The rows of ``compare``, one point at a time."""
     from rfiqkd.baselines import run_six_four, run_six_state
 
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     for cfg, distance in points:
-        try:
-            results = [("rfi44", analyze_tallies(
-                expected_tallies(cfg, ch, [distance])[0], cfg, sec, **options
-            ))]
-            for protocol, runner in (("rfi64", run_six_four), ("rfi66", run_six_state)):
-                base = runner(cfg, ch, sec, distance, **options)
-                # its flags column: c_clamped and negative_length, no degenerate estimate
-                assert not any(key.endswith("_degenerate") for key in base.intermediate)
-                results.append((protocol, base))
-        except ValueError as exc:
-            return f"error: {exc}\n"
+        results = [("rfi44", analyze_tallies(
+            expected_tallies(cfg, ch, [distance])[0], cfg, sec, **options
+        ))]
+        for protocol, runner in (("rfi64", run_six_four), ("rfi66", run_six_state)):
+            base = runner(cfg, ch, sec, distance, **options)
+            # its flags column: c_clamped, c_nonphysical and negative_length, no degenerate estimate
+            assert not any(key.endswith("_degenerate") for key in base.intermediate)
+            results.append((protocol, base))
         for protocol, result in results:
             rows.append(
                 f"{cli._fmt(distance)},{cfg.n_total},{protocol},{cli._fmt(result.key_rate)},"
@@ -903,19 +916,19 @@ def test_compare_counts_the_sifted_key_at_signal_intensity_for_every_protocol(tm
     "config",
     [
         "scan_min_km = 0\nscan_max_km = 300\nscan_step_km = 5\nn_values = 1e10,1e12,1e13\n",
-        # rfi44 holds at 80 km, so a baseline raises first
+        # at 80 km rfi44 is not flagged, and the baselines are
         "scan_min_km = 80\nscan_max_km = 200\nscan_step_km = 10\nn_values = 1000\n",
-        # every point of the first block size holds; the second raises, with
-        # an integer cap in the message
+        # no point of the first block size is flagged; some of the second are
         "scan_min_km = 100\nscan_max_km = 200\nscan_step_km = 10\nn_values = 1000,3000\n",
     ],
 )
-def test_literal_compare_raises_the_first_error_point_by_point(tmp_path, config):
+def test_literal_compare_flags_rows_as_the_per_point_pipeline(tmp_path, config):
     path, points, ch, sec = grid_points(config, tmp_path, "compare")
-    want = reference_compare(points, ch, sec, literal_paper_formulas=True)
-    assert isinstance(want, str)
     code, out, err = run_cli(["compare", "--config", path, "--literal-paper-formulas"])
-    assert (code, out, err) == (cli.EXIT_ERROR, "", want)
+    assert (code, err) == (cli.EXIT_NO_KEY, "")
+    rows = out.splitlines()
+    assert rows == reference_compare(points, ch, sec, literal_paper_formulas=True)
+    assert any("nonphysical" in row for row in rows)
 
 
 # -- block sizes mixed in one chunk ----------------------------------------------
@@ -996,15 +1009,32 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
 
 _FUZZ_KEYS = [key for key, spec in cli._SCHEMA.items() if spec[1] in (float, "optional_float")]
 _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "1e300")
+# the other keys' values: slice and group counts small, or rejected before any
+# slice or group is made (<= 0, one past the budget, 10^21); 7 slices do not
+# divide the default block size
+_REJECTED_COUNTS = ("0", "-2", "1000000000000000000000")
+_OTHER_VALUES = {
+    "n_slices": ("1", "2", "4", "7", str(cli.MAX_SLICES + 1), *_REJECTED_COUNTS),
+    "m_groups": ("1", "3", "6", str(MAX_GROUPS + 1), *_REJECTED_COUNTS),
+    "seed": ("0", "7", "-3", "18446744073709551616", "1.5"),
+    "n_values": ("", "1e9", "1e9,1e12", "0", "2.5", "nan", "4611686018427387905"),
+    "mode": ("analytic", "montecarlo", "oracle"),
+    "drift": ("fixed", "linear", "sinusoidal", "spiral"),
+    "n_zz_all_intensities": ("true", "false", "maybe"),
+}
+assert set(_FUZZ_KEYS) | set(_OTHER_VALUES) | {"n_total"} == set(cli._SCHEMA)
 
 
 def _fuzzed_config(command):
-    """``command`` and a config of float keys it reads, perhaps with a block size at or
+    """``command`` and a config of keys it reads, perhaps with a block size at or
     just past the count budget."""
     keys = st.sampled_from([key for key in _FUZZ_KEYS if key in cli.COMMANDS[command]])
+    others = [st.tuples(st.just(key), st.sampled_from(values))
+              for key, values in _OTHER_VALUES.items() if key in cli.COMMANDS[command]]
     return st.tuples(
         st.just(command),
         st.dictionaries(keys, st.sampled_from(_FUZZ_VALUES)),
+        st.lists(st.one_of(others)).map(dict),
         st.sampled_from([{}, {"n_total": 2**62}, {"n_total": 2**62 + 1}]),
     )
 
@@ -1012,10 +1042,9 @@ def _fuzzed_config(command):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["point", "scan", "compare"]).flatmap(_fuzzed_config))
 def test_fuzzed_intensity_and_epsilon_configs_fail_cleanly(drawn):
-    # a key left out keeps its default; slice and group counts are not drawn,
-    # so no run allocates a large trace
-    command, values, block = drawn
-    lines = "".join(f"{key} = {value}\n" for key, value in {**values, **block}.items())
+    # every key of the schema may be drawn; a key left out keeps its default
+    command, values, others, block = drawn
+    lines = "".join(f"{key} = {value}\n" for key, value in {**values, **others, **block}.items())
     with tempfile.TemporaryDirectory() as folder:
         config = Path(folder) / "fuzz.cfg"
         config.write_text(lines)
@@ -1028,7 +1057,7 @@ def test_fuzzed_intensity_and_epsilon_configs_fail_cleanly(drawn):
                 and not str(w.message).startswith("six-state mixing")]
     if code == cli.EXIT_ERROR:
         assert out == ""
-        for line in err.splitlines():
-            prefix, _, problem = line.partition(": ")
-            assert prefix in ("config error", "error"), line
-            assert re.match(r"\w+", problem)[0] in cli._SCHEMA, line
+    for line in err.splitlines():
+        prefix, _, problem = line.partition(": ")
+        assert prefix in ("config error", "error"), line
+        assert re.match(r"\w+", problem)[0] in cli._SCHEMA, line

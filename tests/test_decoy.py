@@ -145,21 +145,25 @@ def test_the_setting_names_the_key_at_fault(table, eps, message):
     assert str(info.value) == message
 
 
-def test_a_non_finite_raw_end_raises_at_its_point():
+def test_a_non_finite_raw_end_flags_its_point_only():
     finite = fluctuation_interval(np.array([100.0, 100.0]), SETTING)
     broken = BoundedCount(finite.lower, finite.point, np.array([finite.upper[0], math.inf]))
-    with pytest.raises(decoy.NonPhysicalEstimateError, match="^vacuum count: ") as info:
-        vacuum_bound((finite, finite, broken), SETTING)
-    assert info.value.point == 1
+    got = vacuum_bound((finite, finite, broken), SETTING)
+    alone = vacuum_bound((finite[:1], finite[:1], broken[:1]), SETTING)
+    assert got.nonphysical.tolist() == [False, True]
+    assert (got.lower[0], got.upper[0]) == (alone.lower[0], alone.upper[0])
+    # the trivially valid [0, total detections]
+    assert (got.lower[1], got.upper[1]) == (0.0, 300.0)
 
 
 @pytest.mark.parametrize("shape, point", [((12,), 6), ((3, 4), 1), ((2, 3, 2), 1), ((), 0)])
 def test_raise_at_names_the_leading_index_and_reads_the_flat_entry(shape, point):
+    # the message gets the flat index, from which a caller can name the point
     values = np.arange(int(np.prod(shape))).reshape(shape) + 10
     with pytest.raises(ValueError) as info:
         decoy.raise_at(values >= 16 if shape else values == 10, ValueError,
-                       lambda i: f"entry {values.item(i)}")
-    assert (str(info.value), info.value.point) == (f"entry {16 if shape else 10}", point)
+                       lambda i: f"entry {values.item(i)} of point {np.unravel_index(i, shape or (1,))[0]}")
+    assert str(info.value) == f"entry {16 if shape else 10} of point {point}"
 
 
 def test_single_photon_bound_zero_counts():

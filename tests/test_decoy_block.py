@@ -2,7 +2,8 @@
 
 ``reference_class_bounds`` is the scalar chain as it stood before the chain
 ran on arrays: Python numbers, one point at a time, an integer cap returned
-as the integer itself. Every bound, flag and error message of
+as the integer itself, and a bound whose ends are not finite or cross
+returned as [0, cap] with its ``nonphysical`` flag. Every bound and flag of
 ``decoy.class_bounds`` must equal it exactly, also at zero counts, at counts
 near the 2^62 budget, without fluctuations and with the vacuous literal
 upper end.
@@ -10,7 +11,7 @@ upper end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, hypot, log, log2, sqrt
+from math import exp, factorial, hypot, isfinite, log, log2, sqrt
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from rfiqkd import decoy, intensity_triple
 from rfiqkd.core import CELL_INDEX, KINDS, BasisLabel, StateLabel
-from rfiqkd.decoy import DecoyPreconditionError, NonPhysicalEstimateError
+from rfiqkd.decoy import DecoyPreconditionError
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,7 @@ class Ref:
     upper: float
     clamped: bool = False
     degenerate: bool = False
+    nonphysical: bool = False
 
 
 def ref_tau(n, intensities):
@@ -61,18 +63,14 @@ def ref_clamp(value, lo, hi):
     return value, False
 
 
-def ref_worst_case(name, estimate, rising, falling, cap):
-    lower, cl = ref_clamp(
-        estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling)), 0.0, cap
-    )
-    upper, cu = ref_clamp(
-        estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling)), 0.0, cap
-    )
-    if lower > upper:
-        raise NonPhysicalEstimateError(
-            f"{name}: estimated lower bound {lower!r} exceeds upper bound {upper!r}"
-        )
+def ref_worst_case(estimate, rising, falling, cap):
+    raw_lower = estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling))
+    raw_upper = estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling))
+    lower, cl = ref_clamp(raw_lower, 0.0, cap)
+    upper, cu = ref_clamp(raw_upper, 0.0, cap)
     point = estimate(*(iv.point for iv in rising + falling))
+    if not (isfinite(raw_lower) and isfinite(raw_upper)) or lower > upper:
+        return Ref(0.0, point, cap, clamped=cl or cu, nonphysical=True)
     return Ref(lower, point, upper, clamped=cl or cu)
 
 
@@ -91,7 +89,7 @@ def ref_vacuum(detected, intensities):
         )
 
     total = iv_mu.point + iv_nu.point + iv_om.point
-    return ref_worst_case("vacuum count", estimate, (iv_om,), (iv_nu,), total)
+    return ref_worst_case(estimate, (iv_om,), (iv_nu,), total)
 
 
 def ref_single_photon(detected, s0, intensities):
@@ -115,7 +113,7 @@ def ref_single_photon(detected, s0, intensities):
         )
 
     total = iv_mu.point + iv_nu.point + iv_om.point
-    return ref_worst_case("single-photon count", estimate, (iv_nu, s0), (iv_om, iv_mu), total)
+    return ref_worst_case(estimate, (iv_nu, s0), (iv_om, iv_mu), total)
 
 
 def ref_error_count(errors, intensities, cap):
@@ -132,7 +130,7 @@ def ref_error_count(errors, intensities, cap):
             - exp(om) * m_om_star / om_s.probability
         )
 
-    return ref_worst_case("single-photon error count", estimate, (iv_nu,), (iv_om,), cap)
+    return ref_worst_case(estimate, (iv_nu,), (iv_om,), cap)
 
 
 def ref_error_rate(t, s1):
@@ -254,32 +252,12 @@ def chain_inputs(draw):
     return table, points, eps, literal_upper
 
 
-def reference_block(table, points, eps, literal_upper):
-    """Each point's reference bounds, up to the first point that raises, and
-    that point's error (or None)."""
-    results = []
-    for detected, errors in points:
-        try:
-            results.append(reference_class_bounds(detected, errors, table, eps, literal_upper))
-        except (NonPhysicalEstimateError, DecoyPreconditionError) as exc:
-            return results, exc
-    return results, None
-
-
 def assert_point_matches(got, ref):
     for end in ("lower", "point", "upper"):
         # exact: an integer cap equals a float only where the float holds it
         assert getattr(got, end) == getattr(ref, end), (end, getattr(got, end), getattr(ref, end))
-    assert bool(got.clamped) == ref.clamped
-    assert bool(got.degenerate) == ref.degenerate
-
-
-def raised(call):
-    try:
-        call()
-    except (NonPhysicalEstimateError, DecoyPreconditionError) as exc:
-        return exc
-    return None
+    for flag in ("clamped", "degenerate", "nonphysical"):
+        assert bool(getattr(got, flag)) == getattr(ref, flag), flag
 
 
 def at(value, i):
@@ -290,37 +268,22 @@ def at(value, i):
 def point_of(bound, i):
     """Point ``i`` of a block's bound."""
     return decoy.BoundedCount(*(at(getattr(bound, end), i) for end in (
-        "lower", "point", "upper", "clamped", "degenerate")))
+        "lower", "point", "upper", "clamped", "degenerate", "nonphysical")))
 
 
 @settings(max_examples=300, deadline=None)
 @given(chain_inputs())
 def test_chain_matches_the_per_point_reference(inputs):
     table, points, eps, literal_upper = inputs
-    refs, error = reference_block(table, points, eps, literal_upper)
+    refs = [reference_class_bounds(d, e, table, eps, literal_upper) for d, e in points]
     setting = decoy.setting(table, eps, literal_upper)
     # int64 arrays of shape (n, 3): each point as a block of one, then every point as one block
     detected = np.array([d for d, _ in points], dtype=np.int64)
     errors = np.array([e for _, e in points], dtype=np.int64)
-    good = len(refs)
+    block = decoy.class_bounds(detected, errors, setting)
     for i, ref in enumerate(refs):
-        got = decoy.class_bounds(detected[i : i + 1], errors[i : i + 1], setting)
-        for bound, ref_bound in zip((got.s0, got.s1, got.t, got.e), ref):
+        one = decoy.class_bounds(detected[i : i + 1], errors[i : i + 1], setting)
+        for bound, whole, ref_bound in zip((one.s0, one.s1, one.t, one.e),
+                                           (block.s0, block.s1, block.t, block.e), ref):
             assert_point_matches(point_of(bound, 0), ref_bound)
-    if good:
-        block = decoy.class_bounds(detected[:good], errors[:good], setting)
-        for i, ref in enumerate(refs):
-            for bound, ref_bound in zip((block.s0, block.s1, block.t, block.e), ref):
-                assert_point_matches(point_of(bound, i), ref_bound)
-    if error is not None:
-        one = raised(lambda: decoy.class_bounds(
-            detected[good : good + 1], errors[good : good + 1], setting
-        ))
-        # the block's error is the first point's, so the same message
-        whole = raised(lambda: decoy.in_point_order(
-            lambda stop: decoy.class_bounds(detected[:stop], errors[:stop], setting),
-            len(points),
-        ))
-        for exc in (one, whole):
-            assert type(exc) is type(error) and str(exc) == str(error)
-        assert getattr(whole, "point", 0) == good
+            assert_point_matches(point_of(whole, i), ref_bound)

@@ -1,10 +1,9 @@
 """Byte-level golden outputs of the command-line front end.
 
 Each case runs ``rfiqkd.cli.main`` in an empty working directory and
-compares its exit code and stdout (stderr too, where a case records it)
-with the files under ``tests/golden``. The README lists the shell commands
-that regenerate them, and the last tests check that those commands are the
-cases' own.
+compares its exit code and stdout with the files under ``tests/golden``.
+The README lists the shell commands that regenerate them, each with its
+exit code, and the last tests check that those commands are the cases' own.
 """
 import io
 import shlex
@@ -26,25 +25,21 @@ MONTECARLO_POINT = [
     "--dump-tallies", DUMP,
 ]
 
-# name -> (argv, exit code, golden file of stderr or None)
+# name -> (argv, exit code)
 CASES = {
-    "point": (["point"], cli.EXIT_OK, None),
-    "point_50km": (["point", "--distance", "50"], cli.EXIT_OK, None),
-    "scan": (["scan", "--config", GRID], cli.EXIT_OK, None),
-    "compare": (["compare", "--config", GRID], cli.EXIT_OK, None),
-    "compare_asymptotic": (["compare", "--config", GRID, "--asymptotic"], cli.EXIT_OK, None),
-    "compare_beta": (["compare", "--config", GRID_BETA], cli.EXIT_OK, None),
+    "point": (["point"], cli.EXIT_OK),
+    "point_50km": (["point", "--distance", "50"], cli.EXIT_OK),
+    "scan": (["scan", "--config", GRID], cli.EXIT_OK),
+    "compare": (["compare", "--config", GRID], cli.EXIT_OK),
+    "compare_asymptotic": (["compare", "--config", GRID, "--asymptotic"], cli.EXIT_OK),
+    "compare_beta": (["compare", "--config", GRID_BETA], cli.EXIT_OK),
     "compare_literal": (
-        ["compare", "--config", GRID, "--literal-paper-formulas"],
-        cli.EXIT_ERROR,
-        "compare_literal_stderr",
+        ["compare", "--config", GRID, "--literal-paper-formulas"], cli.EXIT_NO_KEY
     ),
-    "simulate": (["simulate", "--seed", "7"], cli.EXIT_OK, None),
-    "point_montecarlo": (MONTECARLO_POINT, cli.EXIT_OK, None),
-    "process": (
-        ["process", DUMP, "--config", DRIFT, "--groups", "6"], cli.EXIT_OK, None
-    ),
-    "show_defaults": (["point", "--show-defaults"], cli.EXIT_OK, None),
+    "simulate": (["simulate", "--seed", "7"], cli.EXIT_OK),
+    "point_montecarlo": (MONTECARLO_POINT, cli.EXIT_OK),
+    "process": (["process", DUMP, "--config", DRIFT, "--groups", "6"], cli.EXIT_OK),
+    "show_defaults": (["point", "--show-defaults"], cli.EXIT_OK),
 }
 
 
@@ -60,43 +55,44 @@ def _golden(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
-    argv, expected_code, stderr_name = CASES[name]
+    argv, expected_code = CASES[name]
     monkeypatch.chdir(tmp_path)
     if name == "process":
         assert _run(MONTECARLO_POINT)[0] == CASES["point_montecarlo"][1]
     code, out, err = _run(argv)
     assert code == expected_code, err
     assert out == _golden(name)
-    if stderr_name is not None:
-        assert err == _golden(stderr_name)
 
 
 def _readme_commands():
-    """(argv, stdout file, stderr file) of every README line that runs
-    ``rfiqkd``, continuation lines joined and redirections split off."""
+    """(argv, stdout file, exit code) of every README line that runs ``rfiqkd``,
+    continuation lines joined, the redirection split off and the exit code
+    read from a trailing ``# exit N`` comment, 0 without one."""
     text = README.read_text(encoding="utf-8").replace("\\\n", "")
     commands = []
     for line in text.splitlines():
         if not line.startswith("rfiqkd "):
             continue
-        words = shlex.split(line, comments=True)[1:]
-        redirects = {}
-        while len(words) >= 2 and words[-2] in (">", "2>"):
-            redirects[words[-2]] = words[-1]
+        line, _, comment = line.partition("#")
+        words = shlex.split(line)[1:]
+        stdout = None
+        if len(words) >= 2 and words[-2] == ">":
+            stdout = words[-1]
             del words[-2:]
-        commands.append((words, redirects.get(">"), redirects.get("2>")))
+        code = comment.split()
+        commands.append((words, stdout, int(code[1]) if code[:1] == ["exit"] else 0))
     return commands
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_readme_command_is_the_case(name):
-    argv, _, stderr_name = CASES[name]
+    argv, expected_code = CASES[name]
     matches = [command for command in _readme_commands() if command[1] == f"{name}.txt"]
     assert len(matches) == 1, f"{len(matches)} README commands write {name}.txt"
-    words, _, stderr_file = matches[0]
+    words, _, code = matches[0]
     # the cases read the .cfg files in tests/golden, the README copies of them
     assert words == [Path(w).name if w.endswith(".cfg") else w for w in argv]
-    assert stderr_file == (None if stderr_name is None else f"{stderr_name}.txt")
+    assert code == expected_code
 
 
 def test_readme_writes_only_golden_files():

@@ -248,12 +248,31 @@ def test_n_zz_intensity_switch(cfg, ch, sec):
     assert signal_only.n_zz < every.n_zz
 
 
-def test_literal_formula_mode_signals_nonphysical(cfg, ch, sec):
-    from rfiqkd.decoy import NonPhysicalEstimateError
+def nonphysical(report):
+    """The ``*_nonphysical`` entries set in a one-table report."""
+    return {key for key in report.intermediate if key.endswith("_nonphysical")}
 
-    with pytest.raises(NonPhysicalEstimateError):
-        analyze_tallies(expected_tallies(cfg, ch, [100.0])[0], cfg, sec,
-                        literal_paper_formulas=True)
+
+def test_literal_formula_mode_signals_nonphysical(cfg, ch, sec):
+    tallies = expected_tallies(cfg, ch, [100.0])[0]
+    literal = analyze_tallies(tallies, cfg, sec, literal_paper_formulas=True)
+    assert "s0_zz_nonphysical" in nonphysical(literal) and literal.key_length == 0.0
+    # the default formulas flag nothing there and give a key
+    default = analyze_tallies(tallies, cfg, sec)
+    assert not nonphysical(default) and default.key_length > 0.0
+
+
+def test_a_nonphysical_entry_zeroes_only_its_points_key(cfg, ch, sec, monkeypatch):
+    def leak(bounds, e_zz, inter, literal):  # c = 1 and no leak, the first point flagged
+        inter["c_nonphysical"] = np.array([True, False])
+        return np.ones(2), np.zeros(2)
+
+    monkeypatch.setattr(keyrate, "_leak_four_state", leak)
+    report = analyze_batch(expected_tallies(cfg, ch, [50.0, 50.0]), cfg, sec)
+    raw = report.intermediate["key_length_raw"]
+    assert raw[0] == raw[1] > 0.0 and not report.intermediate["negative_length"].any()
+    assert report.key_length.tolist() == [0.0, raw[1]]
+    assert report.key_rate.tolist() == [0.0, raw[1] / cfg.n_total]
 
 
 def _uniform_counts(count):
@@ -377,28 +396,26 @@ def test_a_class_sum_at_two_to_the_63_does_not_wrap(cfg, sec):
     ]
 
 
-def test_a_batch_raises_what_its_first_failing_table_raises(cfg, ch, sec):
-    from rfiqkd.decoy import NonPhysicalEstimateError
-
+def test_a_batch_flags_each_table_as_its_own_analysis_does(cfg, ch, sec):
     small = replace(cfg, n_total=1000)
     far, near = (expected_tallies(small, ch, [d])[0].counts for d in (300.0, 0.0))
     # the X0 rows of a near table and the rest of a far one: only the X0
-    # class fails, after the key class and the Z0 and Z1 classes
+    # class is non-physical, after the key class and the Z0 and Z1 classes
     late = far.copy()
     rows = [row for row, (state, _, _) in enumerate(ALL_CELLS) if state is StateLabel.X0]
     late[rows] = near[rows]
-    errors = {}
-    for name, table in (("far", far), ("near", near), ("late", late)):
-        try:
-            analyze_tallies(ObservedTallies(table), small, sec, literal_paper_formulas=True)
-        except NonPhysicalEstimateError as exc:
-            errors[name] = str(exc)
-    assert set(errors) == {"near", "late"} and errors["near"] != errors["late"]
-    for order, first, point in (("late near", "late", 0), ("far near late", "near", 1)):
-        batch = TallyBatch(np.stack([{"far": far, "near": near, "late": late}[t] for t in order.split()]))
-        with pytest.raises(NonPhysicalEstimateError) as info:
-            analyze_batch(batch, small, sec, literal_paper_formulas=True)
-        assert (str(info.value), info.value.point) == (errors[first], point)
+    tables = {"far": far, "near": near, "late": late}
+    alone = {name: analyze_tallies(ObservedTallies(table), small, sec, literal_paper_formulas=True)
+             for name, table in tables.items()}
+    assert not nonphysical(alone["far"])
+    assert nonphysical(alone["late"]) == {"s1_x0x_nonphysical"}
+    assert "s1_zz_nonphysical" in nonphysical(alone["near"])
+    for order in ("late near", "far near late"):
+        names = order.split()
+        batch = TallyBatch(np.stack([tables[name] for name in names]))
+        report = analyze_batch(batch, small, sec, literal_paper_formulas=True)
+        for i, name in enumerate(names):
+            assert report_at(report, i) == alone[name]
 
 
 @st.composite
@@ -439,7 +456,8 @@ def one_class_at_a_time(class_bounds):
     the bounds stacked back along the class axis."""
 
     def stacked(bounds):
-        ends = zip(*((b.lower, b.point, b.upper, b.clamped, b.degenerate) for b in bounds))
+        ends = zip(*((b.lower, b.point, b.upper, b.clamped, b.degenerate, b.nonphysical)
+                     for b in bounds))
         return decoy.BoundedCount(*(np.stack(e, axis=1) if np.ndim(e[0]) else e[0] for e in ends))
 
     def per_class(detected, errors, setting):
@@ -455,11 +473,11 @@ def one_class_at_a_time(class_bounds):
 
 
 def outcome(run):
-    """``run()``'s report, or its error as (type, message, point)."""
+    """``run()``'s report, or its error as (type, message)."""
     try:
         return run()
     except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "point", None)
+        return type(exc), str(exc)
 
 
 def stacked_and_class_by_class(run):
@@ -515,7 +533,8 @@ def test_the_class_axis_matches_class_by_class_evaluation(tables, asymptotic, li
         chain = decoy.class_bounds(rows[..., 1], rows[..., 2], setting)
         for name in ("s0", "s1", "t", "e"):
             bound, key = getattr(chain, name), f"{name}_{state.value.lower()}x"
-            for end in ("lower", "point", "upper", "clamped"):
+            ends = ("lower", "point", "upper", "clamped") + ("nonphysical",) * (name != "e")
+            for end in ends:
                 assert_same_bits(stacked.intermediate[f"{key}_{end}"], getattr(bound, end))
         assert_same_bits(stacked.intermediate[f"e_{state.value.lower()}x_degenerate"],
                          chain.e.degenerate)
@@ -550,10 +569,10 @@ def test_the_baselines_class_axis_matches_class_by_class_evaluation(
             assert {"c_clamped", "negative_length"} <= set(alone.intermediate)
 
 
-def test_a_point_raises_what_its_first_failing_class_raises(cfg, ch, sec):
+def test_a_point_flags_each_failing_class(cfg, ch, sec):
     # at 1e6 pulses the 300 km table passes the literal chain and the 0 km
-    # one fails it; the crafted Z1 rows fail only at the error count, after
-    # the single-photon count that the near X0 rows fail at
+    # one fails it; the crafted Z1 rows fail only at the error count, the
+    # near X0 rows also at the single-photon count
     small = replace(cfg, n_total=10**6)
     far, near = (expected_tallies(small, ch, [d])[0].counts for d in (300.0, 0.0))
     crafted = far.copy()
@@ -562,20 +581,63 @@ def test_a_point_raises_what_its_first_failing_class_raises(cfg, ch, sec):
     crafted[z1, 1:] = [[10**5, 10**5], [500, 500], [0, 0]]
     mixed = crafted.copy()
     mixed[x0] = near[x0]
-    errors = {}
-    for name, table in (("far", far), ("crafted", crafted), ("near", near), ("mixed", mixed)):
-        errors[name] = outcome(lambda: analyze_tallies(
-            ObservedTallies(table), small, sec, literal_paper_formulas=True
-        ))
-    assert not isinstance(errors["far"], tuple)
-    assert errors["crafted"][1].startswith("single-photon error count: ")
-    assert errors["near"][1].startswith("single-photon count: ")
-    assert errors["mixed"][:2] == errors["crafted"][:2]
+    flags = {name: nonphysical(analyze_tallies(
+        ObservedTallies(table), small, sec, literal_paper_formulas=True
+    )) for name, table in (("far", far), ("crafted", crafted), ("mixed", mixed))}
+    assert flags == {
+        "far": set(),
+        "crafted": {"t_z1x_nonphysical"},
+        "mixed": {"t_z1x_nonphysical", "s1_x0x_nonphysical", "t_x0x_nonphysical"},
+    }
     batch = TallyBatch(np.stack([far, mixed]))
     stacked, alone = stacked_and_class_by_class(lambda: analyze_batch(
         batch, small, sec, literal_paper_formulas=True
     ))
-    assert stacked == alone == (*errors["crafted"][:2], 1)
+    assert_same_outcome(stacked, alone, report_columns)
+    assert stacked.key_length.tolist() == [0.0, 0.0]
+
+
+# -- the default formulas never flag a bound ------------------------------------
+
+
+def flagged(report):
+    """The ``*_nonphysical`` entries of a batch report set at any point."""
+    return {key for key, column in report.intermediate.items()
+            if key.endswith("_nonphysical") and column.any()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_tables(), st.booleans())
+def test_the_default_formulas_flag_no_table(tables, asymptotic):
+    report = analyze_batch(TallyBatch(np.stack(tables)), make_config(), SecurityParams(),
+                           asymptotic=asymptotic, literal_paper_formulas=False)
+    assert not flagged(report)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 50.0, 200.0, 300.0]) | st.floats(0.0, 300.0),
+            st.sampled_from([10**3, 10**12, 2**62]) | st.integers(10**3, 2**62),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.booleans(),
+)
+@pytest.mark.filterwarnings("ignore:six-state:RuntimeWarning")
+def test_the_default_formulas_flag_no_channel_point(points, beta, asymptotic):
+    cfg, ch, sec = make_config(), ChannelParams(beta=beta), SecurityParams()
+    distances, sizes = (list(column) for column in zip(*points))
+    options = {"asymptotic": asymptotic, "literal_paper_formulas": False, "n_total": sizes}
+    reports = [
+        analyze_batch(expected_tallies(cfg, ch, distances, n_total=sizes), cfg, sec, **options),
+        *(runner(cfg, ch, sec, np.array(distances), **options) for runner in (run_six_four, run_six_state)),
+    ]
+    for report in reports:
+        assert not flagged(report)
 
 
 # -- rate properties on the analytic channel ---------------------------------------
