@@ -98,15 +98,17 @@ def _leak_six_four(bounds, e_zz, inter, literal):
 
 
 def _leak_six_state(bounds, e_zz, inter, literal):
-    # per point in Python: powers, sqrt, log2 and the clamp warnings
+    # per point in Python: powers, sqrt and log2
     raw = security.per_point(security.c_6state, *_correlators(bounds, inter))
     c_lower = np.where(raw > 2.0, 2.0, raw)
     inter["c_clamped"] = raw > 2.0
-    return c_lower, np.array([
+    i_e, radicand, mixing = np.array([
         # at e_zz >= 0.5 dark counts dominate; nothing is secret
-        security.ie_6state(c, e, literal_radicand=literal) if e < 0.5 else 1.0
+        security.ie_6state(c, e, literal_radicand=literal) if e < 0.5 else (1.0, False, False)
         for c, e in zip(c_lower.tolist(), e_zz.tolist())
-    ])
+    ], dtype=float).reshape(-1, 3).T
+    inter["ie_radicand_clamped"], inter["ie_mixing_clamped"] = radicand > 0.0, mixing > 0.0
+    return c_lower, i_e
 
 
 def run_six_four(

@@ -659,7 +659,8 @@ def _csv_rows(lead, distances, sizes, columns, flags: Mapping[str, np.ndarray]) 
     floats = [column.dtype == np.float64 for column in columns]
     template = ",".join(["%s", "%d", *lead] + ["%.12g" if f else "%s" for f in floats] + ["%s"])
     values = [c.tolist() if f else list(map(_fmt, c.tolist())) for c, f in zip(columns, floats)]
-    marks = {key: flags[key] for key in ("c44_clamped", "c_clamped", "negative_length") if key in flags}
+    shown = ("c44_clamped", "c_clamped", "ie_mixing_clamped", "ie_radicand_clamped", "negative_length")
+    marks = {key: flags[key] for key in shown if key in flags}
     for mark in ("degenerate", "nonphysical"):
         marks[mark] = np.zeros(len(distances), dtype=bool)
         for key in (key for key in flags if key.endswith("_" + mark)):

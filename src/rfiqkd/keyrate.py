@@ -33,7 +33,7 @@ from .core import (
     cell_name,
 )
 from . import decoy, security
-from .security import binary_entropies, per_point
+from .security import binary_entropies
 
 __all__ = [
     "KeyLength",
@@ -88,12 +88,15 @@ def key_length(
     if not asymptotic:
         # numpy's sqrt rounds as math's; object arrays hold Python floats here
         root = np.sqrt(np.asarray(n_zz * math.log2(2.0 / sec.eps_bar), dtype=float))
+        # the block-size term's log2 once per distinct size; a grid chunk holds a few
+        sizes, at = np.unique(n_total, return_inverse=True)
+        block = np.array([math.log2(n + 1.0) for n in sizes.tolist()])[at].reshape(np.shape(n_total))
         raw = (
             raw
             - math.log2(2.0 / sec.eps_ec)
             - 2.0 * math.log2(2.0 / sec.eps_pa)
             - 7.0 * root
-            - 30.0 * per_point(math.log2, n_total + 1.0)
+            - 30.0 * block
         )
     return KeyLength(np.where(0.0 > raw, 0.0, raw), raw)
 

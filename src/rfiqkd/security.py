@@ -11,7 +11,6 @@ bounds and the six-four statistic take arrays with one entry per point; their
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import hypot, log2, sqrt
 from typing import Callable
@@ -122,16 +121,17 @@ def c_6state(corr_xx: float, corr_xy: float, corr_yx: float, corr_yy: float) -> 
     return corr_xx**2 + corr_xy**2 + corr_yx**2 + corr_yy**2
 
 
-def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> float:
-    """Leaked-information bound of the six-state variant.
+def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> tuple[float, bool, bool]:
+    """Leaked-information bound of the six-state variant, with its two clamps:
+    ``(leak, radicand_clamped, mixing_clamped)``.
 
     The inner radicand is clamped at zero and the second mixing coefficient
-    at one; both clamps are reported through ``warnings``. Ordinary inputs
+    at one; the two flags say whether each clamp took effect. Ordinary inputs
     reach them, not only statistical artifacts: the decoy chain overstates
     the per-class error rates, so a class whose true rate is 1/2 (a
-    correlator of 0) yields a correlator near 0.44. On half the rows of
-    ``compare`` over 0-300 km, ``c`` is clamped at 2 and the coefficient
-    reaches about 14 before its clamp.
+    correlator of 0) yields a correlator near 0.44. On about half the rfi66
+    rows of ``compare`` over 0-300 km, ``c`` is clamped at 2 and the
+    coefficient reaches about 14 before its clamp.
     """
     if not 0.0 <= c <= 2.0:
         raise ValueError(f"c must be in [0,2], got {c}")
@@ -140,16 +140,10 @@ def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> float:
     u = min(sqrt(c / 2.0) / (1.0 - e_zz), 1.0)
     leak = (1.0 - e_zz) * binary_entropy((1.0 + u) / 2.0)
     if e_zz == 0.0:
-        return leak
+        return leak, False, False
     if literal_radicand:
         radicand = c / 2.0 - (1.0 - e_zz**2 * u**2)
     else:
         radicand = c / 2.0 - (1.0 - e_zz) ** 2 * u**2
-    if radicand < 0.0:
-        warnings.warn("six-state mixing radicand clamped at 0", RuntimeWarning, stacklevel=2)
-        radicand = 0.0
-    v = sqrt(radicand) / e_zz
-    if v > 1.0:
-        warnings.warn("six-state mixing coefficient clamped at 1", RuntimeWarning, stacklevel=2)
-        v = 1.0
-    return leak + e_zz * binary_entropy((1.0 + v) / 2.0)
+    v = sqrt(max(radicand, 0.0)) / e_zz
+    return leak + e_zz * binary_entropy((1.0 + min(v, 1.0)) / 2.0), radicand < 0.0, v > 1.0

@@ -78,8 +78,6 @@ def test_six_state_receiver_split_reduces_key_data(cfg, ch, sec):
     assert base.n_zz == pytest.approx(main.n_zz, rel=0.01)
 
 
-# the six-state clamps are counted by the goldens
-@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -114,7 +112,6 @@ def test_each_point_takes_its_own_block_size(points, asymptotic):
                     assert repr(column.item(i)) == repr(alone.intermediate[key])
 
 
-@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
 @pytest.mark.parametrize("sizes", [[10**12] * 8, [10**10, 10**11, 10**12, 10**13, 2**62] * 2])
 @pytest.mark.parametrize("runner", [run_six_four, run_six_state])
 def test_a_chunk_of_table_rows_gives_what_its_distances_give(runner, sizes):

@@ -786,7 +786,8 @@ def test_analytic_drift_chunks_match_one_slice_at_a_time(tmp_path):
 
 def reference_flags(flags):
     """The flags column of one point, as the per-point CLI wrote it."""
-    tokens = {key for key in ("negative_length", "c44_clamped", "c_clamped") if flags.get(key)}
+    shown = ("negative_length", "c44_clamped", "c_clamped", "ie_radicand_clamped", "ie_mixing_clamped")
+    tokens = {key for key in shown if flags.get(key)}
     for mark in ("degenerate", "nonphysical"):
         if any(key.endswith("_" + mark) for key in flags):
             tokens.add(mark)
@@ -866,7 +867,8 @@ def reference_compare(points, ch, sec, **options):
         ))]
         for protocol, runner in (("rfi64", run_six_four), ("rfi66", run_six_state)):
             base = runner(cfg, ch, sec, distance, **options)
-            # its flags column: c_clamped, c_nonphysical and negative_length, no degenerate estimate
+            # its flags column: c_clamped, rfi66's ie_*_clamped, c_nonphysical and
+            # negative_length, no degenerate estimate
             assert not any(key.endswith("_degenerate") for key in base.intermediate)
             results.append((protocol, base))
         for protocol, result in results:
@@ -878,8 +880,6 @@ def reference_compare(points, ch, sec, **options):
     return rows
 
 
-# their six-state clamps are the goldens' and the baselines' tests' to count
-@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
 @pytest.mark.parametrize(
     "config,flag",
     [
@@ -896,7 +896,6 @@ def test_compare_rows_equal_the_per_point_pipeline(tmp_path, config, flag):
     assert out.splitlines() == reference_compare(points, ch, sec, asymptotic=flag is not None)
 
 
-@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
 def test_compare_counts_the_sifted_key_at_signal_intensity_for_every_protocol(tmp_path):
     grid = "scan_min_km = 0\nscan_max_km = 200\nscan_step_km = 50\nn_values = 1e12\n"
     path, points, ch, sec = grid_points(grid + "n_zz_all_intensities = false\n", tmp_path, "compare")
@@ -911,7 +910,6 @@ def test_compare_counts_the_sifted_key_at_signal_intensity_for_every_protocol(tm
         assert row != default_row
 
 
-@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
 @pytest.mark.parametrize(
     "config",
     [
@@ -947,7 +945,6 @@ def test_scan_mixes_block_sizes_in_a_chunk(tmp_path):
     assert out.splitlines()[1:] == want
 
 
-@pytest.mark.filterwarnings("ignore:six-state mixing:RuntimeWarning")
 def test_compare_mixes_block_sizes_in_a_chunk(tmp_path):
     path, points, ch, sec = grid_points(MIXED, tmp_path, "compare")
     code, out, err = run_cli(["compare", "--config", path])
@@ -996,8 +993,7 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
     assert calls == {"expected_tallies": 3, "analyze_batch": 3, "transmittance": 2 * 301}
     calls.clear()
     config.write_text(grid + "scan_step_km = 5\n")
-    with pytest.warns(RuntimeWarning, match="six-state mixing"):
-        assert run_cli(["compare", "--config", str(config)])[0] == cli.EXIT_OK
+    assert run_cli(["compare", "--config", str(config)])[0] == cli.EXIT_OK
     # 4 x 61 points in one chunk: one call per protocol, all three on the grid's one table
     assert calls == {
         "expected_tallies": 1, "analyze_batch": 1, "run_six_four": 1, "run_six_state": 1,
@@ -1053,8 +1049,7 @@ def test_fuzzed_intensity_and_epsilon_configs_fail_cleanly(drawn):
             code, out, err = run_cli([command, "--config", str(config)])
     assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_NO_KEY)
     assert not re.search(r"\b(nan|inf)\b", out), out
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
-                and not str(w.message).startswith("six-state mixing")]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if code == cli.EXIT_ERROR:
         assert out == ""
     for line in err.splitlines():

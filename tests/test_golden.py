@@ -7,6 +7,7 @@ exit code, and the last tests check that those commands are the cases' own.
 """
 import io
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,32 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
     code, out, err = _run(argv)
     assert code == expected_code, err
     assert out == _golden(name)
+
+
+# each golden compare run's rfi66 rows (of 183) that carry ie_mixing_clamped and
+# ie_radicand_clamped: one per clamp the six-state leak bound takes
+SIX_STATE_CLAMPS = {
+    "compare": (94, 13),
+    "compare_asymptotic": (155, 6),
+    "compare_beta": (117, 10),
+    "compare_literal": (0, 183),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIX_STATE_CLAMPS))
+def test_compare_reports_six_state_clamps_as_flags_and_warns_about_nothing(
+    name, tmp_path, monkeypatch
+):
+    argv, expected_code = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(argv)
+    assert (code, err) == (expected_code, "")
+    rows = [row.rsplit(",", 1)[1].split(";") for row in out.splitlines() if ",rfi66," in row]
+    assert len(rows) == 183
+    counts = tuple(sum(flag in row for row in rows) for flag in ("ie_mixing_clamped", "ie_radicand_clamped"))
+    assert counts == SIX_STATE_CLAMPS[name]
 
 
 def _readme_commands():

@@ -554,7 +554,6 @@ def test_the_class_axis_matches_class_by_class_evaluation(tables, asymptotic, li
     st.booleans(),
     st.booleans(),
 )
-@pytest.mark.filterwarnings("ignore:six-state:RuntimeWarning")
 def test_the_baselines_class_axis_matches_class_by_class_evaluation(
     points, beta, asymptotic, literal
 ):
@@ -627,7 +626,6 @@ def test_the_default_formulas_flag_no_table(tables, asymptotic):
     st.floats(0.0, 2 * math.pi, exclude_max=True),
     st.booleans(),
 )
-@pytest.mark.filterwarnings("ignore:six-state:RuntimeWarning")
 def test_the_default_formulas_flag_no_channel_point(points, beta, asymptotic):
     cfg, ch, sec = make_config(), ChannelParams(beta=beta), SecurityParams()
     distances, sizes = (list(column) for column in zip(*points))

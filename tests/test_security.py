@@ -1,14 +1,12 @@
 import math
-import warnings
-from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import SecurityParams, keyrate
+from rfiqkd import SecurityParams
 from rfiqkd.decoy import BoundedCount
 from rfiqkd.keyrate import key_length
 from rfiqkd.security import (
@@ -187,8 +185,9 @@ def test_six_four_statistic():
 
 
 def test_ie_6state_noiseless_endpoints():
-    assert ie_6state(2.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert ie_6state(0.0, 0.0) == pytest.approx(1.0)
+    # at e_zz = 0 the second mixing term vanishes, and nothing is clamped
+    assert ie_6state(2.0, 0.0) == (pytest.approx(0.0, abs=1e-12), False, False)
+    assert ie_6state(0.0, 0.0) == (pytest.approx(1.0), False, False)
 
 
 def test_ie_6state_against_independent_evaluation():
@@ -198,26 +197,24 @@ def test_ie_6state_against_independent_evaluation():
     u = min(mpmath.sqrt(c / 2) / (1 - e), mpmath.mpf(1))
     v = mpmath.sqrt(c / 2 - (1 - e) ** 2 * u**2) / e
     oracle = (1 - e) * _h_mp((1 + u) / 2) + e * _h_mp((1 + v) / 2)
-    assert ie_6state(1.5, 0.01) == pytest.approx(float(oracle), rel=1e-12)
+    assert ie_6state(1.5, 0.01) == (pytest.approx(float(oracle), rel=1e-12), False, False)
 
 
 def test_ie_6state_clamps_reported_not_silent():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = ie_6state(2.0, 0.01)
-    assert value >= 0.0
-    assert any("clamped" in str(w.message) for w in caught)
+    # c = 2 gives u = 1 and a mixing coefficient sqrt(1 - 0.99^2) / 0.01 of about 14,
+    # clamped at 1: both terms are h(1) = 0
+    assert ie_6state(2.0, 0.01) == (0.0, False, True)
 
 
 def test_ie_6state_literal_radicand_differs():
     # c = 1.1, e = 0.3 keeps the corrected form clamp-free (u = 1, v < 1)
     # while the printed radicand goes negative and collapses to v = 0.
     standard = ie_6state(1.1, 0.3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        literal = ie_6state(1.1, 0.3, literal_radicand=True)
-    assert standard != literal
-    assert literal == pytest.approx(0.3)  # 0.3 * h(1/2)
+    literal = ie_6state(1.1, 0.3, literal_radicand=True)
+    assert standard[1:] == (False, False)
+    assert literal[1:] == (True, False)
+    assert standard[0] != literal[0]
+    assert literal[0] == pytest.approx(0.3)  # 0.3 * h(1/2)
 
 
 def test_four_state_matches_six_four_on_shared_errors():
@@ -268,16 +265,44 @@ def test_array_entropy_raises_the_scalar_error_for_the_first_bad_entry(bad):
     assert str(array.value) == str(scalar.value)
 
 
+def _scalar_key_length(s0, s1, i_e, n_zz, e_zz, sec, n_total, asymptotic):
+    """The raw key length of one point, in Python floats and ``math`` functions."""
+    raw = s0 + s1 * (1.0 - i_e) - n_zz * sec.f_ec * binary_entropy(e_zz)
+    if asymptotic:
+        return raw
+    return (
+        raw
+        - math.log2(2.0 / sec.eps_ec)
+        - 2.0 * math.log2(2.0 / sec.eps_pa)
+        - 7.0 * math.sqrt(n_zz * math.log2(2.0 / sec.eps_bar))
+        - 30.0 * math.log2(n_total + 1.0)
+    )
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.booleans())
-def test_ie_4state_and_key_length_match_the_per_point_entropy(values, asymptotic):
-    c44 = np.array(values)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            # block sizes repeat within a block, as in a grid chunk, up to the 2^62 budget
+            st.sampled_from([10**3, 3 * 10**12, 2**53 + 1, 2**62]) | st.integers(1, 2**62),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.booleans(),
+)
+# numpy's log2(n + 1) differs from math's in the last bit at these sizes, which
+# shows in the raw length where c44 = 0 leaves only the constant terms
+@example([(0.0, 28598), (0.5, 2**62), (0.0, 2309986011550812359), (0.0, 28598)], False)
+def test_ie_4state_and_key_length_match_the_per_point_entropy(points, asymptotic):
+    c44, sizes = np.array([c for c, _ in points]), [n for _, n in points]
     assert _same_bits(ie_4state(c44), per_point(binary_entropy, (1.0 - c44) / 2.0))
-    # the reference key length takes h(e_zz) point by point, as the scalar formula did
-    e_zz, n_zz, n_total = c44 / 2.0, np.full(len(c44), 1e9), np.full(len(c44), 3e12)
+    # the block sizes as Python ints in an object array, as analyze_batch passes them
+    e_zz, n_zz, n_total = c44 / 2.0, 1e9 * c44, np.array(sizes, dtype=object)
     args = (1e5 * c44, 4e8 * c44, 1.0 - c44, n_zz, e_zz, SecurityParams(), n_total, asymptotic)
     got = key_length(*args)
-    with mock.patch.object(keyrate, "binary_entropies", lambda p: per_point(binary_entropy, p)):
-        reference = key_length(*args)
-    assert _same_bits(got.raw, reference.raw)
-    assert _same_bits(got.length, reference.length)
+    reference = [_scalar_key_length(*point, SecurityParams(), n, asymptotic)
+                 for *point, n in zip(*(a.tolist() for a in args[:5]), sizes)]
+    assert _same_bits(got.raw, reference)
+    assert _same_bits(got.length, [max(raw, 0.0) for raw in reference])
