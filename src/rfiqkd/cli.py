@@ -27,7 +27,7 @@ from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from itertools import compress, product
+from itertools import chain, compress, product
 from typing import Collection, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -352,18 +352,22 @@ def _label_rows(labels: Sequence[str], stride: int) -> tuple[np.ndarray, np.ndar
 
 # a cell's row in ALL_CELLS order is state * 6 + basis * 3 + kind
 _LABEL_ROWS = [_label_rows(*column) for column in zip(zip(*_ROW_BY_LABELS), (6, 3, 1))]
+# a whole table's labels in ALL_CELLS order, each read as an int64 as
+# _append_tables reads the label columns of _ROW_DTYPE
+_TABLE_LABELS = np.array(list(_ROW_BY_LABELS), dtype="S8").view(np.int64)
 _WRITE_TABLES = 16  # tables per format call: bounds the Python ints held at once
 
 
 def write_tally_csv(batch: TallyBatch, out: TextIO) -> None:
-    """Write tallies as CSV; more than one slice adds a leading slice column."""
-    sliced = len(batch) > 1
+    """Write tallies as CSV, each table's rows led by its slice index in a
+    slice column, which one table of slice 0 goes without."""
+    sliced = len(batch) > 1 or any(batch.slices)
     out.write(",".join(["slice"] * sliced + _TALLY_HEADER) + "\n")
     # "" first, so that prefix.join(rows) puts a table's slice index before each row
     rows = ["", *("{},{},{},%d,%d,%d\n".format(*labels) for labels in _ROW_BY_LABELS)]
     for start in range(0, len(batch), _WRITE_TABLES):
         tables = batch.counts[start : start + _WRITE_TABLES]
-        prefixes = [f"{i}," for i in range(start, start + len(tables))] if sliced else [""]
+        prefixes = [f"{i}," for i in batch.slices[start : start + len(tables)]] if sliced else [""]
         text = "".join(prefix.join(rows) for prefix in prefixes)
         out.write(text % tuple(tables.ravel().tolist()))
 
@@ -377,9 +381,12 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     The file is read in blocks of whole lines, and every count goes
     straight into an int64 buffer, so the whole text and its lines are
     never held at once; the buffer is freed before the tables are checked.
-    Each block goes through numpy's tokenizer in one call and is checked as
-    arrays; a block that fails any check is read again line by line, which
-    stores its rows up to the first error and names that error.
+    Each block, a whole multiple of 24 lines but the last, goes through
+    numpy's tokenizer in one call and is checked as arrays; a block that
+    fails any check is read again line by line, which stores its rows up to
+    the first error and names that error. A block of whole tables as
+    ``write_tally_csv`` writes them is appended to the buffer in one copy
+    (``_read_block``); any other file reads the same, only slower.
     """
     blocks = _line_blocks(handle)
     lines = next(blocks, None)
@@ -395,19 +402,21 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     flat = array("q")
     start_of: dict[int, int] = {}  # slice index -> its first entry in flat
     lineno = 2
-    while lines is not None:
-        if lines and not _read_block(lines, sliced, flat, start_of):
+    for lines in _whole_tables(chain([lines], blocks)):
+        if not _read_block(lines, sliced, flat, start_of):
             _read_lines(lines, lineno, sliced, flat, start_of)
         lineno += len(lines)
-        lines = next(blocks, None)
     if not start_of:
         raise TallyError("line 2: no tally rows")
 
     order = sorted(start_of)
     by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(len(order), len(ALL_CELLS), -1)
-    first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order))
-    # fancy indexing copies, so no table shares memory with flat
-    counts = by_first_line[first // len(_UNREAD_SLICE)]
+    # both copy, so no table shares memory with flat
+    if order == list(start_of):
+        counts = by_first_line.copy()
+    else:
+        first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order))
+        counts = by_first_line[first // len(_UNREAD_SLICE)]
     del flat, by_first_line
     return TallyBatch(counts, order)
 
@@ -431,9 +440,29 @@ def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
         yield [tail]
 
 
+def _whole_tables(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
+    """The lines of ``blocks`` cut at whole multiples of 24 lines, at most
+    23 carried into the next block, so that a file as ``write_tally_csv``
+    writes it reaches ``_read_block`` as whole tables."""
+    carry: list[str] = []
+    for lines in blocks:
+        lines = carry + lines
+        cut = len(lines) - len(lines) % len(ALL_CELLS)
+        carry = lines[cut:]
+        del lines[cut:]
+        if lines:
+            yield lines
+    if carry:
+        yield carry
+
+
 def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
     """Store the rows of ``lines`` with one tokenizer call and array checks;
     a block with a blank line that is not empty takes a second call.
+
+    A block of whole tables as ``write_tally_csv`` writes them is appended
+    in one copy; any other, with shuffled rows, blank lines or a slice read
+    before, has each row placed by its labels and slice, only slower.
 
     Returns False, with no count stored, when a row might not be valid
     as the line reader takes it; that reader then names the error.
@@ -452,6 +481,44 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
             table = _tokenized(filled, sliced)
         if table is None or len(table) != len(filled):
             return False
+    elif _append_tables(table, sliced, flat, start_of):
+        return True
+    return _place_rows(table, sliced, flat, start_of)
+
+
+def _append_tables(table: np.ndarray, sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
+    """Append the counts of ``table`` to ``flat`` in one copy if it holds
+    whole tables of consecutive slices, none read before, each with its
+    cells in ``ALL_CELLS`` order and every label and count valid; False,
+    with nothing stored, for any other table."""
+    n = len(table) // len(ALL_CELLS)
+    if n * len(ALL_CELLS) != len(table):
+        return False
+    # a row's 8-byte words: its slice index when sliced, labels, counts
+    words = table.view(np.int64).reshape(n, len(ALL_CELLS), -1)
+    counts = words[:, :, -len(FIELDS) :]
+    # tiled, the labels compare faster than broadcast; a negative count
+    # read as a uint64 is at least 2^63
+    labels = np.tile(_TABLE_LABELS, (n, 1, 1))
+    if (words[:, :, sliced : sliced + 3] != labels).any() or counts.view(np.uint64).max() > MAX_PULSES:
+        return False
+    slices = words[:, :, 0] if sliced else np.zeros((n, 1), dtype=np.int64)
+    first = int(slices[0, 0])
+    # with no index negative, no difference wraps
+    if slices.min() < 0 or (slices - first != np.arange(n)[:, None]).any():
+        return False
+    indices = range(first, first + n)
+    if not start_of.keys().isdisjoint(indices):
+        return False
+    base, size = len(flat), len(_UNREAD_SLICE)
+    start_of.update(zip(indices, range(base, base + n * size, size)))
+    flat.frombytes(counts.tobytes())
+    return True
+
+
+def _place_rows(table: np.ndarray, sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
+    """Store each row of ``table`` at the cell its labels and slice name;
+    False, with no count stored, when a row might not be valid."""
     # only a label's exact 8 bytes match: a padded or cut label matches none
     rows = np.zeros(len(table), dtype=np.int64)
     for name, (codes, shares) in zip(_TALLY_HEADER[:3], _LABEL_ROWS):

@@ -453,10 +453,16 @@ def written(batch):
     return out.getvalue()
 
 
-def test_canonical_files_take_the_block_path(no_line_reader):
+def test_canonical_files_take_the_block_path(no_line_reader, monkeypatch):
     batch = cli.read_tally_csv(io.StringIO(long_file(4000)))
+
+    def placed(*args):
+        raise AssertionError("a block took the general placement")
+
+    monkeypatch.setattr(cli, "_place_rows", placed)
     # 4000 slices written in order, cells in ALL_CELLS order, LF line ends:
-    # the shape and size of the benchmark's replay input
+    # the shape and size of the benchmark's replay input; every block of
+    # such a file is appended whole
     for tables in (batch, TallyBatch(batch.counts[:2]), TallyBatch(batch.counts[:1])):
         again = cli.read_tally_csv(io.StringIO(written(tables)))
         assert np.array_equal(again.counts, tables.counts)
@@ -472,6 +478,79 @@ def test_the_writer_matches_the_per_row_format(n_tables):
         for (s, b, k), (sent, detected, errors) in zip(ALL_CELLS, table)
     ]
     assert written(TallyBatch(counts)) == tally_text(rows, prefix + HEADER)
+
+
+def valid_tables(rng, n_tables):
+    """``valid_rows`` of slices 0 to n - 1 as an (n, 24, 3) count array."""
+    counts = np.empty((n_tables, len(ALL_CELLS), 3), dtype=np.int64)
+    for row in valid_rows(rng, range(n_tables)):
+        counts[int(row[0]), ROW_OF[tuple(row[1:4])]] = [int(value) for value in row[4:]]
+    return counts
+
+
+@pytest.mark.parametrize("slices", [(3, 5, 9), (7,), (0,), (0, 1)])
+def test_a_written_batch_reads_back_with_its_slices(slices):
+    counts = valid_tables(random.Random(len(slices)), len(slices))
+    again = cli.read_tally_csv(io.StringIO(written(TallyBatch(counts, slices))))
+    assert list(again.slices) == list(slices)
+    assert np.array_equal(again.counts, counts)
+
+
+@st.composite
+def written_texts(draw):
+    """A file that ``write_tally_csv`` wrote, of slices with a drawn first
+    index and gaps, LF or CRLF line ends, with at most one mutation at or
+    next to the first line of a table."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n_tables = draw(st.integers(1, 8) | st.integers(60, 80))
+    first = draw(st.integers(0, 40) | st.sampled_from([2**62, 2**63 - 3]))
+    gaps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 7]), min_size=n_tables - 1,
+                         max_size=n_tables - 1))
+    slices = [first + sum(gaps[:at]) for at in range(n_tables)]
+    lines = written(TallyBatch(valid_tables(rng, n_tables), slices)).splitlines(keepends=True)
+    header, rows = lines[0], lines[1:]
+    table = draw(st.integers(0, n_tables))
+    at = min(max(24 * table + draw(st.sampled_from([-1, 0, 1])), 0), len(rows) - 1)
+    kind = draw(st.sampled_from(["none", "label", "count", "blank", "repeat"]))
+    if kind in ("label", "count"):
+        parts = rows[at].rstrip("\n").split(",")
+        if kind == "label":
+            column = len(parts) - draw(st.integers(4, 6))
+            parts[column] = draw(st.sampled_from(["Q0", "z0", "Y", "omeg", "mu ", ""]))
+        else:
+            parts[len(parts) - draw(st.integers(1, 3))] = str(2**62 + 1)
+        rows[at] = ",".join(parts) + "\n"
+    elif kind == "blank":
+        rows.insert(at, draw(st.sampled_from(BLANK_LINES)) + "\n")
+    elif kind == "repeat" and table < n_tables:
+        # an earlier table, its rows out of order or not, written again
+        # whole at the table boundary
+        earlier = draw(st.integers(0, table))
+        copy = rows[24 * earlier : 24 * earlier + 24]
+        if draw(st.booleans()):
+            rows[24 * earlier : 24 * earlier + 24] = copy[::-1]
+        rows[24 * table : 24 * table] = copy
+    text = header + "".join(rows)
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_texts(), st.integers(1, 200) | st.just(1 << 16))
+def test_written_files_read_as_the_per_line_reference(text, size):
+    assert block_read(text, size) == reference_read(text)
+
+
+# reads of 100 characters hand the reader one table per block
+@pytest.mark.parametrize("size", [100, 1 << 16])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_a_table_written_again_in_a_later_block_is_a_duplicate(size, shuffled):
+    rows = written(TallyBatch(valid_tables(random.Random(3), 80))).splitlines(keepends=True)
+    table = rows[25:49]
+    if shuffled:
+        rows[25:49] = table[::-1]  # slice 1 then takes the general placement
+    text = "".join(rows + table)
+    assert block_read(text, size) == reference_read(text)
+    assert reference_read(text) == f"line {len(rows) + 1}: duplicate cell (Z0,...)"
 
 
 @pytest.mark.parametrize("sliced", [False, True])
