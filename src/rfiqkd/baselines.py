@@ -47,28 +47,14 @@ def _class_counts(
     return detected, np.minimum(np.rint(scale * error), detected)
 
 
-def _run(
-    leak,
-    p_z_bob: float,
-    quadratures: tuple[tuple[float, float], ...],
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    sec: SecurityParams,
-    distance_km,
-    n_total,
-    absorbed,
-    *options,
-) -> KeyRateReport:
-    """Shared pipeline: Z-prepared states measured in Z give the key; each
-    ``(receiver probability, projection)`` pair in ``quadratures`` is one
-    X- or Y-prepared class whose bounds feed ``leak``. A distance array
-    runs as one block, each distance's entries its own."""
-    distances = np.atleast_1d(distance_km).tolist()
+def _protocol(leak, p_z_bob, quadratures, cfg, ch, distances, n_total, absorbed):
+    """A baseline as ``analyze_classes`` takes a protocol: Z-prepared states
+    measured in Z give the key; each ``(receiver probability, projection)``
+    pair in ``quadratures`` is one X- or Y-prepared class whose bounds feed
+    ``leak``. Each distance's entries are its own."""
     table = absorption(ch, cfg.intensities, distances) if absorbed is None else absorbed
     absorbed = np.split(table, 2, axis=1)  # paths Z, X
-    # block sizes as Python ints, as analyze_batch takes them
-    sizes = np.array([cfg.n_total] * len(distances) if n_total is None else n_total, dtype=object)
-    blocks = sizes.astype(float).reshape(-1, 1)
+    blocks = np.array(n_total, dtype=object).astype(float).reshape(-1, 1)
     p_half = (1.0 - cfg.p_z_alice) / 2.0
     bob_prob, projection = np.array(quadratures).T[..., None]  # (classes, 1) each
     e_mis = quadrature_error(ch.e0, projection)
@@ -76,7 +62,30 @@ def _run(
     key = _class_counts(cfg, ch, absorbed[0], blocks, cfg.p_z_alice, p_z_bob, ch.e0)
     # the quadrature classes as one (n, classes, 3) block
     tests = _class_counts(cfg, ch, absorbed[1][:, None], blocks[:, None], p_half, bob_prob, e_mis)
-    report = analyze_classes(key, tests, leak, cfg, sec, sizes, *options)
+    return key, tests, leak
+
+
+def six_four(cfg: ProtocolConfig, ch: ChannelParams, distances, n_total, absorbed=None):
+    """rfi64's protocol at ``distances`` with block sizes ``n_total``, as ``run_six_four`` runs it."""
+    p_x_bob = 1.0 - cfg.p_z_bob
+    quadratures = ((p_x_bob, math.cos(ch.beta)), (p_x_bob, math.sin(ch.beta)))
+    return _protocol(_leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, distances, n_total, absorbed)
+
+
+def six_state(cfg: ProtocolConfig, ch: ChannelParams, distances, n_total, absorbed=None):
+    """rfi66's protocol at ``distances`` with block sizes ``n_total``, as ``run_six_state`` runs it."""
+    pb_z, pb_x, pb_y = 0.5, 0.25, 0.25
+    cos_b, sin_b = math.cos(ch.beta), math.sin(ch.beta)
+    # (preparation, receiver) basis: xx, xy, yx, yy
+    quadratures = ((pb_x, cos_b), (pb_y, -sin_b), (pb_x, sin_b), (pb_y, cos_b))
+    return _protocol(_leak_six_state, pb_z, quadratures, cfg, ch, distances, n_total, absorbed)
+
+
+def _run(protocol, cfg, ch, sec, distance_km, n_total, absorbed, *options) -> KeyRateReport:
+    """One baseline's report; a distance array runs as one block."""
+    distances = np.atleast_1d(distance_km).tolist()
+    sizes = [cfg.n_total] * len(distances) if n_total is None else n_total
+    (report,) = analyze_classes([protocol(cfg, ch, distances, sizes, absorbed)], cfg, sec, sizes, *options)
     return report if np.ndim(distance_km) else report_at(report, 0)
 
 
@@ -128,12 +137,8 @@ def run_six_four(
     probability ``(1 - p_z_alice) / 4`` per state; orthogonal partners share
     the same error statistics, so each basis is handled as one merged class.
     """
-    p_x_bob = 1.0 - cfg.p_z_bob
-    quadratures = ((p_x_bob, math.cos(ch.beta)), (p_x_bob, math.sin(ch.beta)))
-    return _run(
-        _leak_six_four, cfg.p_z_bob, quadratures, cfg, ch, sec, distance_km, n_total, absorbed,
-        asymptotic, n_zz_all_intensities, literal_paper_formulas,
-    )
+    return _run(six_four, cfg, ch, sec, distance_km, n_total, absorbed,
+                asymptotic, n_zz_all_intensities, literal_paper_formulas)
 
 
 def run_six_state(
@@ -152,11 +157,5 @@ def run_six_state(
     The receiver picks Z, X and Y with fixed probabilities 0.5, 0.25 and
     0.25; the Y path shares the X path's receiver loss.
     """
-    pb_z, pb_x, pb_y = 0.5, 0.25, 0.25
-    cos_b, sin_b = math.cos(ch.beta), math.sin(ch.beta)
-    # (preparation, receiver) basis: xx, xy, yx, yy
-    quadratures = ((pb_x, cos_b), (pb_y, -sin_b), (pb_x, sin_b), (pb_y, cos_b))
-    return _run(
-        _leak_six_state, pb_z, quadratures, cfg, ch, sec, distance_km, n_total, absorbed,
-        asymptotic, n_zz_all_intensities, literal_paper_formulas,
-    )
+    return _run(six_state, cfg, ch, sec, distance_km, n_total, absorbed,
+                asymptotic, n_zz_all_intensities, literal_paper_formulas)

@@ -7,7 +7,7 @@ angle, scaled so that a rotation of zero reproduces the intrinsic error.
 
 ``expected_tallies`` evaluates many (distance, angle, block size) points in one
 numpy pass, bit for bit equal to the per-cell formula: transcendentals stay in
-``math`` (``cos`` and ``sin`` per point; two ``10 ** x`` and six ``exp(-eta * k)`` per
+``math`` (``cos`` and ``sin`` per distinct angle; two ``10 ** x`` and six ``exp(-eta * k)`` per
 distinct distance, in ``absorption``), as numpy's ``exp``, ``power`` and ``log2`` differ
 from ``math``'s on 4.7 %, 5.3 % and 0.19 % of 10^6 uniform inputs.
 """
@@ -145,10 +145,14 @@ def expected_tallies(
     # ALL_CELLS repeats the six (path, intensity) columns once per state
     rows = absorption(ch, [cfg.intensity(k) for k in KINDS], distances) if absorbed is None else absorbed
     absorbed = np.tile(rows, len(STATES))
-    cos_b, sin_b = np.array([cos(b) for b in betas]), np.array([sin(b) for b in betas])
-    e_mis = np.empty_like(absorbed)
+    angles = list(dict.fromkeys(betas))  # each distinct angle's row once: a grid has one
+    cos_b, sin_b = np.array([cos(b) for b in angles]), np.array([sin(b) for b in angles])
+    e_mis = np.empty((len(angles), len(ALL_CELLS)))
     for column, (state, basis, _) in enumerate(ALL_CELLS):
         e_mis[:, column] = _misalignment(state, basis, ch.e0, cos_b, sin_b)
+    if 1 < len(angles) < len(betas):
+        row_of = {b: row for row, b in enumerate(angles)}
+        e_mis = e_mis[[row_of[b] for b in betas]]
     gain, qber = _gain_and_qber(absorbed, e_mis, ch.e_d)
     del absorbed, e_mis  # freed before the counts are built
     # n_total * p_state * p_intensity (* p_basis), in the per-cell order of operations

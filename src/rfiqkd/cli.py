@@ -50,7 +50,9 @@ from .core import (
 from .keyrate import (
     ExtractionResult,
     analyze_batch,
+    analyze_classes,
     analyze_tallies,
+    four_state,
     group_and_extract,
     total_pulses,
 )
@@ -810,11 +812,9 @@ def cmd_compare(args, run, cfg, ch, sec) -> tuple[list[str], bool]:
     rows = ["distance_km,n_total,protocol,key_rate,c_lower,e_zz,flags"]
     any_key = False
     for sizes, distances, absorbed, block in _grid(run, cfg, ch, "analytic"):
-        reports = [
-            analyze_batch(block, cfg, sec, n_total=sizes, **options),
-            *(runner(cfg, ch, sec, distances, absorbed=absorbed, n_total=sizes, **options)
-              for runner in (baselines.run_six_four, baselines.run_six_state)),
-        ]
+        six = (protocol(cfg, ch, distances, sizes, absorbed)
+               for protocol in (baselines.six_four, baselines.six_state))
+        reports = analyze_classes([four_state(block), *six], cfg, sec, sizes, **options)
         protocols = [_csv_rows(
             (name,), distances, sizes, (r.key_rate, r.c44_lower, r.e_zz), r.intermediate
         ) for name, r in zip(baselines.PROTOCOLS, reports)]

@@ -46,9 +46,10 @@ class BoundedCount:
         return self.upper - self.lower
 
     def __getitem__(self, index) -> "BoundedCount":
-        """The entries at ``index`` of each field; a flag left at its default stays."""
-        return BoundedCount(*(np.asarray(f)[index] if np.ndim(f) else f for f in (
-            self.lower, self.point, self.upper, self.clamped, self.degenerate, self.nonphysical)))
+        """The entries at ``index`` of each array field; a number, or a flag left
+        at its default, stays."""
+        return BoundedCount(*[f[index] if isinstance(f, np.ndarray) and f.ndim else f
+                              for f in vars(self).values()])
 
     __iter__ = None  # indexing does not make a bound a sequence
 

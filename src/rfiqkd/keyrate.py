@@ -49,6 +49,7 @@ __all__ = [
     "analyze_batch",
     "analyze_classes",
     "analyze_tallies",
+    "four_state",
 ]
 
 
@@ -89,8 +90,9 @@ def key_length(
         # numpy's sqrt rounds as math's; object arrays hold Python floats here
         root = np.sqrt(np.asarray(n_zz * math.log2(2.0 / sec.eps_bar), dtype=float))
         # the block-size term's log2 once per distinct size; a grid chunk holds a few
-        sizes, at = np.unique(n_total, return_inverse=True)
-        block = np.array([math.log2(n + 1.0) for n in sizes.tolist()])[at].reshape(np.shape(n_total))
+        sizes = np.ravel(n_total).tolist()
+        log2_of = {n: math.log2(n + 1.0) for n in set(sizes)}
+        block = np.array([log2_of[n] for n in sizes]).reshape(np.shape(n_total))
         raw = (
             raw
             - math.log2(2.0 / sec.eps_ec)
@@ -336,67 +338,69 @@ def analyze_batch(
     and drops the block-size penalty terms, which yields the asymptotic
     rate used as an upper reference.
     """
-    # Python ints: a group's block size may pass 2^63
-    sizes = np.array([cfg.n_total] * len(batch) if n_total is None else n_total, dtype=object)
-    key, tests = (_class_sums(batch.counts, rows) for rows in (_CLASS_ROWS[_ZZ], _X_ROWS))
+    sizes = [cfg.n_total] * len(batch) if n_total is None else n_total
     return analyze_classes(
-        key, tests, _leak_four_state, cfg, sec, sizes,
-        asymptotic, n_zz_all_intensities, literal_paper_formulas,
-    )
+        [four_state(batch)], cfg, sec, sizes, asymptotic, n_zz_all_intensities, literal_paper_formulas
+    )[0]
+
+
+def four_state(batch: TallyBatch):
+    """rfi44 as ``analyze_classes`` takes a protocol: the class sums of the tally
+    rows of ``batch``'s key class and four X-basis classes, and its leak bound."""
+    key, tests = (_class_sums(batch.counts, rows) for rows in (_CLASS_ROWS[_ZZ], _X_ROWS))
+    return key, tests, _leak_four_state
 
 
 def _class_sums(counts: np.ndarray, rows) -> np.ndarray:
     """Detections and errors of the classes whose cells are ``rows`` of (n, 24, 3)
     counts, as one (2, n, ..., 3) array; uint64 holds the sum of two cells."""
-    total = counts[:, rows, 1:].astype(np.uint64).sum(axis=-3)
-    return decoy.exact_counts(np.moveaxis(total, -1, 0))
+    return np.moveaxis(counts[:, rows, 1:].astype(np.uint64).sum(axis=-3), -1, 0)
 
 
 def analyze_classes(
-    key, tests, leak, cfg: ProtocolConfig, sec: SecurityParams, n_total,
-    asymptotic: bool, n_zz_all_intensities: bool, literal: bool,
-) -> KeyRateReport:
-    """The estimator every protocol shares, on n points' class counts: the key
-    class's (detections, errors) at (signal, decoy, vacuum) intensity, (n, 3)
-    each, and the test classes', (n, classes, 3) each. ``leak(bounds, e_zz,
-    intermediate, literal)`` maps the test classes' ``ClassBounds`` to the lower
-    end of the protocol's channel statistic (``c44_lower``) and ``i_e``, adding
-    its own entries to ``intermediate``, among them a ``*_nonphysical`` flag for
-    any non-physical bound of the test classes. A point with any
-    ``*_nonphysical`` entry set has key length 0."""
-    setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal)
-    inter: dict[str, np.ndarray] = {}
-    zz_detected, zz_errors = key
-    s0_zz, s1_zz = decoy.yield_bounds(zz_detected, setting)
-    _record(inter, "s0_zz", s0_zz)
-    _record(inter, "s1_zz", s1_zz)
-    bounds = decoy.class_bounds(*tests, setting)
-
+    protocols, cfg: ProtocolConfig, sec: SecurityParams, n_total, asymptotic: bool = False,
+    n_zz_all_intensities: bool = True, literal_paper_formulas: bool = False,
+) -> list[KeyRateReport]:
+    """The estimator every protocol shares, on n points of block sizes
+    ``n_total``, one report per protocol. A protocol is a ``(key, tests, leak)``
+    triple of class counts: the key class's (detections, errors) at (signal,
+    decoy, vacuum) intensity, (n, 3) each, and the test classes', (n, classes,
+    3) each. ``leak(bounds, e_zz, intermediate, literal)`` maps the test classes'
+    ``ClassBounds`` to the lower end of the protocol's channel statistic
+    (``c44_lower``) and ``i_e``, adding its own entries to ``intermediate``, among
+    them a ``*_nonphysical`` flag for any non-physical bound of the test classes.
+    A point with any ``*_nonphysical`` entry set has key length 0. Every
+    protocol's key classes run through one decoy chain, and all their test
+    classes through another; each entry is its own class's result."""
+    setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal_paper_formulas)
+    sizes = np.array(n_total, dtype=object)  # Python ints: a group's block size may pass 2^63
+    # exact before stacking: a block holding an object part stays object
+    keys = [decoy.exact_counts(key) for key, _, _ in protocols]
+    tests = [decoy.exact_counts(classes) for _, classes, _ in protocols]
+    s0_zz, s1_zz = decoy.yield_bounds(np.stack([detected for detected, _ in keys], axis=-2), setting)
+    bounds = decoy.class_bounds(*np.concatenate(tests, axis=-2), setting)
+    ends = np.cumsum([0] + [t.shape[-2] for t in tests]).tolist()
     # the sifted key: every intensity, or the signal intensity only
     kinds = 3 if n_zz_all_intensities else 1
-    n_zz = sum(zz_detected[:, k] for k in range(kinds))
-    e_zz, _ = decoy.divide(sum(zz_errors[:, k] for k in range(kinds)), n_zz, 0.0)
-    c_lower, i_e = leak(bounds, e_zz, inter, literal)
+    reports = []
+    for p, ((zz_detected, zz_errors), (_, _, leak)) in enumerate(zip(keys, protocols)):
+        inter: dict[str, np.ndarray] = {}
+        s0, s1 = s0_zz[:, p], s1_zz[:, p]
+        _record(inter, "s0_zz", s0)
+        _record(inter, "s1_zz", s1)
+        own = decoy.ClassBounds(*(b[:, ends[p]:ends[p + 1]] for b in vars(bounds).values()))
+        n_zz = sum(zz_detected[:, k] for k in range(kinds))
+        e_zz, _ = decoy.divide(sum(zz_errors[:, k] for k in range(kinds)), n_zz, 0.0)
+        c_lower, i_e = leak(own, e_zz, inter, literal_paper_formulas)
 
-    kl = key_length(
-        s0_zz.lower, s1_zz.lower, i_e, n_zz, e_zz, sec, n_total, asymptotic
-    )
-    inter["negative_length"] = kl.negative
-    inter["key_length_raw"] = kl.raw
-    nonphysical = np.any([flag for name, flag in inter.items() if name.endswith("_nonphysical")], axis=0)
-    length = np.where(nonphysical, 0.0, kl.length)
-
-    return KeyRateReport(
-        s0_zz_lower=s0_zz.lower,
-        s1_zz_lower=s1_zz.lower,
-        c44_lower=c_lower,
-        i_e=i_e,
-        e_zz=e_zz,
-        n_zz=n_zz,
-        key_length=length,
-        key_rate=np.asarray(length / n_total, dtype=float),
-        intermediate=inter,
-    )
+        kl = key_length(s0.lower, s1.lower, i_e, n_zz, e_zz, sec, sizes, asymptotic)
+        inter["negative_length"] = kl.negative
+        inter["key_length_raw"] = kl.raw
+        nonphysical = np.any([flag for name, flag in inter.items() if name.endswith("_nonphysical")], axis=0)
+        length = np.where(nonphysical, 0.0, kl.length)
+        rate = np.asarray(length / sizes, dtype=float)
+        reports.append(KeyRateReport(s0.lower, s1.lower, c_lower, i_e, e_zz, n_zz, length, rate, inter))
+    return reports
 
 
 def _record(inter: dict, name: str, bound: decoy.BoundedCount) -> None:
@@ -406,14 +410,20 @@ def _record(inter: dict, name: str, bound: decoy.BoundedCount) -> None:
         inter[f"{name}_degenerate"] = bound.degenerate
 
 
+# each X-basis class's chain in ``intermediate``: (bound, end) -> the four classes' names
+_X_ENTRIES = {
+    (name, end): [f"{name}_{states[0].value.lower()}x_{end}" for states, _ in _REQUIRED_CLASSES[1:]]
+    for name in ("s0", "s1", "t", "e")
+    for end in ("lower", "point", "upper", "clamped", "degenerate", "nonphysical")
+}
+
+
 def _leak_four_state(xs: decoy.ClassBounds, e_zz, inter: dict, literal: bool):
     """rfi44: each X-basis class's chain recorded, then c44 and its leak bound."""
-    # each (n, 4) field split once into class columns; a flag left at its default is not recorded
-    columns = [(f"{name}_%sx_{end}", list(np.transpose(value))) for name in ("s0", "s1", "t", "e")
-               for end, value in vars(getattr(xs, name)).items() if np.ndim(value)]
-    for j, (states, _) in enumerate(_REQUIRED_CLASSES[1:]):
-        for key, column in columns:
-            inter[key % states[0].value.lower()] = column[j]
+    for (name, end), keys in _X_ENTRIES.items():
+        value = getattr(getattr(xs, name), end)
+        if np.ndim(value):  # a flag left at its default is not recorded
+            inter.update(zip(keys, value.T))
     cb = security.c_bounds(*(xs.e[:, j] for j in range(4)), literal_c1_lower=literal)
     for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
         inter[name] = getattr(cb, name)

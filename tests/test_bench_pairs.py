@@ -165,6 +165,34 @@ def test_append_to_a_missing_record_starts_it(tmp_path, monkeypatch):
     assert sorted(record["summary"]) == ["curves", "replay"]
 
 
+def test_append_keeps_the_recorded_claim(tmp_path, monkeypatch):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append(seed)
+        result = run("x", seed, 100.0, 40.0)["result"]
+        result["metrics"]["setup_s"] = {"value": 0.1, "unit": "s"}
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc1234")
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--seeds", "1", "--out", str(out)]
+    bench_pairs.main([*argv, "--workload", "curves", "--claim", "throughput on curves"])
+    # appending the other workloads, with the same claim or none, keeps it
+    bench_pairs.main([*argv, "--workload", "replay", "--append"])
+    bench_pairs.main([*argv, "--workload", "mc-drift", "--append", "--claim", "throughput on curves"])
+    written = out.read_bytes()
+    assert bench_pairs.json.loads(written)["claim"] == "throughput on curves"
+    assert len(calls) == 6
+    # another claim is refused before any run, and --out is left as it was
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([*argv, "--workload", "replay", "--append", "--claim", "none"])
+    assert exit_info.value.code != 0
+    assert len(calls) == 6 and out.read_bytes() == written
+
+
 def test_both_sides_run_outside_the_repository(tmp_path, monkeypatch):
     # a repository with one commit, then an edit, an untracked file, an
     # ignored file and a deletion that are not committed

@@ -244,7 +244,7 @@ def sized_points(draw):
         st.lists(
             st.tuples(
                 st.sampled_from([0.0, 50.0, 200.0]) | st.floats(0.0, 400.0),
-                st.floats(0.0, TWO_PI, exclude_max=True),
+                st.sampled_from([0.0, 0.5]) | st.floats(0.0, TWO_PI, exclude_max=True),
                 st.sampled_from([1, 10**12, 2**53 + 1, 3 * 10**18, 2**62]) | st.integers(1, 2**62),
             ),
             min_size=1,
@@ -277,4 +277,18 @@ def test_transmittance_runs_twice_per_distinct_distance(cfg, ch, monkeypatch):
     monkeypatch.setattr(channel, "transmittance", counted)
     tables = expected_tallies(cfg, ch, [10.0, 20.0, 10.0, 10.0, 30.0, 20.0])
     assert seen == [(d, path) for d in (10.0, 20.0, 30.0) for path in BASES]
+    assert np.array_equal(tables.counts[3], tables.counts[0])
+
+
+def test_the_angle_runs_once_per_distinct_angle(cfg, ch, monkeypatch):
+    seen = []
+
+    def counted(beta):
+        seen.append(beta)
+        return math.cos(beta)
+
+    monkeypatch.setattr(channel, "cos", counted)
+    tables = expected_tallies(cfg, ch, [10.0, 20.0, 10.0, 10.0], [0.1, 0.2, 0.1, 0.1])
+    assert seen == [0.1, 0.2]
+    assert np.array_equal(tables.counts[2], tables.counts[0])
     assert np.array_equal(tables.counts[3], tables.counts[0])

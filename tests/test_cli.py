@@ -971,19 +971,21 @@ def test_montecarlo_scan_mixes_block_sizes_and_keeps_streams(tmp_path):
 
 
 def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
-    calls = Counter()
+    calls, leaks = Counter(), []
 
     def counted(owner, name):
         function = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "analyze_classes":  # the protocols of the call, by their leak bound
+                leaks.append([leak for _, _, leak in args[0]])
             return function(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in [(cli, "expected_tallies"), (cli, "analyze_batch"), (channel, "transmittance"),
-                        (baselines, "run_six_four"), (baselines, "run_six_state")]:
+                        (baselines, "run_six_four"), (baselines, "run_six_state"), (cli, "analyze_classes")]:
         counted(owner, name)
     grid = "scan_min_km = 0\nscan_max_km = 300\nn_values = 1e10,1e11,1e12,1e13\n"
     config = tmp_path / "grid.cfg"
@@ -994,11 +996,9 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
     calls.clear()
     config.write_text(grid + "scan_step_km = 5\n")
     assert run_cli(["compare", "--config", str(config)])[0] == cli.EXIT_OK
-    # 4 x 61 points in one chunk: one call per protocol, all three on the grid's one table
-    assert calls == {
-        "expected_tallies": 1, "analyze_batch": 1, "run_six_four": 1, "run_six_state": 1,
-        "transmittance": 2 * 61,
-    }
+    # 4 x 61 points in one chunk: one estimator call for all three protocols, on the grid's one table
+    assert calls == {"expected_tallies": 1, "analyze_classes": 1, "transmittance": 2 * 61}
+    assert leaks == [[keyrate._leak_four_state, baselines._leak_six_four, baselines._leak_six_state]]
 
 
 # -- config fuzz ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import ChannelParams, SecurityParams, decoy, keyrate
+from rfiqkd import ChannelParams, SecurityParams, baselines, decoy, keyrate
 from rfiqkd.baselines import run_six_four, run_six_state
 from rfiqkd.channel import expected_tallies
 from rfiqkd.core import (
@@ -566,6 +566,57 @@ def test_the_baselines_class_axis_matches_class_by_class_evaluation(
         assert_same_outcome(stacked, alone, report_columns)
         if not isinstance(alone, tuple):  # the flags column reads these two
             assert {"c_clamped", "negative_length"} <= set(alone.intermediate)
+
+
+@st.composite
+def tables_and_points(draw):
+    """1-4 valid (24, 3) tables, each at a drawn scale from 10^3 to 2^62 counts,
+    so that a chunk may mix class totals below and above 10^12; the counts are
+    uniform under the scale, from a drawn seed, as hypothesis draws few integers
+    that 64-bit floats cannot hold. And for the baselines, each table's point:
+    a distance and a block size from 10^3 to 2^62."""
+    scales = draw(st.lists(st.sampled_from([10**3, 10**6, 10**11, 2**62]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    tables = []
+    for scale in scales:
+        table = np.zeros((len(ALL_CELLS), 3), dtype=np.int64)
+        sent = {}
+        for row, (state, _, kind) in enumerate(ALL_CELLS):
+            n = sent.setdefault((state, kind), int(rng.integers(0, scale, endpoint=True)))
+            detected = int(rng.integers(0, n, endpoint=True))
+            table[row] = (n, detected, int(rng.integers(0, detected, endpoint=True)))
+        tables.append(table)
+    points = st.tuples(
+        st.sampled_from([0.0, 50.0, 200.0]) | st.floats(0.0, 300.0),
+        st.sampled_from([10**3, 10**12, 2**62]) | st.integers(10**3, 2**62),
+    )
+    return tables, draw(st.lists(points, min_size=len(tables), max_size=len(tables)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_points(), st.floats(0.0, 2 * math.pi), st.booleans(), st.booleans(), st.booleans())
+def test_one_call_for_several_protocols_is_each_protocols_own_call(
+    case, beta, asymptotic, literal, n_zz_all_intensities
+):
+    # rfi44 on tables whose class totals reach 2^62 (the object path) beside the
+    # baselines' float counts: each report is that protocol's call alone
+    tables, points = case
+    cfg, ch, sec = make_config(), ChannelParams(beta=beta), SecurityParams()
+    distances, sizes = (list(column) for column in zip(*points))
+    batch = TallyBatch(np.stack(tables))
+    options = {"asymptotic": asymptotic, "literal_paper_formulas": literal,
+               "n_zz_all_intensities": n_zz_all_intensities}
+    protocols = [keyrate.four_state(batch),
+                 *(protocol(cfg, ch, distances, sizes) for protocol in (baselines.six_four, baselines.six_state))]
+    together = keyrate.analyze_classes(protocols, cfg, sec, sizes, **options)
+    alone = [
+        analyze_batch(batch, cfg, sec, n_total=sizes, **options),
+        *(runner(cfg, ch, sec, np.array(distances), n_total=sizes, **options)
+          for runner in (run_six_four, run_six_state)),
+    ]
+    assert len(together) == len(alone)
+    for got, want in zip(together, alone):
+        assert_same_outcome(got, want, report_columns)
 
 
 def test_a_point_flags_each_failing_class(cfg, ch, sec):

@@ -14,7 +14,9 @@ directory; even-numbered pairs run the parent first, odd ones the change.
 Every run's result line is kept, and ``--out`` is written again after
 each run, so a failing run loses none of the earlier ones;
 ``--append`` adds the new runs to those already in ``--out``, which
-resumes such a session, or starts ``--out`` when it does not exist yet.
+resumes such a session, or starts ``--out`` when it does not exist yet;
+it keeps the recorded claim, and a ``--claim`` that differs from it is a
+usage error, raised before any run.
 The summary, per workload and end-to-end metric of the untraced runs,
 gives each side's median, quartiles (linear interpolation) and run count,
 the ratio of the medians and the pairs the change won, in the direction
@@ -162,13 +164,15 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     resume = args.append and args.out.exists()
     record = json.loads(args.out.read_text()) if resume else {"runs": [], "order": []}
+    if resume and args.claim is not None and args.claim != record.get("claim"):
+        parser.error(f"--claim differs from the claim recorded in {args.out}: {record.get('claim')!r}")
     record["order"].append(
         f"{args.workload} trace {args.trace} seeds {args.seeds}: even pairs run the parent first"
     )
 
     def write() -> None:
         record.update(
-            claim=args.claim if args.claim is not None else record.get("claim"),
+            claim=record.get("claim") if resume else args.claim,
             command=f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace X",
             host={"nproc": os.cpu_count(), "python": platform.python_version(),
                   "numpy": numpy.__version__},
