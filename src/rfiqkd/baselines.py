@@ -107,17 +107,13 @@ def _leak_six_four(bounds, e_zz, inter, literal):
 
 
 def _leak_six_state(bounds, e_zz, inter, literal):
-    # per point in Python: powers, sqrt and log2
-    raw = security.per_point(security.c_6state, *_correlators(bounds, inter))
+    raw = security.c_6state(*_correlators(bounds, inter))
     c_lower = np.where(raw > 2.0, 2.0, raw)
     inter["c_clamped"] = raw > 2.0
-    i_e, radicand, mixing = np.array([
-        # at e_zz >= 0.5 dark counts dominate; nothing is secret
-        security.ie_6state(c, e, literal_radicand=literal) if e < 0.5 else (1.0, False, False)
-        for c, e in zip(c_lower.tolist(), e_zz.tolist())
-    ], dtype=float).reshape(-1, 3).T
-    inter["ie_radicand_clamped"], inter["ie_mixing_clamped"] = radicand > 0.0, mixing > 0.0
-    return c_lower, i_e
+    secret = e_zz < 0.5  # at e_zz >= 0.5 dark counts dominate; nothing is secret
+    i_e, radicand, mixing = security.ie_6state(c_lower, np.where(secret, e_zz, 0.0), literal)
+    inter["ie_radicand_clamped"], inter["ie_mixing_clamped"] = radicand & secret, mixing & secret
+    return c_lower, np.where(secret, i_e, 1.0)
 
 
 def run_six_four(

@@ -18,6 +18,7 @@ entry keeps its own result, whatever the entries beside it give.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, factorial, isfinite, log, nan
 from typing import Callable
 
@@ -58,25 +59,29 @@ def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> Non
     """Raise ``error(message(i))`` for the first entry ``i`` (a flat index)
     where ``bad`` holds."""
     bad = np.asarray(bad)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise error(message(int(bad.argmax())))
 
 
-def exact_counts(counts):
+def exact_counts(counts, as_float: bool = False):
     """An array of counts as the chain takes it: integer counts whose totals
     over the last axis reach 10^12 as Python ints, whose arithmetic is the
     per-point one; below that int64 arithmetic gives the same numbers, and
-    cli's 12 digits print an integral float as they print the int."""
+    cli's 12 digits print an integral float as they print the int. With
+    ``as_float`` those counts come as float64, which holds each exactly and to
+    which every step of the chain converts them anyway."""
     counts = np.asarray(counts)
-    if counts.dtype.kind in "iu" and np.max(counts.sum(axis=-1, dtype=float), initial=0.0) >= 1e12:
+    if counts.dtype.kind not in "iu":
+        return counts
+    if np.count_nonzero(counts.sum(axis=-1, dtype=float) >= 1e12):
         return counts.astype(object)
-    return counts
+    return counts.astype(float) if as_float else counts
 
 
 def divide(num, den, fallback):
     """``num / den`` where ``den > 0``, else ``fallback``; and where ``den > 0``."""
-    positive = np.asarray(den > 0.0)
-    return np.where(positive, num / np.where(positive, den, 1.0), fallback), positive
+    positive = np.asarray(den > 0.0)  # the quotient's other entries are left unset, then replaced
+    return np.where(positive, np.divide(num, den, out=None, where=positive), fallback), positive
 
 
 def tau(n: int, intensities: tuple[IntensityClass, ...]) -> float:
@@ -125,6 +130,7 @@ class Setting:
         return self.error_coef * (self.e_nu * m_nu / self.p_nu - self.e_om * m_om / self.p_om)
 
 
+@lru_cache(maxsize=64)  # hashable, frozen arguments; a failing check is not kept
 def setting(
     intensities: tuple[IntensityClass, ...], eps: float | None, literal_upper: bool = False
 ) -> Setting:
@@ -175,10 +181,8 @@ def fluctuation_deltas(x, setting: Setting):
         return 0.0, 0.0
     x = np.asarray(x)
     raise_at(x < 0, ValueError, lambda i: f"observed count must be >= 0, got {x.item(i)}")
-    two_b = 2.0 * b  # as 2.0 * b * x groups; object counts give Python floats below
-    delta_lower = b / 2.0 + np.sqrt(np.asarray(two_b * x + b * b / 4.0, dtype=float))
-    delta_upper = b + np.sqrt(np.asarray(two_b * x + b * b, dtype=float))
-    return delta_lower, delta_upper
+    two_b_x = np.asarray(2.0 * b * x, dtype=float)  # object counts give Python floats
+    return b / 2.0 + np.sqrt(two_b_x + b * b / 4.0), b + np.sqrt(two_b_x + b * b)
 
 
 def fluctuation_interval(x, setting: Setting) -> BoundedCount:
@@ -212,13 +216,13 @@ def _worst_case(
     is not finite or the clamped ends cross, the bound is the trivially valid
     [0, cap], flagged ``nonphysical``.
     """
-    raw_lower = estimate(*(iv.lower for iv in rising), *(iv.upper for iv in falling))
-    raw_upper = estimate(*(iv.upper for iv in rising), *(iv.lower for iv in falling))
+    raw_lower = estimate(*[iv.lower for iv in rising], *[iv.upper for iv in falling])
+    raw_upper = estimate(*[iv.upper for iv in rising], *[iv.lower for iv in falling])
     lower, cl = _clamp(raw_lower, 0.0, cap)
     upper, cu = _clamp(raw_upper, 0.0, cap)
-    finite = np.isfinite(np.asarray((raw_lower, raw_upper), dtype=float)).all(axis=0)
-    bad = ~finite | (lower > upper)
-    point = estimate(*(iv.point for iv in rising + falling))
+    finite = np.isfinite(np.asarray(raw_lower, dtype=float))  # object ends: Python floats
+    bad = ~(finite & np.isfinite(np.asarray(raw_upper, dtype=float))) | (lower > upper)
+    point = estimate(*[iv.point for iv in rising + falling])
     return BoundedCount(np.where(bad, 0.0, lower), point, np.where(bad, cap, upper),
                         clamped=cl | cu, nonphysical=bad)
 
@@ -287,7 +291,7 @@ def yield_bounds(detected, setting: Setting) -> tuple[BoundedCount, BoundedCount
     """Vacuum and single-photon detection bounds of event classes from their
     detections at (signal, decoy, vacuum) intensity, an (n, 3) array of n
     points or an (n, classes, 3) one."""
-    iv = fluctuation_interval(exact_counts(detected), setting)  # one per count array
+    iv = fluctuation_interval(exact_counts(detected, as_float=True), setting)  # one per count array
     intervals = tuple(iv[..., k] for k in range(3))
     s0 = vacuum_bound(intervals, setting)
     return s0, single_photon_bound(intervals, s0, setting)
@@ -298,7 +302,8 @@ def class_bounds(detected, errors, setting: Setting) -> ClassBounds:
     ``errors`` is laid out as ``detected``. The error count at signal intensity
     enters only the cap: it gets no interval. Each step is elementwise, so a
     class's bounds and flags do not depend on the classes beside it."""
-    detected, errors = exact_counts(np.stack((detected, errors)))  # errors <= detected: one rule
+    # errors <= detected: one rule
+    detected, errors = exact_counts(np.stack((detected, errors)), as_float=True)
     s0, s1 = yield_bounds(detected, setting)
     iv = fluctuation_interval(errors[..., 1:], setting)
     cap = errors[..., 0] + errors[..., 1] + errors[..., 2]

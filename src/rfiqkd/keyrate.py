@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -354,7 +355,8 @@ def four_state(batch: TallyBatch):
 def _class_sums(counts: np.ndarray, rows) -> np.ndarray:
     """Detections and errors of the classes whose cells are ``rows`` of (n, 24, 3)
     counts, as one (2, n, ..., 3) array; uint64 holds the sum of two cells."""
-    return np.moveaxis(counts[:, rows, 1:].astype(np.uint64).sum(axis=-3), -1, 0)
+    sums = counts[:, rows, 1:].astype(np.uint64).sum(axis=-3)
+    return sums.transpose(-1, *range(sums.ndim - 1))
 
 
 def analyze_classes(
@@ -373,10 +375,11 @@ def analyze_classes(
     protocol's key classes run through one decoy chain, and all their test
     classes through another; each entry is its own class's result."""
     setting = decoy.setting(cfg.intensities, None if asymptotic else sec.eps_bar, literal_paper_formulas)
-    sizes = np.array(n_total, dtype=object)  # Python ints: a group's block size may pass 2^63
+    # each block size as its float, which Python's int-to-float arithmetic would take
+    sizes = np.array(n_total, dtype=float)
     # exact before stacking: a block holding an object part stays object
     keys = [decoy.exact_counts(key) for key, _, _ in protocols]
-    tests = [decoy.exact_counts(classes) for _, classes, _ in protocols]
+    tests = [decoy.exact_counts(classes, as_float=True) for _, classes, _ in protocols]
     s0_zz, s1_zz = decoy.yield_bounds(np.stack([detected for detected, _ in keys], axis=-2), setting)
     bounds = decoy.class_bounds(*np.concatenate(tests, axis=-2), setting)
     ends = np.cumsum([0] + [t.shape[-2] for t in tests]).tolist()
@@ -384,30 +387,24 @@ def analyze_classes(
     kinds = 3 if n_zz_all_intensities else 1
     reports = []
     for p, ((zz_detected, zz_errors), (_, _, leak)) in enumerate(zip(keys, protocols)):
-        inter: dict[str, np.ndarray] = {}
-        s0, s1 = s0_zz[:, p], s1_zz[:, p]
-        _record(inter, "s0_zz", s0)
-        _record(inter, "s1_zz", s1)
-        own = decoy.ClassBounds(*(b[:, ends[p]:ends[p + 1]] for b in vars(bounds).values()))
+        inter = {f"{name}_{end}": getattr(bound, end)[:, p]
+                 for name, bound in (("s0_zz", s0_zz), ("s1_zz", s1_zz))
+                 for end in ("lower", "point", "upper", "clamped", "nonphysical")}
+        own = bounds if len(protocols) == 1 else decoy.ClassBounds(
+            *(b[:, ends[p]:ends[p + 1]] for b in vars(bounds).values()))
         n_zz = sum(zz_detected[:, k] for k in range(kinds))
         e_zz, _ = decoy.divide(sum(zz_errors[:, k] for k in range(kinds)), n_zz, 0.0)
         c_lower, i_e = leak(own, e_zz, inter, literal_paper_formulas)
 
-        kl = key_length(s0.lower, s1.lower, i_e, n_zz, e_zz, sec, sizes, asymptotic)
+        s0, s1 = inter["s0_zz_lower"], inter["s1_zz_lower"]
+        kl = key_length(s0, s1, i_e, n_zz, e_zz, sec, sizes, asymptotic)
         inter["negative_length"] = kl.negative
         inter["key_length_raw"] = kl.raw
-        nonphysical = np.any([flag for name, flag in inter.items() if name.endswith("_nonphysical")], axis=0)
-        length = np.where(nonphysical, 0.0, kl.length)
+        flags = [flag for name, flag in inter.items() if name.endswith("_nonphysical")]
+        length = np.where(reduce(np.logical_or, flags), 0.0, kl.length)
         rate = np.asarray(length / sizes, dtype=float)
-        reports.append(KeyRateReport(s0.lower, s1.lower, c_lower, i_e, e_zz, n_zz, length, rate, inter))
+        reports.append(KeyRateReport(s0, s1, c_lower, i_e, e_zz, n_zz, length, rate, inter))
     return reports
-
-
-def _record(inter: dict, name: str, bound: decoy.BoundedCount) -> None:
-    for end in ("lower", "point", "upper", "clamped", "nonphysical"):
-        inter[f"{name}_{end}"] = getattr(bound, end)
-    if np.ndim(bound.degenerate):  # only an error rate can be degenerate
-        inter[f"{name}_degenerate"] = bound.degenerate
 
 
 # each X-basis class's chain in ``intermediate``: (bound, end) -> the four classes' names
@@ -422,9 +419,11 @@ def _leak_four_state(xs: decoy.ClassBounds, e_zz, inter: dict, literal: bool):
     """rfi44: each X-basis class's chain recorded, then c44 and its leak bound."""
     for (name, end), keys in _X_ENTRIES.items():
         value = getattr(getattr(xs, name), end)
-        if np.ndim(value):  # a flag left at its default is not recorded
+        if isinstance(value, np.ndarray):  # a flag left at its default is not recorded
             inter.update(zip(keys, value.T))
-    cb = security.c_bounds(*(xs.e[:, j] for j in range(4)), literal_c1_lower=literal)
+    e = xs.e  # each class's error-rate bound, from its columns
+    cb = security.c_bounds(*(decoy.BoundedCount(*ends) for ends in zip(e.lower.T, e.point.T, e.upper.T)),
+                           literal_c1_lower=literal)
     for name in ("c1_lower", "c1_upper", "c2_lower", "c2_upper"):
         inter[name] = getattr(cb, name)
     inter["c44_clamped"] = cb.clamped

@@ -6,13 +6,14 @@ combines them into a rotation-invariant magnitude, and converts that into
 an upper bound on leaked information. Reference curves for the six-state
 and six-four variants live here as well, and so does the binary entropy
 that both the leak bounds and the key-length formula use. The four-state
-bounds and the six-four statistic take arrays with one entry per point; their
-``math`` functions run point by point, as numpy's differ in the last bit.
+bounds and the six-four and six-state ones take arrays with one entry per point;
+their ``math`` functions and powers run point by point, as numpy's differ in the
+last bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, log2, sqrt
+from math import hypot, log2
 from typing import Callable
 
 import numpy as np
@@ -21,10 +22,11 @@ from .decoy import BoundedCount, raise_at
 
 
 def per_point(fn: Callable[..., float], *values):
-    """``fn`` applied point by point; the result has the inputs' shape."""
-    values = np.broadcast_arrays(*values)
-    results = list(map(fn, *(v.ravel().tolist() for v in values)))
-    return np.array(results, dtype=float).reshape(values[0].shape)
+    """``fn`` applied point by point; the result has the inputs' broadcast shape."""
+    values = [np.asarray(v) for v in values]
+    if any(v.shape != values[0].shape for v in values):
+        values = np.broadcast_arrays(*values)
+    return np.fromiter(map(fn, *[v.ravel().tolist() for v in values]), float).reshape(values[0].shape)
 
 
 def binary_entropy(p: float) -> float:
@@ -116,14 +118,21 @@ def c_64(corr_xx: float, corr_yx: float) -> float:
     return per_point(hypot, corr_xx, corr_yx)
 
 
+def _squares(x):
+    """``x**2`` of each entry as Python's float power rounds it, C ``pow``; numpy's
+    ``x * x`` differs in the last bit."""
+    return per_point(pow, x, 2.0)
+
+
 def c_6state(corr_xx: float, corr_xy: float, corr_yx: float, corr_yy: float) -> float:
     """Channel statistic of the six-state variant (sum of squared correlators)."""
-    return corr_xx**2 + corr_xy**2 + corr_yx**2 + corr_yy**2
+    return _squares(corr_xx) + _squares(corr_xy) + _squares(corr_yx) + _squares(corr_yy)
 
 
 def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> tuple[float, bool, bool]:
     """Leaked-information bound of the six-state variant, with its two clamps:
-    ``(leak, radicand_clamped, mixing_clamped)``.
+    ``(leak, radicand_clamped, mixing_clamped)``, each an array over the entries;
+    the first entry outside the domain raises its error.
 
     The inner radicand is clamped at zero and the second mixing coefficient
     at one; the two flags say whether each clamp took effect. Ordinary inputs
@@ -133,17 +142,18 @@ def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> tuple[fl
     rows of ``compare`` over 0-300 km, ``c`` is clamped at 2 and the
     coefficient reaches about 14 before its clamp.
     """
-    if not 0.0 <= c <= 2.0:
-        raise ValueError(f"c must be in [0,2], got {c}")
-    if not 0.0 <= e_zz < 0.5:
-        raise ValueError(f"e_zz must be in [0,0.5), got {e_zz}")
-    u = min(sqrt(c / 2.0) / (1.0 - e_zz), 1.0)
-    leak = (1.0 - e_zz) * binary_entropy((1.0 + u) / 2.0)
-    if e_zz == 0.0:
-        return leak, False, False
+    c, e_zz = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(e_zz, dtype=float))
+    raise_at(~((c >= 0.0) & (c <= 2.0)), ValueError, lambda i: f"c must be in [0,2], got {c.item(i)}")
+    raise_at(~((e_zz >= 0.0) & (e_zz < 0.5)), ValueError,
+             lambda i: f"e_zz must be in [0,0.5), got {e_zz.item(i)}")
+    u = np.sqrt(c / 2.0) / (1.0 - e_zz)
+    u = np.where(u > 1.0, 1.0, u)
+    leak = (1.0 - e_zz) * binary_entropies((1.0 + u) / 2.0)
+    noisy = e_zz != 0.0  # at e_zz = 0 the second term and both clamps vanish
     if literal_radicand:
-        radicand = c / 2.0 - (1.0 - e_zz**2 * u**2)
+        radicand = c / 2.0 - (1.0 - _squares(e_zz) * _squares(u))
     else:
-        radicand = c / 2.0 - (1.0 - e_zz) ** 2 * u**2
-    v = sqrt(max(radicand, 0.0)) / e_zz
-    return leak + e_zz * binary_entropy((1.0 + min(v, 1.0)) / 2.0), radicand < 0.0, v > 1.0
+        radicand = c / 2.0 - _squares(1.0 - e_zz) * _squares(u)
+    v = np.sqrt(np.where(radicand < 0.0, 0.0, radicand)) / np.where(noisy, e_zz, 1.0)
+    second = e_zz * binary_entropies((1.0 + np.where(v > 1.0, 1.0, v)) / 2.0)
+    return np.where(noisy, leak + second, leak), noisy & (radicand < 0.0), noisy & (v > 1.0)

@@ -145,6 +145,30 @@ def test_the_setting_names_the_key_at_fault(table, eps, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("table", [TABLE, intensity_triple(0.6, 0.2, 0.01, 0.7, 0.2, 0.1)])
+@pytest.mark.parametrize("eps", [None, EPS, 1e-3])
+@pytest.mark.parametrize("literal", [False, True])
+def test_the_memoised_setting_equals_a_fresh_build(table, eps, literal):
+    fresh = decoy.setting.__wrapped__(table, eps, literal)
+    assert decoy.setting(table, eps, literal) == fresh
+    assert decoy.setting(table, eps, literal_upper=literal) == fresh
+    assert decoy.setting(table, eps, literal) is decoy.setting(table, eps, literal)
+    if not literal:
+        assert decoy.setting(table, eps) == fresh
+
+
+@pytest.mark.parametrize("table, eps", [
+    (intensity_triple(0.55, 0.28, 0.0, 0.9, 0.1, 0.0), EPS),  # p_omega = 0
+    (intensity_triple(0.55, 0.2, 0.2, 0.54, 0.36, 0.10), EPS),  # nu = omega
+    (TABLE, math.nan),
+])
+def test_a_failing_setting_raises_on_every_call(table, eps):
+    # cli's joint checks call it on each run: a failure is never remembered as a result
+    for _ in range(3):
+        with pytest.raises(DecoyPreconditionError):
+            decoy.setting(table, eps)
+
+
 def test_a_non_finite_raw_end_flags_its_point_only():
     finite = fluctuation_interval(np.array([100.0, 100.0]), SETTING)
     broken = BoundedCount(finite.lower, finite.point, np.array([finite.upper[0], math.inf]))
@@ -418,6 +442,10 @@ def test_an_analysis_builds_its_constants_once(monkeypatch, cfg, ch, sec, runner
 
     count("tau")
     count("log")
+    decoy.setting.cache_clear()  # an earlier test may have built these constants
+    RUNNERS[runner][0](cfg, ch, sec)
+    assert sorted(calls) == ["log", "tau", "tau"]
+    # and a second analysis with the same settings reuses them
     RUNNERS[runner][0](cfg, ch, sec)
     assert sorted(calls) == ["log", "tau", "tau"]
 

@@ -434,8 +434,28 @@ def valid_tables(draw):
     return tables
 
 
+@st.composite
+def seeded_tables(draw):
+    """1-4 valid (24, 3) tables, each at a drawn scale from 10^3 to 2^62 counts,
+    so that a chunk may mix class totals below and above 10^12; the counts are
+    uniform under the scale, from a drawn seed, as hypothesis draws few integers
+    that 64-bit floats cannot hold."""
+    scales = draw(st.lists(st.sampled_from([10**3, 10**6, 10**11, 2**62]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    tables = []
+    for scale in scales:
+        table = np.zeros((len(ALL_CELLS), 3), dtype=np.int64)
+        sent = {}
+        for row, (state, _, kind) in enumerate(ALL_CELLS):
+            n = sent.setdefault((state, kind), int(rng.integers(0, scale, endpoint=True)))
+            detected = int(rng.integers(0, n, endpoint=True))
+            table[row] = (n, detected, int(rng.integers(0, detected, endpoint=True)))
+        tables.append(table)
+    return tables
+
+
 @settings(max_examples=100, deadline=None)
-@given(valid_tables())
+@given(seeded_tables())
 def test_a_batch_matches_the_python_int_reference(tables):
     from test_decoy_block import reference_analysis
 
@@ -516,7 +536,7 @@ def report_columns(report):
 
 
 @settings(max_examples=100, deadline=None)
-@given(valid_tables(), st.booleans(), st.booleans())
+@given(seeded_tables(), st.booleans(), st.booleans())
 def test_the_class_axis_matches_class_by_class_evaluation(tables, asymptotic, literal):
     cfg, sec = make_config(), SecurityParams()
     batch = TallyBatch(np.stack(tables))
@@ -570,22 +590,9 @@ def test_the_baselines_class_axis_matches_class_by_class_evaluation(
 
 @st.composite
 def tables_and_points(draw):
-    """1-4 valid (24, 3) tables, each at a drawn scale from 10^3 to 2^62 counts,
-    so that a chunk may mix class totals below and above 10^12; the counts are
-    uniform under the scale, from a drawn seed, as hypothesis draws few integers
-    that 64-bit floats cannot hold. And for the baselines, each table's point:
-    a distance and a block size from 10^3 to 2^62."""
-    scales = draw(st.lists(st.sampled_from([10**3, 10**6, 10**11, 2**62]), min_size=1, max_size=4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    tables = []
-    for scale in scales:
-        table = np.zeros((len(ALL_CELLS), 3), dtype=np.int64)
-        sent = {}
-        for row, (state, _, kind) in enumerate(ALL_CELLS):
-            n = sent.setdefault((state, kind), int(rng.integers(0, scale, endpoint=True)))
-            detected = int(rng.integers(0, n, endpoint=True))
-            table[row] = (n, detected, int(rng.integers(0, detected, endpoint=True)))
-        tables.append(table)
+    """``seeded_tables``, and for the baselines each table's point: a distance
+    and a block size from 10^3 to 2^62."""
+    tables = draw(seeded_tables())
     points = st.tuples(
         st.sampled_from([0.0, 50.0, 200.0]) | st.floats(0.0, 300.0),
         st.sampled_from([10**3, 10**12, 2**62]) | st.integers(10**3, 2**62),

@@ -306,3 +306,69 @@ def test_ie_4state_and_key_length_match_the_per_point_entropy(points, asymptotic
                  for *point, n in zip(*(a.tolist() for a in args[:5]), sizes)]
     assert _same_bits(got.raw, reference)
     assert _same_bits(got.length, [max(raw, 0.0) for raw in reference])
+
+
+# -- the six-state bounds on arrays against their per-point functions ---------
+
+
+def _ref_entropy(p):
+    return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _ref_c_6state(corr_xx, corr_xy, corr_yx, corr_yy):
+    """``c_6state`` as it stood per point, on Python floats."""
+    return corr_xx**2 + corr_xy**2 + corr_yx**2 + corr_yy**2
+
+
+def _ref_ie_6state(c, e_zz, literal_radicand=False):
+    """``ie_6state`` as it stood per point, on Python floats and ``math``."""
+    if not 0.0 <= c <= 2.0:
+        raise ValueError(f"c must be in [0,2], got {c}")
+    if not 0.0 <= e_zz < 0.5:
+        raise ValueError(f"e_zz must be in [0,0.5), got {e_zz}")
+    u = min(math.sqrt(c / 2.0) / (1.0 - e_zz), 1.0)
+    leak = (1.0 - e_zz) * _ref_entropy((1.0 + u) / 2.0)
+    if e_zz == 0.0:
+        return leak, False, False
+    if literal_radicand:
+        radicand = c / 2.0 - (1.0 - e_zz**2 * u**2)
+    else:
+        radicand = c / 2.0 - (1.0 - e_zz) ** 2 * u**2
+    v = math.sqrt(max(radicand, 0.0)) / e_zz
+    return leak + e_zz * _ref_entropy((1.0 + min(v, 1.0)) / 2.0), radicand < 0.0, v > 1.0
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_array_six_state_bounds_are_the_per_point_functions_bit_for_bit(literal):
+    # numpy's x * x differs from Python's x**2 in the last bit on about 0.1 % of
+    # these correlators, so 10^5 entries see it many times over
+    rng = np.random.default_rng(66)
+    n = 100_000
+    corr = rng.uniform(-1.0, 1.0, (4, n))
+    corr[:, :1000] = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], (4, 1000))
+    raw = c_6state(*corr)
+    assert _same_bits(raw, [_ref_c_6state(*point) for point in corr.T.tolist()])
+    c = np.where(raw > 2.0, 2.0, raw)  # as the six-state leak clamps it, about half at 2
+    c[:1000] = rng.choice([0.0, 2.0], 1000)
+    e = rng.uniform(0.0, 0.5, n)
+    e[::5] = 0.0
+    e[1::5] = rng.uniform(0.0, 0.02, len(e[1::5]))  # small rates: the mixing clamp
+    e[2:1000:5] = np.nextafter(0.5, 0.0)
+    got = ie_6state(c, e, literal_radicand=literal)
+    leak, radicand, mixing = zip(*(_ref_ie_6state(ci, ei, literal) for ci, ei in zip(c.tolist(), e.tolist())))
+    assert _same_bits(got[0], leak)
+    assert got[1].tolist() == list(radicand) and got[2].tolist() == list(mixing)
+    # both clamps are reached, the radicand's below 0 also by rounding alone
+    assert 0 < sum(radicand) < n and 0 < sum(mixing) < n
+
+
+@pytest.mark.parametrize(
+    "c, e", [(2.5, 0.1), (-0.1, 0.1), (math.nan, 0.1), (1.0, 0.5), (1.0, 0.75), (1.0, -5e-324), (1.0, math.nan)]
+)
+def test_array_six_state_leak_raises_the_scalar_error_for_the_first_bad_entry(c, e):
+    # at e_zz >= 0.5 the six-state baseline takes no bound: its leak is 1
+    with pytest.raises(ValueError) as scalar:
+        _ref_ie_6state(c, e)
+    with pytest.raises(ValueError) as array:
+        ie_6state(np.array([1.0, c, 0.5]), np.array([0.1, e, 0.9]))
+    assert str(array.value) == str(scalar.value)
