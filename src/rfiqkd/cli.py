@@ -341,19 +341,6 @@ _ROW_DTYPE = {
     )
     for sliced in (False, True)
 }
-
-
-def _label_rows(labels: Sequence[str], stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """A label column's codes, each label's 8 bytes as a uint64, sorted, and
-    ``stride`` times the index of each code's label."""
-    codes = np.array(list(dict.fromkeys(labels)), dtype="S8").view(np.uint64).tolist()
-    # sorted in Python: numpy's sort kernels would add their pages to every run
-    codes, shares = zip(*sorted((code, index * stride) for index, code in enumerate(codes)))
-    return np.array(codes, dtype=np.uint64), np.array(shares)
-
-
-# a cell's row in ALL_CELLS order is state * 6 + basis * 3 + kind
-_LABEL_ROWS = [_label_rows(*column) for column in zip(zip(*_ROW_BY_LABELS), (6, 3, 1))]
 # a whole table's labels in ALL_CELLS order, each read as an int64 as
 # _append_tables reads the label columns of _ROW_DTYPE
 _TABLE_LABELS = np.array(list(_ROW_BY_LABELS), dtype="S8").view(np.int64)
@@ -383,12 +370,12 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     The file is read in blocks of whole lines, and every count goes
     straight into an int64 buffer, so the whole text and its lines are
     never held at once; the buffer is freed before the tables are checked.
-    Each block, a whole multiple of 24 lines but the last, goes through
-    numpy's tokenizer in one call and is checked as arrays; a block that
-    fails any check is read again line by line, which stores its rows up to
-    the first error and names that error. A block of whole tables as
-    ``write_tally_csv`` writes them is appended to the buffer in one copy
-    (``_read_block``); any other file reads the same, only slower.
+    Each block, a whole multiple of 24 lines but the last, takes one of
+    two paths. A block of whole tables as ``write_tally_csv`` writes them
+    goes through numpy's tokenizer in one call and is appended to the
+    buffer in one copy (``_read_block``). Any other block is read line by
+    line, which stores its rows up to the first error and names that
+    error; it reads the same, only slower.
     """
     blocks = _line_blocks(handle)
     lines = next(blocks, None)
@@ -459,15 +446,13 @@ def _whole_tables(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
 
 
 def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
-    """Store the rows of ``lines`` with one tokenizer call and array checks;
-    a block with a blank line that is not empty takes a second call.
+    """Append ``lines`` to ``flat`` in one copy if numpy's tokenizer reads
+    them, in one call, as whole tables as ``write_tally_csv`` writes them
+    (``_append_tables``).
 
-    A block of whole tables as ``write_tally_csv`` writes them is appended
-    in one copy; any other, with shuffled rows, blank lines or a slice read
-    before, has each row placed by its labels and slice, only slower.
-
-    Returns False, with no count stored, when a row might not be valid
-    as the line reader takes it; that reader then names the error.
+    Returns False, with no count stored, for any other block (shuffled
+    rows, blank lines, a slice read before, or a row that might not be
+    valid); the line reader then reads it, or names its error.
     """
     # numpy's integer parser takes some non-ASCII letters for digits ("Ǿ"
     # reads as 462), and it drops a label's trailing NULs, which would make
@@ -476,16 +461,8 @@ def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int,
     if not text.isascii() or "\x00" in text:
         return False
     table = _tokenized(lines, sliced)
-    if table is None or len(table) != len(lines):
-        # numpy skips empty lines but fails on other blank ones
-        filled = [line for line in lines if line.strip()]
-        if table is None and len(filled) < len(lines):
-            table = _tokenized(filled, sliced)
-        if table is None or len(table) != len(filled):
-            return False
-    elif _append_tables(table, sliced, flat, start_of):
-        return True
-    return _place_rows(table, sliced, flat, start_of)
+    # numpy skips empty lines
+    return table is not None and len(table) == len(lines) and _append_tables(table, sliced, flat, start_of)
 
 
 def _append_tables(table: np.ndarray, sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
@@ -515,41 +492,6 @@ def _append_tables(table: np.ndarray, sliced: bool, flat: array, start_of: dict[
     base, size = len(flat), len(_UNREAD_SLICE)
     start_of.update(zip(indices, range(base, base + n * size, size)))
     flat.frombytes(counts.tobytes())
-    return True
-
-
-def _place_rows(table: np.ndarray, sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
-    """Store each row of ``table`` at the cell its labels and slice name;
-    False, with no count stored, when a row might not be valid."""
-    # only a label's exact 8 bytes match: a padded or cut label matches none
-    rows = np.zeros(len(table), dtype=np.int64)
-    for name, (codes, shares) in zip(_TALLY_HEADER[:3], _LABEL_ROWS):
-        column = np.ascontiguousarray(table[name]).view(np.uint64)
-        found = np.searchsorted(codes, column).clip(max=len(codes) - 1)
-        if (codes[found] != column).any():
-            return False
-        rows += shares[found]
-    if any(table[name].min() < 0 or table[name].max() > MAX_PULSES for name in FIELDS):
-        return False
-    slices = table["slice"] if sliced else np.zeros(len(table), dtype=np.int64)
-    if slices.min() < 0:
-        return False
-    distinct = np.sort(slices)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    # a failure past this point is a duplicate cell, which the line reader
-    # raises, so the slices added here never reach a result
-    for index in distinct.tolist():
-        if index not in start_of:
-            start_of[index] = len(flat)
-            flat.extend(_UNREAD_SLICE)
-    first = np.fromiter(map(start_of.__getitem__, distinct.tolist()), np.int64, len(distinct))
-    at = first[np.searchsorted(distinct, slices)] + rows * len(FIELDS)
-    buffer = np.frombuffer(flat, dtype=np.int64)
-    ordered = np.sort(at)
-    if (buffer[at] >= 0).any() or (ordered[1:] == ordered[:-1]).any():
-        return False
-    for shift, name in enumerate(FIELDS):
-        buffer[at + shift] = table[name]
     return True
 
 

@@ -36,6 +36,7 @@ from rfiqkd.security import binary_entropy, ie_4state
 from rfiqkd.simulate import drift_beta, sample_drifting_tallies
 
 from conftest import make_config
+from test_decoy_block import reference_analysis
 
 TWO_PI = 2 * math.pi
 
@@ -377,8 +378,6 @@ def test_array_classification_is_the_scalar_classifier(case):
 def test_a_class_sum_at_two_to_the_63_does_not_wrap(cfg, sec):
     # two slices at 2^61 per cell: their group holds 2^62 in every cell, the
     # budget's edge, so Z0 + Z1 detections reach 2^63 per intensity
-    from test_decoy_block import reference_analysis
-
     table = np.full((len(ALL_CELLS), 3), 2**61, dtype=np.int64)
     table[:, 2] = 2**55
     result = group_and_extract(TallyBatch(np.stack([table, table])), 1, cfg, sec)
@@ -457,8 +456,6 @@ def seeded_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(seeded_tables())
 def test_a_batch_matches_the_python_int_reference(tables):
-    from test_decoy_block import reference_analysis
-
     cfg, sec = make_config(), SecurityParams()
     report = analyze_batch(TallyBatch(np.stack(tables)), cfg, sec)
     for i, table in enumerate(tables):

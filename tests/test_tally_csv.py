@@ -437,7 +437,7 @@ def no_line_reader(monkeypatch):
 
 
 @pytest.mark.parametrize("blank", ["", " ", "\t", "\r"])
-def test_blank_lines_keep_a_block_off_the_line_reader(no_line_reader, blank):
+def test_blank_lines_between_tables_read_as_the_reference(blank):
     lines = long_file(20).splitlines(keepends=True)
     for at in range(len(lines) - 1, 1, -24):
         lines.insert(at, blank + "\n")
@@ -453,13 +453,8 @@ def written(batch):
     return out.getvalue()
 
 
-def test_canonical_files_take_the_block_path(no_line_reader, monkeypatch):
-    batch = cli.read_tally_csv(io.StringIO(long_file(4000)))
-
-    def placed(*args):
-        raise AssertionError("a block took the general placement")
-
-    monkeypatch.setattr(cli, "_place_rows", placed)
+def test_canonical_files_take_the_block_path(no_line_reader):
+    batch = TallyBatch(valid_tables(random.Random(4000), 4000))
     # 4000 slices written in order, cells in ALL_CELLS order, LF line ends:
     # the shape and size of the benchmark's replay input; every block of
     # such a file is appended whole
@@ -547,14 +542,43 @@ def test_a_table_written_again_in_a_later_block_is_a_duplicate(size, shuffled):
     rows = written(TallyBatch(valid_tables(random.Random(3), 80))).splitlines(keepends=True)
     table = rows[25:49]
     if shuffled:
-        rows[25:49] = table[::-1]  # slice 1 then takes the general placement
+        rows[25:49] = table[::-1]  # the block of slice 1 then goes to the line reader
     text = "".join(rows + table)
     assert block_read(text, size) == reference_read(text)
     assert reference_read(text) == f"line {len(rows) + 1}: duplicate cell (Z0,...)"
 
 
+def test_only_the_block_of_a_shuffled_table_is_read_line_by_line(monkeypatch):
+    rows = written(TallyBatch(valid_tables(random.Random(31), 4000))).splitlines(keepends=True)
+    at = 1 + 24 * 2000  # after the header, slice 2000's rows, reversed
+    rows[at : at + 24] = rows[at : at + 24][::-1]
+    shuffled = "".join(rows[at : at + 24])
+    text = "".join(rows)
+    read_lines, append_tables = cli._read_lines, cli._append_tables
+    calls = []
+
+    def lines_read(lines, *args):
+        calls.append("".join(lines))
+        return read_lines(lines, *args)
+
+    def tables_appended(*args):
+        calls.append(append_tables(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "_read_lines", lines_read)
+    monkeypatch.setattr(cli, "_append_tables", tables_appended)
+    assert block_read(text) == reference_read(text)
+    # every block is offered to _append_tables; only the one that holds
+    # slice 2000 is refused, and it alone is read line by line
+    read = [call for call in calls if isinstance(call, str)]
+    assert len(read) == 1 and shuffled in read[0]
+    refused = calls.index(read[0]) - 1
+    assert calls == [True] * refused + [False, read[0]] + [True] * (len(calls) - refused - 2)
+    assert len(calls) > 40  # the file is about 50 reads of 64k characters
+
+
 @pytest.mark.parametrize("sliced", [False, True])
-def test_every_label_is_read_in_any_row_order(no_line_reader, sliced):
+def test_every_label_is_read_in_any_row_order(sliced):
     rng = random.Random(14)
     rows = valid_rows(rng, [3, 0, 1] if sliced else [0])
     rng.shuffle(rows)
