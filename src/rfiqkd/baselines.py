@@ -3,8 +3,9 @@
 These exist only for side-by-side rate comparisons. Each is a leak bound on
 ``keyrate.analyze_classes``, the estimator of the main pipeline: the same
 decoy chain, ``n_zz`` and key-length formula, fed with event-class statistics
-(for example "X states measured in X") from the same channel model, so no
-extra state labels are needed anywhere else in the package. A run returns a
+(for example "X states measured in X") from the same channel model and
+counting rule, ``channel.expected_counts``, so no extra state labels are
+needed anywhere else in the package. A run returns a
 ``KeyRateReport`` whose ``c44_lower`` holds the protocol's own statistic C.
 ``distance_km`` is one distance, or an array of them evaluated as one block;
 ``n_total=`` gives each point its own block size, as in ``analyze_batch``, and
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from . import security
-from .channel import absorption, pulse_probabilities, quadrature_error
+from .channel import absorption, expected_counts, quadrature_error
 from .core import ChannelParams, KeyRateReport, ProtocolConfig, SecurityParams
 from .decoy import BoundedCount, ClassBounds
 from .keyrate import analyze_classes, report_at
@@ -29,24 +30,6 @@ from .keyrate import key_length  # noqa: F401
 PROTOCOLS = ("rfi44", "rfi64", "rfi66")
 
 
-def _class_counts(
-    cfg: ProtocolConfig,
-    ch: ChannelParams,
-    absorbed: np.ndarray,
-    block: np.ndarray,
-    alice_prob: float,
-    bob_prob: float,
-    e_mis: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expected (detections, errors) of merged classes, (n, [classes,] 3) arrays,
-    from each point's ``absorbed = exp(-eta * k)`` and block size, (n, [1,] 3)
-    and (n, [1,] 1) arrays, and (classes, 1) receiver probabilities and errors."""
-    scale = block * alice_prob * [k.probability for k in cfg.intensities] * bob_prob
-    gain, error = pulse_probabilities(absorbed, e_mis, ch.e_d)
-    detected = np.rint(scale * gain)
-    return detected, np.minimum(np.rint(scale * error), detected)
-
-
 def _protocol(leak, p_z_bob, quadratures, cfg, ch, distances, n_total, absorbed):
     """A baseline as ``analyze_classes`` takes a protocol: Z-prepared states
     measured in Z give the key; each ``(receiver probability, projection)``
@@ -55,13 +38,12 @@ def _protocol(leak, p_z_bob, quadratures, cfg, ch, distances, n_total, absorbed)
     table = absorption(ch, cfg.intensities, distances) if absorbed is None else absorbed
     absorbed = np.split(table, 2, axis=1)  # paths Z, X
     blocks = np.array(n_total, dtype=object).astype(float).reshape(-1, 1)
-    p_half = (1.0 - cfg.p_z_alice) / 2.0
+    p_k, p_half = [k.probability for k in cfg.intensities], (1.0 - cfg.p_z_alice) / 2.0
     bob_prob, projection = np.array(quadratures).T[..., None]  # (classes, 1) each
-    e_mis = quadrature_error(ch.e0, projection)
-
-    key = _class_counts(cfg, ch, absorbed[0], blocks, cfg.p_z_alice, p_z_bob, ch.e0)
-    # the quadrature classes as one (n, classes, 3) block
-    tests = _class_counts(cfg, ch, absorbed[1][:, None], blocks[:, None], p_half, bob_prob, e_mis)
+    # pulses as block * p_alice * p_intensity * p_bob; the quadrature classes as one (n, classes, 3) block
+    key = expected_counts(blocks * cfg.p_z_alice * p_k * p_z_bob, absorbed[0], ch.e0, ch.e_d)
+    tests = expected_counts(blocks[:, None] * p_half * p_k * bob_prob, absorbed[1][:, None],
+                            quadrature_error(ch.e0, projection), ch.e_d)
     return key, tests, leak
 
 

@@ -83,17 +83,26 @@ def _misalignment(state, basis, e0, cos_beta, sin_beta):
     return 0.5
 
 
-def pulse_probabilities(absorbed, e_mis, e_d):
-    """Per-pulse probabilities of a detection and of an erroneous detection,
-    from ``absorbed = exp(-eta * k)``; floats or numpy arrays."""
-    return 1.0 - (1.0 - e_d) * absorbed, e_d / 2.0 + e_mis * (1.0 - absorbed)
-
-
 def _gain_and_qber(absorbed, e_mis, e_d) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and error rate per detection, 1/2 where the gain is zero."""
-    gain, error = pulse_probabilities(absorbed, e_mis, e_d)
-    qber = np.divide(error, gain, out=np.full(np.shape(gain), 0.5), where=gain > 0.0)
+    """Per-pulse detection probability and error rate per detection, 1/2 where the
+    gain is zero, from ``absorbed = exp(-eta * k)``; floats or numpy arrays, the
+    error rate in the shape ``absorbed`` and ``e_mis`` broadcast to."""
+    gain, error = 1.0 - (1.0 - e_d) * absorbed, e_d / 2.0 + e_mis * (1.0 - absorbed)
+    qber = np.divide(error, gain, out=np.full(np.shape(error), 0.5), where=gain > 0.0)
     return gain, np.minimum(qber, 1.0)
+
+
+def expected_counts(pulses, absorbed, e_mis, e_d) -> tuple[np.ndarray, np.ndarray]:
+    """Expected (detections, errors) of cells that send ``pulses`` each, arrays
+    that broadcast with ``absorbed`` and ``e_mis`` as in ``_gain_and_qber``: the
+    detections ``rint(gain * pulses)``, and the errors the error rate times the
+    unrounded detections, rounded, at most the detections. Every protocol's
+    analytic counts come from here."""
+    gain, qber = _gain_and_qber(absorbed, e_mis, e_d)
+    detected = gain * pulses
+    errors = np.rint(qber * detected)
+    np.rint(detected, out=detected)
+    return detected, np.minimum(errors, detected, out=errors)
 
 
 def cell_expectation(
@@ -153,17 +162,14 @@ def expected_tallies(
     if 1 < len(angles) < len(betas):
         row_of = {b: row for row, b in enumerate(angles)}
         e_mis = e_mis[[row_of[b] for b in betas]]
-    gain, qber = _gain_and_qber(absorbed, e_mis, ch.e_d)
-    del absorbed, e_mis  # freed before the counts are built
     # n_total * p_state * p_intensity (* p_basis), in the per-cell order of operations
     block = np.array(cfg.n_total if n_total is None else n_total, dtype=float).reshape(-1, 1)
     sent = block * [cfg.state_probability(s) for s, _, _ in ALL_CELLS]
     sent *= [cfg.intensity(k).probability for _, _, k in ALL_CELLS]
-    gain *= sent * [cfg.basis_probability(b) for _, b, _ in ALL_CELLS]  # the detections
-    qber *= gain  # the errors
+    pulses = sent * [cfg.basis_probability(b) for _, b, _ in ALL_CELLS]
+    detected, errors = expected_counts(pulses, absorbed, e_mis, ch.e_d)
     np.rint(sent, out=sent)
-    np.minimum(np.rint(gain, out=gain), sent, out=gain)
-    np.minimum(np.rint(qber, out=qber), gain, out=qber)
+    np.minimum(detected, sent, out=detected)
     counts = np.empty((len(distances), len(ALL_CELLS), 3), dtype=np.int64)
-    counts[:, :, 0], counts[:, :, 1], counts[:, :, 2] = sent, gain, qber
+    counts[:, :, 0], counts[:, :, 1], counts[:, :, 2] = sent, detected, np.minimum(errors, detected)
     return TallyBatch(counts)

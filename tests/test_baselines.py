@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfiqkd import ChannelParams, SecurityParams
-from rfiqkd.baselines import run_six_four, run_six_state
+from rfiqkd.baselines import run_six_four, run_six_state, six_four
 from rfiqkd.channel import absorption, expected_tallies
+from rfiqkd.core import CELL_INDEX, KINDS, BasisLabel, StateLabel
 from rfiqkd.keyrate import analyze_tallies
 
 from conftest import make_config
@@ -20,6 +21,22 @@ def test_six_four_tracks_four_state(ch, sec):
         main = analyze_tallies(expected_tallies(cfg, ch, [distance])[0], cfg, sec)
         base = run_six_four(cfg, ch, sec, distance)
         assert base.key_rate == pytest.approx(main.key_rate, rel=0.05)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+def test_six_four_test_classes_are_the_four_state_x_basis_cells(beta):
+    # at the default p_x0 and p_y0, rfi64's X- and Y-prepared classes measured in X
+    # send the pulses of the (X0,X) and (Y0,X) cells, so one counting rule gives
+    # them the same detections and errors, up to 2^62 pulses a block
+    cfg, ch = make_config(), ChannelParams(beta=beta)
+    rng = np.random.default_rng(1)
+    sizes = [*np.exp2(rng.uniform(33.0, 62.0, 4095)).astype(np.int64).tolist(), 2**62]
+    distances = rng.uniform(0.0, 300.0, len(sizes)).tolist()
+    _, (detected, errors), _ = six_four(cfg, ch, distances, sizes)
+    rows = [[CELL_INDEX[(s, BasisLabel.X, k)] for k in KINDS] for s in (StateLabel.X0, StateLabel.Y0)]
+    cells = expected_tallies(cfg, ch, distances, n_total=sizes).counts[:, rows]
+    assert np.array_equal(detected, cells[..., 1])
+    assert np.array_equal(errors, cells[..., 2])
 
 
 def test_six_state_same_order_of_magnitude(cfg, ch, sec):
