@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAX_PULSES, IntensityClass
+from .core import KINDS, MAX_PULSES, IntensityClass
 
 
 class DecoyPreconditionError(ValueError):
@@ -143,6 +143,9 @@ def setting(
         if not ok:
             raise DecoyPreconditionError(problem)
 
+    kinds = tuple(k.kind for k in intensities)  # channel reads them by kind, the bounds by position
+    need(kinds == KINDS,
+         f"intensities: must be mu, nu, omega in that order, got {', '.join(k.value for k in kinds)}")
     for k in intensities:
         need(k.probability > 0.0, f"p_{k.kind.value}: must be > 0, got {k.probability}")
     (mu, p_mu), (nu, p_nu), (om, p_om) = ((k.mean_photons, k.probability) for k in intensities)

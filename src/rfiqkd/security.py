@@ -135,8 +135,11 @@ def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> tuple[fl
     the first entry outside the domain raises its error.
 
     The inner radicand is clamped at zero and the second mixing coefficient
-    at one; the two flags say whether each clamp took effect. Ordinary inputs
-    reach them, not only statistical artifacts: the decoy chain overstates
+    at one; the two flags say whether each clamp took effect. The radicand
+    clamps only under ``literal_radicand``: otherwise it is >= 0 in exact
+    arithmetic (u < 1 gives exactly 0, u = 1 gives c/2 - (1-e)^2 >= 0), and a
+    value below 0 is rounding, set to 0 unflagged. Ordinary inputs reach the
+    mixing clamp, not only statistical artifacts: the decoy chain overstates
     the per-class error rates, so a class whose true rate is 1/2 (a
     correlator of 0) yields a correlator near 0.44. On about half the rfi66
     rows of ``compare`` over 0-300 km, ``c`` is clamped at 2 and the
@@ -156,4 +159,5 @@ def ie_6state(c: float, e_zz: float, literal_radicand: bool = False) -> tuple[fl
         radicand = c / 2.0 - _squares(1.0 - e_zz) * _squares(u)
     v = np.sqrt(np.where(radicand < 0.0, 0.0, radicand)) / np.where(noisy, e_zz, 1.0)
     second = e_zz * binary_entropies((1.0 + np.where(v > 1.0, 1.0, v)) / 2.0)
-    return np.where(noisy, leak + second, leak), noisy & (radicand < 0.0), noisy & (v > 1.0)
+    return (np.where(noisy, leak + second, leak), noisy & (radicand < 0.0) & literal_radicand,
+            noisy & (v > 1.0))

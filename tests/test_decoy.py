@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfiqkd import decoy, intensity_triple
+from rfiqkd import ProtocolConfig, decoy, intensity_triple
 from rfiqkd.baselines import run_six_four, run_six_state
 from rfiqkd.channel import expected_tallies
-from rfiqkd.core import BasisLabel, StateLabel
+from rfiqkd.core import BasisLabel, IntensityClass, IntensityKind, StateLabel
 from rfiqkd.decoy import (
     BoundedCount,
     DecoyPreconditionError,
@@ -143,6 +143,25 @@ def test_the_setting_names_the_key_at_fault(table, eps, message):
     with pytest.raises(DecoyPreconditionError) as info:
         decoy.setting(table, eps)
     assert str(info.value) == message
+
+
+MU, NU, OMEGA = IntensityKind.MU, IntensityKind.NU, IntensityKind.OMEGA
+
+
+@pytest.mark.parametrize("table, kinds", [
+    # nu and omega swapped in the labels: the bounds took nu = 0.28 by position, the
+    # channel sent 0.0 as nu, and 50 km gave a key rate of 3.714e-3 with s1_zz_lower 0
+    (((MU, 0.55, 0.54), (OMEGA, 0.28, 0.36), (NU, 0.0, 0.10)), "mu, omega, nu"),
+    # each value under its own kind, out of order: the bounds blamed mu=0.28
+    (((NU, 0.28, 0.36), (MU, 0.55, 0.54), (OMEGA, 0.0, 0.10)), "nu, mu, omega"),
+])
+def test_the_setting_takes_the_intensities_in_kind_order(table, kinds, ch, sec):
+    cfg = ProtocolConfig(intensities=tuple(IntensityClass(*entry) for entry in table))
+    message = f"intensities: must be mu, nu, omega in that order, got {kinds}"
+    with pytest.raises(DecoyPreconditionError, match=f"^{message}$"):
+        decoy.setting(cfg.intensities, EPS)
+    with pytest.raises(DecoyPreconditionError, match=f"^{message}$"):
+        analyze_tallies(expected_tallies(cfg, ch, [50.0])[0], cfg, sec)
 
 
 @pytest.mark.parametrize("table", [TABLE, intensity_triple(0.6, 0.2, 0.01, 0.7, 0.2, 0.1)])
