@@ -373,7 +373,7 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     Each block, a whole multiple of 24 lines but the last, takes one of
     two paths. A block of whole tables as ``write_tally_csv`` writes them
     goes through numpy's tokenizer in one call and is appended to the
-    buffer in one copy (``_read_block``). Any other block is read line by
+    buffer in one copy (``_append_tables``). Any other block is read line by
     line, which stores its rows up to the first error and names that
     error; it reads the same, only slower.
     """
@@ -392,21 +392,17 @@ def read_tally_csv(handle: TextIO) -> TallyBatch:
     start_of: dict[int, int] = {}  # slice index -> its first entry in flat
     lineno = 2
     for lines in _whole_tables(chain([lines], blocks)):
-        if not _read_block(lines, sliced, flat, start_of):
+        if not _append_tables(lines, sliced, flat, start_of):
             _read_lines(lines, lineno, sliced, flat, start_of)
         lineno += len(lines)
     if not start_of:
         raise TallyError("line 2: no tally rows")
 
     order = sorted(start_of)
-    by_first_line = np.frombuffer(flat, dtype=np.int64).reshape(len(order), len(ALL_CELLS), -1)
-    # both copy, so no table shares memory with flat
-    if order == list(start_of):
-        counts = by_first_line.copy()
-    else:
-        first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order))
-        counts = by_first_line[first // len(_UNREAD_SLICE)]
-    del flat, by_first_line
+    first = np.fromiter(map(start_of.__getitem__, order), np.int64, len(order)) // len(_UNREAD_SLICE)
+    # the gather copies, so no table shares memory with flat
+    counts = np.frombuffer(flat, dtype=np.int64).reshape(len(order), len(ALL_CELLS), -1)[first]
+    del flat
     return TallyBatch(counts, order)
 
 
@@ -432,7 +428,7 @@ def _line_blocks(handle: TextIO, block: int = 1 << 16) -> Iterator[list[str]]:
 def _whole_tables(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
     """The lines of ``blocks`` cut at whole multiples of 24 lines, at most
     23 carried into the next block, so that a file as ``write_tally_csv``
-    writes it reaches ``_read_block`` as whole tables."""
+    writes it reaches ``_append_tables`` as whole tables."""
     carry: list[str] = []
     for lines in blocks:
         lines = carry + lines
@@ -445,33 +441,31 @@ def _whole_tables(blocks: Iterator[list[str]]) -> Iterator[list[str]]:
         yield carry
 
 
-def _read_block(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
+def _append_tables(lines: list[str], sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
     """Append ``lines`` to ``flat`` in one copy if numpy's tokenizer reads
-    them, in one call, as whole tables as ``write_tally_csv`` writes them
-    (``_append_tables``).
+    them, in one call, as whole tables as ``write_tally_csv`` writes them:
+    consecutive slices, none read before, each with its cells in
+    ``ALL_CELLS`` order and every label and count valid.
 
     Returns False, with no count stored, for any other block (shuffled
     rows, blank lines, a slice read before, or a row that might not be
     valid); the line reader then reads it, or names its error.
     """
+    n = len(lines) // len(ALL_CELLS)
     # numpy's integer parser takes some non-ASCII letters for digits ("Ǿ"
     # reads as 462), and it drops a label's trailing NULs, which would make
     # a bad label good
     text = "".join(lines)
-    if not text.isascii() or "\x00" in text:
+    if n * len(ALL_CELLS) != len(lines) or not text.isascii() or "\x00" in text:
         return False
-    table = _tokenized(lines, sliced)
-    # numpy skips empty lines
-    return table is not None and len(table) == len(lines) and _append_tables(table, sliced, flat, start_of)
-
-
-def _append_tables(table: np.ndarray, sliced: bool, flat: array, start_of: dict[int, int]) -> bool:
-    """Append the counts of ``table`` to ``flat`` in one copy if it holds
-    whole tables of consecutive slices, none read before, each with its
-    cells in ``ALL_CELLS`` order and every label and count valid; False,
-    with nothing stored, for any other table."""
-    n = len(table) // len(ALL_CELLS)
-    if n * len(ALL_CELLS) != len(table):
+    try:
+        # older numpy parses "1.0" as an integer, with only a DeprecationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE[sliced])
+    except (ValueError, Warning):
+        return False
+    if len(table) != len(lines):  # numpy skips empty lines
         return False
     # a row's 8-byte words: its slice index when sliced, labels, counts
     words = table.view(np.int64).reshape(n, len(ALL_CELLS), -1)
@@ -495,25 +489,12 @@ def _append_tables(table: np.ndarray, sliced: bool, flat: array, start_of: dict[
     return True
 
 
-def _tokenized(lines: list[str], sliced: bool) -> np.ndarray | None:
-    """The rows of ``lines`` as numpy's tokenizer reads them, or None where
-    it fails or warns."""
-    try:
-        # older numpy parses "1.0" as an integer, with only a DeprecationWarning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(
-                lines, delimiter=",", comments=None, ndmin=1, dtype=_ROW_DTYPE[sliced]
-            )
-    except (ValueError, Warning):
-        return None
-
-
 def _read_lines(
     lines: list[str], lineno: int, sliced: bool, flat: array, start_of: dict[int, int]
 ) -> None:
     """Store the rows of ``lines``, the first at ``lineno``, one at a time,
-    raising the first error with its line number."""
+    each checked field by field, raising the first error with its line
+    number."""
     offset = 1 if sliced else 0
     width = len(_TALLY_HEADER) + offset
     for lineno, line in enumerate(lines, start=lineno):
@@ -524,39 +505,30 @@ def _read_lines(
             raise TallyError(
                 f"line {lineno}: expected {width} columns, got {len(parts)}"
             )
-        slice_index, row, (sent, detected, errors) = _checked_row(parts, lineno, offset)
+        slice_index = _int_field(parts[0], lineno, "slice") if sliced else 0
+        if slice_index < 0:
+            raise TallyError(f"line {lineno}: column slice: {parts[0].strip()!r} is negative")
+        labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
+        row = _ROW_BY_LABELS.get(labels)
+        if row is None:
+            raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
+        counts = []
+        for raw, column in zip(parts[offset + 3 :], FIELDS):
+            value = _int_field(raw, lineno, column)
+            if not 0 <= value <= MAX_PULSES:
+                raise TallyError(
+                    f"line {lineno}: column {column}: {raw.strip()!r} is outside "
+                    f"[0, {MAX_PULSES}]"
+                )
+            counts.append(value)
         base = start_of.get(slice_index)
         if base is None:
             base = start_of[slice_index] = len(flat)
             flat.extend(_UNREAD_SLICE)
         at = base + row * len(FIELDS)
         if flat[at] >= 0:
-            raise TallyError(f"line {lineno}: duplicate cell ({parts[offset].strip()},...)")
-        flat[at] = sent
-        flat[at + 1] = detected
-        flat[at + 2] = errors
-
-
-def _checked_row(parts: list[str], lineno: int, offset: int) -> tuple[int, int, list[int]]:
-    """The slice index, count-array row and counts of a row cut at its
-    commas, checked field by field; raises the row's first error."""
-    slice_index = _int_field(parts[0], lineno, "slice") if offset else 0
-    if slice_index < 0:
-        raise TallyError(f"line {lineno}: column slice: {parts[0].strip()!r} is negative")
-    labels = (parts[offset].strip(), parts[offset + 1].strip(), parts[offset + 2].strip())
-    row = _ROW_BY_LABELS.get(labels)
-    if row is None:
-        raise TallyError(f"line {lineno}: bad cell label ({','.join(labels)})")
-    counts = []
-    for raw, column in zip(parts[offset + 3 :], FIELDS):
-        value = _int_field(raw, lineno, column)
-        if not 0 <= value <= MAX_PULSES:
-            raise TallyError(
-                f"line {lineno}: column {column}: {raw.strip()!r} is outside "
-                f"[0, {MAX_PULSES}]"
-            )
-        counts.append(value)
-    return slice_index, row, counts
+            raise TallyError(f"line {lineno}: duplicate cell ({labels[0]},...)")
+        flat[at], flat[at + 1], flat[at + 2] = counts
 
 
 def _int_field(raw: str, lineno: int, column: str) -> int:

@@ -320,7 +320,7 @@ class KeyRateReport:
     c44_lower: float
     i_e: float
     e_zz: float
-    n_zz: int
+    n_zz: float  # an int where a class total reaches 10^12
     key_length: float
     key_rate: float
     intermediate: Mapping[str, float] = field(default_factory=dict)

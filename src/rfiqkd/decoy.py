@@ -63,19 +63,18 @@ def raise_at(bad, error: type[ValueError], message: Callable[[int], str]) -> Non
         raise error(message(int(bad.argmax())))
 
 
-def exact_counts(counts, as_float: bool = False):
+def exact_counts(counts):
     """An array of counts as the chain takes it: integer counts whose totals
     over the last axis reach 10^12 as Python ints, whose arithmetic is the
-    per-point one; below that int64 arithmetic gives the same numbers, and
-    cli's 12 digits print an integral float as they print the int. With
-    ``as_float`` those counts come as float64, which holds each exactly and to
-    which every step of the chain converts them anyway."""
+    per-point one; below that as float64, which holds every count and every
+    sum of them exactly, and cli's 12 digits print an integral float as they
+    print the int."""
     counts = np.asarray(counts)
     if counts.dtype.kind not in "iu":
         return counts
     if np.count_nonzero(counts.sum(axis=-1, dtype=float) >= 1e12):
         return counts.astype(object)
-    return counts.astype(float) if as_float else counts
+    return counts.astype(float)
 
 
 def divide(num, den, fallback):
@@ -294,7 +293,7 @@ def yield_bounds(detected, setting: Setting) -> tuple[BoundedCount, BoundedCount
     """Vacuum and single-photon detection bounds of event classes from their
     detections at (signal, decoy, vacuum) intensity, an (n, 3) array of n
     points or an (n, classes, 3) one."""
-    iv = fluctuation_interval(exact_counts(detected, as_float=True), setting)  # one per count array
+    iv = fluctuation_interval(exact_counts(detected), setting)  # one per count array
     intervals = tuple(iv[..., k] for k in range(3))
     s0 = vacuum_bound(intervals, setting)
     return s0, single_photon_bound(intervals, s0, setting)
@@ -306,7 +305,7 @@ def class_bounds(detected, errors, setting: Setting) -> ClassBounds:
     enters only the cap: it gets no interval. Each step is elementwise, so a
     class's bounds and flags do not depend on the classes beside it."""
     # errors <= detected: one rule
-    detected, errors = exact_counts(np.stack((detected, errors)), as_float=True)
+    detected, errors = exact_counts(np.stack((detected, errors)))
     s0, s1 = yield_bounds(detected, setting)
     iv = fluctuation_interval(errors[..., 1:], setting)
     cap = errors[..., 0] + errors[..., 1] + errors[..., 2]

@@ -379,7 +379,7 @@ def analyze_classes(
     sizes = np.array(n_total, dtype=float)
     # exact before stacking: a block holding an object part stays object
     keys = [decoy.exact_counts(key) for key, _, _ in protocols]
-    tests = [decoy.exact_counts(classes, as_float=True) for _, classes, _ in protocols]
+    tests = [decoy.exact_counts(classes) for _, classes, _ in protocols]
     s0_zz, s1_zz = decoy.yield_bounds(np.stack([detected for detected, _ in keys], axis=-2), setting)
     bounds = decoy.class_bounds(*np.concatenate(tests, axis=-2), setting)
     ends = np.cumsum([0] + [t.shape[-2] for t in tests]).tolist()

@@ -623,6 +623,27 @@ def test_one_call_for_several_protocols_is_each_protocols_own_call(
         assert_same_outcome(got, want, report_columns)
 
 
+@pytest.mark.parametrize("n_total", [10**9, 3 * 10**12])
+def test_integer_class_counts_analyse_as_their_float64_cast(cfg, sec, n_total):
+    # below 10^12 the chain takes integer counts as float64, the key class's
+    # too: rfi44's report, n_zz included, is the one its counts cast to
+    # float64 give, in dtype and in every digit
+    distances = np.linspace(0.0, 300.0, 61)
+    sizes = [n_total] * len(distances)
+    key, tests, leak = keyrate.four_state(expected_tallies(cfg, ChannelParams(beta=0.3), distances, n_total=sizes))
+    as_ints, as_floats = (
+        keyrate.analyze_classes([protocol], cfg, sec, sizes)[0]
+        for protocol in ((key, tests, leak), (key.astype(np.float64), tests.astype(np.float64), leak))
+    )
+    assert key.dtype.kind == "u"
+
+    def exact(report):
+        values = {f.name: getattr(report, f.name) for f in fields(report)[:-1]} | dict(report.intermediate)
+        return {name: (value.dtype, repr(value.tolist())) for name, value in values.items()}
+
+    assert exact(as_ints) == exact(as_floats)
+
+
 def test_a_point_flags_each_failing_class(cfg, ch, sec):
     # at 1e6 pulses the 300 km table passes the literal chain and the 0 km
     # one fails it; the crafted Z1 rows fail only at the error count, the

@@ -665,13 +665,13 @@ def test_a_duplicate_cell_in_a_later_block_is_named():
 
 def test_the_batch_read_is_read_only_and_apart_from_the_buffer(monkeypatch):
     buffers = []
-    read_block = cli._read_block
+    append_tables = cli._append_tables
 
     def keep_buffer(lines, sliced, flat, start_of):
         buffers.append(flat)
-        return read_block(lines, sliced, flat, start_of)
+        return append_tables(lines, sliced, flat, start_of)
 
-    monkeypatch.setattr(cli, "_read_block", keep_buffer)
+    monkeypatch.setattr(cli, "_append_tables", keep_buffer)
     batch = cli.read_tally_csv(io.StringIO(long_file(120)))
     assert len(batch) == 120 and batch.slices == list(range(120))
     assert buffers and all(flat is buffers[0] for flat in buffers)
