@@ -1,6 +1,6 @@
 """Read time of a tally CSV, on each of the reader's two paths.
 
-    python3 tools/reader_cost.py [--slices 4000] [--repeats 5]
+    python3 tools/reader_cost.py [--slices 4000]
 
 Writes ``--slices`` tables of expected counts, at distances in 0-300 km and
 rotation angles drawn with seed 1, with ``cli.write_tally_csv``, and times
@@ -8,7 +8,7 @@ rotation angles drawn with seed 1, with ``cli.write_tally_csv``, and times
 three variants that the line reader takes: each table's rows reversed
 (``reversed_s``), a blank line after each table (``blank_line_s``) and every
 state label padded with a leading blank (``padded_s``). Each figure is the
-best of ``--repeats`` reads; every case must read back the written tables.
+best of 5 reads; every case must read back the written tables.
 The package is imported from the ``src`` beside this script, so a copy of the
 repository measures its own code. One JSON line goes to stdout: the seconds
 of each case, the slices and rows read, and the host.
@@ -51,7 +51,6 @@ def variants(text: str) -> dict[str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--slices", type=int, default=4000, help="tables in the file (at least 2)")
-    parser.add_argument("--repeats", type=int, default=5, help="reads per case; the best is kept")
     args = parser.parse_args(argv)
     rng = np.random.default_rng(1)
     distances = rng.uniform(0.0, 300.0, args.slices)
@@ -63,13 +62,13 @@ def main(argv: list[str] | None = None) -> int:
     for name, text in variants(out.getvalue()).items():
         if not np.array_equal(read_tally_csv(io.StringIO(text)).counts, batch.counts):
             raise SystemExit(f"{name}: the file does not read back as written")
-        runs = timeit.repeat(lambda: read_tally_csv(io.StringIO(text)), number=1, repeat=args.repeats)
+        runs = timeit.repeat(lambda: read_tally_csv(io.StringIO(text)), number=1, repeat=5)
         seconds[name] = min(runs)
     print(json.dumps({
         **seconds,
         "slices": args.slices,
         "rows": args.slices * len(ALL_CELLS),
-        "repeats": args.repeats,
+        "repeats": 5,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
     }))
     return 0
