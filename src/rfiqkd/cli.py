@@ -28,7 +28,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from itertools import chain, compress, product
-from typing import Collection, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -72,11 +72,6 @@ _CH, _SEC, _PC = ChannelParams(), SecurityParams(), ProtocolConfig()
 _MU, _NU, _OMEGA = _PC.intensities
 # ChannelParams field -> config key, where the two names differ
 _CHANNEL_KEY = {"beta": "beta_rad"}
-# schema kind -> its allowed values, shared by the config file and the flags
-_CHOICES = {
-    "mode": ("analytic", "montecarlo"),
-    "drift": ("fixed", "linear", "sinusoidal"),
-}
 
 # The subcommands that read a key, from the code each one runs. The tallies
 # read the channel, intensities, basis choice and block size; analyze_tallies
@@ -88,74 +83,112 @@ _EVERY = ("point", "scan", "compare", "process", "simulate")
 _GRID = ("scan", "compare")
 _DRIFTING = ("point", "simulate")
 
-# key -> (default, parser, provenance, the subcommands that read it)
-_SCHEMA: dict[str, tuple[object, type | str, str, tuple[str, ...]]] = {
-    "e0": (_CH.e0, float, _HW, _TALLIES),
-    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW, _TALLIES),
-    "eta_z_db": (_CH.eta_z_db, float, _HW, _TALLIES),
-    "eta_xy_db": (_CH.eta_xy_db, float, _HW, _TALLIES),
-    "e_d": (_CH.e_d, float, _HW, _TALLIES),
-    "eta_det": (_CH.eta_det, float, _HW, _TALLIES),
-    "beta_rad": (_CH.beta, float, _ASSUMED, _TALLIES),
-    "mu": (_MU.mean_photons, float, _PROTO, _EVERY),
-    "nu": (_NU.mean_photons, float, _PROTO, _EVERY),
-    "omega": (_OMEGA.mean_photons, float, _PROTO, _EVERY),
-    "p_mu": (_MU.probability, float, _PROTO, _EVERY),
-    "p_nu": (_NU.probability, float, _PROTO, _EVERY),
-    "p_omega": (_OMEGA.probability, float, _PROTO, _EVERY),
-    "p_z_alice": (_PC.p_z_alice, float, _PROTO, _TALLIES),
-    "p_x0": (None, "optional_float", _DERIVED, _TALLIES),
-    "p_y0": (None, "optional_float", _DERIVED, _TALLIES),
-    "p_z_bob": (_PC.p_z_bob, float, _ASSUMED, _TALLIES),
-    "n_total": (_PC.n_total, "count", _PROTO, _TALLIES),
-    "m_groups": (_PC.m_groups, int, _ASSUMED, ("point", "process")),
-    "eps_bar": (_SEC.eps_bar, float, _HW, _ANALYZERS),
-    "eps_ec": (_SEC.eps_ec, float, _HW, _ANALYZERS),
-    "eps_pa": (_SEC.eps_pa, float, _HW, _ANALYZERS),
-    "f_ec": (_SEC.f_ec, float, _HW, _ANALYZERS),
-    "distance_km": (200.0, float, _ASSUMED, _DRIFTING),
-    "mode": ("analytic", "mode", _ASSUMED, ("point", "scan")),
-    "seed": (0, int, _ASSUMED, ("point", "scan", "simulate")),
-    "scan_min_km": (0.0, float, _ASSUMED, _GRID),
-    "scan_max_km": (200.0, float, _ASSUMED, _GRID),
-    "scan_step_km": (10.0, float, _ASSUMED, _GRID),
-    "n_values": ((), "counts", _ASSUMED, _GRID),
-    "drift": ("fixed", "drift", _ASSUMED, _DRIFTING),
-    "n_slices": (1, int, _ASSUMED, _DRIFTING),
-    "drift_beta0_rad": (0.0, float, _ASSUMED, _DRIFTING),
-    "drift_rate_rad": (TWO_PI, float, _ASSUMED, _DRIFTING),
-    "drift_amplitude_rad": (math.pi / 4.0, float, _ASSUMED, _DRIFTING),
-    "drift_period": (1.0, float, _ASSUMED, _DRIFTING),
-    "n_zz_all_intensities": (True, bool, _ASSUMED, _ANALYZERS),
-}
+
+class ConfigError(ValueError):
+    pass
+
+
+class TallyFileError(ValueError):
+    """A tally file that cannot be read, or whose slices cannot be merged."""
+
+
+def _as_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError(raw)
+    return low in ("true", "1", "yes", "on")
+
+
+def _as_optional_float(raw: str) -> float | None:
+    return None if raw.lower() in ("", "none", "derived") else float(raw)
+
+
+def _as_count(raw: str) -> int:
+    """Parse a pulse count exactly: ``1e13`` is accepted, ``2.7``, ``nan``,
+    ``inf`` and values outside [1, MAX_PULSES] are rejected."""
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ConfigError(f"cannot parse value {raw!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ConfigError(f"{raw!r} is not a whole number of pulses")
+    if not 1 <= value <= MAX_PULSES:
+        raise ConfigError(f"{raw!r} is outside [1, {MAX_PULSES}]")
+    return int(value)
+
+
+def _as_counts(raw: str) -> tuple[int, ...]:
+    return tuple(map(_as_count, raw.split(","))) if raw else ()
+
+
+class _OneOf(tuple):
+    """The parser of a key that takes only these values."""
+
+    def __call__(self, raw: str) -> str:
+        if raw not in self:
+            raise ValueError(raw)
+        return raw
+
+
 MAX_SLICES = 10**6  # slices a drift trace may have; each slice's counts take 576 B
 MAX_GROUPS = 10**4  # drift groups a run may have; each takes its own (24, 3) sums
-# keys whose parser admits values the run cannot use -> (test, requirement), each;
-# a derived key, None in the run, is not checked
+# A key's checks: (test, requirement) pairs for the values its parser admits that the run
+# cannot use, with "{key}" for the key; a derived key, None in the run, is not checked.
 _NON_NEGATIVE = (lambda x: 0.0 <= x < math.inf, "must be finite and >= 0")
 _FINITE = (math.isfinite, "must be finite")
 _UNIT = (lambda p: 0.0 <= p <= 1.0, "must be in [0,1]")
 _AT_LEAST_ONE = (lambda n: n >= 1, "must be >= 1")
-_RANGES = {
-    **dict.fromkeys(("e0", "e_d", "eta_det", "p_mu", "p_nu", "p_omega", "p_z_alice", "p_x0", "p_y0"),
-                    [_UNIT]),
-    **dict.fromkeys(("alpha_db_per_km", "eta_z_db", "eta_xy_db", "mu", "nu", "omega", "distance_km",
-                     "scan_min_km"), [_NON_NEGATIVE]),
-    **dict.fromkeys(("scan_max_km", "drift_beta0_rad", "drift_rate_rad", "drift_amplitude_rad"),
-                    [_FINITE]),
-    **{key: [(lambda eps: 0.0 < eps < 1.0 and math.isfinite(2.0 / eps),
-              f"must be in (0,1) with 2/{key} finite")] for key in ("eps_bar", "eps_ec", "eps_pa")},
+_EPSILON = (lambda e: 0.0 < e < 1.0 and math.isfinite(2.0 / e), "must be in (0,1) with 2/{key} finite")
+# key -> (default, parser, provenance, the subcommands that read it, checks)
+_SCHEMA: dict[str, tuple[object, Callable[[str], object], str, tuple[str, ...], tuple]] = {
+    "e0": (_CH.e0, float, _HW, _TALLIES, (_UNIT,)),
+    "alpha_db_per_km": (_CH.alpha_db_per_km, float, _HW, _TALLIES, (_NON_NEGATIVE,)),
+    "eta_z_db": (_CH.eta_z_db, float, _HW, _TALLIES, (_NON_NEGATIVE,)),
+    "eta_xy_db": (_CH.eta_xy_db, float, _HW, _TALLIES, (_NON_NEGATIVE,)),
+    "e_d": (_CH.e_d, float, _HW, _TALLIES, (_UNIT,)),
+    "eta_det": (_CH.eta_det, float, _HW, _TALLIES, (_UNIT,)),
+    "beta_rad": (_CH.beta, float, _ASSUMED, _TALLIES,
+                 ((lambda beta: 0.0 <= beta < TWO_PI, "must be in [0, 2*pi)"),)),
+    "mu": (_MU.mean_photons, float, _PROTO, _EVERY, (_NON_NEGATIVE,)),
+    "nu": (_NU.mean_photons, float, _PROTO, _EVERY, (_NON_NEGATIVE,)),
+    "omega": (_OMEGA.mean_photons, float, _PROTO, _EVERY, (_NON_NEGATIVE,)),
+    "p_mu": (_MU.probability, float, _PROTO, _EVERY, (_UNIT,)),
+    "p_nu": (_NU.probability, float, _PROTO, _EVERY, (_UNIT,)),
+    "p_omega": (_OMEGA.probability, float, _PROTO, _EVERY, (_UNIT,)),
+    "p_z_alice": (_PC.p_z_alice, float, _PROTO, _TALLIES, (_UNIT,)),
+    "p_x0": (None, _as_optional_float, _DERIVED, _TALLIES, (_UNIT,)),
+    "p_y0": (None, _as_optional_float, _DERIVED, _TALLIES, (_UNIT,)),
+    "p_z_bob": (_PC.p_z_bob, float, _ASSUMED, _TALLIES, ((lambda p: 0.0 < p < 1.0, "must be in (0,1)"),)),
+    "n_total": (_PC.n_total, _as_count, _PROTO, _TALLIES, ()),
+    "m_groups": (_PC.m_groups, int, _ASSUMED, ("point", "process"),
+                 (_AT_LEAST_ONE, (lambda m: m <= MAX_GROUPS, f"exceeds the group budget {MAX_GROUPS}"))),
+    "eps_bar": (_SEC.eps_bar, float, _HW, _ANALYZERS, (_EPSILON,)),
+    "eps_ec": (_SEC.eps_ec, float, _HW, _ANALYZERS, (_EPSILON,)),
+    "eps_pa": (_SEC.eps_pa, float, _HW, _ANALYZERS, (_EPSILON,)),
     # the leak term is f_ec times a count of up to 2^62
-    "f_ec": [(lambda f: 1.0 <= f < math.inf, "must be finite and >= 1"),
-             (lambda f: not math.isfinite(f) or f * MAX_PULSES < math.inf, "must keep f_ec*2^62 finite")],
-    "beta_rad": [(lambda beta: 0.0 <= beta < TWO_PI, "must be in [0, 2*pi)")],
-    "p_z_bob": [(lambda p: 0.0 < p < 1.0, "must be in (0,1)")],
-    "scan_step_km": [(lambda step: 0.0 < step < math.inf, "must be finite and > 0")],
-    "n_slices": [_AT_LEAST_ONE, (lambda n: n <= MAX_SLICES, f"exceeds the slice budget {MAX_SLICES}")],
-    "m_groups": [_AT_LEAST_ONE, (lambda m: m <= MAX_GROUPS, f"exceeds the group budget {MAX_GROUPS}")],
-    "drift_period": [(lambda period: period > 0.0 and math.isfinite(TWO_PI / period),
-                      "must be > 0 with 2*pi/drift_period finite")],
+    "f_ec": (_SEC.f_ec, float, _HW, _ANALYZERS, (
+        (lambda f: 1.0 <= f < math.inf, "must be finite and >= 1"),
+        (lambda f: not math.isfinite(f) or f * MAX_PULSES < math.inf, "must keep f_ec*2^62 finite"))),
+    "distance_km": (200.0, float, _ASSUMED, _DRIFTING, (_NON_NEGATIVE,)),
+    "mode": ("analytic", _OneOf(("analytic", "montecarlo")), _ASSUMED, ("point", "scan"), ()),
+    "seed": (0, int, _ASSUMED, ("point", "scan", "simulate"), ()),
+    "scan_min_km": (0.0, float, _ASSUMED, _GRID, (_NON_NEGATIVE,)),
+    "scan_max_km": (200.0, float, _ASSUMED, _GRID, (_FINITE,)),
+    "scan_step_km": (10.0, float, _ASSUMED, _GRID,
+                     ((lambda step: 0.0 < step < math.inf, "must be finite and > 0"),)),
+    "n_values": ((), _as_counts, _ASSUMED, _GRID, ()),
+    "drift": ("fixed", _OneOf(("fixed", "linear", "sinusoidal")), _ASSUMED, _DRIFTING, ()),
+    "n_slices": (1, int, _ASSUMED, _DRIFTING,
+                 (_AT_LEAST_ONE, (lambda n: n <= MAX_SLICES, f"exceeds the slice budget {MAX_SLICES}"))),
+    "drift_beta0_rad": (0.0, float, _ASSUMED, _DRIFTING, (_FINITE,)),
+    "drift_rate_rad": (TWO_PI, float, _ASSUMED, _DRIFTING, (_FINITE,)),
+    "drift_amplitude_rad": (math.pi / 4.0, float, _ASSUMED, _DRIFTING, (_FINITE,)),
+    "drift_period": (1.0, float, _ASSUMED, _DRIFTING, (
+        (lambda t: t > 0.0 and math.isfinite(TWO_PI / t), "must be > 0 with 2*pi/drift_period finite"),)),
+    "n_zz_all_intensities": (True, _as_bool, _ASSUMED, _ANALYZERS, ()),
 }
+# config key -> its allowed values, which argparse also checks for the flags
+_CHOICES = {key: spec[1] for key, spec in _SCHEMA.items() if isinstance(spec[1], _OneOf)}
 # subcommand -> the config keys it reads
 COMMANDS: dict[str, frozenset[str]] = {
     command: frozenset(key for key, spec in _SCHEMA.items() if command in spec[3])
@@ -188,55 +221,16 @@ def command_flags(command: str) -> list[str]:
     ]
 
 
-class ConfigError(ValueError):
-    pass
-
-
-class TallyFileError(ValueError):
-    """A tally file that cannot be read, or whose slices cannot be merged."""
-
-
-def _parse_value(key: str, raw: str, kind) -> object:
+def _parse_value(key: str, raw: str) -> object:
+    """``raw`` by ``key``'s parser, which raises a ValueError for a value it
+    cannot parse and a ConfigError for one it parses but refuses."""
     raw = raw.strip()
-    if kind == "count":
-        return _as_count(key, raw)
-    if kind == "counts":
-        return tuple(_as_count(key, part) for part in raw.split(",")) if raw else ()
     try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "optional_float":
-            return None if raw.lower() in ("", "none", "derived") else float(raw)
-        if kind in _CHOICES:
-            if raw not in _CHOICES[kind]:
-                raise ValueError(raw)
-            return raw
+        return _SCHEMA[key][1](raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {raw!r}") from exc
-    raise ConfigError(f"{key}: unhandled schema kind {kind!r}")
-
-
-def _as_count(key: str, raw: str) -> int:
-    """Parse a pulse count exactly: ``1e13`` is accepted, ``2.7``, ``nan``,
-    ``inf`` and values outside [1, MAX_PULSES] are rejected."""
-    try:
-        value = Decimal(raw)
-    except InvalidOperation:
-        raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
-    if not value.is_finite() or value != value.to_integral_value():
-        raise ConfigError(f"{key}: {raw!r} is not a whole number of pulses")
-    if not 1 <= value <= MAX_PULSES:
-        raise ConfigError(f"{key}: {raw!r} is outside [1, {MAX_PULSES}]")
-    return int(value)
 
 
 @dataclass
@@ -305,7 +299,7 @@ def load_config(path: str | None, reads: Collection[str] = _SCHEMA) -> RunConfig
                 elif key not in reads:
                     ignored.add(key)
                 else:
-                    values[key] = _parse_value(key, raw, _SCHEMA[key][1])
+                    values[key] = _parse_value(key, raw)
                     origin[key] = "config file"
         if problems:
             raise ConfigError("; ".join(problems))
@@ -817,44 +811,48 @@ def _run_config(args) -> RunConfig:
     for key in (key for key, _ in _FLAGS.values() if key in run.reads):
         raw = getattr(args, key)
         if raw is not None:
-            run.values[key] = _parse_value(key, raw, _SCHEMA[key][1])
+            run.values[key] = _parse_value(key, raw)
             run.origin[key] = "flag"
     return run
 
 
-def _joint_problems(run: RunConfig, cfg: ProtocolConfig, problems: list[str]) -> list[str]:
-    """The checks of keys taken together, after each key's own (``problems``):
+def _config_problems(run: RunConfig, cfg: ProtocolConfig) -> list[str]:
+    """Each key's own problems, sorted; then the checks of keys taken together:
     the probability sums; the decoy bounds' preconditions, the drift angles
     and the block size's split into slices, each once the keys it reads are
     in range; and the grid budget, once all else passes."""
+    problems = sorted(
+        f"{key}: {need.format(key=key)}, got {run[key]}" for key, spec in _SCHEMA.items()
+        for ok, need in spec[4] if run[key] is not None and not ok(run[key])
+    )
     failed = {problem.partition(":")[0] for problem in problems}
     sums = {"p_mu + p_nu + p_omega": sum(entry.probability for entry in cfg.intensities),
             "p_z_alice + p_x0 + p_y0": cfg.p_z_alice + cfg.p_x0 + cfg.p_y0}
-    joint = [f"{keys} must sum to 1, got {total!r}"
-             for keys, total in sums.items() if abs(total - 1.0) > 1e-12]
+    problems += [f"{keys} must sum to 1, got {total!r}"
+                 for keys, total in sums.items() if abs(total - 1.0) > 1e-12]
     if failed.isdisjoint(("mu", "nu", "omega", "p_mu", "p_nu", "p_omega")):
         try:
             setting(cfg.intensities, None)
         except DecoyPreconditionError as exc:
-            joint.append(str(exc))
+            problems.append(str(exc))
     # a trace's extreme angles, from its ends: n_slices = 1 takes the channel's angle
     drift = ("n_slices", "drift_beta0_rad", "drift_rate_rad", "drift_amplitude_rad")
     n, beta0, rate, amplitude = map(run.__getitem__, drift)
     if "n_slices" not in failed and cfg.n_total % n:
-        joint.append(f"n_total={cfg.n_total} is not divisible by n_slices={n}")
+        problems.append(f"n_total={cfg.n_total} is not divisible by n_slices={n}")
     if n > 1 and failed.isdisjoint(drift):
         if run["drift"] == "linear" and not math.isfinite(beta0 + rate * ((n - 1) / n)):
-            joint.append(f"drift_beta0_rad + drift_rate_rad*(n_slices-1)/n_slices must be finite, "
-                         f"got {beta0} + {rate}*{n - 1}/{n}")
+            problems.append(f"drift_beta0_rad + drift_rate_rad*(n_slices-1)/n_slices must be finite, "
+                            f"got {beta0} + {rate}*{n - 1}/{n}")
         if run["drift"] == "sinusoidal" and not math.isfinite(abs(beta0) + abs(amplitude)):
-            joint.append(f"drift_beta0_rad +/- drift_amplitude_rad must be finite, "
-                         f"got {beta0} +/- {amplitude}")
+            problems.append(f"drift_beta0_rad +/- drift_amplitude_rad must be finite, "
+                            f"got {beta0} +/- {amplitude}")
     lo, hi, step = run["scan_min_km"], run["scan_max_km"], run["scan_step_km"]
-    if not problems and not joint and (count := _grid_count(lo, hi, step)) > MAX_GRID_POINTS:
+    if not problems and (count := _grid_count(lo, hi, step)) > MAX_GRID_POINTS:
         size = "are too many to count" if math.isinf(count) else (
             f"give {count:.12g} distances, over the {MAX_GRID_POINTS} a grid may have")
-        joint.append(f"scan_step_km: {step} km steps over [{lo}, {hi}] km {size}")
-    return joint
+        problems.append(f"scan_step_km: {step} km steps over [{lo}, {hi}] km {size}")
+    return problems
 
 
 def main(
@@ -881,11 +879,7 @@ def main(
             out.write("\n".join(run.provenance_lines()) + "\n")
             return EXIT_OK
         cfg, ch, sec = run.protocol_config(), run.channel_params(), run.security_params()
-        problems = sorted(
-            f"{key}: {need}, got {run[key]}" for key, checks in _RANGES.items()
-            for ok, need in checks if run[key] is not None and not ok(run[key])
-        )
-        problems += _joint_problems(run, cfg, problems)
+        problems = _config_problems(run, cfg)
         for problem in problems:
             print(f"config error: {problem}", file=err)
         if problems:

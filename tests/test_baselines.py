@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfiqkd import ChannelParams, SecurityParams
-from rfiqkd.baselines import run_six_four, run_six_state, six_four
+from rfiqkd.baselines import run_six_four, run_six_state, six_four, six_state
 from rfiqkd.channel import absorption, expected_tallies
 from rfiqkd.core import CELL_INDEX, KINDS, BasisLabel, StateLabel
-from rfiqkd.keyrate import analyze_tallies
+from rfiqkd.keyrate import analyze_classes, analyze_tallies
 
 from conftest import make_config
 
@@ -130,16 +130,18 @@ def test_each_point_takes_its_own_block_size(points, asymptotic):
 
 
 @pytest.mark.parametrize("sizes", [[10**12] * 8, [10**10, 10**11, 10**12, 10**13, 2**62] * 2])
-@pytest.mark.parametrize("runner", [run_six_four, run_six_state])
-def test_a_chunk_of_table_rows_gives_what_its_distances_give(runner, sizes):
+@pytest.mark.parametrize("protocol", [six_four, six_state])
+def test_a_chunk_of_table_rows_gives_what_its_distances_give(protocol, sizes):
     # a grid's one table, its rows gathered per point as a scan or compare chunk does
     cfg, ch, sec = make_config(), ChannelParams(beta=0.3), SecurityParams()
     grid = [0.0, 40.0, 130.0, 220.0]
     table = absorption(ch, cfg.intensities, grid)
     points = np.arange(len(sizes)) % len(grid)
     distances = [grid[i] for i in points]
-    given_rows = runner(cfg, ch, sec, distances, n_total=sizes, absorbed=table[points])
-    computed = runner(cfg, ch, sec, distances, n_total=sizes)
+    given_rows, computed = (
+        analyze_classes([protocol(cfg, ch, distances, sizes, absorbed)], cfg, sec, sizes)[0]
+        for absorbed in (table[points], None)
+    )
     pairs = [(getattr(given_rows, f.name), getattr(computed, f.name)) for f in fields(computed)[:-1]]
     assert given_rows.intermediate.keys() == computed.intermediate.keys()
     pairs += [(given_rows.intermediate[key], column) for key, column in computed.intermediate.items()]

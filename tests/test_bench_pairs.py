@@ -193,6 +193,28 @@ def test_append_keeps_the_recorded_claim(tmp_path, monkeypatch):
     assert len(calls) == 6 and out.read_bytes() == written
 
 
+def test_each_run_records_the_os_usage_of_its_children(tmp_path, monkeypatch):
+    def run_once(checkout, workload, seed, seconds, trace):
+        # a child that writes about 50 MB, so it takes some 12800 fresh pages
+        bench_pairs.subprocess.run([bench_pairs.sys.executable, "-c", "b'x' * (50 << 20)"], check=True)
+        result = run("x", seed, 100.0, 40.0)["result"]
+        result["metrics"]["setup_s"] = {"value": 0.1, "unit": "s"}
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "abc1234")
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", "HEAD", "--workload", "curves", "--seeds", "1", "--out", str(out)])
+    runs = bench_pairs.json.loads(out.read_text())["runs"]
+    assert len(runs) == 2
+    for entry in runs:
+        usage = entry["rusage"]
+        assert sorted(usage) == ["majflt", "minflt", "stime_s", "utime_s"]
+        assert all(value >= 0 for value in usage.values())
+        assert usage["minflt"] > 5000
+
+
 def test_both_sides_run_outside_the_repository(tmp_path, monkeypatch):
     # a repository with one commit, then an edit, an untracked file, an
     # ignored file and a deletion that are not committed

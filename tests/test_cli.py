@@ -596,6 +596,36 @@ def test_config_counts_reject_non_counts(tmp_path, line):
     assert err.startswith(f"error: {key}: ") and repr(raw.split(",")[-1]) in err
 
 
+@pytest.mark.parametrize(
+    "command,line,flag,message",
+    [
+        ("point", "n_total = abc", "--n-total", "n_total: cannot parse value 'abc'"),
+        ("point", "n_total = 2.7", "--n-total", "n_total: '2.7' is not a whole number of pulses"),
+        ("point", "n_total = nan", "--n-total", "n_total: 'nan' is not a whole number of pulses"),
+        ("point", "n_total = 0", "--n-total", f"n_total: '0' is outside [1, {2**62}]"),
+        # an entry is quoted as it stands between the commas, not the whole value
+        ("scan", "n_values = 1e10, x", None, "n_values: cannot parse value ' x'"),
+        ("scan", "n_values = 1e10,2.5", None, "n_values: '2.5' is not a whole number of pulses"),
+        ("point", "seed = 1.5", "--seed", "seed: cannot parse value '1.5'"),
+        ("point", "m_groups = x", "--groups", "m_groups: cannot parse value 'x'"),
+        # argparse checks the --mode and --drift flags against their choices itself
+        ("point", "mode = oracle", None, "mode: cannot parse value 'oracle'"),
+        ("point", "drift = spiral", None, "drift: cannot parse value 'spiral'"),
+        ("point", "n_zz_all_intensities = maybe", None, "n_zz_all_intensities: cannot parse value 'maybe'"),
+        ("point", "p_x0 = x", None, "p_x0: cannot parse value 'x'"),
+        ("point", "mu = abc", None, "mu: cannot parse value 'abc'"),
+    ],
+)
+def test_a_value_that_cannot_be_parsed_is_named_whole(tmp_path, command, line, flag, message):
+    cfg = tmp_path / "value.cfg"
+    cfg.write_text(line + "\n")
+    argvs = [[command, "--config", str(cfg)]]
+    if flag is not None:
+        argvs.append([command, f"{flag}={line.partition(' = ')[2]}"])
+    for argv in argvs:
+        assert run_cli(argv) == (cli.EXIT_ERROR, "", f"error: {message}\n")
+
+
 def test_n_values_parsed_exactly(tmp_path):
     cfg = tmp_path / "counts.cfg"
     cfg.write_text("n_values = 1e10, 4611686018427387903\n")
@@ -1003,7 +1033,7 @@ def test_grid_takes_one_call_per_chunk(tmp_path, monkeypatch):
 
 # -- config fuzz ----------------------------------------------------------------
 
-_FUZZ_KEYS = [key for key, spec in cli._SCHEMA.items() if spec[1] in (float, "optional_float")]
+_FUZZ_KEYS = [key for key, spec in cli._SCHEMA.items() if spec[1] in (float, cli._as_optional_float)]
 _FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-320", "1e-300", "1e300")
 # the other keys' values: slice and group counts small, or rejected before any
 # slice or group is made (<= 0, one past the budget, 10^21); 7 slices do not

@@ -11,12 +11,15 @@ working tree, tracked and untracked files that git does not ignore, as
 they are on disk. Every run lasts ``run_seconds`` of ``BENCHMARK.json``,
 on both sides. For each seed, ``perfbench/run.py`` runs once in each
 directory; even-numbered pairs run the parent first, odd ones the change.
-Every run's result line is kept, and ``--out`` is written again after
-each run, so a failing run loses none of the earlier ones;
-``--append`` adds the new runs to those already in ``--out``, which
-resumes such a session, or starts ``--out`` when it does not exist yet;
-it keeps the recorded claim, and a ``--claim`` that differs from it is a
-usage error, raised before any run.
+Every run's result line is kept, beside the run's minor and major page
+faults and user and system CPU seconds as the operating system counts
+them (``rusage``: the change in ``getrusage`` of this process's finished
+children over the run), and ``--out`` is written again after each run, so
+a failing run loses none of the earlier ones; ``--append`` adds the new
+runs to those already in ``--out``, which resumes such a session, or
+starts ``--out`` when it does not exist yet; it keeps the recorded claim,
+and a ``--claim`` that differs from it is a usage error, raised before any
+run.
 The summary, per workload and end-to-end metric of the untraced runs,
 gives each side's median, quartiles (linear interpolation) and run count,
 the ratio of the medians and the pairs the change won, in the direction
@@ -34,6 +37,7 @@ import io
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -188,10 +192,18 @@ def main(argv: list[str] | None = None) -> int:
         unpack(None, sides["change"])
         for index, seed in enumerate(args.seeds):
             for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
+                before = resource.getrusage(resource.RUSAGE_CHILDREN)
                 result = run_once(sides[side], args.workload, seed, seconds, args.trace)
+                after = resource.getrusage(resource.RUSAGE_CHILDREN)
                 record["runs"].append({
                     "side": side, "workload": args.workload, "seed": seed,
                     "seconds": seconds, "trace": args.trace, "result": result,
+                    "rusage": {
+                        "minflt": after.ru_minflt - before.ru_minflt,
+                        "majflt": after.ru_majflt - before.ru_majflt,
+                        "utime_s": round(after.ru_utime - before.ru_utime, 6),
+                        "stime_s": round(after.ru_stime - before.ru_stime, 6),
+                    },
                 })
                 # every run is kept as it ends: a later failure loses none, and
                 # --append resumes the session
